@@ -298,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     relations_sub = relations.add_subparsers(dest="subcommand", required=True)
     ri = relations_sub.add_parser("infer", help="infer and filter relationships")
     _common_inputs(ri)
+    _training_options(ri)
     ri.add_argument("--out", required=True, help="relationships output path")
     ri.add_argument("--diagram", help="optional diagram JSON output")
     ri.set_defaults(func=_cmd_relations_infer)
@@ -306,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     invariants_sub = invariants.add_subparsers(dest="subcommand", required=True)
     ig = invariants_sub.add_parser("generate", help="propose and refine invariants")
     _common_inputs(ig)
+    _training_options(ig)
     ig.add_argument("--relations", required=True, help="relationships JSON path")
     ig.add_argument("--out", required=True, help="invariant file output path")
     ig.add_argument("--outcomes", help="optional per-candidate outcome JSON")
@@ -350,6 +352,9 @@ def _common_inputs(parser) -> None:
     parser.add_argument("--binlog", required=True, help="row-change JSONL path")
     parser.add_argument("--config", help="pipeline configuration JSON")
     parser.add_argument("--strict", action="store_true", help="fail on bad input")
+
+
+def _training_options(parser) -> None:
     parser.add_argument(
         "--proposer", choices=("stub", "remote"), help="override configured proposer"
     )

@@ -1,40 +1,22 @@
 """Detection and scoring: run accepted invariants over a corpus.
 
-The hot path compiles each invariant body into nested closures that mirror
-the reference evaluator exactly; on a failure the reference evaluator is
-re-run to build the explanation trace. Parallel runs split the focal calls
-into time-contiguous chunks with independent join cursors, so a multi-worker
-run reports exactly what a single worker would.
+Each invariant is compiled once with `dsl.compile_invariant` and called on
+every joined group of its focal entity; only a failing group pays for an
+explanation, which the same compiled object traces. Parallel runs split the
+focal calls into time-contiguous chunks with independent join cursors, so a
+multi-worker run reports exactly what a single worker would.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .binlog import TemporalTable
-from .dsl import (
-    And,
-    BoolConst,
-    Cmp,
-    FieldRef,
-    InSet,
-    Invariant,
-    Lit,
-    Match,
-    Not,
-    NullCheck,
-    Or,
-    Quant,
-    _cmp_values,
-    evaluate,
-    explain,
-    quantified_names,
-)
-from .errors import EvaluationError, MetricsError
+from .dsl import Invariant, compile_invariant, explain_trace, quantified_names
+from .errors import MetricsError
 from .joins import (
     JoinStores,
     _binding_joiners,
@@ -44,7 +26,6 @@ from .joins import (
 from .logstore import LabelRecord, LogCorpus
 from .relations import Relationship
 from .schema import SchemaBundle
-from .values import values_equal
 
 
 @dataclass(slots=True)
@@ -67,119 +48,6 @@ class DetectionResult:
     elapsed_s: float = 0.0
 
 
-# --- closure compilation -----------------------------------------------------
-
-
-def _c_operand(node):
-    if node.__class__ is Lit:
-        value = node.value
-        return lambda bindings, scope: value
-    root, path = node.root, node.path
-
-    def read(bindings, scope):
-        row = scope.get(root)
-        if row is None:
-            raise EvaluationError(f"entity {root!r} is not bound in this group")
-        return row.get(path)
-
-    return read
-
-
-def _c_expr(node):
-    cls = node.__class__
-    if cls is Cmp:
-        op = node.op
-        left = _c_operand(node.left)
-        right = _c_operand(node.right)
-        return lambda b, s: _cmp_values(op, left(b, s), right(b, s))
-    if cls is Quant:
-        name = node.name
-        body = _c_expr(node.body)
-        exists = node.exists
-
-        def quantified(b, s):
-            rows = b.get(name)
-            if rows is None:
-                raise EvaluationError(
-                    f"entity {name!r} is not bound in this group"
-                )
-            prev = s.get(name)
-            try:
-                if exists:
-                    for row in rows:
-                        s[name] = row
-                        if body(b, s):
-                            return True
-                    return False
-                for row in rows:
-                    s[name] = row
-                    if not body(b, s):
-                        return False
-                return True
-            finally:
-                if prev is None:
-                    s.pop(name, None)
-                else:
-                    s[name] = prev
-
-        return quantified
-    if cls is And:
-        parts = tuple(_c_expr(p) for p in node.parts)
-        if len(parts) == 2:
-            first, second = parts
-            return lambda b, s: first(b, s) and second(b, s)
-        return lambda b, s: all(p(b, s) for p in parts)
-    if cls is Or:
-        parts = tuple(_c_expr(p) for p in node.parts)
-        if len(parts) == 2:
-            first, second = parts
-            return lambda b, s: first(b, s) or second(b, s)
-        return lambda b, s: any(p(b, s) for p in parts)
-    if cls is Not:
-        inner = _c_expr(node.expr)
-        return lambda b, s: not inner(b, s)
-    if cls is NullCheck:
-        operand = _c_operand(node.operand)
-        if node.negated:
-            return lambda b, s: operand(b, s) is not None
-        return lambda b, s: operand(b, s) is None
-    if cls is Match:
-        operand = _c_operand(node.operand)
-        rx = re.compile(node.pattern)
-
-        def matches(b, s):
-            value = operand(b, s)
-            return isinstance(value, str) and rx.fullmatch(value) is not None
-
-        return matches
-    if cls is InSet:
-        operand = _c_operand(node.operand)
-        items = tuple(item.value for item in node.items)
-
-        def member(b, s):
-            value = operand(b, s)
-            if value is None:
-                return False
-            return any(values_equal(value, item) for item in items)
-
-        return member
-    if cls is BoolConst:
-        value = node.value
-        return lambda b, s: value
-    raise TypeError(f"cannot compile node {node!r}")
-
-
-def compile_invariant(inv: Invariant):
-    """Closure with the reference evaluator's semantics, minus tracing."""
-    body = _c_expr(inv.body)
-    focal = inv.focal
-
-    def run(group):
-        return body(group.bindings, {focal: group.focal})
-
-    return run
-
-
 # --- corpus checking ---------------------------------------------------------
 
 
@@ -187,9 +55,9 @@ def _check_stream(stores, schema, rows, compiled, focal_name, only):
     # each worker sweeps its own join cursors over its own time-sorted rows
     violations = []
     for group in iter_joined_groups(stores, schema, rows, only):
-        for inv, fn in compiled:
+        for fn in compiled:
             if not fn(group):
-                verdict = evaluate(inv, group)
+                inv = fn.invariant
                 violations.append(
                     ViolationRecord(
                         invariant_id=inv.id,
@@ -198,7 +66,7 @@ def _check_stream(stores, schema, rows, compiled, focal_name, only):
                         api=focal_name,
                         time=group.focal["time"],
                         session_id=group.focal["sessionId"],
-                        explanation=explain(verdict),
+                        explanation=explain_trace(fn.trace(group)),
                     )
                 )
     return violations
@@ -227,7 +95,7 @@ def check_corpus(
         rows = stores.instances(focal_name).rows
         result.groups_built += len(rows)
         result.evaluations += len(rows) * len(invs)
-        compiled = [(inv, compile_invariant(inv)) for inv in invs]
+        compiled = [compile_invariant(inv) for inv in invs]
         # join only the bindings these invariants quantify over
         only: set[str] = set()
         for inv in invs:

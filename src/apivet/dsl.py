@@ -1,4 +1,5 @@
-"""Invariant expression language: parser, canonical printer, evaluator.
+"""Invariant expression language: parser, canonical printer, compiler and
+explanations.
 
 One invariant constrains the joined groups of a single focal entity:
 
@@ -9,11 +10,16 @@ Quantifiers range over the rows a relationship bound into the group; any
 reference to a non-focal entity must sit inside a quantifier binding it.
 Evaluation is two-valued: comparisons touching null are false (only
 IS [NOT] NULL sees null), and type-incompatible comparisons are false.
+
+`compile_invariant` is the one evaluator: it turns an invariant into
+closures that refinement and detection both run, and a failure's
+explanation re-runs the closures of the sub-expressions it reports on.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -499,7 +505,7 @@ def read_invariant_file(path: str) -> list[Invariant]:
         return parse_invariants(fh.read())
 
 
-# --- evaluation ------------------------------------------------------------
+# --- compiled evaluation and explanation ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -515,104 +521,145 @@ class Verdict:
     trace: TraceNode | None
 
 
-_PATTERN_CACHE: dict[str, re.Pattern] = {}
+_OPERATORS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-def _compiled(pattern: str) -> re.Pattern:
-    compiled = _PATTERN_CACHE.get(pattern)
-    if compiled is None:
-        compiled = re.compile(pattern)
-        _PATTERN_CACHE[pattern] = compiled
-    return compiled
-
-
-def _resolve(operand: Any, scope: dict) -> Any:
-    if isinstance(operand, FieldRef):
-        row = scope.get(operand.root)
-        if row is None:
-            raise EvaluationError(
-                f"entity {operand.root!r} is not bound in this group"
-            )
-        return row.get(operand.path)
-    return operand.value
+def _comparable(op: str, a: Any, b: Any) -> bool:
+    """Two booleans under ==/!=, two numbers, or two strings."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and op in ("==", "!=")
+    if isinstance(a, (int, float)):
+        return isinstance(b, (int, float))
+    return isinstance(a, str) and isinstance(b, str)
 
 
 def _cmp_values(op: str, a: Any, b: Any) -> bool:
-    if a is None or b is None:
+    if a is None or b is None or not _comparable(op, a, b):
         return False
-    a_bool = isinstance(a, bool)
-    b_bool = isinstance(b, bool)
-    if a_bool or b_bool:
-        if not (a_bool and b_bool) or op not in ("==", "!="):
-            return False
-        return (a is b) if op == "==" else (a is not b)
-    a_num = isinstance(a, (int, float))
-    b_num = isinstance(b, (int, float))
-    if a_num != b_num:
-        return False
-    if not a_num and not (isinstance(a, str) and isinstance(b, str)):
-        return False
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+    return _OPERATORS[op](a, b)
 
 
-def _eval(node: Any, scope: dict, bindings: dict) -> bool:
+def _unbound(name: str) -> EvaluationError:
+    return EvaluationError(f"entity {name!r} is not bound in this group")
+
+
+# Every closure takes (bindings, scope): the group's binding name -> rows map
+# and the entity name -> current row map. `closures` collects the closure of
+# each node and operand by id() so the tracer can re-run any sub-expression.
+
+
+def _compile_operand(node: Any, closures: dict):
+    if node.__class__ is Lit:
+        value = node.value
+
+        def read(b, s):
+            return value
+
+    else:
+        root, path = node.root, node.path
+
+        def read(b, s):
+            row = s.get(root)
+            if row is None:
+                raise _unbound(root)
+            return row.get(path)
+
+    closures[id(node)] = read
+    return read
+
+
+def _compile(node: Any, closures: dict):
+    fn = _compile_node(node, closures)
+    closures[id(node)] = fn
+    return fn
+
+
+def _compile_node(node: Any, closures: dict):
     cls = node.__class__
     if cls is Cmp:
-        return _cmp_values(node.op, _resolve(node.left, scope), _resolve(node.right, scope))
+        op = node.op
+        left = _compile_operand(node.left, closures)
+        right = _compile_operand(node.right, closures)
+        return lambda b, s: _cmp_values(op, left(b, s), right(b, s))
     if cls is Quant:
-        rows = bindings.get(node.name)
-        if rows is None:
-            raise EvaluationError(f"entity {node.name!r} is not bound in this group")
-        prev = scope.get(node.name)
-        body = node.body
-        try:
-            if node.exists:
-                for row in rows:
-                    scope[node.name] = row
-                    if _eval(body, scope, bindings):
-                        return True
-                return False
-            for row in rows:
-                scope[node.name] = row
-                if not _eval(body, scope, bindings):
+        name = node.name
+        body = _compile(node.body, closures)
+        exists = node.exists
+
+        def quantified(b, s):
+            rows = b.get(name)
+            if rows is None:
+                raise _unbound(name)
+            prev = s.get(name)
+            try:
+                if exists:
+                    for row in rows:
+                        s[name] = row
+                        if body(b, s):
+                            return True
                     return False
-            return True
-        finally:
-            if prev is None:
-                scope.pop(node.name, None)
-            else:
-                scope[node.name] = prev
+                for row in rows:
+                    s[name] = row
+                    if not body(b, s):
+                        return False
+                return True
+            finally:
+                if prev is None:
+                    s.pop(name, None)
+                else:
+                    s[name] = prev
+
+        return quantified
     if cls is And:
-        return all(_eval(p, scope, bindings) for p in node.parts)
+        parts = tuple(_compile(p, closures) for p in node.parts)
+        if len(parts) == 2:
+            first, second = parts
+            return lambda b, s: first(b, s) and second(b, s)
+        return lambda b, s: all(p(b, s) for p in parts)
     if cls is Or:
-        return any(_eval(p, scope, bindings) for p in node.parts)
+        parts = tuple(_compile(p, closures) for p in node.parts)
+        if len(parts) == 2:
+            first, second = parts
+            return lambda b, s: first(b, s) or second(b, s)
+        return lambda b, s: any(p(b, s) for p in parts)
     if cls is Not:
-        return not _eval(node.expr, scope, bindings)
+        inner = _compile(node.expr, closures)
+        return lambda b, s: not inner(b, s)
     if cls is NullCheck:
-        value = _resolve(node.operand, scope)
-        return (value is not None) if node.negated else (value is None)
+        operand = _compile_operand(node.operand, closures)
+        if node.negated:
+            return lambda b, s: operand(b, s) is not None
+        return lambda b, s: operand(b, s) is None
     if cls is Match:
-        value = _resolve(node.operand, scope)
-        if not isinstance(value, str):
-            return False
-        return _compiled(node.pattern).fullmatch(value) is not None
+        operand = _compile_operand(node.operand, closures)
+        rx = re.compile(node.pattern)
+
+        def matches(b, s):
+            value = operand(b, s)
+            return isinstance(value, str) and rx.fullmatch(value) is not None
+
+        return matches
     if cls is InSet:
-        value = _resolve(node.operand, scope)
-        if value is None:
-            return False
-        return any(values_equal(value, item.value) for item in node.items)
+        operand = _compile_operand(node.operand, closures)
+        items = tuple(item.value for item in node.items)
+
+        def member(b, s):
+            value = operand(b, s)
+            if value is None:
+                return False
+            return any(values_equal(value, item) for item in items)
+
+        return member
     if cls is BoolConst:
-        return node.value
+        value = node.value
+        return lambda b, s: value
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -622,58 +669,54 @@ def _fmt_value(value: Any) -> str:
     return format_literal(value)
 
 
-def _operand_detail(operand: Any, scope: dict) -> str | None:
-    if isinstance(operand, FieldRef):
-        value = _resolve(operand, scope)
-        return f"{operand.root}.{operand.path} = {_fmt_value(value)}"
-    return None
-
-
 _MAX_TRACED_ROWS = 3
 
 
-def _trace(node: Any, scope: dict, bindings: dict) -> TraceNode:
+def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
     """Build the failure trace for a node known to evaluate false."""
     cls = node.__class__
     if cls in (Cmp, InSet, Match, NullCheck):
         operands = (node.left, node.right) if cls is Cmp else (node.operand,)
-        details = [d for d in (_operand_detail(op, scope) for op in operands) if d]
+        values = [closures[id(op)](b, s) for op in operands]
+        details = [
+            f"{op.root}.{op.path} = {_fmt_value(value)}"
+            for op, value in zip(operands, values)
+            if isinstance(op, FieldRef)
+        ]
         note = ""
         if cls is Cmp:
-            a = _resolve(node.left, scope)
-            b = _resolve(node.right, scope)
-            if a is not None and b is not None and not _comparable(node.op, a, b):
+            left, right = values
+            if left is not None and right is not None and not _comparable(
+                node.op, left, right
+            ):
                 note = "; incompatible types"
         suffix = f" ({', '.join(details)})" if details else ""
         return TraceNode(f"{print_expr(node)} failed{suffix}{note}")
     if cls is And:
         failing = tuple(
-            _trace(p, scope, bindings)
-            for p in node.parts
-            if not _eval(p, scope, bindings)
+            _trace(p, closures, b, s) for p in node.parts if not closures[id(p)](b, s)
         )
         return TraceNode("", combiner="and", children=failing)
     if cls is Or:
-        failing = tuple(_trace(p, scope, bindings) for p in node.parts)
+        failing = tuple(_trace(p, closures, b, s) for p in node.parts)
         return TraceNode("", combiner="or", children=failing)
     if cls is Not:
         return TraceNode(
             f"NOT ({print_expr(node.expr)}) failed: inner condition held"
         )
     if cls is Quant:
-        rows = bindings.get(node.name)
+        rows = b.get(node.name)
         if rows is None:
-            raise EvaluationError(f"entity {node.name!r} is not bound in this group")
-        prev = scope.get(node.name)
+            raise _unbound(node.name)
+        body = closures[id(node.body)]
+        prev = s.get(node.name)
         children = []
         try:
             if node.exists:
                 for i, row in enumerate(rows[:_MAX_TRACED_ROWS]):
-                    scope[node.name] = row
-                    inner = _trace(node.body, scope, bindings)
-                    children.append(
-                        TraceNode(f"row[{i}]: {explain_trace(inner)}")
-                    )
+                    s[node.name] = row
+                    inner = _trace(node.body, closures, b, s)
+                    children.append(TraceNode(f"row[{i}]: {explain_trace(inner)}"))
                 label = (
                     f"EXISTS({node.name}: {print_expr(node.body)}) failed: "
                     f"{len(rows)} bound row(s)"
@@ -681,11 +724,11 @@ def _trace(node: Any, scope: dict, bindings: dict) -> TraceNode:
             else:
                 bad = 0
                 for i, row in enumerate(rows):
-                    scope[node.name] = row
-                    if not _eval(node.body, scope, bindings):
+                    s[node.name] = row
+                    if not body(b, s):
                         bad += 1
                         if len(children) < _MAX_TRACED_ROWS:
-                            inner = _trace(node.body, scope, bindings)
+                            inner = _trace(node.body, closures, b, s)
                             children.append(
                                 TraceNode(f"row[{i}]: {explain_trace(inner)}")
                             )
@@ -695,38 +738,68 @@ def _trace(node: Any, scope: dict, bindings: dict) -> TraceNode:
                 )
         finally:
             if prev is None:
-                scope.pop(node.name, None)
+                s.pop(node.name, None)
             else:
-                scope[node.name] = prev
+                s[node.name] = prev
         return TraceNode(label, children=tuple(children))
     if cls is BoolConst:
         return TraceNode("FALSE failed")
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _comparable(op: str, a: Any, b: Any) -> bool:
-    a_bool = isinstance(a, bool)
-    b_bool = isinstance(b, bool)
-    if a_bool or b_bool:
-        return a_bool and b_bool and op in ("==", "!=")
-    a_num = isinstance(a, (int, float))
-    b_num = isinstance(b, (int, float))
-    if a_num and b_num:
-        return True
-    return isinstance(a, str) and isinstance(b, str)
+class CompiledInvariant:
+    """One invariant compiled to closures over a group.
+
+    Calling it on a group gives the verdict. The group must expose `focal`
+    (attribute map of the focal row) and `bindings` (binding name -> list
+    of rows). A failure's trace re-runs the closures compiled for the
+    sub-expressions it reports on.
+    """
+
+    __slots__ = ("invariant", "_focal", "_body", "_closures")
+
+    def __init__(self, inv: Invariant):
+        self.invariant = inv
+        self._focal = inv.focal
+        self._closures: dict = {}
+        self._body = _compile(inv.body, self._closures)
+
+    def __call__(self, group: Any) -> bool:
+        return self._body(group.bindings, {self._focal: group.focal})
+
+    def trace(self, group: Any) -> TraceNode:
+        """Failure trace of a group this invariant fails on."""
+        scope = {self._focal: group.focal}
+        return _trace(self.invariant.body, self._closures, group.bindings, scope)
+
+    def failing_conjuncts(self, group: Any) -> list[str]:
+        """Printed top-level conjuncts that fail on the group.
+
+        For a non-conjunctive body the whole printed body is returned when
+        it fails.
+        """
+        body = self.invariant.body
+        if isinstance(body, And):
+            scope = {self._focal: group.focal}
+            return [
+                print_expr(part)
+                for part in body.parts
+                if not self._closures[id(part)](group.bindings, scope)
+            ]
+        return [] if self(group) else [print_expr(body)]
+
+
+def compile_invariant(inv: Invariant) -> CompiledInvariant:
+    """Compile once, then call the result on each group."""
+    return CompiledInvariant(inv)
 
 
 def evaluate(inv: Invariant, group: Any) -> Verdict:
-    """Evaluate one invariant against one joined group.
-
-    The group must expose `focal` (attribute map of the focal row) and
-    `bindings` (binding name -> list of rows).
-    """
-    scope = {inv.focal: group.focal}
-    if _eval(inv.body, scope, group.bindings):
+    """Evaluate one invariant against one joined group, tracing a failure."""
+    fn = compile_invariant(inv)
+    if fn(group):
         return Verdict(passed=True, trace=None)
-    scope = {inv.focal: group.focal}
-    return Verdict(passed=False, trace=_trace(inv.body, scope, group.bindings))
+    return Verdict(passed=False, trace=fn.trace(group))
 
 
 def explain_trace(trace: TraceNode) -> str:
@@ -748,18 +821,5 @@ def explain(verdict: Verdict) -> str:
 
 
 def failing_conjuncts(inv: Invariant, group: Any) -> list[str]:
-    """Printed top-level conjuncts that fail on the group.
-
-    For a non-conjunctive body the whole printed body is returned when it
-    fails.
-    """
-    scope = {inv.focal: group.focal}
-    if isinstance(inv.body, And):
-        return [
-            print_expr(part)
-            for part in inv.body.parts
-            if not _eval(part, scope, group.bindings)
-        ]
-    if _eval(inv.body, scope, group.bindings):
-        return []
-    return [print_expr(inv.body)]
+    """Printed top-level conjuncts of `inv` that fail on the group."""
+    return compile_invariant(inv).failing_conjuncts(group)

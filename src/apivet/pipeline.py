@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .binlog import TemporalTable, value_universe
 from .config import PipelineConfig
@@ -11,7 +11,7 @@ from .dsl import Invariant
 from .joins import JoinStores, build_joined_groups, joined_schema_for
 from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, RemoteProposer, StubProposer
-from .refine import CandidateOutcome, RefinementReport, refine_candidates
+from .refine import CandidateOutcome, RefinementReport, refine_candidates, unique_id
 from .relations import InferenceReport, Relationship, infer_relationships
 from .schema import API, TABLE, SchemaBundle
 from .seqmodel import train_hmm, train_markov
@@ -107,11 +107,7 @@ def run_generation(
         for outcome in report.outcomes:
             result.outcomes.append((entity.name, outcome))
         for inv in report.accepted:
-            if inv.id in used_ids:
-                n = 2
-                while f"{inv.id}_{n}" in used_ids:
-                    n += 1
-                inv = replace(inv, id=f"{inv.id}_{n}")
+            inv = unique_id(inv, used_ids)
             used_ids.add(inv.id)
             result.invariants.append(inv)
     return result

@@ -1,23 +1,24 @@
 """Candidate refinement: keep an invariant only once training traffic is clean.
 
-Each candidate is evaluated against every joined group. Violations are fed
-back to the proposer on a forked conversation; after the round budget is
-spent, a still-violated candidate is discarded. Accepted invariants
-therefore pass the whole training corpus by construction.
+Each candidate is compiled once and checked against every joined group. The
+first few violations are explained and fed back to the proposer on a forked
+conversation; after the round budget is spent, a still-violated candidate is
+discarded. Accepted invariants therefore pass the whole training corpus by
+construction.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dsl import (
     DslScopeError,
     DslSyntaxError,
     Invariant,
+    compile_invariant,
     evaluate,
     explain,
-    failing_conjuncts,
     parse_invariant,
     print_invariant,
 )
@@ -46,26 +47,19 @@ class RefinementReport:
     refine_calls: int = 0
 
 
-def _violations(inv: Invariant, groups) -> list[tuple]:
-    out = []
-    for group in groups:
-        verdict = evaluate(inv, group)
-        if not verdict.passed:
-            out.append((group, verdict))
-    return out
-
-
-def _build_request(inv: Invariant, violations, sample_limit: int) -> RefineRequest:
-    samples = []
-    for group, verdict in violations[:sample_limit]:
-        samples.append(
-            ViolationSample(
-                log_id=group.log_id,
-                explanation=explain(verdict),
-                failing_clauses=failing_conjuncts(inv, group),
-            )
+def _violations(inv: Invariant, groups, sample_limit: int):
+    """Count the groups `inv` fails on; explain only the first `sample_limit`."""
+    fn = compile_invariant(inv)
+    violating = [group for group in groups if not fn(group)]
+    samples = [
+        ViolationSample(
+            log_id=group.log_id,
+            explanation=explain(evaluate(inv, group)),
+            failing_clauses=fn.failing_conjuncts(group),
         )
-    return RefineRequest(invariant_text=print_invariant(inv), samples=samples)
+        for group in violating[:sample_limit]
+    ]
+    return len(violating), samples
 
 
 def refine_candidates(
@@ -110,7 +104,7 @@ def refine_candidates(
                 )
                 break
             try:
-                violations = _violations(inv, groups)
+                n_violations, samples = _violations(inv, groups, sample_limit)
             except EvaluationError as exc:
                 report.outcomes.append(
                     CandidateOutcome(
@@ -121,7 +115,7 @@ def refine_candidates(
                     )
                 )
                 break
-            if not violations:
+            if not n_violations:
                 canonical = print_invariant(inv)
                 if canonical in seen_bodies:
                     report.outcomes.append(
@@ -134,7 +128,7 @@ def refine_candidates(
                     )
                     break
                 seen_bodies.add(canonical)
-                inv = _unique_id(inv, used_ids)
+                inv = unique_id(inv, used_ids)
                 used_ids.add(inv.id)
                 report.accepted.append(inv)
                 report.outcomes.append(
@@ -152,12 +146,12 @@ def refine_candidates(
                         text=original,
                         status="discarded",
                         attempts=attempts,
-                        reason=f"{len(violations)} training violation(s) after "
+                        reason=f"{n_violations} training violation(s) after "
                         f"{attempts} refinement(s)",
                     )
                 )
                 break
-            request = _build_request(inv, violations, sample_limit)
+            request = RefineRequest(invariant_text=print_invariant(inv), samples=samples)
             attempts += 1
             report.refine_calls += 1
             try:
@@ -185,12 +179,11 @@ def refine_candidates(
     return report
 
 
-def _unique_id(inv: Invariant, used: set[str]) -> Invariant:
+def unique_id(inv: Invariant, used: set[str]) -> Invariant:
+    """`inv`, renamed with the first free `_2`, `_3`, ... suffix if its id is taken."""
     if inv.id not in used:
         return inv
     n = 2
     while f"{inv.id}_{n}" in used:
         n += 1
-    from dataclasses import replace
-
     return replace(inv, id=f"{inv.id}_{n}")

@@ -3,7 +3,8 @@
 Everything in this module is written from the documented behaviour alone, in
 the most obvious way possible (full scans, explicit recursion, nested loops),
 so that agreement with the package is meaningful.  Nothing here imports from
-apivet except plain data classes used as inputs.
+apivet except plain data classes used as inputs, and for the invariant
+evaluator the DSL's printer, scalar equality and error type.
 """
 
 from __future__ import annotations
@@ -12,6 +13,23 @@ import itertools
 import json
 import math
 import re
+
+from apivet.dsl import (
+    And,
+    BoolConst,
+    Cmp,
+    FieldRef,
+    InSet,
+    Match,
+    Not,
+    NullCheck,
+    Or,
+    Quant,
+    format_literal,
+    print_expr,
+)
+from apivet.errors import EvaluationError
+from apivet.values import values_equal
 
 
 # --- binlog replay ----------------------------------------------------------
@@ -258,6 +276,222 @@ def metrics_oracle(flagged_ids, labels, window_size):
         "windows": len(windows),
         "traces": len(traces),
     }
+
+
+# --- invariant evaluation ---------------------------------------------------
+#
+# The tree-walking evaluator that apivet.dsl's compiler replaced. It re-walks
+# the AST for every question instead of running closures, and renders the
+# explanation text directly instead of building trace nodes. It reuses the
+# package's AST classes, printer and scalar equality.
+
+
+def _resolve(operand, scope):
+    if isinstance(operand, FieldRef):
+        row = scope.get(operand.root)
+        if row is None:
+            raise EvaluationError(
+                f"entity {operand.root!r} is not bound in this group"
+            )
+        return row.get(operand.path)
+    return operand.value
+
+
+def _cmp_values(op, a, b):
+    if a is None or b is None:
+        return False
+    a_bool = isinstance(a, bool)
+    b_bool = isinstance(b, bool)
+    if a_bool or b_bool:
+        if not (a_bool and b_bool) or op not in ("==", "!="):
+            return False
+        return (a is b) if op == "==" else (a is not b)
+    a_num = isinstance(a, (int, float))
+    b_num = isinstance(b, (int, float))
+    if a_num != b_num:
+        return False
+    if not a_num and not (isinstance(a, str) and isinstance(b, str)):
+        return False
+    if op == "==":
+        return a == b
+    if op == "!=":
+        return a != b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    return a >= b
+
+
+def _eval(node, scope, bindings):
+    cls = node.__class__
+    if cls is Cmp:
+        return _cmp_values(node.op, _resolve(node.left, scope), _resolve(node.right, scope))
+    if cls is Quant:
+        rows = bindings.get(node.name)
+        if rows is None:
+            raise EvaluationError(f"entity {node.name!r} is not bound in this group")
+        prev = scope.get(node.name)
+        body = node.body
+        try:
+            if node.exists:
+                for row in rows:
+                    scope[node.name] = row
+                    if _eval(body, scope, bindings):
+                        return True
+                return False
+            for row in rows:
+                scope[node.name] = row
+                if not _eval(body, scope, bindings):
+                    return False
+            return True
+        finally:
+            if prev is None:
+                scope.pop(node.name, None)
+            else:
+                scope[node.name] = prev
+    if cls is And:
+        return all(_eval(p, scope, bindings) for p in node.parts)
+    if cls is Or:
+        return any(_eval(p, scope, bindings) for p in node.parts)
+    if cls is Not:
+        return not _eval(node.expr, scope, bindings)
+    if cls is NullCheck:
+        value = _resolve(node.operand, scope)
+        return (value is not None) if node.negated else (value is None)
+    if cls is Match:
+        value = _resolve(node.operand, scope)
+        if not isinstance(value, str):
+            return False
+        return re.fullmatch(node.pattern, value) is not None
+    if cls is InSet:
+        value = _resolve(node.operand, scope)
+        if value is None:
+            return False
+        return any(values_equal(value, item.value) for item in node.items)
+    if cls is BoolConst:
+        return node.value
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _fmt_value(value):
+    if value is None:
+        return "NULL"
+    return format_literal(value)
+
+
+def _operand_detail(operand, scope):
+    if isinstance(operand, FieldRef):
+        value = _resolve(operand, scope)
+        return f"{operand.root}.{operand.path} = {_fmt_value(value)}"
+    return None
+
+
+def _comparable(op, a, b):
+    a_bool = isinstance(a, bool)
+    b_bool = isinstance(b, bool)
+    if a_bool or b_bool:
+        return a_bool and b_bool and op in ("==", "!=")
+    a_num = isinstance(a, (int, float))
+    b_num = isinstance(b, (int, float))
+    if a_num and b_num:
+        return True
+    return isinstance(a, str) and isinstance(b, str)
+
+
+_MAX_TRACED_ROWS = 3
+
+
+def _trace(node, scope, bindings):
+    """Explanation text for a node known to evaluate false."""
+    cls = node.__class__
+    if cls in (Cmp, InSet, Match, NullCheck):
+        operands = (node.left, node.right) if cls is Cmp else (node.operand,)
+        details = [d for d in (_operand_detail(op, scope) for op in operands) if d]
+        note = ""
+        if cls is Cmp:
+            a = _resolve(node.left, scope)
+            b = _resolve(node.right, scope)
+            if a is not None and b is not None and not _comparable(node.op, a, b):
+                note = "; incompatible types"
+        suffix = f" ({', '.join(details)})" if details else ""
+        return f"{print_expr(node)} failed{suffix}{note}"
+    if cls is And:
+        return " AND ".join(
+            _trace(p, scope, bindings)
+            for p in node.parts
+            if not _eval(p, scope, bindings)
+        )
+    if cls is Or:
+        return " OR ".join(_trace(p, scope, bindings) for p in node.parts)
+    if cls is Not:
+        return f"NOT ({print_expr(node.expr)}) failed: inner condition held"
+    if cls is Quant:
+        rows = bindings.get(node.name)
+        if rows is None:
+            raise EvaluationError(f"entity {node.name!r} is not bound in this group")
+        prev = scope.get(node.name)
+        children = []
+        try:
+            if node.exists:
+                for i, row in enumerate(rows[:_MAX_TRACED_ROWS]):
+                    scope[node.name] = row
+                    children.append(f"row[{i}]: {_trace(node.body, scope, bindings)}")
+                label = (
+                    f"EXISTS({node.name}: {print_expr(node.body)}) failed: "
+                    f"{len(rows)} bound row(s)"
+                )
+            else:
+                bad = 0
+                for i, row in enumerate(rows):
+                    scope[node.name] = row
+                    if not _eval(node.body, scope, bindings):
+                        bad += 1
+                        if len(children) < _MAX_TRACED_ROWS:
+                            children.append(
+                                f"row[{i}]: {_trace(node.body, scope, bindings)}"
+                            )
+                label = (
+                    f"FORALL({node.name}: {print_expr(node.body)}) failed: "
+                    f"{bad} of {len(rows)} row(s) violated"
+                )
+        finally:
+            if prev is None:
+                scope.pop(node.name, None)
+            else:
+                scope[node.name] = prev
+        return "; ".join([label] + children)
+    if cls is BoolConst:
+        return "FALSE failed"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_oracle(inv, group):
+    """Whether `inv` holds on the group (`focal` row plus `bindings` rows)."""
+    return _eval(inv.body, {inv.focal: group.focal}, group.bindings)
+
+
+def explain_oracle(inv, group):
+    """Explanation of a failing group; empty when the invariant holds."""
+    if eval_oracle(inv, group):
+        return ""
+    return _trace(inv.body, {inv.focal: group.focal}, group.bindings)
+
+
+def failing_conjuncts_oracle(inv, group):
+    """Printed top-level conjuncts that fail; the whole body if not an AND."""
+    scope = {inv.focal: group.focal}
+    if isinstance(inv.body, And):
+        return [
+            print_expr(part)
+            for part in inv.body.parts
+            if not _eval(part, scope, group.bindings)
+        ]
+    if _eval(inv.body, scope, group.bindings):
+        return []
+    return [print_expr(inv.body)]
 
 
 # --- misc -------------------------------------------------------------------

@@ -251,6 +251,22 @@ class TestExitCodes:
                      "--invariants", str(pipeline["invariants"]),
                      "--out", str(tmp_path / "r.json")]) == 1
 
+    def test_detect_rejects_training_flags(self, pipeline, tmp_path, capsys):
+        # --seed and --proposer only steer training; detect has neither
+        for flag, value in (("--seed", "1"), ("--proposer", "stub")):
+            capsys.readouterr()
+            assert main(["detect",
+                         "--bundle", str(pipeline["bundle"]),
+                         "--logs", str(pipeline["eval"] / "logs.jsonl"),
+                         "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                         "--relations", str(pipeline["relations"]),
+                         "--invariants", str(pipeline["invariants"]),
+                         "--out", str(tmp_path / "r.json"),
+                         flag, value]) == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_workdir_exits_one(self):
         assert main(["--workdir", "/no/such/dir", "benchgen",
                      "--out", "x", "--sessions", "1"]) == 1

@@ -17,7 +17,13 @@ from apivet.detector import (
     violation_to_dict,
     write_report,
 )
-from apivet.dsl import evaluate, parse_invariant
+from apivet.dsl import (
+    evaluate,
+    explain,
+    failing_conjuncts,
+    parse_invariant,
+    print_invariant,
+)
 from apivet.errors import MetricsError
 from apivet.logstore import LabelRecord, ingest_logs
 from apivet.relations import API_DB, Relationship
@@ -30,7 +36,12 @@ from apivet.schema import (
 
 from conftest import api_line, env_line, row_event
 from generators import random_group, random_invariant
-from oracles import metrics_oracle
+from oracles import (
+    eval_oracle,
+    explain_oracle,
+    failing_conjuncts_oracle,
+    metrics_oracle,
+)
 
 
 def detector_bundle():
@@ -79,12 +90,22 @@ def planted_setup():
 class TestCompileInvariant:
     def test_matches_reference_evaluator(self):
         rng = random.Random(424242)
+        failures = 0
         for _ in range(500):
             inv = random_invariant(rng)
             fn = compile_invariant(inv)
             for _ in range(3):
                 group = random_group(rng)
-                assert fn(group) == evaluate(inv, group).passed
+                passed = eval_oracle(inv, group)
+                failures += not passed
+                assert fn(group) == passed, print_invariant(inv)
+                verdict = evaluate(inv, group)
+                assert verdict.passed == passed
+                assert explain(verdict) == explain_oracle(inv, group)
+                assert failing_conjuncts(inv, group) == failing_conjuncts_oracle(
+                    inv, group
+                )
+        assert failures > 300  # enough failures to exercise the tracer
 
     def test_focal_scope_and_bindings(self):
         inv = parse_invariant(ORDER_EXISTS)

@@ -152,13 +152,15 @@ class TestRoundBudget:
             "f",
             doubler,
             max_rounds=3,
+            sample_limit=1,
         )
         (outcome,) = report.outcomes
         assert outcome.status == "discarded"
         assert outcome.attempts == 3
         assert doubler.calls == 3
         assert report.refine_calls == 3
-        assert "training violation" in outcome.reason
+        # the count covers every violating group, not just the one sampled
+        assert outcome.reason == "2 training violation(s) after 3 refinement(s)"
 
     def test_zero_rounds_means_accept_or_discard_immediately(self):
         doubler = RoundCounter(text_of("TRUE"))
@@ -173,19 +175,25 @@ class TestRoundBudget:
 
         class Inspector:
             def refine_invariant(self, conversation, request):
-                seen["n"] = len(request.samples)
+                seen["samples"] = request.samples
                 return ""
 
-        groups = make_groups([{"b": i} for i in range(10)])
+        # groups 1, 4 and 6 pass, so the samples are not simply the first five
+        groups = make_groups([{"b": i} for i in range(12)])
         refine_candidates(
-            [text_of("f.b == 999")],
+            [text_of("f.b IN [1, 4, 6] AND f.b < 100")],
             Conversation(),
             groups,
             "f",
             Inspector(),
             sample_limit=5,
         )
-        assert seen["n"] == 5
+        samples = seen["samples"]
+        assert [s.log_id for s in samples] == [0, 2, 3, 5, 7]
+        for sample in samples:
+            assert sample.explanation.startswith("f.b IN [1, 4, 6] failed")
+            assert f"f.b = {sample.log_id}" in sample.explanation
+            assert sample.failing_clauses == ["f.b IN [1, 4, 6]"]
 
     def test_proposal_error_discards(self):
         class Exploder:
