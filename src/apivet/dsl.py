@@ -532,18 +532,12 @@ _OPERATORS = {
 
 
 def _comparable(op: str, a: Any, b: Any) -> bool:
-    """Two booleans under ==/!=, two numbers, or two strings."""
+    """Two strings, two booleans under ==/!=, or two numbers."""
+    if isinstance(a, str):
+        return isinstance(b, str)
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and op in ("==", "!=")
-    if isinstance(a, (int, float)):
-        return isinstance(b, (int, float))
-    return isinstance(a, str) and isinstance(b, str)
-
-
-def _cmp_values(op: str, a: Any, b: Any) -> bool:
-    if a is None or b is None or not _comparable(op, a, b):
-        return False
-    return _OPERATORS[op](a, b)
+    return isinstance(a, (int, float)) and isinstance(b, (int, float))
 
 
 def _unbound(name: str) -> EvaluationError:
@@ -566,9 +560,10 @@ def _compile_operand(node: Any, closures: dict):
         root, path = node.root, node.path
 
         def read(b, s):
-            row = s.get(root)
-            if row is None:
-                raise _unbound(root)
+            try:
+                row = s[root]
+            except KeyError:
+                raise _unbound(root) from None
             return row.get(path)
 
     closures[id(node)] = read
@@ -585,18 +580,32 @@ def _compile_node(node: Any, closures: dict):
     cls = node.__class__
     if cls is Cmp:
         op = node.op
+        test = _OPERATORS[op]
         left = _compile_operand(node.left, closures)
         right = _compile_operand(node.right, closures)
-        return lambda b, s: _cmp_values(op, left(b, s), right(b, s))
+
+        def compare(b, s):
+            x = left(b, s)
+            y = right(b, s)
+            # null never compares; mixed types never satisfy any operator
+            return (
+                x is not None
+                and y is not None
+                and _comparable(op, x, y)
+                and test(x, y)
+            )
+
+        return compare
     if cls is Quant:
         name = node.name
         body = _compile(node.body, closures)
         exists = node.exists
 
         def quantified(b, s):
-            rows = b.get(name)
-            if rows is None:
-                raise _unbound(name)
+            try:
+                rows = b[name]
+            except KeyError:
+                raise _unbound(name) from None
             prev = s.get(name)
             try:
                 if exists:
@@ -639,11 +648,11 @@ def _compile_node(node: Any, closures: dict):
         return lambda b, s: operand(b, s) is None
     if cls is Match:
         operand = _compile_operand(node.operand, closures)
-        rx = re.compile(node.pattern)
+        fullmatch = re.compile(node.pattern).fullmatch
 
         def matches(b, s):
             value = operand(b, s)
-            return isinstance(value, str) and rx.fullmatch(value) is not None
+            return isinstance(value, str) and fullmatch(value) is not None
 
         return matches
     if cls is InSet:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .binlog import TemporalTable
@@ -117,7 +118,7 @@ class JoinStores:
         self.tables = tables
         self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
-        self._session_index: dict[str, dict[str, tuple[list, list]]] = {}
+        self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._column_events: dict[tuple[str, str], list] = {}
         self._env_rows: dict[str, dict[str, dict]] = {}
         env_map = env_by_session(corpus.env_records)
@@ -141,7 +142,7 @@ class JoinStores:
         return store
 
     def column_events(self, table_name: str, column: str) -> list:
-        """Version stream of one column: (ts, value key, chain key, row).
+        """Version stream of one column: (ts, ordinal, value key, chain key, row).
 
         Sorted by (ts, ordinal) and shared by every cursor that sweeps this
         column; deletes and null column values carry a None value key.
@@ -149,30 +150,42 @@ class JoinStores:
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
             store = self.table(table_name)
-            raw = []
+            events = []
             for chain_key, chain in store.chains.items():
                 for ts, ordinal, row in chain:
                     vk = None if row is None else value_key(row.get(column))
-                    raw.append((ts, ordinal, vk, chain_key, row))
-            raw.sort(key=lambda e: (e[0], e[1]))
-            self._column_events[cache_key] = [
-                (ts, vk, chain_key, row) for ts, _, vk, chain_key, row in raw
-            ]
+                    events.append((ts, ordinal, vk, chain_key, row))
+            # (ts, ordinal) ties when an update moves a row to a new key, so
+            # whole events are not comparable: sort stably, minor field first
+            events.sort(key=itemgetter(1))
+            events.sort(key=itemgetter(0))
+            self._column_events[cache_key] = events
         return self._column_events[cache_key]
 
-    def session_calls(self, api_name: str) -> dict[str, tuple[list, list]]:
-        """Per session: parallel (times, rows) arrays sorted by (time, id)."""
+    def session_calls(self, api_name: str) -> tuple[list, list, dict]:
+        """Calls sorted by (session, time, id) as parallel times and rows
+        arrays, with each session's [lo, hi) span in them.
+
+        Flat arrays keep the index at three containers however many
+        sessions there are.
+        """
         if api_name not in self._session_index:
-            buckets: dict[str, list[tuple[int, int, dict]]] = {}
-            for log_id, row in self.instances(api_name).rows:
-                buckets.setdefault(row["sessionId"], []).append(
-                    (row["time"], log_id, row)
-                )
-            out = {}
-            for sid, items in buckets.items():
-                items.sort(key=lambda item: (item[0], item[1]))
-                out[sid] = ([t for t, _, _ in items], [r for _, _, r in items])
-            self._session_index[api_name] = out
+            calls = sorted(
+                # log ids are unique, so rows are never compared
+                (row["sessionId"], row["time"], log_id, row)
+                for log_id, row in self.instances(api_name).rows
+            )
+            spans: dict[str, tuple[int, int]] = {}
+            lo = 0
+            for hi in range(1, len(calls) + 1):
+                if hi == len(calls) or calls[hi][0] != calls[lo][0]:
+                    spans[calls[lo][0]] = (lo, hi)
+                    lo = hi
+            self._session_index[api_name] = (
+                [call[1] for call in calls],
+                [call[3] for call in calls],
+                spans,
+            )
         return self._session_index[api_name]
 
     def env_rows(self, entity_name: str) -> dict[str, dict]:
@@ -219,7 +232,7 @@ class DbJoinCursor:
     speed for correctness on unsorted input.
     """
 
-    __slots__ = ("_events", "_pos", "_t", "_live", "_buckets", "_views")
+    __slots__ = ("_events", "_pos", "_t", "_live", "_buckets")
 
     def __init__(self, events: list):
         self._events = events
@@ -227,14 +240,12 @@ class DbJoinCursor:
         self._t: int | None = None
         self._live: dict = {}  # chain key -> value key of its live row
         self._buckets: dict = {}  # value key -> {chain key: row}
-        self._views: dict = {}  # value key -> BucketRows over that bucket
 
     def rows_as_of(self, value, t: int):
         if self._t is not None and t < self._t:
             self._pos = 0
             self._live = {}
             self._buckets = {}
-            self._views = {}
         self._t = t
         events = self._events
         pos = self._pos
@@ -242,13 +253,12 @@ class DbJoinCursor:
         buckets = self._buckets
         if pos < n and events[pos][0] < t:
             live = self._live
-            views = self._views
             while pos < n:
                 event = events[pos]
                 if event[0] >= t:
                     break
                 pos += 1
-                _, vk, chain_key, row = event
+                _, _, vk, chain_key, row = event
                 old = live.pop(chain_key, None)
                 if old is not None:
                     del buckets[old][chain_key]
@@ -257,14 +267,11 @@ class DbJoinCursor:
                 live[chain_key] = vk
                 bucket = buckets.get(vk)
                 if bucket is None:
-                    bucket = {}
-                    buckets[vk] = bucket
-                    views[vk] = BucketRows(bucket)
+                    bucket = buckets[vk] = {}
                 bucket[chain_key] = row
             self._pos = pos
-        vk = ("s", value) if type(value) is str else value_key(value)
-        view = self._views.get(vk)
-        return view if view else _EMPTY_ROWS
+        bucket = buckets.get(value_key(value))
+        return BucketRows(bucket) if bucket else _EMPTY_ROWS
 
 
 def join_api_db(
@@ -293,15 +300,19 @@ def join_api_api(
 ) -> list[dict]:
     """Earlier same-session calls of the target API inside the time window."""
     delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
-    per_session = stores.session_calls(rel.target_entity)
-    entry = per_session.get(focal_row["sessionId"])
-    if entry is None:
-        return []
-    times, rows = entry
-    t = focal_row["time"]
-    lo = bisect_right(times, t - delta)
-    hi = bisect_left(times, t)
-    return rows[lo:hi]
+    return _calls_in_window(
+        stores.session_calls(rel.target_entity),
+        focal_row["sessionId"],
+        focal_row["time"],
+        delta,
+    )
+
+
+def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
+    """A session's calls with t - delta < time < t, from session_calls."""
+    times, rows, spans = calls
+    lo, hi = spans.get(session_id, (0, 0))
+    return rows[bisect_right(times, t - delta, lo, hi) : bisect_left(times, t, lo, hi)]
 
 
 def join_api_env(
@@ -341,17 +352,10 @@ def _binding_joiners(
             joiners.append((binding.name, db_join))
         elif rel.kind == API_API:
             delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
-            per_session = stores.session_calls(rel.target_entity)
+            calls = stores.session_calls(rel.target_entity)
 
-            def api_join(row, per_session=per_session, delta=delta):
-                entry = per_session.get(row["sessionId"])
-                if entry is None:
-                    return _EMPTY_ROWS
-                times, rows = entry
-                t = row["time"]
-                lo = bisect_right(times, t - delta)
-                hi = bisect_left(times, t)
-                return rows[lo:hi]
+            def api_join(row, calls=calls, delta=delta):
+                return _calls_in_window(calls, row["sessionId"], row["time"], delta)
 
             joiners.append((binding.name, api_join))
         else:

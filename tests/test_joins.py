@@ -221,6 +221,22 @@ class TestDbJoinCursor:
         assert self.probe(cursor, "u2", 11) == self.reference("u2", 11)
         assert self.probe(cursor, "u1", 60) == self.reference("u1", 60)
 
+    def test_rekeying_update_ties_on_ts_and_ordinal(self):
+        # lenient ingest keeps an update that changes the key: the old chain
+        # gets a tombstone and the new one a version at the same (ts, ordinal)
+        events = order_events() + [
+            row_event("orders", "update", 60, ordinal=6,
+                      before={"id": "o3", "userId": "u1", "status": "unpaid"},
+                      after={"id": "o4", "userId": "u2", "status": "unpaid"}),
+        ]
+        bundle = join_bundle()
+        self.stores = JoinStores(bundle, ingest_logs([]), ingest_binlog(events, bundle))
+        cursor = DbJoinCursor(self.stores.column_events("orders", "userId"))
+        for t in (55, 60, 61, 99):
+            for value in ("u1", "u2"):
+                assert self.probe(cursor, value, t) == self.reference(value, t)
+        assert [r["id"] for r in cursor.rows_as_of("u2", 99)] == ["o4"]
+
     def test_unseen_value_yields_empty(self):
         cursor = DbJoinCursor(self.events)
         assert list(cursor.rows_as_of("ghost", 99)) == []
