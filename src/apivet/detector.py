@@ -2,8 +2,10 @@
 
 Each invariant is compiled once with `dsl.compile_invariant` and called on
 every joined group of its focal entity; only a failing group pays for an
-explanation, which the same compiled object traces. Parallel runs split the
-focal calls into time-contiguous chunks with independent join cursors, so a
+explanation, which the same compiled object traces. Focal calls are swept in
+(time, log id) order whatever the order of the log lines, so each join
+cursor passes over its version stream once. Parallel runs split the sorted
+calls into contiguous slices with independent join cursors, so a
 multi-worker run reports exactly what a single worker would.
 """
 
@@ -52,7 +54,7 @@ class DetectionResult:
 
 
 def _check_stream(stores, schema, rows, compiled, focal_name, only):
-    # each worker sweeps its own join cursors over its own time-sorted rows
+    # each worker sweeps its own join cursors forward over its own rows
     violations = []
     for group in iter_joined_groups(stores, schema, rows, only):
         for fn in compiled:
@@ -107,8 +109,8 @@ def check_corpus(
         else:
             # fill shared caches before forking
             _binding_joiners(stores, schema, only)
-            # contiguous slices keep every worker's rows time-sorted, so each
-            # worker sweeps its own cursors once and answers match jobs=1
+            # rows are in (time, id) order, so each contiguous slice is too:
+            # every worker sweeps its own cursors once and answers match jobs=1
             step = (len(rows) + jobs - 1) // jobs
             parts = [rows[i : i + step] for i in range(0, len(rows), step)]
             with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -2,11 +2,12 @@
 
 For every accepted relationship, a focal call gets one named binding whose
 rows come from the table state strictly before the call, from earlier calls
-in the same session window, or from the session environment record.
+in the same session window, or from the session environment record in force
+before the call.
 
-Table joins are answered by a forward sweep over the version stream, so a
-whole corpus joins in one pass when calls arrive in time order (the sweep
-rewinds and replays if they do not). join_api_db is the plain per-call
+Each focal API's calls are held in (time, log id) order, whatever the order
+of the log lines, so table joins are answered by one forward sweep of each
+column's version stream per corpus. join_api_db is the plain per-call
 reference; iter_joined_groups is the streaming fast path detection uses.
 """
 
@@ -14,12 +15,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .binlog import TemporalTable
 from .errors import StoreLookupError
-from .logstore import InstanceTable, LogCorpus, env_by_session, project_instances
+from .logstore import (
+    EnvRecord,
+    InstanceTable,
+    LogCorpus,
+    env_by_session,
+    project_instances,
+)
 from .relations import API_API, API_DB, API_ENV, Relationship
 from .schema import ENV, EntityType, SchemaBundle
 from .values import coerce_scalar, value_key, values_equal
@@ -120,19 +127,38 @@ class JoinStores:
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._column_events: dict[tuple[str, str], list] = {}
-        self._env_rows: dict[str, dict[str, dict]] = {}
-        env_map = env_by_session(corpus.env_records)
+        untimed = env_by_session(r for r in corpus.env_records if r.time is None)
+        timed: dict[str, list[EnvRecord]] = {}
+        for record in corpus.env_records:
+            if record.time is not None:
+                timed.setdefault(record.sessionId, []).append(record)
+        for records in timed.values():
+            records.sort(key=attrgetter("time"))  # stable: ties keep file order
+        self._env: dict[str, tuple[dict, dict]] = {}
         for entity in bundle.of_kind(ENV):
-            rows = {}
-            for sid, record in env_map.items():
-                rows[sid] = _project_env_record(entity, record.fields)
-            self._env_rows[entity.name] = rows
+            self._env[entity.name] = (
+                {sid: _project_env_record(entity, r.fields) for sid, r in untimed.items()},
+                {
+                    sid: (
+                        [r.time for r in records],
+                        [_project_env_record(entity, r.fields) for r in records],
+                    )
+                    for sid, records in timed.items()
+                },
+            )
 
     def instances(self, api_name: str) -> InstanceTable:
+        """Projected calls of one API, sorted by (time, log id).
+
+        Every sweep over them moves its join cursors forward only, so a
+        corpus joins in one pass whatever the order of its log lines.
+        """
         if api_name not in self._instances:
-            self._instances[api_name] = project_instances(
-                self._corpus.events, self.bundle.entity(api_name)
-            )
+            table = project_instances(self._corpus.events, self.bundle.entity(api_name))
+            # projection keeps ingest (log id) order, so a stable sort on
+            # time alone gives (time, log id)
+            table.rows.sort(key=lambda item: item[1]["time"])
+            self._instances[api_name] = table
         return self._instances[api_name]
 
     def table(self, name: str) -> TemporalTable:
@@ -170,28 +196,31 @@ class JoinStores:
         sessions there are.
         """
         if api_name not in self._session_index:
-            calls = sorted(
-                # log ids are unique, so rows are never compared
-                (row["sessionId"], row["time"], log_id, row)
-                for log_id, row in self.instances(api_name).rows
+            # instances are in (time, id) order, so a stable sort on the
+            # session alone gives (session, time, id)
+            rows = sorted(
+                (row for _, row in self.instances(api_name).rows),
+                key=itemgetter("sessionId"),
             )
             spans: dict[str, tuple[int, int]] = {}
             lo = 0
-            for hi in range(1, len(calls) + 1):
-                if hi == len(calls) or calls[hi][0] != calls[lo][0]:
-                    spans[calls[lo][0]] = (lo, hi)
+            for hi in range(1, len(rows) + 1):
+                if hi == len(rows) or rows[hi]["sessionId"] != rows[lo]["sessionId"]:
+                    spans[rows[lo]["sessionId"]] = (lo, hi)
                     lo = hi
-            self._session_index[api_name] = (
-                [call[1] for call in calls],
-                [call[3] for call in calls],
-                spans,
-            )
+            self._session_index[api_name] = ([row["time"] for row in rows], rows, spans)
         return self._session_index[api_name]
 
-    def env_rows(self, entity_name: str) -> dict[str, dict]:
-        if entity_name not in self._env_rows:
+    def env_index(self, entity_name: str) -> tuple[dict, dict]:
+        """Projected environment records of one entity, per session.
+
+        The first map holds each session's last untimed record. The second
+        holds, for sessions with timed records only, parallel (times, rows)
+        arrays sorted by (time, file order).
+        """
+        if entity_name not in self._env:
             raise StoreLookupError(f"unknown environment entity {entity_name!r}")
-        return self._env_rows[entity_name]
+        return self._env[entity_name]
 
 
 class BucketRows:
@@ -228,8 +257,9 @@ class DbJoinCursor:
 
     rows_as_of(value, t) answers with the rows live strictly before t whose
     column equals value. Calls with non-decreasing t cost one sweep over the
-    version stream in total; a backward t replays from the start, trading
-    speed for correctness on unsorted input.
+    version stream in total, which is what every sweep over
+    JoinStores.instances makes. A backward t, which only a caller with its
+    own row order can make, replays from the start.
     """
 
     __slots__ = ("_events", "_pos", "_t", "_live", "_buckets")
@@ -318,9 +348,27 @@ def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
 def join_api_env(
     stores: JoinStores, rel: Relationship, focal_row: dict
 ) -> list[dict]:
-    """The session's environment record, when one exists."""
-    row = stores.env_rows(rel.target_entity).get(focal_row["sessionId"])
+    """The session's environment record in force before the call, if any."""
+    row = _env_before(
+        stores.env_index(rel.target_entity), focal_row["sessionId"], focal_row["time"]
+    )
     return [row] if row is not None else []
+
+
+def _env_before(env: tuple, session_id: str, t: int) -> dict | None:
+    """The last record by (time, file order) with time < t, from env_index.
+
+    An untimed record counts as time minus infinity, so it answers when no
+    timed record of the session is earlier than t.
+    """
+    untimed, timed = env
+    history = timed.get(session_id)
+    if history is not None:
+        times, rows = history
+        i = bisect_left(times, t)
+        if i:
+            return rows[i - 1]
+    return untimed.get(session_id)
 
 
 def _binding_joiners(
@@ -330,17 +378,21 @@ def _binding_joiners(
 
     `only` restricts joining to the named bindings (the rest stay unbound);
     callers that know which bindings their expressions quantify over skip
-    the dead joins entirely.
+    the dead joins entirely. Bindings on one (table, column) share a cursor:
+    all bindings of a group probe at the call's time, so it never advances
+    between them and their bucket views stay valid together.
     """
     joiners = []
+    cursors: dict[tuple[str, str], DbJoinCursor] = {}
     for binding in schema.bindings:
         if only is not None and binding.name not in only:
             continue
         rel = binding.relationship
         if rel.kind == API_DB:
-            cursor = DbJoinCursor(
-                stores.column_events(rel.target_entity, rel.target_attr)
-            )
+            column = (rel.target_entity, rel.target_attr)
+            cursor = cursors.get(column)
+            if cursor is None:
+                cursor = cursors[column] = DbJoinCursor(stores.column_events(*column))
             attr = rel.focal_attr
 
             def db_join(row, cursor=cursor, attr=attr):
@@ -359,10 +411,14 @@ def _binding_joiners(
 
             joiners.append((binding.name, api_join))
         else:
-            env_rows = stores.env_rows(rel.target_entity)
+            untimed, timed = env = stores.env_index(rel.target_entity)
 
-            def env_join(row, env_rows=env_rows):
-                env_row = env_rows.get(row["sessionId"])
+            def env_join(row, untimed=untimed, timed=timed, env=env):
+                sid = row["sessionId"]
+                if sid in timed:
+                    env_row = _env_before(env, sid, row["time"])
+                else:  # no timed record: the plain lookup untimed corpora take
+                    env_row = untimed.get(sid)
                 return [env_row] if env_row is not None else _EMPTY_ROWS
 
             joiners.append((binding.name, env_join))

@@ -1,8 +1,9 @@
 """Log ingestion, instance projection, session sequences, and windowing.
 
 A log corpus is JSON Lines with two record kinds: API call events and
-per-session environment snapshots. Events get sequential ids in file order;
-those ids are the ordering tiebreaker everywhere downstream.
+per-session environment snapshots, which may carry the time they were taken.
+Events get sequential ids in file order; those ids are the ordering
+tiebreaker everywhere downstream.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class LogEvent:
 class EnvRecord:
     sessionId: str
     fields: dict
+    time: int | None = None  # None: in force from before any call
 
 
 @dataclass
@@ -72,12 +74,24 @@ def _check_api_line(record: dict) -> str | None:
         return "arguments must be a document"
     if not isinstance(record.get("response"), dict):
         return "response must be a document"
-    time = record.get("time")
-    if isinstance(time, bool) or not isinstance(time, int) or time < 0:
+    if not _is_time(record.get("time")):
         return "time must be a non-negative integer"
     sid = record.get("sessionId")
     if not isinstance(sid, str) or not sid:
         return "sessionId must be a non-empty string"
+    return None
+
+
+def _is_time(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_env_line(record: dict) -> str | None:
+    sid = record.get("sessionId")
+    if not isinstance(sid, str) or not sid or not isinstance(record.get("fields"), dict):
+        return "env record requires sessionId and fields"
+    if "time" in record and not _is_time(record["time"]):
+        return "env time must be a non-negative integer"
     return None
 
 
@@ -114,12 +128,16 @@ def ingest_logs(lines: Iterable[str], mode: str = "lenient") -> LogCorpus:
                     )
                     continue
             elif kind == "env":
-                sid = record.get("sessionId")
-                fields = record.get("fields")
-                if isinstance(sid, str) and sid and isinstance(fields, dict):
-                    env_records.append(EnvRecord(sessionId=sid, fields=fields))
+                problem = _check_env_line(record)
+                if problem is None:
+                    env_records.append(
+                        EnvRecord(
+                            sessionId=record["sessionId"],
+                            fields=record["fields"],
+                            time=record.get("time"),
+                        )
+                    )
                     continue
-                problem = "env record requires sessionId and fields"
             else:
                 problem = f"unknown record kind {kind!r}"
         if mode == "strict":

@@ -23,8 +23,11 @@ def api_line(api, time, session_id, arguments=None, response=None):
     )
 
 
-def env_line(session_id, fields):
-    return json.dumps({"kind": "env", "sessionId": session_id, "fields": fields})
+def env_line(session_id, fields, time=None):
+    record = {"kind": "env", "sessionId": session_id, "fields": fields}
+    if time is not None:
+        record["time"] = time
+    return json.dumps(record)
 
 
 def binlog_line(table, op, ts, before=None, after=None):

@@ -183,11 +183,17 @@ def api_join_oracle(calls, session_id, t, delta_ms):
     return rows
 
 
-def env_join_oracle(env_records, session_id):
-    for rec in env_records:
-        if rec.sessionId == session_id:
-            return [rec]
-    return []
+def env_join_oracle(env_records, session_id, t):
+    """The record a call at t sees, by scan: of the session's records with
+    time < t, the greatest (time, file position); no time counts as -inf."""
+    best, best_key = None, None
+    for pos, rec in enumerate(env_records):
+        if rec.sessionId != session_id:
+            continue
+        rec_t = float("-inf") if rec.time is None else rec.time
+        if rec_t < t and (best_key is None or (rec_t, pos) > best_key):
+            best, best_key = rec, (rec_t, pos)
+    return [] if best is None else [best]
 
 
 # --- sessions and windows ---------------------------------------------------

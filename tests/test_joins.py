@@ -188,8 +188,76 @@ class TestReferenceJoins:
         got = join_api_env(stores, env_rel, {"time": 25, "sessionId": "s1"})
         assert len(got) == 1 and got[0]["userId"] == "u1"
         assert join_api_env(stores, env_rel, {"time": 25, "sessionId": "sX"}) == []
-        oracle = env_join_oracle(corpus.env_records, "s1")
+        oracle = env_join_oracle(corpus.env_records, "s1", 25)
         assert len(oracle) == 1 and oracle[0].fields["userId"] == "u1"
+
+
+class TestEnvAsOf:
+    env_rel = rel(API_ENV, "payOrder", "arguments.loginId", "Env", "userId")
+
+    def joined(self, lines, session_id, t):
+        _, corpus, stores = make_stores(lines)
+        got = [r["userId"] for r in join_api_env(
+            stores, self.env_rel, {"time": t, "sessionId": session_id})]
+        want = [r.fields["userId"] for r in env_join_oracle(corpus.env_records, session_id, t)]
+        assert got == want
+        return got
+
+    def test_record_written_after_the_call_is_not_joined(self):
+        lines = [
+            env_line("s1", {"sessionId": "s1", "userId": "u1"}, time=10),
+            env_line("s1", {"sessionId": "s1", "userId": "u2"}, time=30),
+        ]
+        assert self.joined(lines, "s1", 20) == ["u1"]
+        assert self.joined(lines, "s1", 31) == ["u2"]
+        assert self.joined(lines, "s1", 5) == []
+
+    def test_tie_at_the_call_time_is_not_joined(self):
+        lines = [
+            env_line("s1", {"sessionId": "s1", "userId": "u1"}, time=10),
+            env_line("s1", {"sessionId": "s1", "userId": "u2"}, time=20),
+        ]
+        assert self.joined(lines, "s1", 20) == ["u1"]
+        assert self.joined(lines, "s1", 10) == []
+
+    def test_equal_times_keep_file_order(self):
+        lines = [
+            env_line("s1", {"sessionId": "s1", "userId": "u2"}, time=10),
+            env_line("s1", {"sessionId": "s1", "userId": "u1"}, time=10),
+        ]
+        assert self.joined(lines, "s1", 11) == ["u1"]
+
+    def test_untimed_record_counts_as_earliest(self):
+        untimed = [
+            env_line("s1", {"sessionId": "s1", "userId": "u1"}),
+            env_line("s1", {"sessionId": "s1", "userId": "u2"}),
+        ]
+        # without times the last record in file order wins, as before
+        assert self.joined(untimed, "s1", 0) == ["u2"]
+        mixed = untimed + [env_line("s1", {"sessionId": "s1", "userId": "u3"}, time=50)]
+        assert self.joined(mixed, "s1", 50) == ["u2"]
+        assert self.joined(mixed, "s1", 51) == ["u3"]
+
+    def test_streamed_env_binding_matches_oracle(self):
+        rng = random.Random(13)
+        lines = []
+        for _ in range(80):
+            sid = f"s{rng.randrange(6)}"
+            t = rng.choice([None, rng.randrange(0, 100)])
+            lines.append(env_line(sid, {"sessionId": sid, "userId": f"u{rng.randrange(9)}"}, t))
+        for _ in range(120):
+            lines.append(api_line("payOrder", rng.randrange(0, 110), f"s{rng.randrange(8)}",
+                                  {"orderId": "o1"}, {"status": "paid"}))
+        rng.shuffle(lines)
+        bundle, corpus, stores = make_stores(lines)
+        schema = joined_schema_for(bundle, "payOrder", [self.env_rel])
+        for group in iter_joined_groups(stores, schema):
+            want = env_join_oracle(
+                corpus.env_records, group.focal["sessionId"], group.focal["time"]
+            )
+            assert [r["userId"] for r in group.bindings["Env"]] == [
+                r.fields["userId"] for r in want
+            ]
 
 
 class TestDbJoinCursor:
@@ -251,6 +319,67 @@ class TestDbJoinCursor:
             if value is None:
                 continue
             assert self.probe(cursor, value, t) == self.reference(value, t)
+
+
+class TestCallOrder:
+    lines = [
+        api_line("payOrder", 30, "s2", {"orderId": "o1"}, {"status": "paid"}),
+        api_line("payOrder", 10, "s1", {"orderId": "o2"}, {"status": "paid"}),
+        api_line("payOrder", 30, "s1", {"orderId": "o3"}, {"status": "paid"}),
+        api_line("payOrder", 20, "s2", {"orderId": "o4"}, {"status": "paid"}),
+        api_line("payOrder", 10, "s2", {"orderId": "o5"}, {"status": "paid"}),
+    ]
+
+    def test_instances_are_sorted_by_time_then_id(self):
+        _, _, stores = make_stores(self.lines)
+        rows = stores.instances("payOrder").rows
+        assert [(row["time"], log_id) for log_id, row in rows] == [
+            (10, 1), (10, 4), (20, 3), (30, 0), (30, 2),
+        ]
+
+    def test_session_calls_are_sorted_by_session_time_then_id(self):
+        _, _, stores = make_stores(self.lines)
+        times, rows, spans = stores.session_calls("payOrder")
+        assert [r["arguments.orderId"] for r in rows] == ["o2", "o3", "o5", "o4", "o1"]
+        assert times == [10, 30, 10, 20, 30]
+        assert spans == {"s1": (0, 2), "s2": (2, 5)}
+
+
+class TestSharedCursor:
+    def test_bindings_on_one_column_share_a_cursor(self, monkeypatch):
+        import apivet.joins as joins
+
+        built = []
+
+        class CountingCursor(DbJoinCursor):
+            __slots__ = ()
+
+            def __init__(self, events):
+                built.append(events)
+                super().__init__(events)
+
+        monkeypatch.setattr(joins, "DbJoinCursor", CountingCursor)
+        lines = [
+            api_line("login", t, "s1", {"loginId": u}, {"userId": v})
+            for t, u, v in ((5, "u1", "u1"), (25, "u1", "u2"), (45, "u2", "u1"), (99, "u1", "u1"))
+        ]
+        bundle, _, stores = make_stores(lines)
+        rels = [
+            rel(API_DB, "login", "arguments.loginId", "orders", "userId"),
+            rel(API_DB, "login", "response.userId", "orders", "userId"),
+            rel(API_DB, "login", "arguments.loginId", "orders", "id"),
+        ]
+        schema = joined_schema_for(bundle, "login", rels)
+        groups = build_joined_groups(stores, schema)
+        # two bindings on orders.userId, one on orders.id
+        assert len(built) == 2
+        assert built[0] is stores.column_events("orders", "userId")
+        for group in groups:
+            for binding in schema.bindings:
+                assert sorted_rows(group.bindings[binding.name]) == sorted_rows(
+                    join_api_db(stores, binding.relationship, group.focal)
+                )
+        assert any(group.bindings["orders__arguments_loginId__userId"] for group in groups)
 
 
 class TestBucketRows:

@@ -47,6 +47,11 @@ class TestIngest:
         assert len(corpus.events) == 1
         assert len(corpus.env_records) == 1
         assert corpus.env_records[0].fields["userId"] == "u1"
+        assert corpus.env_records[0].time is None
+
+    def test_env_time_is_kept(self):
+        corpus = ingest_logs([env_line("s1", {"sessionId": "s1"}, time=0)], mode="strict")
+        assert corpus.env_records[0].time == 0
 
     @pytest.mark.parametrize(
         "bad",
@@ -58,6 +63,10 @@ class TestIngest:
             json.dumps({"kind": "api", "api": "f", "arguments": {}, "response": {}, "time": True, "sessionId": "s"}),
             json.dumps({"kind": "api", "api": "f", "arguments": {}, "response": {}, "time": 1, "sessionId": ""}),
             json.dumps({"kind": "env", "sessionId": "s"}),
+            json.dumps({"kind": "env", "sessionId": "s", "fields": {}, "time": -1}),
+            json.dumps({"kind": "env", "sessionId": "s", "fields": {}, "time": False}),
+            json.dumps({"kind": "env", "sessionId": "s", "fields": {}, "time": 1.5}),
+            json.dumps({"kind": "env", "sessionId": "s", "fields": {}, "time": None}),
             json.dumps({"kind": "mystery"}),
             json.dumps([1, 2, 3]),
         ],
