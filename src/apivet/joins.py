@@ -112,6 +112,31 @@ def _project_env_record(entity: EntityType, fields: dict) -> dict:
     return row
 
 
+class ColumnStream:
+    """One column's versions as parallel arrays in (ts, ordinal) order: the
+    version's time, its bucket key, the number of its row chain (its place
+    in the table's chain order) and the row image (None for a delete).
+
+    A bucket key is the value itself for a string and value_key(value)
+    otherwise: strings are the common case, and no string equals a
+    value_key tuple, so the keys keep value_key's equivalence classes.
+
+    Four arrays rather than one tuple per version keep a stream at four
+    containers however long it is.
+    """
+
+    __slots__ = ("ts", "value_keys", "chains", "rows")
+
+    def __init__(self, ts: list, value_keys: list, chains: list, rows: list):
+        self.ts = ts
+        self.value_keys = value_keys
+        self.chains = chains
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+
 class JoinStores:
     """Indexes shared by every join of one corpus against one store state."""
 
@@ -125,8 +150,9 @@ class JoinStores:
         self.tables = tables
         self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
+        self._events_by_api: dict[str, list] | None = None
         self._session_index: dict[str, tuple[list, list, dict]] = {}
-        self._column_events: dict[tuple[str, str], list] = {}
+        self._column_events: dict[tuple[str, str], ColumnStream] = {}
         untimed = env_by_session(r for r in corpus.env_records if r.time is None)
         timed: dict[str, list[EnvRecord]] = {}
         for record in corpus.env_records:
@@ -154,7 +180,13 @@ class JoinStores:
         corpus joins in one pass whatever the order of its log lines.
         """
         if api_name not in self._instances:
-            table = project_instances(self._corpus.events, self.bundle.entity(api_name))
+            if self._events_by_api is None:
+                self._events_by_api = {}
+                for event in self._corpus.events:
+                    self._events_by_api.setdefault(event.api, []).append(event)
+            table = project_instances(
+                self._events_by_api.get(api_name, ()), self.bundle.entity(api_name)
+            )
             # projection keeps ingest (log id) order, so a stable sort on
             # time alone gives (time, log id)
             table.rows.sort(key=lambda item: item[1]["time"])
@@ -167,25 +199,42 @@ class JoinStores:
             raise StoreLookupError(f"unknown table {name!r}")
         return store
 
-    def column_events(self, table_name: str, column: str) -> list:
-        """Version stream of one column: (ts, ordinal, value key, chain key, row).
+    def column_events(self, table_name: str, column: str) -> ColumnStream:
+        """Version stream of one column, sorted by (ts, ordinal).
 
-        Sorted by (ts, ordinal) and shared by every cursor that sweeps this
-        column; deletes and null column values carry a None value key.
+        Shared by every cursor that sweeps this column; deletes and null
+        column values carry a None bucket key.
         """
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
             store = self.table(table_name)
-            events = []
-            for chain_key, chain in store.chains.items():
-                for ts, ordinal, row in chain:
-                    vk = None if row is None else value_key(row.get(column))
-                    events.append((ts, ordinal, vk, chain_key, row))
+            ts: list = []
+            ordinals: list = []
+            keys: list = []
+            chains: list = []
+            rows: list = []
+            for chain_id, chain in enumerate(store.chains.values()):
+                for t, ordinal, row in chain:
+                    if row is None:
+                        vk = None
+                    else:
+                        value = row.get(column)
+                        vk = value if isinstance(value, str) else value_key(value)
+                    ts.append(t)
+                    ordinals.append(ordinal)
+                    keys.append(vk)
+                    chains.append(chain_id)
+                    rows.append(row)
             # (ts, ordinal) ties when an update moves a row to a new key, so
-            # whole events are not comparable: sort stably, minor field first
-            events.sort(key=itemgetter(1))
-            events.sort(key=itemgetter(0))
-            self._column_events[cache_key] = events
+            # sort positions stably, minor field first
+            order = sorted(range(len(ts)), key=ordinals.__getitem__)
+            order.sort(key=ts.__getitem__)
+            self._column_events[cache_key] = ColumnStream(
+                [ts[i] for i in order],
+                [keys[i] for i in order],
+                [chains[i] for i in order],
+                [rows[i] for i in order],
+            )
         return self._column_events[cache_key]
 
     def session_calls(self, api_name: str) -> tuple[list, list, dict]:
@@ -262,45 +311,47 @@ class DbJoinCursor:
     own row order can make, replays from the start.
     """
 
-    __slots__ = ("_events", "_pos", "_t", "_live", "_buckets")
+    __slots__ = (
+        "_ts", "_keys", "_chains", "_rows", "_pos", "_t", "_live", "_buckets"
+    )
 
-    def __init__(self, events: list):
-        self._events = events
+    def __init__(self, stream: ColumnStream):
+        self._ts = stream.ts
+        self._keys = stream.value_keys
+        self._chains = stream.chains
+        self._rows = stream.rows
         self._pos = 0
-        self._t: int | None = None
-        self._live: dict = {}  # chain key -> value key of its live row
-        self._buckets: dict = {}  # value key -> {chain key: row}
+        self._t: float = float("-inf")
+        self._live: dict = {}  # chain number -> bucket key of its live row
+        self._buckets: dict = {}  # bucket key -> {chain number: row}
 
     def rows_as_of(self, value, t: int):
-        if self._t is not None and t < self._t:
+        if t < self._t:
             self._pos = 0
             self._live = {}
             self._buckets = {}
         self._t = t
-        events = self._events
         pos = self._pos
-        n = len(events)
         buckets = self._buckets
-        if pos < n and events[pos][0] < t:
+        end = bisect_left(self._ts, t, pos)
+        if end > pos:
             live = self._live
-            while pos < n:
-                event = events[pos]
-                if event[0] >= t:
-                    break
-                pos += 1
-                _, _, vk, chain_key, row = event
-                old = live.pop(chain_key, None)
+            keys, chains, rows = self._keys, self._chains, self._rows
+            for i in range(pos, end):
+                chain = chains[i]
+                vk = keys[i]
+                old = live.pop(chain, None)
                 if old is not None:
-                    del buckets[old][chain_key]
+                    del buckets[old][chain]
                 if vk is None:
                     continue
-                live[chain_key] = vk
+                live[chain] = vk
                 bucket = buckets.get(vk)
                 if bucket is None:
                     bucket = buckets[vk] = {}
-                bucket[chain_key] = row
-            self._pos = pos
-        bucket = buckets.get(value_key(value))
+                bucket[chain] = rows[i]
+            self._pos = end
+        bucket = buckets.get(value if isinstance(value, str) else value_key(value))
         return BucketRows(bucket) if bucket else _EMPTY_ROWS
 
 
@@ -395,11 +446,11 @@ def _binding_joiners(
                 cursor = cursors[column] = DbJoinCursor(stores.column_events(*column))
             attr = rel.focal_attr
 
-            def db_join(row, cursor=cursor, attr=attr):
+            def db_join(row, probe=cursor.rows_as_of, attr=attr):
                 value = row.get(attr)
                 if value is None:
                     return _EMPTY_ROWS
-                return cursor.rows_as_of(value, row["time"])
+                return probe(value, row["time"])
 
             joiners.append((binding.name, db_join))
         elif rel.kind == API_API:
@@ -441,8 +492,10 @@ def iter_joined_groups(
         rows = stores.instances(schema.focal.name).rows
     joiners = _binding_joiners(stores, schema, only)
     for log_id, row in rows:
-        bindings = {name: join(row) for name, join in joiners}
-        yield JoinedGroup(log_id=log_id, focal=row, bindings=bindings)
+        bindings = {}
+        for name, join in joiners:
+            bindings[name] = join(row)
+        yield JoinedGroup(log_id, row, bindings)
 
 
 def build_joined_groups(

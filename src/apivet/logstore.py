@@ -19,6 +19,8 @@ from .values import coerce_scalar, get_path
 
 logger = logging.getLogger(__name__)
 
+_MISSING = object()
+
 
 @dataclass(slots=True)
 class LogEvent:
@@ -162,6 +164,10 @@ def env_by_session(records: Iterable[EnvRecord]) -> dict[str, EnvRecord]:
     return out
 
 
+_STRING_TAGS = ("string", "enum")
+_INTEGER_TAGS = ("integer", "timestamp-millis")
+
+
 def project_instances(events: Iterable[LogEvent], entity: EntityType) -> InstanceTable:
     """Project matching events onto the entity's attributes.
 
@@ -169,33 +175,50 @@ def project_instances(events: Iterable[LogEvent], entity: EntityType) -> Instanc
     the table's mismatch counter.
     """
     table = InstanceTable(entity=entity)
-    specs = [
-        (attr.path, attr.segments, attr.type.tag)
-        for attr in entity.attributes
-        if attr.path not in ("time", "sessionId")
-    ]
-    for event in events:
-        if event.api != entity.name:
+    # (path, 0 arguments | 1 response | None, segments below it, tag, the
+    # one class that coerces to itself under the tag)
+    specs = []
+    for attr in entity.attributes:
+        if attr.path in ("time", "sessionId"):
             continue
+        root, *rest = attr.segments
+        tag = attr.type.tag
+        same = str if tag in _STRING_TAGS else int if tag in _INTEGER_TAGS else None
+        doc = {"arguments": 0, "response": 1}.get(root)
+        specs.append((attr.path, doc, tuple(rest), tag, same))
+    name = entity.name
+    rows = table.rows
+    mismatches = 0
+    for event in events:
+        if event.api != name:
+            continue
+        docs = (event.arguments, event.response)
         row: dict = {}
-        for path, segments, tag in specs:
-            root = segments[0]
-            if root == "arguments":
-                found, raw = get_path(event.arguments, segments[1:])
-            elif root == "response":
-                found, raw = get_path(event.response, segments[1:])
-            else:
-                found, raw = False, None
-            if not found:
+        for path, doc, rest, tag, same in specs:
+            if doc is None:
                 row[path] = None
+                continue
+            if len(rest) == 1:  # documents are dicts: get_path's one-step case
+                raw = docs[doc].get(rest[0], _MISSING)
+                if raw is _MISSING:
+                    row[path] = None
+                    continue
+            else:
+                found, raw = get_path(docs[doc], rest)
+                if not found:
+                    row[path] = None
+                    continue
+            if raw.__class__ is same or raw is None:
+                row[path] = raw
                 continue
             value, mismatch = coerce_scalar(raw, tag)
             row[path] = value
             if mismatch:
-                table.mismatches += 1
+                mismatches += 1
         row["time"] = event.time
         row["sessionId"] = event.sessionId
-        table.rows.append((event.id, row))
+        rows.append((event.id, row))
+    table.mismatches = mismatches
     return table
 
 

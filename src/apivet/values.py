@@ -16,9 +16,12 @@ SCALARS = (str, int, float, bool)
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """Serialize a document deterministically (sorted keys, no spaces)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def is_scalar(value: Any) -> bool:
