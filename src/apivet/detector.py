@@ -11,11 +11,9 @@ multi-worker run reports exactly what a single worker would.
 
 from __future__ import annotations
 
-import gc
 import json
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .binlog import TemporalTable
@@ -55,36 +53,12 @@ class DetectionResult:
 # --- corpus checking ---------------------------------------------------------
 
 
-@contextmanager
-def _cyclic_gc_paused():
-    """Hold off the cyclic garbage collector, then restore the caller's setting.
-
-    Detection allocates tens of thousands of containers (projected rows,
-    version streams, groups) that form no cycles and that reference
-    counting frees. While they are alive they trigger collections that
-    rescan the whole heap, ingested corpus and tables included, and free
-    nothing: a full pass costs 80-120 ms with 170k tracked objects. Any
-    cyclic garbage made meanwhile (a worker pool's) waits for the next
-    collection after the call.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _check_stream(stores, schema, rows, compiled, focal_name, only):
     # each worker sweeps its own join cursors forward over its own rows
     violations = []
-    tests = [(fn.test, fn) for fn in compiled]
     for group in iter_joined_groups(stores, schema, rows, only):
-        bindings = group.bindings
-        scope = {focal_name: group.focal}
-        for test, fn in tests:
-            if not test(bindings, scope):
+        for fn in compiled:
+            if not fn(group):
                 inv = fn.invariant
                 violations.append(
                     ViolationRecord(
@@ -108,16 +82,7 @@ def check_corpus(
     invariants: list[Invariant],
     jobs: int = 1,
 ) -> DetectionResult:
-    """Evaluate every invariant against every matching call in the corpus.
-
-    The cyclic garbage collector is held off for the call (see
-    _cyclic_gc_paused) and restored to the caller's setting afterwards.
-    """
-    with _cyclic_gc_paused():
-        return _check_corpus(bundle, corpus, tables, relationships, invariants, jobs)
-
-
-def _check_corpus(bundle, corpus, tables, relationships, invariants, jobs):
+    """Evaluate every invariant against every matching call in the corpus."""
     started = _time.perf_counter()
     by_focal: dict[str, list[Invariant]] = {}
     for inv in sorted(invariants, key=lambda i: i.id):

@@ -570,67 +570,6 @@ def _compile_operand(node: Any, closures: dict):
     return read
 
 
-# `a op b` is `b mirror(op) a` for the strings, numbers and booleans that compare
-_MIRRORED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _quant_shortcut(node: Quant, closures: dict):
-    """Loops for the quantifier shapes generated invariants use most.
-
-    EXISTS/FORALL over TRUE only asks whether rows are bound, and
-    EXISTS(r: r.col <op> other) compares each row's column with a literal
-    or another entity's field, read once, without moving r in and out of
-    scope. Returns None for any other shape.
-    """
-    name, inner = node.name, node.body
-    if inner.__class__ is BoolConst and inner.value:
-        exists = node.exists
-
-        def bound(b, s):
-            try:
-                rows = b[name]
-            except KeyError:
-                raise _unbound(name) from None
-            return bool(rows) if exists else True
-
-        return bound
-    if not node.exists or inner.__class__ is not Cmp:
-        return None
-    sides = (inner.left, inner.right)
-    own = [op.__class__ is FieldRef and op.root == name for op in sides]
-    if own.count(True) != 1:
-        return None
-    # compare with the bound row's column on the left
-    op = inner.op if own[0] else _MIRRORED[inner.op]
-    test = _OPERATORS[op]
-    col = sides[own.index(True)].path
-    other = closures[id(sides[own.index(False)])]
-
-    def probe(b, s):
-        try:
-            rows = b[name]
-        except KeyError:
-            raise _unbound(name) from None
-        if not rows:
-            return False
-        y = other(b, s)
-        if y is None:
-            return False
-        if isinstance(y, str):
-            for row in rows:
-                x = row.get(col)
-                if isinstance(x, str) and test(x, y):
-                    return True
-            return False
-        for row in rows:
-            x = row.get(col)
-            if x is not None and _comparable(op, x, y) and test(x, y):
-                return True
-        return False
-
-    return probe
-
-
 def _compile(node: Any, closures: dict):
     fn = _compile_node(node, closures)
     closures[id(node)] = fn
@@ -661,9 +600,6 @@ def _compile_node(node: Any, closures: dict):
         name = node.name
         body = _compile(node.body, closures)
         exists = node.exists
-        fast = _quant_shortcut(node, closures)
-        if fast is not None:
-            return fast
 
         def quantified(b, s):
             try:
@@ -722,15 +658,11 @@ def _compile_node(node: Any, closures: dict):
     if cls is InSet:
         operand = _compile_operand(node.operand, closures)
         items = tuple(item.value for item in node.items)
-        # values_equal holds between an exact str and only an equal exact str
-        strings = frozenset(item for item in items if item.__class__ is str)
 
         def member(b, s):
             value = operand(b, s)
             if value is None:
                 return False
-            if value.__class__ is str:
-                return value in strings
             return any(values_equal(value, item) for item in items)
 
         return member
@@ -829,22 +761,20 @@ class CompiledInvariant:
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). `test(bindings, scope)` is the same verdict for a caller that
-    builds the scope ({focal name: focal row}) once for many invariants; it
-    leaves the scope as it found it. A failure's trace re-runs the closures
-    compiled for the sub-expressions it reports on.
+    of rows). A failure's trace re-runs the closures compiled for the
+    sub-expressions it reports on.
     """
 
-    __slots__ = ("invariant", "test", "_focal", "_closures")
+    __slots__ = ("invariant", "_focal", "_body", "_closures")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
         self._focal = inv.focal
         self._closures: dict = {}
-        self.test = _compile(inv.body, self._closures)
+        self._body = _compile(inv.body, self._closures)
 
     def __call__(self, group: Any) -> bool:
-        return self.test(group.bindings, {self._focal: group.focal})
+        return self._body(group.bindings, {self._focal: group.focal})
 
     def trace(self, group: Any) -> TraceNode:
         """Failure trace of a group this invariant fails on."""

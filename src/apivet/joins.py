@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterator
 
 from .binlog import TemporalTable
 from .errors import StoreLookupError
 from .logstore import (
-    EnvRecord,
     InstanceTable,
     LogCorpus,
-    env_by_session,
+    env_before,
+    env_history,
     project_instances,
 )
 from .relations import API_API, API_DB, API_ENV, Relationship
@@ -112,31 +112,6 @@ def _project_env_record(entity: EntityType, fields: dict) -> dict:
     return row
 
 
-class ColumnStream:
-    """One column's versions as parallel arrays in (ts, ordinal) order: the
-    version's time, its bucket key, the number of its row chain (its place
-    in the table's chain order) and the row image (None for a delete).
-
-    A bucket key is the value itself for a string and value_key(value)
-    otherwise: strings are the common case, and no string equals a
-    value_key tuple, so the keys keep value_key's equivalence classes.
-
-    Four arrays rather than one tuple per version keep a stream at four
-    containers however long it is.
-    """
-
-    __slots__ = ("ts", "value_keys", "chains", "rows")
-
-    def __init__(self, ts: list, value_keys: list, chains: list, rows: list):
-        self.ts = ts
-        self.value_keys = value_keys
-        self.chains = chains
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-
 class JoinStores:
     """Indexes shared by every join of one corpus against one store state."""
 
@@ -150,26 +125,16 @@ class JoinStores:
         self.tables = tables
         self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
-        self._events_by_api: dict[str, list] | None = None
         self._session_index: dict[str, tuple[list, list, dict]] = {}
-        self._column_events: dict[tuple[str, str], ColumnStream] = {}
-        untimed = env_by_session(r for r in corpus.env_records if r.time is None)
-        timed: dict[str, list[EnvRecord]] = {}
-        for record in corpus.env_records:
-            if record.time is not None:
-                timed.setdefault(record.sessionId, []).append(record)
-        for records in timed.values():
-            records.sort(key=attrgetter("time"))  # stable: ties keep file order
+        self._column_events: dict[tuple[str, str], list] = {}
+        untimed, timed = env_history(corpus.env_records)
         self._env: dict[str, tuple[dict, dict]] = {}
         for entity in bundle.of_kind(ENV):
             self._env[entity.name] = (
                 {sid: _project_env_record(entity, r.fields) for sid, r in untimed.items()},
                 {
-                    sid: (
-                        [r.time for r in records],
-                        [_project_env_record(entity, r.fields) for r in records],
-                    )
-                    for sid, records in timed.items()
+                    sid: (times, [_project_env_record(entity, r.fields) for r in records])
+                    for sid, (times, records) in timed.items()
                 },
             )
 
@@ -180,13 +145,7 @@ class JoinStores:
         corpus joins in one pass whatever the order of its log lines.
         """
         if api_name not in self._instances:
-            if self._events_by_api is None:
-                self._events_by_api = {}
-                for event in self._corpus.events:
-                    self._events_by_api.setdefault(event.api, []).append(event)
-            table = project_instances(
-                self._events_by_api.get(api_name, ()), self.bundle.entity(api_name)
-            )
+            table = project_instances(self._corpus.events, self.bundle.entity(api_name))
             # projection keeps ingest (log id) order, so a stable sort on
             # time alone gives (time, log id)
             table.rows.sort(key=lambda item: item[1]["time"])
@@ -199,42 +158,25 @@ class JoinStores:
             raise StoreLookupError(f"unknown table {name!r}")
         return store
 
-    def column_events(self, table_name: str, column: str) -> ColumnStream:
-        """Version stream of one column, sorted by (ts, ordinal).
+    def column_events(self, table_name: str, column: str) -> list:
+        """Version stream of one column: (ts, ordinal, value key, chain key, row).
 
-        Shared by every cursor that sweeps this column; deletes and null
-        column values carry a None bucket key.
+        Sorted by (ts, ordinal) and shared by every cursor that sweeps this
+        column; deletes and null column values carry a None value key.
         """
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
             store = self.table(table_name)
-            ts: list = []
-            ordinals: list = []
-            keys: list = []
-            chains: list = []
-            rows: list = []
-            for chain_id, chain in enumerate(store.chains.values()):
-                for t, ordinal, row in chain:
-                    if row is None:
-                        vk = None
-                    else:
-                        value = row.get(column)
-                        vk = value if isinstance(value, str) else value_key(value)
-                    ts.append(t)
-                    ordinals.append(ordinal)
-                    keys.append(vk)
-                    chains.append(chain_id)
-                    rows.append(row)
+            events = []
+            for chain_key, chain in store.chains.items():
+                for ts, ordinal, row in chain:
+                    vk = None if row is None else value_key(row.get(column))
+                    events.append((ts, ordinal, vk, chain_key, row))
             # (ts, ordinal) ties when an update moves a row to a new key, so
-            # sort positions stably, minor field first
-            order = sorted(range(len(ts)), key=ordinals.__getitem__)
-            order.sort(key=ts.__getitem__)
-            self._column_events[cache_key] = ColumnStream(
-                [ts[i] for i in order],
-                [keys[i] for i in order],
-                [chains[i] for i in order],
-                [rows[i] for i in order],
-            )
+            # whole events are not comparable: sort stably, minor field first
+            events.sort(key=itemgetter(1))
+            events.sort(key=itemgetter(0))
+            self._column_events[cache_key] = events
         return self._column_events[cache_key]
 
     def session_calls(self, api_name: str) -> tuple[list, list, dict]:
@@ -261,11 +203,9 @@ class JoinStores:
         return self._session_index[api_name]
 
     def env_index(self, entity_name: str) -> tuple[dict, dict]:
-        """Projected environment records of one entity, per session.
-
-        The first map holds each session's last untimed record. The second
-        holds, for sessions with timed records only, parallel (times, rows)
-        arrays sorted by (time, file order).
+        """Projected environment records of one entity, per session, in
+        logstore.env_history's shape: each session's last untimed row, and
+        (times, rows) arrays for sessions with timed records.
         """
         if entity_name not in self._env:
             raise StoreLookupError(f"unknown environment entity {entity_name!r}")
@@ -311,47 +251,45 @@ class DbJoinCursor:
     own row order can make, replays from the start.
     """
 
-    __slots__ = (
-        "_ts", "_keys", "_chains", "_rows", "_pos", "_t", "_live", "_buckets"
-    )
+    __slots__ = ("_events", "_pos", "_t", "_live", "_buckets")
 
-    def __init__(self, stream: ColumnStream):
-        self._ts = stream.ts
-        self._keys = stream.value_keys
-        self._chains = stream.chains
-        self._rows = stream.rows
+    def __init__(self, events: list):
+        self._events = events
         self._pos = 0
-        self._t: float = float("-inf")
-        self._live: dict = {}  # chain number -> bucket key of its live row
-        self._buckets: dict = {}  # bucket key -> {chain number: row}
+        self._t: int | None = None
+        self._live: dict = {}  # chain key -> value key of its live row
+        self._buckets: dict = {}  # value key -> {chain key: row}
 
     def rows_as_of(self, value, t: int):
-        if t < self._t:
+        if self._t is not None and t < self._t:
             self._pos = 0
             self._live = {}
             self._buckets = {}
         self._t = t
+        events = self._events
         pos = self._pos
+        n = len(events)
         buckets = self._buckets
-        end = bisect_left(self._ts, t, pos)
-        if end > pos:
+        if pos < n and events[pos][0] < t:
             live = self._live
-            keys, chains, rows = self._keys, self._chains, self._rows
-            for i in range(pos, end):
-                chain = chains[i]
-                vk = keys[i]
-                old = live.pop(chain, None)
+            while pos < n:
+                event = events[pos]
+                if event[0] >= t:
+                    break
+                pos += 1
+                _, _, vk, chain_key, row = event
+                old = live.pop(chain_key, None)
                 if old is not None:
-                    del buckets[old][chain]
+                    del buckets[old][chain_key]
                 if vk is None:
                     continue
-                live[chain] = vk
+                live[chain_key] = vk
                 bucket = buckets.get(vk)
                 if bucket is None:
                     bucket = buckets[vk] = {}
-                bucket[chain] = rows[i]
-            self._pos = end
-        bucket = buckets.get(value if isinstance(value, str) else value_key(value))
+                bucket[chain_key] = row
+            self._pos = pos
+        bucket = buckets.get(value_key(value))
         return BucketRows(bucket) if bucket else _EMPTY_ROWS
 
 
@@ -400,26 +338,10 @@ def join_api_env(
     stores: JoinStores, rel: Relationship, focal_row: dict
 ) -> list[dict]:
     """The session's environment record in force before the call, if any."""
-    row = _env_before(
+    row = env_before(
         stores.env_index(rel.target_entity), focal_row["sessionId"], focal_row["time"]
     )
     return [row] if row is not None else []
-
-
-def _env_before(env: tuple, session_id: str, t: int) -> dict | None:
-    """The last record by (time, file order) with time < t, from env_index.
-
-    An untimed record counts as time minus infinity, so it answers when no
-    timed record of the session is earlier than t.
-    """
-    untimed, timed = env
-    history = timed.get(session_id)
-    if history is not None:
-        times, rows = history
-        i = bisect_left(times, t)
-        if i:
-            return rows[i - 1]
-    return untimed.get(session_id)
 
 
 def _binding_joiners(
@@ -446,11 +368,11 @@ def _binding_joiners(
                 cursor = cursors[column] = DbJoinCursor(stores.column_events(*column))
             attr = rel.focal_attr
 
-            def db_join(row, probe=cursor.rows_as_of, attr=attr):
+            def db_join(row, cursor=cursor, attr=attr):
                 value = row.get(attr)
                 if value is None:
                     return _EMPTY_ROWS
-                return probe(value, row["time"])
+                return cursor.rows_as_of(value, row["time"])
 
             joiners.append((binding.name, db_join))
         elif rel.kind == API_API:
@@ -467,7 +389,7 @@ def _binding_joiners(
             def env_join(row, untimed=untimed, timed=timed, env=env):
                 sid = row["sessionId"]
                 if sid in timed:
-                    env_row = _env_before(env, sid, row["time"])
+                    env_row = env_before(env, sid, row["time"])
                 else:  # no timed record: the plain lookup untimed corpora take
                     env_row = untimed.get(sid)
                 return [env_row] if env_row is not None else _EMPTY_ROWS
@@ -492,10 +414,8 @@ def iter_joined_groups(
         rows = stores.instances(schema.focal.name).rows
     joiners = _binding_joiners(stores, schema, only)
     for log_id, row in rows:
-        bindings = {}
-        for name, join in joiners:
-            bindings[name] = join(row)
-        yield JoinedGroup(log_id, row, bindings)
+        bindings = {name: join(row) for name, join in joiners}
+        yield JoinedGroup(log_id=log_id, focal=row, bindings=bindings)
 
 
 def build_joined_groups(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import IngestError
@@ -18,8 +20,6 @@ from .schema import EntityType
 from .values import coerce_scalar, get_path
 
 logger = logging.getLogger(__name__)
-
-_MISSING = object()
 
 
 @dataclass(slots=True)
@@ -164,8 +164,41 @@ def env_by_session(records: Iterable[EnvRecord]) -> dict[str, EnvRecord]:
     return out
 
 
-_STRING_TAGS = ("string", "enum")
-_INTEGER_TAGS = ("integer", "timestamp-millis")
+def env_history(records: Iterable[EnvRecord]) -> tuple[dict, dict]:
+    """Environment records per session, in the shape env_before reads.
+
+    The first map holds each session's last untimed record. The second
+    holds, for sessions with timed records only, parallel (times, records)
+    arrays sorted by (time, file order).
+    """
+    records = list(records)
+    untimed = env_by_session(r for r in records if r.time is None)
+    timed: dict[str, list[EnvRecord]] = {}
+    for record in records:
+        if record.time is not None:
+            timed.setdefault(record.sessionId, []).append(record)
+    history = {}
+    for sid, session_records in timed.items():
+        session_records.sort(key=attrgetter("time"))  # stable: ties keep file order
+        history[sid] = ([r.time for r in session_records], session_records)
+    return untimed, history
+
+
+def env_before(history: tuple[dict, dict], session_id: str, t: int):
+    """The session's last record by (time, file order) with time < t.
+
+    `history` is env_history's shape, with records or projected rows. An
+    untimed record counts as time minus infinity, so it answers when no
+    timed record of the session is earlier than t. None if nothing does.
+    """
+    untimed, timed = history
+    session = timed.get(session_id)
+    if session is not None:
+        times, rows = session
+        i = bisect_left(times, t)
+        if i:
+            return rows[i - 1]
+    return untimed.get(session_id)
 
 
 def project_instances(events: Iterable[LogEvent], entity: EntityType) -> InstanceTable:
@@ -175,50 +208,33 @@ def project_instances(events: Iterable[LogEvent], entity: EntityType) -> Instanc
     the table's mismatch counter.
     """
     table = InstanceTable(entity=entity)
-    # (path, 0 arguments | 1 response | None, segments below it, tag, the
-    # one class that coerces to itself under the tag)
-    specs = []
-    for attr in entity.attributes:
-        if attr.path in ("time", "sessionId"):
-            continue
-        root, *rest = attr.segments
-        tag = attr.type.tag
-        same = str if tag in _STRING_TAGS else int if tag in _INTEGER_TAGS else None
-        doc = {"arguments": 0, "response": 1}.get(root)
-        specs.append((attr.path, doc, tuple(rest), tag, same))
-    name = entity.name
-    rows = table.rows
-    mismatches = 0
+    specs = [
+        (attr.path, attr.segments, attr.type.tag)
+        for attr in entity.attributes
+        if attr.path not in ("time", "sessionId")
+    ]
     for event in events:
-        if event.api != name:
+        if event.api != entity.name:
             continue
-        docs = (event.arguments, event.response)
         row: dict = {}
-        for path, doc, rest, tag, same in specs:
-            if doc is None:
-                row[path] = None
-                continue
-            if len(rest) == 1:  # documents are dicts: get_path's one-step case
-                raw = docs[doc].get(rest[0], _MISSING)
-                if raw is _MISSING:
-                    row[path] = None
-                    continue
+        for path, segments, tag in specs:
+            root = segments[0]
+            if root == "arguments":
+                found, raw = get_path(event.arguments, segments[1:])
+            elif root == "response":
+                found, raw = get_path(event.response, segments[1:])
             else:
-                found, raw = get_path(docs[doc], rest)
-                if not found:
-                    row[path] = None
-                    continue
-            if raw.__class__ is same or raw is None:
-                row[path] = raw
+                found, raw = False, None
+            if not found:
+                row[path] = None
                 continue
             value, mismatch = coerce_scalar(raw, tag)
             row[path] = value
             if mismatch:
-                mismatches += 1
+                table.mismatches += 1
         row["time"] = event.time
         row["sessionId"] = event.sessionId
-        rows.append((event.id, row))
-    table.mismatches = mismatches
+        table.rows.append((event.id, row))
     return table
 
 

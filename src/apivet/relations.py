@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import InferenceError
-from .logstore import InstanceTable, LogCorpus
+from .logstore import InstanceTable, LogCorpus, env_before
 from .schema import API, ENV, TABLE, SchemaBundle
 from .seqmodel import pair_score
 from .values import value_key
@@ -95,14 +95,18 @@ def sequence_plausibility(
 
 
 def env_coverage(
-    focal_table: InstanceTable, env_by_session: dict, min_coverage: float
+    focal_table: InstanceTable, env: tuple[dict, dict], min_coverage: float
 ) -> tuple[bool, float]:
-    """Fraction of focal calls whose session resolves to an environment record."""
+    """Fraction of focal calls that join an environment record.
+
+    `env` is logstore.env_history's shape; a call counts when env_before
+    finds a record for its session before its time, the rule joins use.
+    """
     total = 0
     hits = 0
     for _, row in focal_table.rows:
         total += 1
-        if row.get("sessionId") in env_by_session:
+        if env_before(env, row.get("sessionId"), row["time"]) is not None:
             hits += 1
     if total == 0:
         return False, 0.0
@@ -130,9 +134,9 @@ def infer_relationships(
     value_universes maps table name to {column: set of values ever seen}.
     """
     bundle.require_inference_ready()
-    from .logstore import env_by_session, project_instances
+    from .logstore import env_history, project_instances
 
-    env_map = env_by_session(corpus.env_records)
+    env = env_history(corpus.env_records)
     instance_cache: dict[str, InstanceTable] = {}
 
     def instances(name: str) -> InstanceTable:
@@ -180,7 +184,7 @@ def infer_relationships(
                 )
             else:
                 rel = _filter_env(
-                    focal, target, cand, instances, env_map,
+                    focal, target, cand, instances, env,
                     min_env_coverage, reject,
                 )
             if rel is not None:
@@ -270,7 +274,7 @@ def _filter_api(
 
 
 def _filter_env(
-    focal, target, cand, instances, env_map, min_coverage, reject
+    focal, target, cand, instances, env, min_coverage, reject
 ):
     rel = Relationship(
         kind=API_ENV,
@@ -282,7 +286,7 @@ def _filter_env(
     if cand.to_attr is not None and not target.has_attribute(cand.to_attr):
         reject(rel, f"environment attribute {cand.to_attr!r} does not exist")
         return None
-    ok, ratio = env_coverage(instances(focal.name), env_map, min_coverage)
+    ok, ratio = env_coverage(instances(focal.name), env, min_coverage)
     if not ok:
         reject(rel, f"environment coverage {ratio:.3f} below threshold")
         return None

@@ -16,12 +16,9 @@ SCALARS = (str, int, float, bool)
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def canonical_json(value: Any) -> str:
     """Serialize a document deterministically (sorted keys, no spaces)."""
-    return _CANONICAL.encode(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def is_scalar(value: Any) -> bool:

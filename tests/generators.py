@@ -25,7 +25,6 @@ BINDINGS = ("rows_a", "rows_b")
 FIELDS = ("x", "y", "amount", "status", "nested.inner")
 PATTERNS = ("[a-z]+", "o[0-9]{2}", "[A-Za-z0-9_-]+", "ok|fail")
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-UNBOUND = ("ghost",)  # a root no scope binds: reading it is an error
 
 
 def _rand_string(rng: random.Random) -> str:
@@ -101,42 +100,6 @@ def random_invariant(rng: random.Random, ident: str | None = None) -> Invariant:
         category=rng.choice(["common_sense", "format", "database", "environment", "related_api"]),
         body=random_expr(rng, depth=3),
     )
-
-
-def _rand_probe(rng: random.Random, name: str, scope: tuple[str, ...]):
-    """EXISTS/FORALL over one binding with a body of the shapes the compiler
-    turns into direct loops: TRUE/FALSE, or one comparison of the bound
-    row's field with a literal or a field of the focal call, an outer
-    binding or an unbound root (either side, sometimes both sides on the
-    bound row)."""
-    if rng.random() < 0.25:
-        body = BoolConst(rng.random() < 0.7)
-    else:
-        own = FieldRef(root=name, path=rng.choice(FIELDS))
-        if rng.random() < 0.1:
-            other = FieldRef(root=name, path=rng.choice(FIELDS))
-        elif rng.random() < 0.3:
-            other = _rand_literal(rng)
-        else:
-            other = _rand_field(rng, scope + UNBOUND)
-        sides = (own, other) if rng.random() < 0.5 else (other, own)
-        body = Cmp(op=rng.choice(CMP_OPS), left=sides[0], right=sides[1])
-    return Quant(exists=rng.random() < 0.8, name=name, body=body)
-
-
-def random_shortcut_invariant(rng: random.Random) -> Invariant:
-    """A quantifier of the shapes the compiler evaluates without the general
-    closures, sometimes nested so that the inner one reads the outer row."""
-    if rng.random() < 0.5:
-        body = _rand_probe(rng, rng.choice(BINDINGS), ())
-    else:
-        outer, inner = rng.sample(BINDINGS, 2)
-        body = Quant(
-            exists=rng.random() < 0.5,
-            name=outer,
-            body=_rand_probe(rng, inner, (outer,)),
-        )
-    return Invariant(id="shortcut", focal=FOCAL, category="format", body=body)
 
 
 def _rand_value(rng: random.Random):

@@ -3,7 +3,7 @@
 import pytest
 
 from apivet.errors import InferenceError
-from apivet.logstore import env_by_session, ingest_logs, project_instances
+from apivet.logstore import env_history, ingest_logs, project_instances
 from apivet.proposer import RelationshipCandidate, StubProposer
 from apivet.relations import (
     API_API,
@@ -129,13 +129,32 @@ class TestFilters:
         bundle = small_bundle()
         corpus = small_corpus(n=4, with_env=True)
         table = project_instances(corpus.events, bundle.entity("login"))
-        env_map = env_by_session(corpus.env_records)
-        ok, ratio = env_coverage(table, env_map, 0.99)
+        env = env_history(corpus.env_records)
+        ok, ratio = env_coverage(table, env, 0.99)
         assert ok and ratio == 1.0
         # drop one session's env record: 3/4 coverage fails at 0.99
-        env_map.pop("s0")
-        ok, ratio = env_coverage(table, env_map, 0.99)
+        env[0].pop("s0")
+        ok, ratio = env_coverage(table, env, 0.99)
         assert not ok and ratio == pytest.approx(0.75)
+
+    def test_env_coverage_counts_only_records_before_the_call(self):
+        bundle = small_bundle()
+        lines = []
+        for i in range(4):
+            sid = f"s{i}"
+            lines.append(api_line("login", 10, sid, {"loginId": f"u{i}"}, {"userId": f"u{i}"}))
+            # written after the call, so the call's env join is empty
+            lines.append(env_line(sid, {"sessionId": sid, "userId": f"u{i}"}, time=50))
+        corpus = ingest_logs(lines)
+        table = project_instances(corpus.events, bundle.entity("login"))
+        ok, ratio = env_coverage(table, env_history(corpus.env_records), 0.99)
+        assert not ok and ratio == 0.0
+        # one session also has a record at the call's own time: still not before it
+        lines.append(env_line("s0", {"sessionId": "s0", "userId": "u0"}, time=10))
+        lines.append(env_line("s1", {"sessionId": "s1", "userId": "u1"}, time=9))
+        corpus = ingest_logs(lines)
+        ok, ratio = env_coverage(table, env_history(corpus.env_records), 0.99)
+        assert not ok and ratio == pytest.approx(0.25)
 
 
 class TestInference:
