@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 configuration or usage problems, 2 data or parse
 problems, 3 proposer/provider failures.
+
+Every command is a fresh process, so start-up is paid on each run. A module
+that some command does not run is imported inside the command or function
+that needs it, not at module level: `benchgen` in `_cmd_benchgen`, the
+training pipeline in the two training commands, numpy (through `seqmodel`)
+only where a sequence model is trained or scored, and `urllib.request` only
+when the remote proposer sends a request. `detect` and `eval` load neither.
 """
 
 from __future__ import annotations
@@ -14,14 +21,6 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .benchgen import (
-    TAMPER_KINDS,
-    generate_normal,
-    inject_cross_user,
-    inject_double_refund,
-    inject_field_tamper,
-    write_bench,
-)
 from .binlog import ingest_binlog, read_binlog_file
 from .config import PipelineConfig, load_config
 from .detector import (
@@ -37,7 +36,6 @@ from .dsl import read_invariant_file, write_invariant_file
 from .errors import ApivetError, ConfigError, ExtractionError, ProposalError
 from .fileio import write_json
 from .logstore import read_label_file, read_log_file
-from .pipeline import run_generation, run_inference
 from .relations import (
     diagram_to_dict,
     load_relationships,
@@ -135,6 +133,8 @@ def _cmd_schema_parse(args) -> int:
 
 
 def _cmd_relations_infer(args) -> int:
+    from .pipeline import run_inference
+
     config = _config_for(args)
     bundle = _load(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
@@ -151,6 +151,8 @@ def _cmd_relations_infer(args) -> int:
 
 
 def _cmd_invariants_generate(args) -> int:
+    from .pipeline import run_generation
+
     config = _config_for(args)
     bundle = _load(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
@@ -243,6 +245,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_benchgen(args) -> int:
+    from .benchgen import (
+        TAMPER_KINDS,
+        generate_normal,
+        inject_cross_user,
+        inject_double_refund,
+        inject_field_tamper,
+        write_bench,
+    )
+
     bench = generate_normal(
         args.sessions,
         args.seed,
@@ -275,7 +286,8 @@ def _cmd_benchgen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="apivet", description=__doc__)
+    # the docstring's last paragraph is for maintainers, not for --help
+    parser = _Parser(prog="apivet", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"apivet {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     parser.add_argument(

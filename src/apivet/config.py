@@ -1,4 +1,11 @@
-"""Pipeline configuration with JSON round-trip and strict validation."""
+"""Pipeline and provider configuration with JSON round-trip and strict validation.
+
+`PipelineConfig` holds the pipeline's thresholds and modes; `ProviderConfig`
+holds the remote proposer's endpoint, model, credential variable, timeout
+and retry budget. Both validate on construction and raise `ConfigError`.
+This module imports nothing from the rest of the package but `errors`, so
+loading a configuration loads no proposer, model or HTTP code.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,43 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
-from .proposer import DEFAULT_SYNONYMS, ProviderConfig
+
+DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass
+class ProviderConfig:
+    endpoint_url: str
+    model_name: str
+    api_key_env_var: str | None = None
+    max_in_flight: int = 1
+    timeout_ms: int = 30000
+    retries: int = 2
+
+    def __post_init__(self):
+        for name in ("endpoint_url", "model_name"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(
+                    f"provider {name} must be a non-empty string, got {value!r}"
+                )
+        var = self.api_key_env_var
+        if var is not None and (not isinstance(var, str) or not var):
+            raise ConfigError(
+                f"provider api_key_env_var must be null or a non-empty string, got {var!r}"
+            )
+        if not _is_int(self.timeout_ms) or self.timeout_ms <= 0:
+            raise ConfigError(
+                f"provider timeout_ms must be an int > 0, got {self.timeout_ms!r}"
+            )
+        if not _is_int(self.retries) or self.retries < 0:
+            raise ConfigError(
+                f"provider retries must be an int >= 0, got {self.retries!r}"
+            )
 
 
 @dataclass

@@ -14,7 +14,6 @@ from .proposer import ProposerContract, RemoteProposer, StubProposer
 from .refine import CandidateOutcome, RefinementReport, refine_candidates, unique_id
 from .relations import InferenceReport, Relationship, infer_relationships
 from .schema import API, TABLE, SchemaBundle
-from .seqmodel import train_hmm, train_markov
 
 
 def make_proposer(config: PipelineConfig) -> ProposerContract:
@@ -26,6 +25,8 @@ def make_proposer(config: PipelineConfig) -> ProposerContract:
 
 
 def train_sequence_model(corpus: LogCorpus, config: PipelineConfig):
+    from .seqmodel import train_hmm, train_markov
+
     sequences = list(session_sequences(corpus.events).values())
     if config.sequence_model == "hmm":
         return train_hmm(sequences, n_states=config.hmm_states, seed=config.hmm_seed)

@@ -2,8 +2,10 @@
 
 Two providers implement the same contract. The stub is fully deterministic
 and runs offline from name-affinity rules and schema-driven templates; the
-remote provider speaks a generic chat-completion JSON dialect over HTTP.
-Pipelines depend only on the contract, so either can back a run.
+remote provider speaks a generic chat-completion JSON dialect over HTTP,
+configured by `config.ProviderConfig`; `urllib.request` is imported only
+when a call goes out. Pipelines depend only on the contract, so either can
+back a run.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import json
 import logging
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field, replace
 
+from .config import DEFAULT_SYNONYMS, ProviderConfig
 from .dsl import (
     And,
     BoolConst,
@@ -35,8 +36,6 @@ from .errors import ExtractionError, ProposalError
 from .schema import API, ENV, TABLE, EntityType
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
 
 ID_VALUE_PATTERN = "[A-Za-z0-9_-]+"
 
@@ -522,17 +521,9 @@ class StubProposer(ProposerContract):
 # --- remote provider ---------------------------------------------------------
 
 
-@dataclass
-class ProviderConfig:
-    endpoint_url: str
-    model_name: str
-    api_key_env_var: str | None = None
-    max_in_flight: int = 1
-    timeout_ms: int = 30000
-    retries: int = 2
-
-
 def _http_transport(url: str, headers: dict, payload: dict, timeout_s: float) -> dict:
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     with urllib.request.urlopen(request, timeout=timeout_s) as response:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import InferenceError
 from .logstore import InstanceTable, LogCorpus, env_before
 from .schema import API, ENV, TABLE, SchemaBundle
-from .seqmodel import pair_score
 from .values import value_key
 
 logger = logging.getLogger(__name__)
@@ -90,6 +89,8 @@ def sequence_plausibility(
     model, target_api: str, focal_api: str, min_score: float
 ) -> tuple[bool, float]:
     """The target call must plausibly precede the focal call."""
+    from .seqmodel import pair_score
+
     score = pair_score(model, target_api, focal_api)
     return score >= min_score, score
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apivet
 from apivet.cli import main
 from apivet.dsl import read_invariant_file
 from apivet.relations import load_relationships
@@ -152,6 +156,67 @@ class TestPipeline:
         assert "tp=" in out and "precision=" in out
 
 
+# Runs one command through main() and prints the modules loaded by then.
+_SHOW_MODULES = """\
+import json, sys
+from apivet.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _modules_after(argv):
+    """The modules a fresh interpreter holds after one CLI command.
+
+    This process has imported numpy and the whole package already, so the
+    command runs in a subprocess; the check is on membership, not on time.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(apivet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHOW_MODULES, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    return set(result["modules"])
+
+
+def _inputs(pipeline, corpus):
+    return ["--bundle", str(pipeline["bundle"]),
+            "--logs", str(pipeline[corpus] / "logs.jsonl"),
+            "--binlog", str(pipeline[corpus] / "binlog.jsonl")]
+
+
+class TestImportClosure:
+    def test_detect_loads_no_training_stack(self, pipeline, tmp_path):
+        loaded = _modules_after(
+            ["detect", *_inputs(pipeline, "eval"),
+             "--relations", str(pipeline["relations"]),
+             "--invariants", str(pipeline["invariants"]),
+             "--out", str(tmp_path / "report.json")])
+        assert "apivet.detector" in loaded
+        assert sorted(loaded & {
+            "numpy", "urllib.request", "apivet.seqmodel", "apivet.proposer",
+            "apivet.pipeline", "apivet.refine", "apivet.benchgen",
+        }) == []
+
+    def test_invariants_generate_loads_no_numpy_or_http(self, pipeline, tmp_path):
+        loaded = _modules_after(
+            ["invariants", "generate", *_inputs(pipeline, "train"),
+             "--relations", str(pipeline["relations"]),
+             "--out", str(tmp_path / "invariants.txt")])
+        assert "apivet.refine" in loaded
+        assert sorted(loaded & {"numpy", "urllib.request"}) == []
+
+    def test_relations_infer_loads_no_http(self, pipeline, tmp_path):
+        loaded = _modules_after(
+            ["relations", "infer", *_inputs(pipeline, "train"),
+             "--out", str(tmp_path / "relations.json")])
+        assert "apivet.seqmodel" in loaded
+        assert "urllib.request" not in loaded
+
+
 class TestSchemaParse:
     def test_builds_a_bundle_from_files(self, tmp_path, capsys):
         (tmp_path / "ddl.sql").write_text(
@@ -224,6 +289,27 @@ class TestExitCodes:
                      "--binlog", str(pipeline["train"] / "binlog.jsonl"),
                      "--config", str(config),
                      "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_bad_provider_value_exits_one(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the unset credential keeps any provider call from leaving the process
+        monkeypatch.delenv("APIVET_TEST_KEY", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "proposer": "remote",
+            "provider": {
+                "endpoint_url": "https://example.invalid/v1/chat",
+                "model_name": "m",
+                "api_key_env_var": "APIVET_TEST_KEY",
+                "retries": "2",
+            },
+        }))
+        assert main(["relations", "infer",
+                     "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(pipeline["train"] / "logs.jsonl"),
+                     "--binlog", str(pipeline["train"] / "binlog.jsonl"),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert "provider retries" in capsys.readouterr().err
 
     def test_corrupt_strict_input_exits_two(self, pipeline, tmp_path):
         bad = tmp_path / "logs.jsonl"

@@ -66,6 +66,36 @@ class TestValidation:
         assert config.provider.model_name == "m"
 
 
+class TestProviderValidation:
+    GOOD = {"endpoint_url": "https://example.invalid/v1/chat", "model_name": "m"}
+
+    @pytest.mark.parametrize("overrides, field_name", [
+        ({"retries": "2"}, "retries"),
+        ({"retries": -1}, "retries"),
+        ({"retries": True}, "retries"),
+        ({"retries": 1.0}, "retries"),
+        ({"timeout_ms": 0}, "timeout_ms"),
+        ({"timeout_ms": -5}, "timeout_ms"),
+        ({"timeout_ms": False}, "timeout_ms"),
+        ({"timeout_ms": "100"}, "timeout_ms"),
+        ({"endpoint_url": ""}, "endpoint_url"),
+        ({"endpoint_url": None}, "endpoint_url"),
+        ({"model_name": ""}, "model_name"),
+        ({"model_name": 7}, "model_name"),
+        ({"api_key_env_var": 5}, "api_key_env_var"),
+        ({"api_key_env_var": ""}, "api_key_env_var"),
+    ])
+    def test_bad_provider_values_raise(self, overrides, field_name):
+        with pytest.raises(ConfigError, match=f"provider {field_name}"):
+            ProviderConfig(**{**self.GOOD, **overrides})
+        with pytest.raises(ConfigError, match=f"provider {field_name}"):
+            config_from_dict({"provider": {**self.GOOD, **overrides}})
+
+    def test_edge_values_are_fine(self):
+        provider = ProviderConfig(**self.GOOD, retries=0, timeout_ms=1)
+        assert (provider.retries, provider.timeout_ms) == (0, 1)
+
+
 class TestDictRoundTrip:
     def test_plain_roundtrip(self):
         config = PipelineConfig(window_size=10, markov_alpha=0.5)
