@@ -1,16 +1,16 @@
 """Temporal replay of row-change events into per-key version chains.
 
 Every table row is kept as a chain of (timestamp, ordinal, image) versions,
-where a None image is a tombstone. Point-in-time state uses strictly-before
-semantics: an event at exactly t is not visible at t, so a call's own
-database effect never leaks into its own evaluation.
+where a None image is a tombstone. Replay only builds the chains. Their one
+reader in detection is the join sweep (joins.DbJoinCursor), which shows a
+call the versions strictly before it: an event at exactly t is not visible
+at t, so a call's own database effect never leaks into its own evaluation.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -104,9 +104,6 @@ Version = tuple[int, int, "dict | None"]
 class TemporalTable:
     entity: EntityType
     chains: dict[tuple, list[Version]] = field(default_factory=dict)
-    _ts_index: dict[tuple, list[int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def append(self, key: tuple, ts: int, ordinal: int, row: dict | None) -> None:
         chain = self.chains.setdefault(key, [])
@@ -115,21 +112,10 @@ class TemporalTable:
                 f"out-of-order version for key {key!r} in {self.entity.name!r}"
             )
         chain.append((ts, ordinal, row))
-        self._ts_index.setdefault(key, []).append(ts)
 
     def is_live(self, key: tuple) -> bool:
         chain = self.chains.get(key)
         return bool(chain) and chain[-1][2] is not None
-
-    def version_before(self, key: tuple, t: int) -> dict | None:
-        """Latest row image with ts strictly before t, or None."""
-        ts_list = self._ts_index.get(key)
-        if not ts_list:
-            return None
-        idx = bisect_left(ts_list, t)
-        if idx == 0:
-            return None
-        return self.chains[key][idx - 1][2]
 
 
 def _key_of(entity: EntityType, image: dict, ts: int) -> tuple:
@@ -218,19 +204,6 @@ def ingest_binlog(
     return tables
 
 
-def state_as_of(tables: dict[str, TemporalTable], table: str, t: int) -> list[dict]:
-    """All rows live strictly before t, in first-insertion order."""
-    store = tables.get(table)
-    if store is None:
-        raise StoreLookupError(f"unknown table {table!r}")
-    rows = []
-    for key in store.chains:
-        row = store.version_before(key, t)
-        if row is not None:
-            rows.append(row)
-    return rows
-
-
 def value_universe(
     tables: dict[str, TemporalTable], table: str, column: str
 ) -> set[Any]:
@@ -248,61 +221,3 @@ def value_universe(
                 if value is not None:
                     values.add(value)
     return values
-
-
-def oracle_replay(
-    events: Iterable[RowEvent],
-    entity: EntityType,
-    t: int,
-    mode: str = "lenient",
-) -> list[dict]:
-    """Reference replay: naively apply matching events with ts < t in order.
-
-    Kept deliberately simple so it can serve as an independent check of
-    chain-based state_as_of; both must agree on every valid stream.
-    """
-    if not entity.primary_key:
-        raise ReplayError(f"table {entity.name!r} has no primary key")
-    state: dict[tuple, dict] = {}
-    last_seen: dict[tuple, tuple[int, int]] = {}
-    for event in events:
-        if event.table != entity.name or event.ts >= t:
-            continue
-        if event.op == "insert":
-            key = _key_of(entity, event.after or {}, event.ts)
-        elif event.op == "update":
-            key = _key_of(entity, event.before or {}, event.ts)
-            new_key = _key_of(entity, event.after or {}, event.ts)
-        else:
-            key = _key_of(entity, event.before or {}, event.ts)
-        stamp = (event.ts, event.ordinal)
-        if key in last_seen and stamp <= last_seen[key]:
-            if mode == "strict":
-                raise ReplayError(f"out-of-order version for key {key!r}")
-            continue
-        if event.op == "insert":
-            if key in state and mode == "strict":
-                raise ReplayError(f"insert on live key {key!r}")
-            state[key] = dict(event.after or {})
-            last_seen[key] = stamp
-        elif event.op == "update":
-            if key != new_key:
-                if mode == "strict":
-                    raise ReplayError(f"update changes key {key!r}")
-                state.pop(key, None)
-                last_seen[key] = stamp
-                state[new_key] = dict(event.after or {})
-                last_seen[new_key] = stamp
-                continue
-            if key not in state and mode == "strict":
-                raise ReplayError(f"update on absent key {key!r}")
-            state[key] = dict(event.after or {})
-            last_seen[key] = stamp
-        else:
-            if key not in state:
-                if mode == "strict":
-                    raise ReplayError(f"delete on absent key {key!r}")
-                continue
-            del state[key]
-            last_seen[key] = stamp
-    return list(state.values())

@@ -1,8 +1,10 @@
-"""Pipeline and provider configuration with JSON round-trip and strict validation.
+"""Pipeline and provider configuration, loaded from JSON with strict validation.
 
 `PipelineConfig` holds the pipeline's thresholds and modes; `ProviderConfig`
 holds the remote proposer's endpoint, model, credential variable, timeout
-and retry budget. Both validate on construction and raise `ConfigError`.
+and retry budget. Both validate on construction and raise `ConfigError`,
+and a key that names no field is rejected, so every key a file sets is
+read by some stage.
 This module imports nothing from the rest of the package but `errors`, so
 loading a configuration loads no proposer, model or HTTP code.
 """
@@ -10,7 +12,7 @@ loading a configuration loads no proposer, model or HTTP code.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -26,7 +28,6 @@ class ProviderConfig:
     endpoint_url: str
     model_name: str
     api_key_env_var: str | None = None
-    max_in_flight: int = 1
     timeout_ms: int = 30000
     retries: int = 2
 
@@ -54,12 +55,10 @@ class ProviderConfig:
 
 @dataclass
 class PipelineConfig:
-    flatten_depth: int = 3
     min_value_overlap: float = 0.9
     min_sequence_score: float = 0.05
     min_env_coverage: float = 0.99
     delta_ms: int = 60000
-    window_size: int = 20
     max_refine_rounds: int = 3
     violation_samples: int = 5
     sequence_model: str = "markov"  # markov | hmm
@@ -73,16 +72,12 @@ class PipelineConfig:
     provider: ProviderConfig | None = None
 
     def __post_init__(self):
-        if self.flatten_depth < 1:
-            raise ConfigError("flatten_depth must be >= 1")
         for name in ("min_value_overlap", "min_sequence_score", "min_env_coverage"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
         if self.delta_ms <= 0:
             raise ConfigError("delta_ms must be positive")
-        if self.window_size < 1:
-            raise ConfigError("window_size must be >= 1")
         if self.max_refine_rounds < 0:
             raise ConfigError("max_refine_rounds must be >= 0")
         if self.violation_samples < 1:
@@ -91,6 +86,14 @@ class PipelineConfig:
             raise ConfigError(f"unknown sequence_model {self.sequence_model!r}")
         if self.markov_alpha < 0:
             raise ConfigError("markov_alpha must be >= 0")
+        if self.hmm_states is not None and (
+            not _is_int(self.hmm_states) or self.hmm_states < 1
+        ):
+            raise ConfigError(
+                f"hmm_states must be null or an int >= 1, got {self.hmm_states!r}"
+            )
+        if not _is_int(self.hmm_seed) or self.hmm_seed < 0:
+            raise ConfigError(f"hmm_seed must be an int >= 0, got {self.hmm_seed!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.mode not in ("lenient", "strict"):
@@ -139,13 +142,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"bad configuration: {exc}")
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    data = asdict(config)
-    if config.provider is None:
-        data.pop("provider")
-    return data
-
-
 def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -155,9 +151,3 @@ def load_config(path: str) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc.msg}")
     return config_from_dict(data)
-
-
-def save_config(config: PipelineConfig, path: str) -> None:
-    from .fileio import write_json
-
-    write_json(config_to_dict(config), path)

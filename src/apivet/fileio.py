@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Iterable
+from typing import Any
 
 
 def write_text(text: str, path: str) -> None:
@@ -23,13 +23,3 @@ def write_text(text: str, path: str) -> None:
 
 def write_json(data: Any, path: str) -> None:
     write_text(json.dumps(data, indent=2) + "\n", path)
-
-
-def write_jsonl(records: Iterable[dict], path: str) -> None:
-    lines = [json.dumps(record, separators=(", ", ": ")) for record in records]
-    write_text("\n".join(lines) + ("\n" if lines else ""), path)
-
-
-def read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()

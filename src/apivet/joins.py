@@ -7,8 +7,8 @@ before the call.
 
 Each focal API's calls are held in (time, log id) order, whatever the order
 of the log lines, so table joins are answered by one forward sweep of each
-column's version stream per corpus. join_api_db is the plain per-call
-reference; iter_joined_groups is the streaming fast path detection uses.
+column's version stream per corpus. iter_joined_groups is the one join
+path; independent reference joins live with the tests.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .logstore import (
     env_history,
     project_instances,
 )
-from .relations import API_API, API_DB, API_ENV, Relationship
+from .relations import API_API, API_DB, Relationship
 from .schema import ENV, EntityType, SchemaBundle
-from .values import coerce_scalar, value_key, values_equal
+from .values import coerce_scalar, value_key
 
 DEFAULT_DELTA_MS = 60000
 
@@ -152,12 +152,6 @@ class JoinStores:
             self._instances[api_name] = table
         return self._instances[api_name]
 
-    def table(self, name: str) -> TemporalTable:
-        store = self.tables.get(name)
-        if store is None:
-            raise StoreLookupError(f"unknown table {name!r}")
-        return store
-
     def column_events(self, table_name: str, column: str) -> list:
         """Version stream of one column: (ts, ordinal, value key, chain key, row).
 
@@ -166,7 +160,9 @@ class JoinStores:
         """
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
-            store = self.table(table_name)
+            store = self.tables.get(table_name)
+            if store is None:
+                raise StoreLookupError(f"unknown table {table_name!r}")
             events = []
             for chain_key, chain in store.chains.items():
                 for ts, ordinal, row in chain:
@@ -293,55 +289,11 @@ class DbJoinCursor:
         return BucketRows(bucket) if bucket else _EMPTY_ROWS
 
 
-def join_api_db(
-    stores: JoinStores, rel: Relationship, focal_row: dict
-) -> list[dict]:
-    """Target rows live strictly before the call whose column equals the arg.
-
-    Reference implementation: scans every row chain. iter_joined_groups
-    answers the same question through a DbJoinCursor sweep.
-    """
-    value = focal_row.get(rel.focal_attr)
-    if value is None:
-        return []
-    t = focal_row["time"]
-    store = stores.table(rel.target_entity)
-    rows = []
-    for chain_key in store.chains:
-        row = store.version_before(chain_key, t)
-        if row is not None and values_equal(row.get(rel.target_attr), value):
-            rows.append(row)
-    return rows
-
-
-def join_api_api(
-    stores: JoinStores, rel: Relationship, focal_row: dict
-) -> list[dict]:
-    """Earlier same-session calls of the target API inside the time window."""
-    delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
-    return _calls_in_window(
-        stores.session_calls(rel.target_entity),
-        focal_row["sessionId"],
-        focal_row["time"],
-        delta,
-    )
-
-
 def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
     """A session's calls with t - delta < time < t, from session_calls."""
     times, rows, spans = calls
     lo, hi = spans.get(session_id, (0, 0))
     return rows[bisect_right(times, t - delta, lo, hi) : bisect_left(times, t, lo, hi)]
-
-
-def join_api_env(
-    stores: JoinStores, rel: Relationship, focal_row: dict
-) -> list[dict]:
-    """The session's environment record in force before the call, if any."""
-    row = env_before(
-        stores.env_index(rel.target_entity), focal_row["sessionId"], focal_row["time"]
-    )
-    return [row] if row is not None else []
 
 
 def _binding_joiners(

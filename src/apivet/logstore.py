@@ -1,4 +1,4 @@
-"""Log ingestion, instance projection, session sequences, and windowing.
+"""Log ingestion, instance projection, session sequences, and labels.
 
 A log corpus is JSON Lines with two record kinds: API call events and
 per-session environment snapshots, which may carry the time they were taken.
@@ -60,13 +60,6 @@ class InstanceTable:
     entity: EntityType
     rows: list[tuple[int, dict]] = field(default_factory=list)
     mismatches: int = 0
-
-
-@dataclass
-class Window:
-    log_ids: list[int]
-    label: str = "normal"
-    trace: str | None = None
 
 
 def _check_api_line(record: dict) -> str | None:
@@ -250,17 +243,6 @@ def session_sequences(events: Iterable[LogEvent]) -> dict[str, list[str]]:
         items.sort()
         out[sid] = [api for _, _, api in items]
     return out
-
-
-def split_windows(events: list[LogEvent], window_size: int) -> list[Window]:
-    """Chunk events into fixed-size windows in ingest order (last may be short)."""
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    ids = [event.id for event in events]
-    return [
-        Window(log_ids=ids[i : i + window_size])
-        for i in range(0, len(ids), window_size)
-    ]
 
 
 def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecord]:

@@ -536,7 +536,6 @@ class RemoteProposer(ProposerContract):
     def __init__(self, config: ProviderConfig, transport=None):
         self.config = config
         self.transport = transport or _http_transport
-        self.max_in_flight = max(1, config.max_in_flight)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

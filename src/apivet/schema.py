@@ -463,9 +463,6 @@ class SchemaBundle:
             raise SchemaError(f"unknown entity {name!r}")
         return ent
 
-    def has_entity(self, name: str) -> bool:
-        return name in self._by_name
-
     def of_kind(self, kind: str) -> list[EntityType]:
         return [e for e in self.entities if e.kind == kind]
 

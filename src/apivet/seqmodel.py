@@ -3,11 +3,12 @@
 The default model is a first-order Markov chain with Laplace smoothing and a
 synthetic start symbol. A hidden Markov model trained with Baum-Welch is
 available as an opt-in alternative; both expose the same scoring surface.
+Models live only in memory: relationship inference trains one per run and
+nothing saves or loads it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -15,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import TrainingError
-from .fileio import write_json
 
 START = "<START>"
 
@@ -263,47 +263,3 @@ def pair_score(model: MarkovModel | HmmModel, prior: str, follower: str) -> floa
     if isinstance(model, MarkovModel):
         return transition_score(model, prior, follower)
     return forward_likelihood(model, [prior, follower])
-
-
-def model_to_dict(model: MarkovModel | HmmModel) -> dict:
-    if isinstance(model, MarkovModel):
-        return {
-            "type": "markov",
-            "alphabet": model.alphabet,
-            "alpha": model.alpha,
-            "counts": model.counts.tolist(),
-        }
-    return {
-        "type": "hmm",
-        "alphabet": model.alphabet,
-        "pi": model.pi.tolist(),
-        "trans": model.trans.tolist(),
-        "emit": model.emit.tolist(),
-    }
-
-
-def model_from_dict(data: dict) -> MarkovModel | HmmModel:
-    kind = data.get("type")
-    if kind == "markov":
-        return MarkovModel(
-            alphabet=list(data["alphabet"]),
-            alpha=float(data["alpha"]),
-            counts=np.array(data["counts"], dtype=float),
-        )
-    if kind == "hmm":
-        return HmmModel(
-            alphabet=list(data["alphabet"]),
-            pi=np.array(data["pi"], dtype=float),
-            trans=np.array(data["trans"], dtype=float),
-            emit=np.array(data["emit"], dtype=float),
-        )
-    raise TrainingError(f"unknown model type {kind!r}")
-
-
-def save_model(model: MarkovModel | HmmModel, path: str) -> None:
-    write_json(model_to_dict(model), path)
-
-
-def load_model(path: str) -> MarkovModel | HmmModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -11,18 +11,12 @@ import json
 import re
 from typing import Any
 
-SCALARS = (str, int, float, bool)
-
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def canonical_json(value: Any) -> str:
     """Serialize a document deterministically (sorted keys, no spaces)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def is_scalar(value: Any) -> bool:
-    return isinstance(value, SCALARS)
 
 
 def coerce_scalar(value: Any, tag: str) -> tuple[Any, bool]:

@@ -1,4 +1,5 @@
-"""Shared builders for log lines, env lines, and binlog lines."""
+"""Shared builders for log lines, env lines, and binlog lines, and a reader
+of replayed tables."""
 
 from __future__ import annotations
 
@@ -42,6 +43,23 @@ def row_event(table, op, ts, before=None, after=None, ordinal=0):
 
 def corpus_from(lines):
     return ingest_logs(lines)
+
+
+def version_before(chain, t):
+    """Row image of a chain's last version with ts < t; None when there is
+    none yet or it is a tombstone."""
+    row = None
+    for ts, _, image in chain:
+        if ts >= t:
+            break
+        row = image
+    return row
+
+
+def state_as_of(tables, table, t):
+    """Rows of one replayed table live strictly before t, in chain order."""
+    rows = (version_before(chain, t) for chain in tables[table].chains.values())
+    return [row for row in rows if row is not None]
 
 
 @pytest.fixture

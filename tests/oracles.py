@@ -39,7 +39,8 @@ def replay_oracle_rows(events, t, key_cols=("id",)):
     """Full scan over a consistent stream; returns {key: row} strictly before t.
 
     Events are applied in (ts, ordinal) order.  An insert/update stores the
-    after-image, a delete removes the key.  Events with ts >= t are invisible.
+    after-image, a delete removes the key, and an update that changes the
+    key moves the row to its new key.  Events with ts >= t are invisible.
     Assumes a well-formed stream (insert, then updates, then delete per key).
     """
 
@@ -53,8 +54,10 @@ def replay_oracle_rows(events, t, key_cols=("id",)):
             continue
         if ev.op == "delete":
             state.pop(key_of(ev.before), None)
-        else:
-            state[key_of(ev.after)] = dict(ev.after)
+            continue
+        if ev.op == "update" and key_of(ev.before) != key_of(ev.after):
+            state.pop(key_of(ev.before), None)
+        state[key_of(ev.after)] = dict(ev.after)
     return state
 
 
@@ -196,7 +199,7 @@ def env_join_oracle(env_records, session_id, t):
     return [] if best is None else [best]
 
 
-# --- sessions and windows ---------------------------------------------------
+# --- sessions ---------------------------------------------------------------
 
 
 def session_sequence_oracle(events):
@@ -206,12 +209,6 @@ def session_sequence_oracle(events):
     for ev in ordered:
         grouped.setdefault(ev.sessionId, []).append(ev.api)
     return grouped
-
-
-def window_oracle(events, size):
-    """Fixed-size id chunks in the order given."""
-    ids = [ev.id for ev in events]
-    return [ids[i : i + size] for i in range(0, len(ids), size)]
 
 
 # --- projection -------------------------------------------------------------

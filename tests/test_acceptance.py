@@ -23,7 +23,7 @@ from apivet.benchgen import (
     inject_field_tamper,
     scenario_bundle,
 )
-from apivet.binlog import ingest_binlog, parse_row_events, state_as_of
+from apivet.binlog import ingest_binlog, parse_row_events
 from apivet.config import PipelineConfig
 from apivet.detector import (
     check_corpus,
@@ -44,7 +44,7 @@ from apivet.schema import (
 )
 from apivet.seqmodel import sequence_probability, train_hmm, train_markov
 
-from conftest import api_line, env_line, row_event
+from conftest import api_line, env_line, row_event, state_as_of
 from generators import random_expr, random_group, random_invariant
 from oracles import api_join_oracle, db_join_oracle, metrics_oracle, replay_oracle_rows
 

@@ -15,10 +15,12 @@ from apivet.benchgen import (
     scenario_bundle,
     write_bench,
 )
-from apivet.binlog import ingest_binlog, parse_row_events, state_as_of
+from apivet.binlog import ingest_binlog, parse_row_events
 from apivet.errors import ConfigError
 from apivet.logstore import ingest_logs, parse_labels
 from apivet.schema import load_bundle
+
+from conftest import state_as_of
 
 
 class TestNormalWorkload:

@@ -311,6 +311,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.json")]) == 1
         assert "provider retries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"sequence_model": "hmm", "hmm_states": "3"},
+         "hmm_states must be null or an int >= 1, got '3'"),
+        ({"sequence_model": "hmm", "hmm_seed": "x"}, "hmm_seed must be an int >= 0, got 'x'"),
+        ({"proposer": "remote",
+          "provider": {"endpoint_url": "https://example.invalid/v1/chat", "model_name": "m",
+                       "api_key_env_var": "APIVET_TEST_KEY", "max_in_flight": 4}},
+         "unknown provider keys: ['max_in_flight']"),
+    ], ids=["hmm_states", "hmm_seed", "max_in_flight"])
+    def test_rejected_setting_exits_one(
+        self, pipeline, tmp_path, capsys, monkeypatch, settings, message
+    ):
+        # the unset credential keeps any provider call from leaving the process
+        monkeypatch.delenv("APIVET_TEST_KEY", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        assert main(["relations", "infer",
+                     "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(pipeline["train"] / "logs.jsonl"),
+                     "--binlog", str(pipeline["train"] / "binlog.jsonl"),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_corrupt_strict_input_exits_two(self, pipeline, tmp_path):
         bad = tmp_path / "logs.jsonl"
         bad.write_text('{"kind": "api"}\nnot json\n')

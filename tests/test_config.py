@@ -1,14 +1,11 @@
 """Pipeline configuration: defaults, validation, JSON round-trips."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
-from apivet.config import (
-    PipelineConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
+from apivet.config import PipelineConfig, config_from_dict, load_config
 from apivet.errors import ConfigError
 from apivet.proposer import ProviderConfig
 
@@ -16,17 +13,16 @@ from apivet.proposer import ProviderConfig
 class TestDefaults:
     def test_default_values(self):
         config = PipelineConfig()
-        assert config.flatten_depth == 3
         assert config.min_value_overlap == 0.9
         assert config.min_sequence_score == 0.05
         assert config.min_env_coverage == 0.99
         assert config.delta_ms == 60000
-        assert config.window_size == 20
         assert config.max_refine_rounds == 3
         assert config.violation_samples == 5
         assert config.sequence_model == "markov"
         assert config.markov_alpha == 1.0
         assert config.hmm_states is None
+        assert config.hmm_seed == 0
         assert config.jobs == 1
         assert config.mode == "lenient"
         assert config.proposer == "stub"
@@ -36,12 +32,12 @@ class TestDefaults:
 
 class TestValidation:
     @pytest.mark.parametrize("overrides", [
-        {"flatten_depth": 0},
+        {"sequence_model": "hmm", "hmm_states": "3"},
         {"min_value_overlap": 1.5},
         {"min_sequence_score": -0.1},
         {"min_env_coverage": "high"},
         {"delta_ms": 0},
-        {"window_size": 0},
+        {"sequence_model": "hmm", "hmm_seed": "x"},
         {"max_refine_rounds": -1},
         {"violation_samples": 0},
         {"sequence_model": "rnn"},
@@ -53,10 +49,23 @@ class TestValidation:
         {"synonyms": [["loginId"]]},
         {"synonyms": [["a", ""]]},
         {"synonyms": ["ab"]},
+        {"hmm_states": 0},
+        {"hmm_states": True},
+        {"hmm_states": 2.0},
+        {"hmm_seed": None},
+        {"hmm_seed": False},
+        {"hmm_seed": 1.5},
+        {"hmm_seed": -1},
     ])
     def test_bad_values_raise(self, overrides):
         with pytest.raises(ConfigError):
             PipelineConfig(**overrides)
+        with pytest.raises(ConfigError):
+            config_from_dict(overrides)
+
+    def test_hmm_settings_are_fine(self):
+        config = config_from_dict({"sequence_model": "hmm", "hmm_states": 1, "hmm_seed": 7})
+        assert (config.hmm_states, config.hmm_seed) == (1, 7)
 
     def test_remote_with_provider_is_fine(self):
         provider = ProviderConfig(
@@ -98,10 +107,9 @@ class TestProviderValidation:
 
 class TestDictRoundTrip:
     def test_plain_roundtrip(self):
-        config = PipelineConfig(window_size=10, markov_alpha=0.5)
-        data = config_to_dict(config)
-        assert "provider" not in data  # absent section stays out of the file
-        assert config_from_dict(data) == config
+        config = PipelineConfig(delta_ms=10, markov_alpha=0.5)
+        assert config_from_dict({"delta_ms": 10, "markov_alpha": 0.5}) == config
+        assert config_from_dict(asdict(config)) == config
 
     def test_provider_roundtrip(self):
         config = PipelineConfig(
@@ -113,16 +121,26 @@ class TestDictRoundTrip:
                 retries=1,
             ),
         )
-        data = config_to_dict(config)
+        data = asdict(config)
         assert data["provider"]["endpoint_url"] == "https://example.invalid/v1/chat"
         assert config_from_dict(data) == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
-            config_from_dict({"window_size": 10, "bogus": 1})
+            config_from_dict({"delta_ms": 10, "bogus": 1})
         with pytest.raises(ConfigError, match="unknown provider keys"):
             config_from_dict({"provider": {"endpoint_url": "x", "model_name": "m",
                                            "typo": 1}})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"flatten_depth": 3}, "unknown configuration keys"),
+        ({"window_size": 20}, "unknown configuration keys"),
+        ({"provider": {"endpoint_url": "x", "model_name": "m", "max_in_flight": 4}},
+         "unknown provider keys"),
+    ], ids=["flatten_depth", "window_size", "max_in_flight"])
+    def test_removed_knobs_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
 
     def test_provider_required_keys(self):
         with pytest.raises(ConfigError, match="provider requires keys"):
@@ -139,7 +157,7 @@ class TestFiles:
     def test_save_and_load(self, tmp_path):
         config = PipelineConfig(jobs=4, mode="strict", hmm_states=3)
         path = tmp_path / "config.json"
-        save_config(config, path)
+        path.write_text(json.dumps(asdict(config)))
         assert load_config(path) == config
 
     def test_load_errors(self, tmp_path):

@@ -1,10 +1,12 @@
-"""Join engine: reference joins, the sweeping cursor, and streamed groups."""
+"""Join engine: the sweeping cursor and streamed groups, checked against the
+reference joins in oracles.py."""
 
 import random
 
 import pytest
 
 from apivet.binlog import ingest_binlog
+from apivet.errors import StoreLookupError
 from apivet.joins import (
     BucketRows,
     DbJoinCursor,
@@ -12,9 +14,6 @@ from apivet.joins import (
     binding_names,
     build_joined_groups,
     iter_joined_groups,
-    join_api_api,
-    join_api_db,
-    join_api_env,
     joined_schema_for,
 )
 from apivet.logstore import ingest_logs
@@ -75,6 +74,17 @@ def sorted_rows(rows):
     return sorted(rows, key=lambda r: r["id"])
 
 
+def join_rows(stores, relationship, focal_rows):
+    """Rows the public join path binds to each focal row, in one sweep."""
+    schema = joined_schema_for(stores.bundle, relationship.focal_entity, [relationship])
+    (binding,) = schema.bindings
+    rows = list(enumerate(focal_rows))
+    return [
+        list(group.bindings[binding.name])
+        for group in iter_joined_groups(stores, schema, rows=rows)
+    ]
+
+
 class TestBindingNames:
     def test_lone_target_borrows_its_name(self):
         rels = [rel(API_DB, "payOrder", "arguments.orderId", "orders", "id")]
@@ -118,6 +128,8 @@ class TestBindingNames:
 
 
 class TestReferenceJoins:
+    """Each binding kind through iter_joined_groups, against oracles.py."""
+
     def setup_method(self):
         lines = [
             api_line("payOrder", 25, "s1", {"orderId": "o1"}, {"status": "paid"}),
@@ -128,25 +140,34 @@ class TestReferenceJoins:
     def db_call(self, order_id, t):
         return {"arguments.orderId": order_id, "time": t, "sessionId": "s1"}
 
+    def db_join(self, order_id, t):
+        (rows,) = join_rows(self.stores, self.db_rel, [self.db_call(order_id, t)])
+        assert sorted_rows(rows) == sorted_rows(
+            db_join_oracle(order_events(), "id", order_id, t)
+        )
+        return rows
+
     def test_db_join_respects_version_history(self):
         # event timestamps are exclusive: the t=20 update is invisible at t=20
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o1", 10)) == []
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o1", 11))[0]["status"] == "unpaid"
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o1", 20))[0]["status"] == "unpaid"
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o1", 21))[0]["status"] == "paid"
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o1", 51))[0]["status"] == "cancelled"
+        assert self.db_join("o1", 10) == []
+        assert self.db_join("o1", 11)[0]["status"] == "unpaid"
+        assert self.db_join("o1", 20)[0]["status"] == "unpaid"
+        assert self.db_join("o1", 21)[0]["status"] == "paid"
+        assert self.db_join("o1", 51)[0]["status"] == "cancelled"
 
     def test_db_join_sees_deletes_and_null_args(self):
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o2", 30))[0]["id"] == "o2"
-        assert join_api_db(self.stores, self.db_rel, self.db_call("o2", 31)) == []
-        assert join_api_db(self.stores, self.db_rel, self.db_call(None, 31)) == []
+        assert self.db_join("o2", 30)[0]["id"] == "o2"
+        assert self.db_join("o2", 31) == []
+        assert self.db_join(None, 31) == []
 
     def test_db_join_matches_oracle_on_non_key_column(self):
         by_user = rel(API_DB, "payOrder", "arguments.orderId", "orders", "userId")
-        for t in (5, 10, 11, 25, 35, 41, 60):
-            got = sorted_rows(join_api_db(self.stores, by_user, self.db_call("u1", t)))
+        times = (5, 10, 11, 25, 35, 41, 60)
+        got = join_rows(self.stores, by_user, [self.db_call("u1", t) for t in times])
+        for t, rows in zip(times, got):
             want = sorted_rows(db_join_oracle(order_events(), "userId", "u1", t))
-            assert got == want
+            assert sorted_rows(rows) == want
+        assert any(got)
 
     def test_api_join_window_is_open_on_both_ends(self):
         lines = [
@@ -157,14 +178,12 @@ class TestReferenceJoins:
         ]
         bundle, corpus, stores = make_stores(lines)
         api_rel = rel(API_API, "payOrder", None, "login", None, delta_ms=1000)
-        focal = {"time": 2000, "sessionId": "s1"}
-        got = join_api_api(stores, api_rel, focal)
+        (group,) = build_joined_groups(stores, joined_schema_for(bundle, "payOrder", [api_rel]))
+        got = group.bindings["login"]
         # t - delta == 1000 is excluded, t == 2000 is excluded, other session ignored
         assert [r["time"] for r in got] == [1500]
-        calls = [{"time": t, "sessionId": s} for _, t, s in
-                 [(0, 1000, "s1"), (0, 1500, "s1"), (0, 2000, "s2")]]
-        want = api_join_oracle(calls, "s1", 2000, 1000)
-        assert [r["time"] for r in want] == [1500]
+        calls = [row for _, row in stores.instances("login").rows]
+        assert got == api_join_oracle(calls, "s1", 2000, 1000)
 
     def test_api_join_orders_by_time_then_id(self):
         lines = [
@@ -174,7 +193,7 @@ class TestReferenceJoins:
         ]
         bundle, corpus, stores = make_stores(lines)
         api_rel = rel(API_API, "payOrder", None, "login", None, delta_ms=60000)
-        got = join_api_api(stores, api_rel, {"time": 200, "sessionId": "s1"})
+        (got,) = join_rows(stores, api_rel, [{"time": 200, "sessionId": "s1"}])
         # equal times fall back to ingest order
         assert [r["arguments.loginId"] for r in got] == ["b", "a"]
 
@@ -185,11 +204,18 @@ class TestReferenceJoins:
         ]
         bundle, corpus, stores = make_stores(lines)
         env_rel = rel(API_ENV, "payOrder", "arguments.loginId", "Env", "userId")
-        got = join_api_env(stores, env_rel, {"time": 25, "sessionId": "s1"})
+        got, missing = join_rows(
+            stores, env_rel, [{"time": 25, "sessionId": "s1"}, {"time": 25, "sessionId": "sX"}]
+        )
         assert len(got) == 1 and got[0]["userId"] == "u1"
-        assert join_api_env(stores, env_rel, {"time": 25, "sessionId": "sX"}) == []
+        assert missing == []
         oracle = env_join_oracle(corpus.env_records, "s1", 25)
         assert len(oracle) == 1 and oracle[0].fields["userId"] == "u1"
+        assert env_join_oracle(corpus.env_records, "sX", 25) == []
+
+    def test_unknown_table_rejected(self):
+        with pytest.raises(StoreLookupError):
+            self.stores.column_events("missing", "id")
 
 
 class TestEnvAsOf:
@@ -197,8 +223,8 @@ class TestEnvAsOf:
 
     def joined(self, lines, session_id, t):
         _, corpus, stores = make_stores(lines)
-        got = [r["userId"] for r in join_api_env(
-            stores, self.env_rel, {"time": t, "sessionId": session_id})]
+        (rows,) = join_rows(stores, self.env_rel, [{"time": t, "sessionId": session_id}])
+        got = [r["userId"] for r in rows]
         want = [r.fields["userId"] for r in env_join_oracle(corpus.env_records, session_id, t)]
         assert got == want
         return got
@@ -265,15 +291,14 @@ class TestDbJoinCursor:
         _, _, self.stores = make_stores(
             [api_line("payOrder", 25, "s1", {"orderId": "o1"}, {"status": "paid"})]
         )
-        self.rel = rel(API_DB, "payOrder", "arguments.orderId", "orders", "userId")
+        self.row_events = order_events()
         self.events = self.stores.column_events("orders", "userId")
 
     def probe(self, cursor, value, t):
         return sorted_rows(list(cursor.rows_as_of(value, t)))
 
     def reference(self, value, t):
-        row = {"arguments.orderId": value, "time": t, "sessionId": "s1"}
-        return sorted_rows(join_api_db(self.stores, self.rel, row))
+        return sorted_rows(db_join_oracle(self.row_events, "userId", value, t))
 
     def test_forward_sweep_matches_reference(self):
         cursor = DbJoinCursor(self.events)
@@ -298,8 +323,9 @@ class TestDbJoinCursor:
                       after={"id": "o4", "userId": "u2", "status": "unpaid"}),
         ]
         bundle = join_bundle()
-        self.stores = JoinStores(bundle, ingest_logs([]), ingest_binlog(events, bundle))
-        cursor = DbJoinCursor(self.stores.column_events("orders", "userId"))
+        self.row_events = events
+        stores = JoinStores(bundle, ingest_logs([]), ingest_binlog(events, bundle))
+        cursor = DbJoinCursor(stores.column_events("orders", "userId"))
         for t in (55, 60, 61, 99):
             for value in ("u1", "u2"):
                 assert self.probe(cursor, value, t) == self.reference(value, t)
@@ -361,7 +387,8 @@ class TestSharedCursor:
         monkeypatch.setattr(joins, "DbJoinCursor", CountingCursor)
         lines = [
             api_line("login", t, "s1", {"loginId": u}, {"userId": v})
-            for t, u, v in ((5, "u1", "u1"), (25, "u1", "u2"), (45, "u2", "u1"), (99, "u1", "u1"))
+            for t, u, v in ((5, "u1", "u1"), (20, "u1", "u2"), (25, "u1", "u2"),
+                            (45, "u2", "u1"), (99, "u1", "u1"))
         ]
         bundle, _, stores = make_stores(lines)
         rels = [
@@ -376,8 +403,12 @@ class TestSharedCursor:
         assert built[0] is stores.column_events("orders", "userId")
         for group in groups:
             for binding in schema.bindings:
+                r = binding.relationship
                 assert sorted_rows(group.bindings[binding.name]) == sorted_rows(
-                    join_api_db(stores, binding.relationship, group.focal)
+                    db_join_oracle(
+                        order_events(), r.target_attr, group.focal[r.focal_attr],
+                        group.focal["time"],
+                    )
                 )
         assert any(group.bindings["orders__arguments_loginId__userId"] for group in groups)
 
@@ -436,17 +467,17 @@ class TestJoinedGroups:
 
     def test_groups_match_reference_joins(self):
         stores, schema = self.schema_and_stores()
-        by_binding = {b.name: b.relationship for b in schema.bindings}
+        corpus = ingest_logs(self.full_lines())
+        logins = [row for _, row in stores.instances("login").rows]
         for group in build_joined_groups(stores, schema):
+            t, sid = group.focal["time"], group.focal["sessionId"]
             assert sorted_rows(group.bindings["orders"]) == sorted_rows(
-                join_api_db(stores, by_binding["orders"], group.focal)
+                db_join_oracle(order_events(), "id", group.focal["arguments.orderId"], t)
             )
-            assert group.bindings["login"] == list(
-                join_api_api(stores, by_binding["login"], group.focal)
-            )
-            assert group.bindings["Env"] == list(
-                join_api_env(stores, by_binding["Env"], group.focal)
-            )
+            assert group.bindings["login"] == api_join_oracle(logins, sid, t, 60000)
+            assert group.bindings["Env"] == [
+                r.fields for r in env_join_oracle(corpus.env_records, sid, t)
+            ]
 
     def test_only_prunes_unused_bindings(self):
         stores, schema = self.schema_and_stores()

@@ -1,0 +1,40 @@
+"""Package layout: src/apivet holds only what a command or the library runs.
+
+Reference implementations that only tests call belong in tests/oracles.py.
+A public top-level function or class that nothing in the package names, as
+a call, an attribute or an import (the imports in __init__ are the library
+surface), is dead code.
+"""
+
+import ast
+from pathlib import Path
+
+import apivet
+
+PACKAGE = Path(apivet.__file__).parent
+
+
+def public_definitions_and_references():
+    defined = set()
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.add((path.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+    return defined, referenced
+
+
+def test_every_public_definition_is_referenced():
+    defined, referenced = public_definitions_and_references()
+    assert ("detector.py", "check_corpus") in defined
+    unused = sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
+    assert unused == [], f"defined in src/apivet but referenced nowhere in it: {unused}"

@@ -1,15 +1,12 @@
-"""Log store: ingest, projection, session sequences, windows, labels."""
+"""Log store: ingest, projection, session sequences, labels."""
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apivet.errors import IngestError
 from apivet.logstore import (
     LabelRecord,
-    LogEvent,
     env_by_session,
     ingest_logs,
     parse_labels,
@@ -17,12 +14,11 @@ from apivet.logstore import (
     read_label_file,
     read_log_file,
     session_sequences,
-    split_windows,
 )
 from apivet.schema import flatten_api_signature
 
 from conftest import api_line, env_line
-from oracles import project_oracle, session_sequence_oracle, window_oracle
+from oracles import project_oracle, session_sequence_oracle
 
 
 class TestIngest:
@@ -174,25 +170,6 @@ class TestSequencesAndWindows:
             [api_line("second", 10, "s1"), api_line("first", 5, "s1"), api_line("tie", 10, "s1")]
         )
         assert session_sequences(corpus.events)["s1"] == ["first", "second", "tie"]
-
-    def test_split_45_by_20(self):
-        events = [LogEvent(i, "f", {}, {}, i, "s") for i in range(45)]
-        windows = split_windows(events, 20)
-        assert [len(w.log_ids) for w in windows] == [20, 20, 5]
-        assert [w.log_ids for w in windows] == window_oracle(events, 20)
-
-    def test_split_rejects_zero(self):
-        with pytest.raises(ValueError):
-            split_windows([], 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=90), st.integers(min_value=1, max_value=30))
-    def test_split_covers_everything_once(self, n, size):
-        events = [LogEvent(i, "f", {}, {}, i, "s") for i in range(n)]
-        windows = split_windows(events, size)
-        flat = [i for w in windows for i in w.log_ids]
-        assert flat == list(range(n))
-        assert all(len(w.log_ids) == size for w in windows[:-1])
 
 
 class TestLabels:

@@ -314,7 +314,7 @@ class TestBundle:
         (table,) = parse_create_table("CREATE TABLE t (id TEXT PRIMARY KEY);")
         env = load_env_descriptor({"sessionId": "string", "userId": "string"})
         bundle = merge_bundle([api, table, env])
-        assert bundle.has_entity("hello")
+        assert bundle.entity("hello").name == "hello"
         assert bundle.entity("t").kind == TABLE
         assert [e.name for e in bundle.of_kind(API)] == ["hello"]
 

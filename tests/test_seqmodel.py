@@ -13,11 +13,7 @@ from apivet.errors import TrainingError
 from apivet.seqmodel import (
     START,
     forward_likelihood,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     pair_score,
-    save_model,
     sequence_probability,
     train_hmm,
     train_markov,
@@ -201,31 +197,3 @@ class TestHmm:
         model = train_hmm(self.CORPUS, n_states=2, seed=2)
         # b directly follows a in most training sequences; d is unseen
         assert pair_score(model, "a", "b") > pair_score(model, "a", "d")
-
-
-class TestSerialization:
-    def test_markov_roundtrip(self, tmp_path):
-        model = train_markov([["a", "b"], ["a", "c"]], alpha=0.5)
-        again = model_from_dict(model_to_dict(model))
-        assert again.alphabet == model.alphabet
-        assert np.allclose(again.transition, model.transition)
-        path = tmp_path / "markov.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert close(
-            transition_score(loaded, "a", "b"), transition_score(model, "a", "b")
-        )
-
-    def test_hmm_roundtrip(self, tmp_path):
-        model = train_hmm([["a", "b"], ["b", "a"]], n_states=2, seed=0)
-        path = tmp_path / "hmm.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        for seq in (["a"], ["a", "b"], ["b", "b", "a"]):
-            assert close(
-                sequence_probability(loaded, seq), sequence_probability(model, seq)
-            )
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TrainingError):
-            model_from_dict({"type": "rnn"})
