@@ -85,7 +85,7 @@ def _config_for(args) -> PipelineConfig:
     overrides = {}
     if getattr(args, "strict", False):
         overrides["mode"] = "strict"
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         overrides["jobs"] = args.jobs
     if getattr(args, "proposer", None):
         overrides["proposer"] = args.proposer

@@ -12,6 +12,7 @@ loading a configuration loads no proposer, model or HTTP code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -21,6 +22,10 @@ DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -74,18 +79,24 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("min_value_overlap", "min_sequence_score", "min_env_coverage"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
-        if self.delta_ms <= 0:
-            raise ConfigError("delta_ms must be positive")
-        if self.max_refine_rounds < 0:
-            raise ConfigError("max_refine_rounds must be >= 0")
-        if self.violation_samples < 1:
-            raise ConfigError("violation_samples must be >= 1")
+            if not _is_number(value) or not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name, low in (
+            ("delta_ms", 1),
+            ("max_refine_rounds", 0),
+            ("violation_samples", 1),
+            ("jobs", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
         if self.sequence_model not in ("markov", "hmm"):
             raise ConfigError(f"unknown sequence_model {self.sequence_model!r}")
-        if self.markov_alpha < 0:
-            raise ConfigError("markov_alpha must be >= 0")
+        # NaN fails both comparisons; JSON documents may spell NaN and Infinity
+        if not _is_number(self.markov_alpha) or not 0 <= self.markov_alpha < math.inf:
+            raise ConfigError(
+                f"markov_alpha must be a finite number >= 0, got {self.markov_alpha!r}"
+            )
         if self.hmm_states is not None and (
             not _is_int(self.hmm_states) or self.hmm_states < 1
         ):
@@ -94,8 +105,6 @@ class PipelineConfig:
             )
         if not _is_int(self.hmm_seed) or self.hmm_seed < 0:
             raise ConfigError(f"hmm_seed must be an int >= 0, got {self.hmm_seed!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.mode not in ("lenient", "strict"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.proposer not in ("stub", "remote"):

@@ -2,7 +2,7 @@
 
 Each invariant is compiled once with `dsl.compile_invariant` and called on
 every joined group of its focal entity; only a failing group pays for an
-explanation, which the same compiled object traces. Focal calls are swept in
+explanation, which the same compiled object writes. Focal calls are swept in
 (time, log id) order whatever the order of the log lines, so each join
 cursor passes over its version stream once. Parallel runs split the sorted
 calls into contiguous slices with independent join cursors, so a
@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .binlog import TemporalTable
-from .dsl import Invariant, compile_invariant, explain_trace, quantified_names
+from .dsl import Invariant, compile_invariant, quantified_names
 from .errors import MetricsError
 from .joins import (
     JoinStores,
@@ -68,7 +68,7 @@ def _check_stream(stores, schema, rows, compiled, focal_name, only):
                         api=focal_name,
                         time=group.focal["time"],
                         session_id=group.focal["sessionId"],
-                        explanation=explain_trace(fn.trace(group)),
+                        explanation=fn.explain(group),
                     )
                 )
     return violations

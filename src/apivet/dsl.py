@@ -12,8 +12,9 @@ Evaluation is two-valued: comparisons touching null are false (only
 IS [NOT] NULL sees null), and type-incompatible comparisons are false.
 
 `compile_invariant` is the one evaluator: it turns an invariant into
-closures that refinement and detection both run, and a failure's
-explanation re-runs the closures of the sub-expressions it reports on.
+closures that refinement and detection both run. A failure's explanation is
+plain text, built by re-running the closures of the sub-expressions it
+reports on.
 """
 
 from __future__ import annotations
@@ -509,16 +510,9 @@ def read_invariant_file(path: str) -> list[Invariant]:
 
 
 @dataclass(frozen=True)
-class TraceNode:
-    label: str
-    combiner: str = "leaf"  # leaf | and | or
-    children: tuple = ()
-
-
-@dataclass(frozen=True)
 class Verdict:
     passed: bool
-    trace: TraceNode | None
+    explanation: str = ""
 
 
 _OPERATORS = {
@@ -681,8 +675,8 @@ def _fmt_value(value: Any) -> str:
 _MAX_TRACED_ROWS = 3
 
 
-def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
-    """Build the failure trace for a node known to evaluate false."""
+def _trace(node: Any, closures: dict, b: dict, s: dict) -> str:
+    """Explanation text for a node known to evaluate false."""
     cls = node.__class__
     if cls in (Cmp, InSet, Match, NullCheck):
         operands = (node.left, node.right) if cls is Cmp else (node.operand,)
@@ -700,19 +694,15 @@ def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
             ):
                 note = "; incompatible types"
         suffix = f" ({', '.join(details)})" if details else ""
-        return TraceNode(f"{print_expr(node)} failed{suffix}{note}")
+        return f"{print_expr(node)} failed{suffix}{note}"
     if cls is And:
-        failing = tuple(
+        return " AND ".join(
             _trace(p, closures, b, s) for p in node.parts if not closures[id(p)](b, s)
         )
-        return TraceNode("", combiner="and", children=failing)
     if cls is Or:
-        failing = tuple(_trace(p, closures, b, s) for p in node.parts)
-        return TraceNode("", combiner="or", children=failing)
+        return " OR ".join(_trace(p, closures, b, s) for p in node.parts)
     if cls is Not:
-        return TraceNode(
-            f"NOT ({print_expr(node.expr)}) failed: inner condition held"
-        )
+        return f"NOT ({print_expr(node.expr)}) failed: inner condition held"
     if cls is Quant:
         rows = b.get(node.name)
         if rows is None:
@@ -724,8 +714,7 @@ def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
             if node.exists:
                 for i, row in enumerate(rows[:_MAX_TRACED_ROWS]):
                     s[node.name] = row
-                    inner = _trace(node.body, closures, b, s)
-                    children.append(TraceNode(f"row[{i}]: {explain_trace(inner)}"))
+                    children.append(f"row[{i}]: {_trace(node.body, closures, b, s)}")
                 label = (
                     f"EXISTS({node.name}: {print_expr(node.body)}) failed: "
                     f"{len(rows)} bound row(s)"
@@ -737,9 +726,8 @@ def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
                     if not body(b, s):
                         bad += 1
                         if len(children) < _MAX_TRACED_ROWS:
-                            inner = _trace(node.body, closures, b, s)
                             children.append(
-                                TraceNode(f"row[{i}]: {explain_trace(inner)}")
+                                f"row[{i}]: {_trace(node.body, closures, b, s)}"
                             )
                 label = (
                     f"FORALL({node.name}: {print_expr(node.body)}) failed: "
@@ -750,9 +738,9 @@ def _trace(node: Any, closures: dict, b: dict, s: dict) -> TraceNode:
                 s.pop(node.name, None)
             else:
                 s[node.name] = prev
-        return TraceNode(label, children=tuple(children))
+        return "; ".join([label] + children)
     if cls is BoolConst:
-        return TraceNode("FALSE failed")
+        return "FALSE failed"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -761,7 +749,7 @@ class CompiledInvariant:
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). A failure's trace re-runs the closures compiled for the
+    of rows). A failure's explanation re-runs the closures compiled for the
     sub-expressions it reports on.
     """
 
@@ -776,8 +764,8 @@ class CompiledInvariant:
     def __call__(self, group: Any) -> bool:
         return self._body(group.bindings, {self._focal: group.focal})
 
-    def trace(self, group: Any) -> TraceNode:
-        """Failure trace of a group this invariant fails on."""
+    def explain(self, group: Any) -> str:
+        """Explanation of why this invariant fails on the group."""
         scope = {self._focal: group.focal}
         return _trace(self.invariant.body, self._closures, group.bindings, scope)
 
@@ -804,29 +792,16 @@ def compile_invariant(inv: Invariant) -> CompiledInvariant:
 
 
 def evaluate(inv: Invariant, group: Any) -> Verdict:
-    """Evaluate one invariant against one joined group, tracing a failure."""
+    """Evaluate one invariant against one joined group, explaining a failure."""
     fn = compile_invariant(inv)
     if fn(group):
-        return Verdict(passed=True, trace=None)
-    return Verdict(passed=False, trace=fn.trace(group))
-
-
-def explain_trace(trace: TraceNode) -> str:
-    if trace.combiner == "and":
-        return " AND ".join(explain_trace(c) for c in trace.children)
-    if trace.combiner == "or":
-        return " OR ".join(explain_trace(c) for c in trace.children)
-    text = trace.label
-    if trace.children:
-        text += "; " + "; ".join(explain_trace(c) for c in trace.children)
-    return text
+        return Verdict(passed=True)
+    return Verdict(passed=False, explanation=fn.explain(group))
 
 
 def explain(verdict: Verdict) -> str:
-    """Human-readable account of a failed evaluation."""
-    if verdict.passed or verdict.trace is None:
-        return ""
-    return explain_trace(verdict.trace)
+    """Human-readable account of a failed evaluation; empty when it passed."""
+    return verdict.explanation
 
 
 def failing_conjuncts(inv: Invariant, group: Any) -> list[str]:

@@ -11,7 +11,7 @@ from .dsl import Invariant
 from .joins import JoinStores, build_joined_groups, joined_schema_for
 from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, RemoteProposer, StubProposer
-from .refine import CandidateOutcome, RefinementReport, refine_candidates, unique_id
+from .refine import CandidateOutcome, RefinementReport, refine_candidates
 from .relations import InferenceReport, Relationship, infer_relationships
 from .schema import API, TABLE, SchemaBundle
 
@@ -103,12 +103,10 @@ def run_generation(
             proposer,
             max_rounds=config.max_refine_rounds,
             sample_limit=config.violation_samples,
+            used_ids=used_ids,
         )
         result.refine_calls += report.refine_calls
         for outcome in report.outcomes:
             result.outcomes.append((entity.name, outcome))
-        for inv in report.accepted:
-            inv = unique_id(inv, used_ids)
-            used_ids.add(inv.id)
-            result.invariants.append(inv)
+        result.invariants.extend(report.accepted)
     return result

@@ -4,7 +4,9 @@ Each candidate is compiled once and checked against every joined group. The
 first few violations are explained and fed back to the proposer on a forked
 conversation; after the round budget is spent, a still-violated candidate is
 discarded. Accepted invariants therefore pass the whole training corpus by
-construction.
+construction. Each candidate ends in one outcome: accepted, or discarded with
+a reason. An accepted invariant is renamed, if it must be, to an id no earlier
+acceptance of the run holds, so its outcome names the id that is written.
 """
 
 from __future__ import annotations
@@ -70,11 +72,16 @@ def refine_candidates(
     proposer,
     max_rounds: int = MAX_ROUNDS,
     sample_limit: int = SAMPLE_LIMIT,
+    used_ids: set[str] | None = None,
 ) -> RefinementReport:
-    """Run the accept-or-refine loop for one focal entity's candidates."""
+    """Run the accept-or-refine loop for one focal entity's candidates.
+
+    An accepted invariant takes the first id not in `used_ids`, which it then
+    joins; pass one set across focal entities to keep ids unique over a run.
+    """
     report = RefinementReport()
     seen_bodies: set[str] = set()
-    used_ids: set[str] = set()
+    used_ids = set() if used_ids is None else used_ids
 
     for original in texts:
         fork = conversation.fork()
@@ -84,71 +91,31 @@ def refine_candidates(
             try:
                 inv = parse_invariant(text)
             except (DslSyntaxError, DslScopeError) as exc:
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason=f"unparseable: {exc}",
-                    )
-                )
+                reason = f"unparseable: {exc}"
                 break
             if inv.focal != focal_name:
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason=f"wrong focal entity {inv.focal!r}",
-                    )
-                )
+                reason = f"wrong focal entity {inv.focal!r}"
                 break
             try:
                 n_violations, samples = _violations(inv, groups, sample_limit)
             except EvaluationError as exc:
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason=f"unknown binding: {exc}",
-                    )
-                )
+                reason = f"unknown binding: {exc}"
                 break
             if not n_violations:
                 canonical = print_invariant(inv)
                 if canonical in seen_bodies:
-                    report.outcomes.append(
-                        CandidateOutcome(
-                            text=original,
-                            status="discarded",
-                            attempts=attempts,
-                            reason="duplicate of an accepted invariant",
-                        )
-                    )
+                    reason = "duplicate of an accepted invariant"
                     break
                 seen_bodies.add(canonical)
                 inv = unique_id(inv, used_ids)
                 used_ids.add(inv.id)
                 report.accepted.append(inv)
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="accepted",
-                        attempts=attempts,
-                        invariant=inv,
-                    )
-                )
+                reason = None
                 break
             if attempts >= max_rounds:
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason=f"{n_violations} training violation(s) after "
-                        f"{attempts} refinement(s)",
-                    )
+                reason = (
+                    f"{n_violations} training violation(s) after "
+                    f"{attempts} refinement(s)"
                 )
                 break
             request = RefineRequest(invariant_text=print_invariant(inv), samples=samples)
@@ -157,25 +124,20 @@ def refine_candidates(
             try:
                 text = proposer.refine_invariant(fork, request)
             except (ProposalError, ExtractionError) as exc:
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason=f"refinement failed: {exc}",
-                    )
-                )
+                reason = f"refinement failed: {exc}"
                 break
             if not text.strip():
-                report.outcomes.append(
-                    CandidateOutcome(
-                        text=original,
-                        status="discarded",
-                        attempts=attempts,
-                        reason="proposer withdrew the candidate",
-                    )
-                )
+                reason = "proposer withdrew the candidate"
                 break
+        report.outcomes.append(
+            CandidateOutcome(
+                text=original,
+                status="discarded" if reason else "accepted",
+                attempts=attempts,
+                invariant=None if reason else inv,
+                reason=reason,
+            )
+        )
     return report
 
 

@@ -1,15 +1,18 @@
 """Relationship inference: propose by name affinity, keep what the data supports.
 
-Candidates come from a proposer; each survives only if the observed traffic
-backs it up. Table links need value overlap, call-to-call links need the
-sequence model to rate the ordering as plausible, and environment links need
-the session join to actually resolve.
+Candidates come from a proposer, and each is vetted once, in order: its focal
+attribute must exist, then its target attribute, and then the observed
+traffic must back it up. That last check depends on the target's kind: table
+links need value overlap, call-to-call links need the sequence model to rate
+the ordering as plausible, and environment links need the session join to
+actually resolve. A rejected candidate is recorded with its reason, or raised
+as an `InferenceError` in strict mode.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InferenceError
 from .logstore import InstanceTable, LogCorpus, env_before
@@ -23,6 +26,13 @@ API_API = "API_API"
 API_ENV = "API_ENV"
 
 REL_KINDS = (API_DB, API_API, API_ENV)
+
+_KIND_OF_TARGET = {TABLE: API_DB, API: API_API, ENV: API_ENV}
+_TARGET_NOUN = {
+    API_DB: "target column",
+    API_API: "target attribute",
+    API_ENV: "environment attribute",
+}
 
 
 @dataclass(frozen=True)
@@ -148,54 +158,60 @@ def infer_relationships(
         return instance_cache[name]
 
     report = InferenceReport(relationships=[])
-    seen: set[tuple] = set()
+    seen: set[Relationship] = set()
 
-    def reject(rel: Relationship, reason: str) -> None:
-        if mode == "strict":
-            raise InferenceError(
-                f"{rel.kind} {rel.focal_entity}.{rel.focal_attr} -> "
-                f"{rel.target_entity}.{rel.target_attr}: {reason}"
+    def data_check(rel: Relationship) -> tuple[bool, float, str, str]:
+        """(ok, score, provenance, rejection reason) of the target kind's check."""
+        if rel.kind == API_DB:
+            universe = value_universes.get(rel.target_entity, {}).get(rel.target_attr, set())
+            ok, score = value_overlap(
+                instances(rel.focal_entity), rel.focal_attr, universe, min_overlap
             )
-        logger.info("rejected %s: %s", rel, reason)
-        report.rejected.append((rel, reason))
+            return ok, score, "value_overlap", f"value overlap {score:.3f} below threshold"
+        if rel.kind == API_API:
+            ok, score = sequence_plausibility(
+                seq_model, rel.target_entity, rel.focal_entity, min_sequence_score
+            )
+            return ok, score, "sequence_model", f"sequence score {score:.4f} below threshold"
+        ok, score = env_coverage(instances(rel.focal_entity), env, min_env_coverage)
+        return ok, score, "env_coverage", f"environment coverage {score:.3f} below threshold"
 
     for focal, target in candidate_pairs(bundle):
+        kind = _KIND_OF_TARGET[target.kind]
         candidates = proposer.propose_relationships(focal, target)
         report.proposed += len(candidates)
         for cand in candidates:
+            rel = Relationship(
+                kind=kind,
+                focal_entity=focal.name,
+                focal_attr=cand.from_attr,
+                target_entity=target.name,
+                target_attr=cand.to_attr,
+                delta_ms=delta_ms if kind == API_API else None,
+            )
             if not focal.has_attribute(cand.from_attr):
-                rel = Relationship(
-                    kind=_kind_for(target.kind),
-                    focal_entity=focal.name,
-                    focal_attr=cand.from_attr,
-                    target_entity=target.name,
-                    target_attr=cand.to_attr,
-                )
-                reject(rel, f"focal attribute {cand.from_attr!r} does not exist")
-                continue
-            if target.kind == TABLE:
-                rel = _filter_table(
-                    focal, target, cand, instances, value_universes,
-                    min_overlap, reject,
-                )
-            elif target.kind == API:
-                rel = _filter_api(
-                    focal, target, cand, seq_model, min_sequence_score,
-                    delta_ms, reject,
-                )
+                reason = f"focal attribute {cand.from_attr!r} does not exist"
+            # only a table link needs a target attribute; has_attribute(None) is False
+            elif (cand.to_attr is not None or kind == API_DB) and not target.has_attribute(
+                cand.to_attr
+            ):
+                reason = f"{_TARGET_NOUN[kind]} {cand.to_attr!r} does not exist"
             else:
-                rel = _filter_env(
-                    focal, target, cand, instances, env,
-                    min_env_coverage, reject,
+                ok, score, provenance, reason = data_check(rel)
+                if ok:
+                    if rel not in seen:
+                        seen.add(rel)
+                        report.relationships.append(
+                            replace(rel, score=score, provenance=provenance)
+                        )
+                    continue
+            if mode == "strict":
+                raise InferenceError(
+                    f"{kind} {focal.name}.{cand.from_attr} -> "
+                    f"{target.name}.{cand.to_attr}: {reason}"
                 )
-            if rel is not None:
-                key = (
-                    rel.kind, rel.focal_entity, rel.focal_attr,
-                    rel.target_entity, rel.target_attr,
-                )
-                if key not in seen:
-                    seen.add(key)
-                    report.relationships.append(rel)
+            logger.info("rejected %s: %s", rel, reason)
+            report.rejected.append((rel, reason))
 
     report.relationships.sort(
         key=lambda r: (
@@ -207,99 +223,6 @@ def infer_relationships(
         )
     )
     return report
-
-
-def _kind_for(target_kind: str) -> str:
-    return {TABLE: API_DB, API: API_API, ENV: API_ENV}[target_kind]
-
-
-def _filter_table(
-    focal, target, cand, instances, value_universes, min_overlap, reject
-):
-    rel = Relationship(
-        kind=API_DB,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-    )
-    if cand.to_attr is None or not target.has_attribute(cand.to_attr):
-        reject(rel, f"target column {cand.to_attr!r} does not exist")
-        return None
-    universe = value_universes.get(target.name, {}).get(cand.to_attr, set())
-    ok, ratio = value_overlap(
-        instances(focal.name), cand.from_attr, universe, min_overlap
-    )
-    if not ok:
-        reject(rel, f"value overlap {ratio:.3f} below threshold")
-        return None
-    return Relationship(
-        kind=API_DB,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-        score=ratio,
-        provenance="value_overlap",
-    )
-
-
-def _filter_api(
-    focal, target, cand, seq_model, min_score, delta_ms, reject
-):
-    rel = Relationship(
-        kind=API_API,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-        delta_ms=delta_ms,
-    )
-    if cand.to_attr is not None and not target.has_attribute(cand.to_attr):
-        reject(rel, f"target attribute {cand.to_attr!r} does not exist")
-        return None
-    ok, score = sequence_plausibility(seq_model, target.name, focal.name, min_score)
-    if not ok:
-        reject(rel, f"sequence score {score:.4f} below threshold")
-        return None
-    return Relationship(
-        kind=API_API,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-        delta_ms=delta_ms,
-        score=score,
-        provenance="sequence_model",
-    )
-
-
-def _filter_env(
-    focal, target, cand, instances, env, min_coverage, reject
-):
-    rel = Relationship(
-        kind=API_ENV,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-    )
-    if cand.to_attr is not None and not target.has_attribute(cand.to_attr):
-        reject(rel, f"environment attribute {cand.to_attr!r} does not exist")
-        return None
-    ok, ratio = env_coverage(instances(focal.name), env, min_coverage)
-    if not ok:
-        reject(rel, f"environment coverage {ratio:.3f} below threshold")
-        return None
-    return Relationship(
-        kind=API_ENV,
-        focal_entity=focal.name,
-        focal_attr=cand.from_attr,
-        target_entity=target.name,
-        target_attr=cand.to_attr,
-        score=ratio,
-        provenance="env_coverage",
-    )
 
 
 # --- serialization -----------------------------------------------------------

@@ -93,15 +93,3 @@ def get_path(doc: Any, segments: tuple[str, ...]) -> tuple[bool, Any]:
         node = node[seg]
     return True, node
 
-
-def flatten_document(doc: Any, prefix: str = "") -> dict[str, Any]:
-    """Flatten a nested document into dot-path leaves (lists stay leaves)."""
-    out: dict[str, Any] = {}
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            path = f"{prefix}.{key}" if prefix else key
-            if isinstance(value, dict) and value:
-                out.update(flatten_document(value, path))
-            else:
-                out[path] = value
-    return out

@@ -336,6 +336,26 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"jobs": 1.5}, [], "jobs must be an int >= 1, got 1.5"),
+        (None, ["--jobs", "0"], "jobs must be an int >= 1, got 0"),
+        (None, ["--jobs", "-1"], "jobs must be an int >= 1, got -1"),
+    ], ids=["config_float", "flag_zero", "flag_negative"])
+    def test_bad_jobs_exit_one(self, pipeline, tmp_path, capsys, config, flags, message):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = flags + ["--config", str(path)]
+        assert main(["detect",
+                     "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(pipeline["eval"] / "logs.jsonl"),
+                     "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(pipeline["invariants"]),
+                     "--out", str(tmp_path / "r.json"), *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_corrupt_strict_input_exits_two(self, pipeline, tmp_path):
         bad = tmp_path / "logs.jsonl"
         bad.write_text('{"kind": "api"}\nnot json\n')

@@ -63,6 +63,33 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict(overrides)
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("jobs", 1.5),
+        ("jobs", True),
+        ("jobs", "2"),
+        ("violation_samples", 2.5),
+        ("violation_samples", True),
+        ("max_refine_rounds", 1.5),
+        ("max_refine_rounds", False),
+        ("max_refine_rounds", None),
+        ("delta_ms", True),
+        ("delta_ms", 1.5),
+        ("delta_ms", "60000"),
+        ("markov_alpha", True),
+        ("markov_alpha", "1"),
+        ("markov_alpha", None),
+        ("markov_alpha", float("nan")),
+        ("markov_alpha", float("inf")),
+        ("min_value_overlap", True),
+        ("min_sequence_score", False),
+        ("min_env_coverage", None),
+    ])
+    def test_wrongly_typed_numbers_name_the_field(self, field_name, value):
+        with pytest.raises(ConfigError, match=f"^{field_name} must be"):
+            PipelineConfig(**{field_name: value})
+        with pytest.raises(ConfigError, match=f"^{field_name} must be"):
+            config_from_dict({field_name: value})
+
     def test_hmm_settings_are_fine(self):
         config = config_from_dict({"sequence_model": "hmm", "hmm_states": 1, "hmm_seed": 7})
         assert (config.hmm_states, config.hmm_seed) == (1, 7)

@@ -277,7 +277,7 @@ class TestExplain:
     def test_passed_verdict_has_no_trace(self):
         inv = parse_invariant("INVARIANT x ON f CATEGORY format WHERE TRUE")
         verdict = evaluate(inv, group())
-        assert verdict.passed and verdict.trace is None and explain(verdict) == ""
+        assert verdict.passed and verdict.explanation == "" and explain(verdict) == ""
 
     def test_exists_failure_samples_at_most_three_rows(self):
         inv = parse_invariant(

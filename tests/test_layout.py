@@ -3,7 +3,8 @@
 Reference implementations that only tests call belong in tests/oracles.py.
 A public top-level function or class that nothing in the package names, as
 a call, an attribute or an import (the imports in __init__ are the library
-surface), is dead code.
+surface), is dead code. A name used only inside its own top-level definition,
+as in a recursive call, counts as named nowhere.
 """
 
 import ast
@@ -19,18 +20,27 @@ def public_definitions_and_references():
     referenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined.add((path.name, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name.rpartition(".")[2])
+        for top in tree.body:
+            names = names_in(top)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not top.name.startswith("_"):
+                    defined.add((path.name, top.name))
+                # a recursive call or a method naming its own class keeps nothing alive
+                names.discard(top.name)
+            referenced |= names
     return defined, referenced
+
+
+def names_in(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
 
 
 def test_every_public_definition_is_referenced():

@@ -2,9 +2,14 @@
 
 import pytest
 
+from apivet.benchgen import binlog_lines, corpus_lines, generate_normal, scenario_bundle
+from apivet.binlog import ingest_binlog, parse_row_events
+from apivet.config import PipelineConfig
 from apivet.dsl import parse_invariant, print_invariant
 from apivet.errors import ProposalError
-from apivet.proposer import Conversation, StubProposer
+from apivet.logstore import ingest_logs
+from apivet.pipeline import run_generation
+from apivet.proposer import Conversation, InvariantProposal, StubProposer
 from apivet.refine import refine_candidates
 
 from generators import FakeGroup
@@ -227,3 +232,33 @@ class TestForkIsolation:
         # both forks start from the same single-message history
         assert histories == [1, 1]
         assert len(base.messages) == 1
+
+
+class TestRunGenerationIds:
+    def test_outcomes_name_the_written_ids(self):
+        class SameIds:
+            """Two clean candidates per API, every one of them named `same`."""
+
+            def propose_invariants(self, schema):
+                focal = schema.focal.name
+                return InvariantProposal(
+                    texts=[
+                        f"INVARIANT same ON {focal} CATEGORY format WHERE TRUE",
+                        f"INVARIANT same ON {focal} CATEGORY format WHERE NOT FALSE",
+                    ],
+                    conversation=Conversation(),
+                )
+
+        bundle = scenario_bundle()
+        bench = generate_normal(20, seed=3)
+        corpus = ingest_logs(corpus_lines(bench)[0], mode="strict")
+        tables = ingest_binlog(
+            parse_row_events(binlog_lines(bench), mode="strict"), bundle, mode="strict"
+        )
+        result = run_generation(
+            bundle, corpus, tables, [], PipelineConfig(), proposer=SameIds()
+        )
+        written = [inv.id for inv in result.invariants]
+        assert len(written) > 2 and len(set(written)) == len(written)
+        assert [o.invariant.id for _, o in result.outcomes] == written
+        assert written[:3] == ["same", "same_2", "same_3"]

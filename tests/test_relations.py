@@ -263,6 +263,127 @@ class TestInference:
         assert len(report.rejected) == 2
 
 
+class Only:
+    """Proposer double: the given candidates for one (focal, target) pair."""
+
+    def __init__(self, focal, target, *candidates):
+        self.pair = (focal, target)
+        self.candidates = [RelationshipCandidate(*c) for c in candidates]
+
+    def propose_relationships(self, focal, target):
+        return list(self.candidates) if (focal.name, target.name) == self.pair else []
+
+
+def partial_env_corpus(n=6, covered=5):
+    """small_corpus where only the first `covered` sessions have env records."""
+    lines = []
+    for i in range(n):
+        sid = f"s{i}"
+        if i < covered:
+            lines.append(env_line(sid, {"sessionId": sid, "userId": f"u{i}"}))
+        lines.append(
+            api_line("login", 1000 * (i + 1), sid, {"loginId": f"u{i}"}, {"userId": f"u{i}"})
+        )
+    return ingest_logs(lines)
+
+
+class TestRejectionReasons:
+    """Every reason infer_relationships gives, with the link it names."""
+
+    MODEL = train_markov([["login", "payOrder", "queryOrder"]] * 5, alpha=0.1)
+
+    @pytest.mark.parametrize("focal, target, cand, kind, reason", [
+        ("payOrder", "orders", ("arguments.ghost", "id"), API_DB,
+         "focal attribute 'arguments.ghost' does not exist"),
+        ("payOrder", "login", ("arguments.ghost", None), API_API,
+         "focal attribute 'arguments.ghost' does not exist"),
+        ("payOrder", "Env", ("arguments.ghost", "userId"), API_ENV,
+         "focal attribute 'arguments.ghost' does not exist"),
+        ("payOrder", "orders", ("arguments.orderId", None), API_DB,
+         "target column None does not exist"),
+        ("payOrder", "orders", ("arguments.orderId", "ghost"), API_DB,
+         "target column 'ghost' does not exist"),
+        ("payOrder", "login", ("arguments.loginId", "response.ghost"), API_API,
+         "target attribute 'response.ghost' does not exist"),
+        ("payOrder", "Env", ("arguments.loginId", "ghost"), API_ENV,
+         "environment attribute 'ghost' does not exist"),
+        ("login", "payOrder", ("arguments.loginId", None), API_API,
+         "sequence score 0.0185 below threshold"),
+    ])
+    def test_attribute_and_sequence_reasons(self, focal, target, cand, kind, reason):
+        report = infer_relationships(
+            small_bundle(), small_corpus(), Only(focal, target, cand),
+            self.MODEL, universes(),
+        )
+        assert report.relationships == [] and report.proposed == 1
+        ((rel, got),) = report.rejected
+        assert got == reason
+        assert (rel.kind, rel.focal_entity, rel.focal_attr,
+                rel.target_entity, rel.target_attr) == (kind, focal, cand[0], target, cand[1])
+        assert rel.score is None and rel.provenance == "proposed"
+        # every API_API link carries the window, rejected ones included
+        assert rel.delta_ms == (60000 if kind == API_API else None)
+
+    def test_overlap_reason(self):
+        poor = universes()
+        poor["orders"]["id"] = {"o0"}
+        report = infer_relationships(
+            small_bundle(), small_corpus(),
+            Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL, poor,
+        )
+        assert [reason for _, reason in report.rejected] == [
+            "value overlap 0.167 below threshold"
+        ]
+
+    def test_coverage_reason(self):
+        report = infer_relationships(
+            small_bundle(), partial_env_corpus(n=6, covered=5),
+            Only("login", "Env", ("arguments.loginId", "userId")), self.MODEL, universes(),
+        )
+        assert [reason for _, reason in report.rejected] == [
+            "environment coverage 0.833 below threshold"
+        ]
+
+    def test_strict_mode_names_the_link_and_the_reason(self):
+        poor = universes()
+        poor["orders"]["id"] = {"o0"}
+        with pytest.raises(InferenceError) as err:
+            infer_relationships(
+                small_bundle(), small_corpus(),
+                Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL,
+                poor, mode="strict",
+            )
+        assert str(err.value) == (
+            "API_DB payOrder.arguments.orderId -> orders.id: "
+            "value overlap 0.167 below threshold"
+        )
+
+    def test_repeated_candidate_is_kept_once(self):
+        twice = ("arguments.orderId", "id")
+        report = infer_relationships(
+            small_bundle(), small_corpus(), Only("payOrder", "orders", twice, twice),
+            self.MODEL, universes(),
+        )
+        assert report.proposed == 2 and report.rejected == []
+        assert [(r.focal_attr, r.target_attr) for r in report.relationships] == [twice]
+
+    def test_accepted_links_carry_score_and_provenance(self):
+        model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
+        report = infer_relationships(
+            small_bundle(), small_corpus(), StubProposer(), model, universes(),
+            delta_ms=777,
+        )
+        by_kind = {}
+        for rel in report.relationships:
+            by_kind.setdefault(rel.kind, set()).add((rel.provenance, rel.delta_ms))
+            assert rel.score is not None
+        assert by_kind == {
+            API_DB: {("value_overlap", None)},
+            API_API: {("sequence_model", 777)},
+            API_ENV: {("env_coverage", None)},
+        }
+
+
 class TestSerialization:
     def test_dict_roundtrip(self):
         rel = Relationship(

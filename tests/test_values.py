@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from apivet.values import (
     canonical_json,
     coerce_scalar,
-    flatten_document,
     get_path,
     value_key,
     values_equal,
@@ -101,10 +100,6 @@ class TestPaths:
         assert get_path(doc, ("x",)) == (True, None)
         assert get_path(doc, ("missing",)) == (False, None)
         assert get_path(doc, ("a", "b", "c", "d")) == (False, None)
-
-    def test_flatten_document(self):
-        doc = {"a": {"b": 1, "c": {}}, "d": [1, 2], "e": "x"}
-        assert flatten_document(doc) == {"a.b": 1, "a.c": {}, "d": [1, 2], "e": "x"}
 
     def test_canonical_json_is_deterministic(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
