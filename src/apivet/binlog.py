@@ -1,10 +1,11 @@
 """Temporal replay of row-change events into per-key version chains.
 
 Every table row is kept as a chain of (timestamp, ordinal, image) versions,
-where a None image is a tombstone. Replay only builds the chains. Their one
-reader in detection is the join sweep (joins.DbJoinCursor), which shows a
-call the versions strictly before it: an event at exactly t is not visible
-at t, so a call's own database effect never leaks into its own evaluation.
+where a None image is a tombstone. Replay only builds the chains; their one
+reader is joins.JoinStores, which walks them per column to give inference
+its value universes and to show the join sweep the versions strictly
+before each call: an event at exactly t is not visible at t, so a call's
+own database effect never leaks into its own evaluation.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
-from .errors import IngestError, ReplayError, StoreLookupError
+from .errors import IngestError, ReplayError
 from .schema import TABLE, EntityType, SchemaBundle
 
 logger = logging.getLogger(__name__)
@@ -202,22 +203,3 @@ def ingest_binlog(
     if repairs:
         logger.warning("repaired or skipped %d inconsistent row event(s)", repairs)
     return tables
-
-
-def value_universe(
-    tables: dict[str, TemporalTable], table: str, column: str
-) -> set[Any]:
-    """Every non-null value the column ever held, across all versions."""
-    store = tables.get(table)
-    if store is None:
-        raise StoreLookupError(f"unknown table {table!r}")
-    if not store.entity.has_attribute(column):
-        raise StoreLookupError(f"unknown column {column!r} on {table!r}")
-    values: set[Any] = set()
-    for chain in store.chains.values():
-        for _, _, row in chain:
-            if row is not None:
-                value = row.get(column)
-                if value is not None:
-                    values.add(value)
-    return values

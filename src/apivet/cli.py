@@ -33,7 +33,7 @@ from .detector import (
     write_report,
 )
 from .dsl import read_invariant_file, write_invariant_file
-from .errors import ApivetError, ConfigError, ExtractionError, ProposalError
+from .errors import ApivetError, ConfigError, ExtractionError, ProposalError, SchemaError
 from .fileio import write_json
 from .logstore import read_label_file, read_log_file
 from .relations import (
@@ -78,6 +78,14 @@ def _load(path: str, loader):
         return loader(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _load_document(path: str, loader):
+    """_load for a JSON input: bad JSON or a wrong shape exits 2 naming the file."""
+    try:
+        return _load(path, loader)
+    except (AttributeError, LookupError, TypeError, ValueError, SchemaError) as exc:
+        raise ApivetError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _config_for(args) -> PipelineConfig:
@@ -136,7 +144,7 @@ def _cmd_relations_infer(args) -> int:
     from .pipeline import run_inference
 
     config = _config_for(args)
-    bundle = _load(args.bundle, load_bundle)
+    bundle = _load_document(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     report = run_inference(bundle, corpus, tables, config)
@@ -154,10 +162,10 @@ def _cmd_invariants_generate(args) -> int:
     from .pipeline import run_generation
 
     config = _config_for(args)
-    bundle = _load(args.bundle, load_bundle)
+    bundle = _load_document(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
-    relationships = _load(args.relations, load_relationships)
+    relationships = _load_document(args.relations, load_relationships)
     result = run_generation(bundle, corpus, tables, relationships, config)
     write_invariant_file(result.invariants, args.out)
     if args.outcomes:
@@ -186,10 +194,10 @@ def _cmd_invariants_generate(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _config_for(args)
-    bundle = _load(args.bundle, load_bundle)
+    bundle = _load_document(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
-    relationships = _load(args.relations, load_relationships)
+    relationships = _load_document(args.relations, load_relationships)
     invariants = _load(args.invariants, read_invariant_file)
     result = check_corpus(
         bundle, corpus, tables, relationships, invariants, jobs=config.jobs
@@ -232,9 +240,9 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
 
 
 def _cmd_eval(args) -> int:
-    report = _load(args.report, read_report)
+    flagged = _load_document(args.report, lambda p: flagged_ids(read_report(p)))
     labels = _load(args.labels, lambda p: read_label_file(p, mode="strict"))
-    metrics = evaluate_metrics(flagged_ids(report), labels, window_size=args.window)
+    metrics = evaluate_metrics(flagged, labels, window_size=args.window)
     write_metrics(metrics, args.out)
     summary = metrics_to_dict(metrics)
     print(

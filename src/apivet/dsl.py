@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import DslScopeError, DslSyntaxError, EvaluationError
-from .values import values_equal
+from .values import value_key
 
 CATEGORIES = ("common_sense", "format", "database", "environment", "related_api")
 
@@ -651,15 +651,8 @@ def _compile_node(node: Any, closures: dict):
         return matches
     if cls is InSet:
         operand = _compile_operand(node.operand, closures)
-        items = tuple(item.value for item in node.items)
-
-        def member(b, s):
-            value = operand(b, s)
-            if value is None:
-                return False
-            return any(values_equal(value, item) for item in items)
-
-        return member
+        keys = frozenset(value_key(item.value) for item in node.items)
+        return lambda b, s: value_key(operand(b, s)) in keys
     if cls is BoolConst:
         value = node.value
         return lambda b, s: value

@@ -127,6 +127,7 @@ class JoinStores:
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._column_events: dict[tuple[str, str], list] = {}
+        self._column_keys: dict[tuple[str, str], set] = {}
         untimed, timed = env_history(corpus.env_records)
         self._env: dict[str, tuple[dict, dict]] = {}
         for entity in bundle.of_kind(ENV):
@@ -152,6 +153,16 @@ class JoinStores:
             self._instances[api_name] = table
         return self._instances[api_name]
 
+    def _versions(self, table_name: str, column: str):
+        """column_events' tuples, unsorted."""
+        store = self.tables.get(table_name)
+        if store is None:
+            raise StoreLookupError(f"unknown table {table_name!r}")
+        for chain_key, chain in store.chains.items():
+            for ts, ordinal, row in chain:
+                vk = None if row is None else value_key(row.get(column))
+                yield ts, ordinal, vk, chain_key, row
+
     def column_events(self, table_name: str, column: str) -> list:
         """Version stream of one column: (ts, ordinal, value key, chain key, row).
 
@@ -160,20 +171,22 @@ class JoinStores:
         """
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
-            store = self.tables.get(table_name)
-            if store is None:
-                raise StoreLookupError(f"unknown table {table_name!r}")
-            events = []
-            for chain_key, chain in store.chains.items():
-                for ts, ordinal, row in chain:
-                    vk = None if row is None else value_key(row.get(column))
-                    events.append((ts, ordinal, vk, chain_key, row))
+            events = list(self._versions(table_name, column))
             # (ts, ordinal) ties when an update moves a row to a new key, so
             # whole events are not comparable: sort stably, minor field first
             events.sort(key=itemgetter(1))
             events.sort(key=itemgetter(0))
             self._column_events[cache_key] = events
         return self._column_events[cache_key]
+
+    def column_keys(self, table_name: str, column: str) -> set:
+        """Non-null value keys of column_events, without building the stream:
+        every value the column held in any version, for relationship inference."""
+        cache_key = (table_name, column)
+        if cache_key not in self._column_keys:
+            versions = self._versions(table_name, column)
+            self._column_keys[cache_key] = {v[2] for v in versions if v[2] is not None}
+        return self._column_keys[cache_key]
 
     def session_calls(self, api_name: str) -> tuple[list, list, dict]:
         """Calls sorted by (session, time, id) as parallel times and rows

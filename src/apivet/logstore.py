@@ -149,26 +149,19 @@ def read_log_file(path: str, mode: str = "lenient") -> LogCorpus:
         return ingest_logs(fh, mode=mode)
 
 
-def env_by_session(records: Iterable[EnvRecord]) -> dict[str, EnvRecord]:
-    """Latest environment record per session, by file order."""
-    out: dict[str, EnvRecord] = {}
-    for record in records:
-        out[record.sessionId] = record
-    return out
-
-
 def env_history(records: Iterable[EnvRecord]) -> tuple[dict, dict]:
     """Environment records per session, in the shape env_before reads.
 
-    The first map holds each session's last untimed record. The second
-    holds, for sessions with timed records only, parallel (times, records)
-    arrays sorted by (time, file order).
+    The first map holds each session's last untimed record in file order.
+    The second holds, for sessions with timed records only, parallel
+    (times, records) arrays sorted by (time, file order).
     """
-    records = list(records)
-    untimed = env_by_session(r for r in records if r.time is None)
+    untimed: dict[str, EnvRecord] = {}
     timed: dict[str, list[EnvRecord]] = {}
     for record in records:
-        if record.time is not None:
+        if record.time is None:
+            untimed[record.sessionId] = record
+        else:
             timed.setdefault(record.sessionId, []).append(record)
     history = {}
     for sid, session_records in timed.items():

@@ -1,10 +1,11 @@
-"""End-to-end wiring: train models, infer relationships, generate invariants."""
+"""End-to-end wiring: train models, infer relationships, generate invariants.
+Both training stages read the corpus and tables through joins.JoinStores."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binlog import TemporalTable, value_universe
+from .binlog import TemporalTable
 from .config import PipelineConfig
 from .errors import ConfigError
 from .dsl import Invariant
@@ -13,7 +14,7 @@ from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, RemoteProposer, StubProposer
 from .refine import CandidateOutcome, RefinementReport, refine_candidates
 from .relations import InferenceReport, Relationship, infer_relationships
-from .schema import API, TABLE, SchemaBundle
+from .schema import API, SchemaBundle
 
 
 def make_proposer(config: PipelineConfig) -> ProposerContract:
@@ -33,18 +34,6 @@ def train_sequence_model(corpus: LogCorpus, config: PipelineConfig):
     return train_markov(sequences, alpha=config.markov_alpha)
 
 
-def table_value_universes(
-    bundle: SchemaBundle, tables: dict[str, TemporalTable]
-) -> dict[str, dict[str, set]]:
-    universes: dict[str, dict[str, set]] = {}
-    for entity in bundle.of_kind(TABLE):
-        universes[entity.name] = {
-            attr.path: value_universe(tables, entity.name, attr.path)
-            for attr in entity.attributes
-        }
-    return universes
-
-
 def run_inference(
     bundle: SchemaBundle,
     corpus: LogCorpus,
@@ -56,11 +45,9 @@ def run_inference(
     proposer = proposer or make_proposer(config)
     seq_model = seq_model or train_sequence_model(corpus, config)
     return infer_relationships(
-        bundle,
-        corpus,
+        JoinStores(bundle, corpus, tables),
         proposer,
         seq_model,
-        table_value_universes(bundle, tables),
         min_overlap=config.min_value_overlap,
         min_sequence_score=config.min_sequence_score,
         min_env_coverage=config.min_env_coverage,

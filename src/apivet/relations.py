@@ -7,6 +7,9 @@ links need value overlap, call-to-call links need the sequence model to rate
 the ordering as plausible, and environment links need the session join to
 actually resolve. A rejected candidate is recorded with its reason, or raised
 as an `InferenceError` in strict mode.
+
+The data checks read the `joins.JoinStores` that generation and detection
+join over, so every stage projects calls and keys values by one rule.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 from .errors import InferenceError
-from .logstore import InstanceTable, LogCorpus, env_before
+from .logstore import InstanceTable, env_before
 from .schema import API, ENV, TABLE, SchemaBundle
 from .values import value_key
 
@@ -78,16 +81,15 @@ def value_overlap(
     universe: set,
     min_overlap: float,
 ) -> tuple[bool, float]:
-    """Fraction of non-null focal values present in the target universe."""
+    """Fraction of non-null focal values whose value key is in `universe`."""
     total = 0
     hits = 0
-    keyed = {value_key(v) for v in universe if v is not None}
     for _, row in focal_table.rows:
         value = row.get(focal_attr)
         if value is None:
             continue
         total += 1
-        if value_key(value) in keyed:
+        if value_key(value) in universe:
             hits += 1
     if total == 0:
         return False, 0.0
@@ -110,7 +112,7 @@ def env_coverage(
 ) -> tuple[bool, float]:
     """Fraction of focal calls that join an environment record.
 
-    `env` is logstore.env_history's shape; a call counts when env_before
+    `env` is JoinStores.env_index's shape; a call counts when env_before
     finds a record for its session before its time, the rule joins use.
     """
     total = 0
@@ -129,11 +131,9 @@ def env_coverage(
 
 
 def infer_relationships(
-    bundle: SchemaBundle,
-    corpus: LogCorpus,
+    stores,
     proposer,
     seq_model,
-    value_universes: dict[str, dict[str, set]],
     min_overlap: float = 0.9,
     min_sequence_score: float = 0.05,
     min_env_coverage: float = 0.99,
@@ -142,38 +142,30 @@ def infer_relationships(
 ) -> InferenceReport:
     """Propose relationships for every candidate pair and filter each.
 
-    value_universes maps table name to {column: set of values ever seen}.
+    `stores` is the joins.JoinStores of the training corpus and tables; a
+    table column's universe is its `column_keys`, every value it held in
+    any version.
     """
+    bundle = stores.bundle
     bundle.require_inference_ready()
-    from .logstore import env_history, project_instances
-
-    env = env_history(corpus.env_records)
-    instance_cache: dict[str, InstanceTable] = {}
-
-    def instances(name: str) -> InstanceTable:
-        if name not in instance_cache:
-            instance_cache[name] = project_instances(
-                corpus.events, bundle.entity(name)
-            )
-        return instance_cache[name]
 
     report = InferenceReport(relationships=[])
     seen: set[Relationship] = set()
 
     def data_check(rel: Relationship) -> tuple[bool, float, str, str]:
         """(ok, score, provenance, rejection reason) of the target kind's check."""
-        if rel.kind == API_DB:
-            universe = value_universes.get(rel.target_entity, {}).get(rel.target_attr, set())
-            ok, score = value_overlap(
-                instances(rel.focal_entity), rel.focal_attr, universe, min_overlap
-            )
-            return ok, score, "value_overlap", f"value overlap {score:.3f} below threshold"
         if rel.kind == API_API:
             ok, score = sequence_plausibility(
                 seq_model, rel.target_entity, rel.focal_entity, min_sequence_score
             )
             return ok, score, "sequence_model", f"sequence score {score:.4f} below threshold"
-        ok, score = env_coverage(instances(rel.focal_entity), env, min_env_coverage)
+        focal_rows = stores.instances(rel.focal_entity)
+        if rel.kind == API_DB:
+            universe = stores.column_keys(rel.target_entity, rel.target_attr)
+            ok, score = value_overlap(focal_rows, rel.focal_attr, universe, min_overlap)
+            return ok, score, "value_overlap", f"value overlap {score:.3f} below threshold"
+        env = stores.env_index(rel.target_entity)
+        ok, score = env_coverage(focal_rows, env, min_env_coverage)
         return ok, score, "env_coverage", f"environment coverage {score:.3f} below threshold"
 
     for focal, target in candidate_pairs(bundle):

@@ -1,4 +1,4 @@
-"""Scalar coercion and equality rules used by projection, joins, and filters.
+"""Scalar coercion and the equality rule of projection, joins, filters and IN.
 
 The same rules apply everywhere a log value meets a declared attribute type:
 numeric leaves bound for string attributes are stringified, digit strings
@@ -58,27 +58,20 @@ def coerce_scalar(value: Any, tag: str) -> tuple[Any, bool]:
     raise ValueError(f"unknown type tag {tag!r}")
 
 
-def values_equal(a: Any, b: Any) -> bool:
-    """Scalar equality; null never equals anything, booleans only match booleans."""
-    if a is None or b is None:
-        return False
-    a_bool = isinstance(a, bool)
-    b_bool = isinstance(b, bool)
-    if a_bool or b_bool:
-        return a_bool and b_bool and a is b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a == b
-    return type(a) is type(b) and a == b
-
-
 def value_key(value: Any) -> tuple[str, Any] | None:
-    """Hashable key with the same equivalence classes as values_equal."""
+    """Hashable key of a value: the one equality rule of joins, filters and IN.
+
+    Two values are equal when their keys are. Null has no key and equals
+    nothing, booleans only match booleans, and a number keeps its own value:
+    Python compares and hashes int and float exactly, so 1 matches 1.0 and
+    integers beyond 2**53 stay apart.
+    """
     if value is None:
         return None
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
-        return ("n", float(value))
+        return ("n", value)
     if isinstance(value, str):
         return ("s", value)
     return ("o", canonical_json(value))

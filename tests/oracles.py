@@ -4,7 +4,7 @@ Everything in this module is written from the documented behaviour alone, in
 the most obvious way possible (full scans, explicit recursion, nested loops),
 so that agreement with the package is meaningful.  Nothing here imports from
 apivet except plain data classes used as inputs, and for the invariant
-evaluator the DSL's printer, scalar equality and error type.
+evaluator the DSL's node classes, printer and error type.
 """
 
 from __future__ import annotations
@@ -29,7 +29,22 @@ from apivet.dsl import (
     print_expr,
 )
 from apivet.errors import EvaluationError
-from apivet.values import values_equal
+
+
+# --- scalar equality --------------------------------------------------------
+
+
+def values_equal(a, b):
+    """Scalar equality; null never equals anything, booleans only match booleans."""
+    if a is None or b is None:
+        return False
+    a_bool = isinstance(a, bool)
+    b_bool = isinstance(b, bool)
+    if a_bool or b_bool:
+        return a_bool and b_bool and a is b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    return type(a) is type(b) and a == b
 
 
 # --- binlog replay ----------------------------------------------------------
@@ -79,7 +94,7 @@ def canonical_key(value):
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
-        return ("n", float(value))
+        return ("n", value)
     if isinstance(value, str):
         return ("s", value)
     return ("d", json.dumps(value, sort_keys=True, separators=(",", ":")))

@@ -9,11 +9,11 @@ from apivet.binlog import (
     ingest_binlog,
     parse_row_events,
     read_binlog_file,
-    value_universe,
 )
-from apivet.errors import IngestError, ReplayError, StoreLookupError
+from apivet.errors import IngestError, ReplayError
+from apivet.joins import JoinStores
+from apivet.logstore import ingest_logs
 from apivet.schema import merge_bundle, parse_create_table
-from apivet.values import value_key
 
 from conftest import binlog_line, row_event, state_as_of, version_before
 from oracles import replay_oracle_rows, universe_oracle
@@ -112,13 +112,6 @@ class TestStateAsOf:
         assert state_as_of(tables, "orders", 40)[0]["status"] == "cancelled"
         assert state_as_of(tables, "orders", 41) == []
 
-    def test_unknown_table_rejected(self, orders_bundle):
-        tables = ingest_binlog([], orders_bundle)
-        with pytest.raises(StoreLookupError):
-            value_universe(tables, "missing", "id")
-        with pytest.raises(StoreLookupError):
-            value_universe(tables, "orders", "nope")
-
     def test_matches_independent_replay(self, orders_bundle):
         events = order_chain()
         tables = ingest_binlog(events, orders_bundle)
@@ -191,14 +184,19 @@ class TestRepairs:
 
 
 class TestUniverse:
+    """A column's universe in relationship inference: JoinStores.column_keys,
+    the non-null value keys of its version stream."""
+
     def test_includes_every_version_and_skips_nulls(self, orders_bundle):
         events = order_chain() + seq(
             [row_event("orders", "insert", 50, None, {"id": "o2", "status": None})]
         )
         events[-1].ordinal = 3
         tables = ingest_binlog(events, orders_bundle)
-        got = {value_key(v) for v in value_universe(tables, "orders", "status")}
+        stores = JoinStores(orders_bundle, ingest_logs([]), tables)
+        got = stores.column_keys("orders", "status")
         assert got == universe_oracle(events, "orders", "status")
+        assert got == {event[2] for event in stores.column_events("orders", "status")} - {None}
         assert got == {("s", "unpaid"), ("s", "paid"), ("s", "cancelled")}
 
 

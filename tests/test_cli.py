@@ -373,6 +373,39 @@ class TestExitCodes:
                      "--labels", str(pipeline["eval"] / "labels.jsonl"),
                      "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--bundle", "{oops"),
+        ("--bundle", "[1]"),
+        ("--bundle", '{"entities": [1]}'),
+        ("--relations", "{oops"),
+        ("--relations", '[{"kind": "API_DB"}]'),
+        ("--relations", '{"kind": "API_DB"}'),
+        ("--report", "{oops"),
+        ("--report", "5"),
+        ("--report", '{"violations": [1], "summary": {}}'),
+    ])
+    def test_malformed_document_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys, flag, text
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if flag == "--report":
+            argv = ["eval", "--report", str(bad),
+                    "--labels", str(pipeline["eval"] / "labels.jsonl")]
+        else:
+            inputs = {"--bundle": str(pipeline["bundle"]),
+                      "--relations": str(pipeline["relations"]), flag: str(bad)}
+            argv = ["detect", "--bundle", inputs["--bundle"],
+                    "--logs", str(pipeline["eval"] / "logs.jsonl"),
+                    "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                    "--relations", inputs["--relations"],
+                    "--invariants", str(pipeline["invariants"])]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_input_file_exits_one(self, pipeline, tmp_path):
         assert main(["detect",
                      "--bundle", str(pipeline["bundle"]),

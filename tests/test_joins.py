@@ -6,6 +6,8 @@ import random
 import pytest
 
 from apivet.binlog import ingest_binlog
+from apivet.detector import check_corpus
+from apivet.dsl import parse_invariant
 from apivet.errors import StoreLookupError
 from apivet.joins import (
     BucketRows,
@@ -216,6 +218,8 @@ class TestReferenceJoins:
     def test_unknown_table_rejected(self):
         with pytest.raises(StoreLookupError):
             self.stores.column_events("missing", "id")
+        with pytest.raises(StoreLookupError):
+            self.stores.column_keys("missing", "id")
 
 
 class TestEnvAsOf:
@@ -345,6 +349,40 @@ class TestDbJoinCursor:
             if value is None:
                 continue
             assert self.probe(cursor, value, t) == self.reference(value, t)
+
+
+class TestBigIntegerKeys:
+    """64-bit ids join exactly: 2**60 + 1 must not bind the row of 2**60,
+    though both round to the same float."""
+
+    def test_dangling_64_bit_reference_binds_nothing(self):
+        bundle = merge_bundle(
+            [flatten_api_signature("transfer", {"accountId": "int"}, {})]
+            + parse_create_table(
+                "CREATE TABLE accounts (id BIGINT PRIMARY KEY, owner VARCHAR(8));"
+            )
+        )
+        corpus = ingest_logs([
+            api_line("transfer", 20, "s1", {"accountId": 2**60 + 1}),
+            api_line("transfer", 30, "s1", {"accountId": 2**60}),
+        ])
+        tables = ingest_binlog(
+            [row_event("accounts", "insert", 10, after={"id": 2**60, "owner": "a"})],
+            bundle,
+            mode="strict",
+        )
+        link = rel(API_DB, "transfer", "arguments.accountId", "accounts", "id")
+        stores = JoinStores(bundle, corpus, tables)
+        calls = [row for _, row in stores.instances("transfer").rows]
+        dangling, live = join_rows(stores, link, calls)
+        assert dangling == [] and live == [{"id": 2**60, "owner": "a"}]
+
+        inv = parse_invariant(
+            "INVARIANT account_exists ON transfer CATEGORY database\n"
+            "WHERE EXISTS(accounts: TRUE)"
+        )
+        result = check_corpus(bundle, corpus, tables, [link], [inv])
+        assert [v.log_id for v in result.violations] == [0]
 
 
 class TestCallOrder:

@@ -48,3 +48,26 @@ def test_every_public_definition_is_referenced():
     assert ("detector.py", "check_corpus") in defined
     unused = sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
     assert unused == [], f"defined in src/apivet but referenced nowhere in it: {unused}"
+
+
+def unused_imports(tree):
+    """Names a module imports (at any depth) and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export: that is the library surface
+    unused = sorted(
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert unused == [], f"imported in src/apivet but never used: {unused}"

@@ -7,7 +7,7 @@ import pytest
 from apivet.errors import IngestError
 from apivet.logstore import (
     LabelRecord,
-    env_by_session,
+    env_history,
     ingest_logs,
     parse_labels,
     project_instances,
@@ -91,12 +91,15 @@ class TestEnvBySession:
             [
                 env_line("s1", {"sessionId": "s1", "v": 1}),
                 env_line("s1", {"sessionId": "s1", "v": 2}),
+                env_line("s1", {"sessionId": "s1", "v": 3}, time=5),
                 env_line("s2", {"sessionId": "s2", "v": 9}),
             ]
         )
-        table = env_by_session(corpus.env_records)
-        assert table["s1"].fields["v"] == 2
-        assert table["s2"].fields["v"] == 9
+        untimed, timed = env_history(corpus.env_records)
+        # the last untimed line wins; a timed one joins the session's history
+        assert untimed["s1"].fields["v"] == 2
+        assert untimed["s2"].fields["v"] == 9
+        assert list(timed) == ["s1"] and timed["s1"][0] == [5]
 
 
 class TestProjection:

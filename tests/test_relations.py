@@ -2,8 +2,10 @@
 
 import pytest
 
+from apivet.binlog import RowEvent, ingest_binlog
 from apivet.errors import InferenceError
-from apivet.logstore import env_history, ingest_logs, project_instances
+from apivet.joins import JoinStores
+from apivet.logstore import ingest_logs
 from apivet.proposer import RelationshipCandidate, StubProposer
 from apivet.relations import (
     API_API,
@@ -28,6 +30,7 @@ from apivet.schema import (
     parse_create_table,
 )
 from apivet.seqmodel import train_markov
+from apivet.values import value_key
 
 from conftest import api_line, env_line
 from oracles import value_overlap_oracle
@@ -79,6 +82,27 @@ def universes(n=6):
     }
 
 
+def stores_for(corpus, tables=None):
+    """JoinStores over the corpus and a replayed orders binlog whose versions
+    hold exactly the values of `tables` (universes() by default) per column.
+
+    Version k takes each column's k-th value, cycling: a new id is an insert
+    and a repeated one an update of its live row.
+    """
+    bundle = small_bundle()
+    columns = {col: sorted(vals) for col, vals in (tables or universes())["orders"].items()}
+    live = {}
+    events = []
+    for k in range(max(len(vals) for vals in columns.values())):
+        row = {col: vals[k % len(vals)] for col, vals in columns.items()}
+        before = live.get(row["id"])
+        op = "insert" if before is None else "update"
+        events.append(RowEvent("orders", op, k, before, row, ordinal=k))
+        live[row["id"]] = row
+    return JoinStores(bundle, corpus, ingest_binlog(events, bundle, mode="strict"))
+
+
+
 class TestCandidatePairs:
     def test_every_api_meets_every_target_once(self):
         bundle = small_bundle()
@@ -92,28 +116,28 @@ class TestCandidatePairs:
 
 class TestFilters:
     def test_value_overlap_against_oracle(self):
-        bundle = small_bundle()
-        corpus = small_corpus()
-        table = project_instances(corpus.events, bundle.entity("payOrder"))
+        stores = stores_for(small_corpus())
+        table = stores.instances("payOrder")
         universe = universes()["orders"]["id"]
-        ok, ratio = value_overlap(table, "arguments.orderId", universe, 0.9)
+        keys = stores.column_keys("orders", "id")
+        assert keys == {value_key(v) for v in universe}
+        ok, ratio = value_overlap(table, "arguments.orderId", keys, 0.9)
         expected = value_overlap_oracle(
             [row.get("arguments.orderId") for _, row in table.rows], universe
         )
         assert ok and ratio == expected == 1.0
 
         # shrink the universe below the threshold
-        ok, ratio = value_overlap(table, "arguments.orderId", {"o0"}, 0.9)
+        ok, ratio = value_overlap(table, "arguments.orderId", {value_key("o0")}, 0.9)
         assert not ok
         assert ratio == pytest.approx(1 / 6)
 
     def test_value_overlap_ignores_null_focal_values(self):
-        bundle = small_bundle()
         corpus = ingest_logs(
             [api_line("payOrder", 1, "s0", {"loginId": "u0"}, {"status": "paid"})]
         )
-        table = project_instances(corpus.events, bundle.entity("payOrder"))
-        ok, ratio = value_overlap(table, "arguments.orderId", {"o0"}, 0.9)
+        table = stores_for(corpus).instances("payOrder")
+        ok, ratio = value_overlap(table, "arguments.orderId", {value_key("o0")}, 0.9)
         assert not ok and ratio == 0.0  # no evidence means no pass
 
     def test_sequence_plausibility_uses_pair_score(self):
@@ -126,10 +150,9 @@ class TestFilters:
         assert not ok and score == pytest.approx(0.1 / 5.4)
 
     def test_env_coverage_counts_resolvable_sessions(self):
-        bundle = small_bundle()
-        corpus = small_corpus(n=4, with_env=True)
-        table = project_instances(corpus.events, bundle.entity("login"))
-        env = env_history(corpus.env_records)
+        stores = stores_for(small_corpus(n=4, with_env=True))
+        table = stores.instances("login")
+        env = stores.env_index("Env")
         ok, ratio = env_coverage(table, env, 0.99)
         assert ok and ratio == 1.0
         # drop one session's env record: 3/4 coverage fails at 0.99
@@ -138,33 +161,28 @@ class TestFilters:
         assert not ok and ratio == pytest.approx(0.75)
 
     def test_env_coverage_counts_only_records_before_the_call(self):
-        bundle = small_bundle()
         lines = []
         for i in range(4):
             sid = f"s{i}"
             lines.append(api_line("login", 10, sid, {"loginId": f"u{i}"}, {"userId": f"u{i}"}))
             # written after the call, so the call's env join is empty
             lines.append(env_line(sid, {"sessionId": sid, "userId": f"u{i}"}, time=50))
-        corpus = ingest_logs(lines)
-        table = project_instances(corpus.events, bundle.entity("login"))
-        ok, ratio = env_coverage(table, env_history(corpus.env_records), 0.99)
+        stores = stores_for(ingest_logs(lines))
+        ok, ratio = env_coverage(stores.instances("login"), stores.env_index("Env"), 0.99)
         assert not ok and ratio == 0.0
         # one session also has a record at the call's own time: still not before it
         lines.append(env_line("s0", {"sessionId": "s0", "userId": "u0"}, time=10))
         lines.append(env_line("s1", {"sessionId": "s1", "userId": "u1"}, time=9))
-        corpus = ingest_logs(lines)
-        ok, ratio = env_coverage(table, env_history(corpus.env_records), 0.99)
+        stores = stores_for(ingest_logs(lines))
+        ok, ratio = env_coverage(stores.instances("login"), stores.env_index("Env"), 0.99)
         assert not ok and ratio == pytest.approx(0.25)
 
 
 class TestInference:
     def test_end_to_end_acceptance_and_rejection(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
-        report = infer_relationships(
-            bundle, corpus, StubProposer(), model, universes()
-        )
+        report = infer_relationships(stores_for(corpus), StubProposer(), model)
         keys = {
             (r.kind, r.focal_entity, r.focal_attr, r.target_entity, r.target_attr)
             for r in report.relationships
@@ -189,24 +207,20 @@ class TestInference:
         )
 
     def test_api_api_carries_the_window(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
         report = infer_relationships(
-            bundle, corpus, StubProposer(), model, universes(), delta_ms=1234
+            stores_for(corpus), StubProposer(), model, delta_ms=1234
         )
         api_rels = [r for r in report.relationships if r.kind == API_API]
         assert api_rels and all(r.delta_ms == 1234 for r in api_rels)
 
     def test_low_overlap_is_rejected_with_ratio(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
         poor = universes()
         poor["orders"]["id"] = {"o0"}  # only one sixth of the orderIds resolve
-        report = infer_relationships(
-            bundle, corpus, StubProposer(), model, poor
-        )
+        report = infer_relationships(stores_for(corpus, poor), StubProposer(), model)
         keys = {
             (r.kind, r.focal_entity, r.focal_attr) for r in report.relationships
         }
@@ -215,7 +229,6 @@ class TestInference:
                    for _, reason in report.rejected)
 
     def test_reverse_api_direction_is_rejected(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder", "queryOrder"]] * 5, alpha=0.1)
 
@@ -225,25 +238,23 @@ class TestInference:
                     return [RelationshipCandidate("arguments.loginId", None)]
                 return []
 
-        report = infer_relationships(bundle, corpus, Backwards(), model, universes())
+        report = infer_relationships(stores_for(corpus), Backwards(), model)
         assert report.relationships == []
         assert len(report.rejected) == 1
         _, reason = report.rejected[0]
         assert "sequence score" in reason and "below threshold" in reason
 
     def test_strict_mode_raises_on_rejection(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
         poor = universes()
         poor["orders"]["id"] = {"o0"}
         with pytest.raises(InferenceError):
             infer_relationships(
-                bundle, corpus, StubProposer(), model, poor, mode="strict"
+                stores_for(corpus, poor), StubProposer(), model, mode="strict"
             )
 
     def test_bogus_candidate_attributes_are_rejected(self):
-        bundle = small_bundle()
         corpus = small_corpus()
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
 
@@ -256,7 +267,7 @@ class TestInference:
                     ]
                 return []
 
-        report = infer_relationships(bundle, corpus, Liar(), model, universes())
+        report = infer_relationships(stores_for(corpus), Liar(), model)
         assert report.relationships == []
         reasons = {reason for _, reason in report.rejected}
         assert any("does not exist" in r for r in reasons)
@@ -312,8 +323,7 @@ class TestRejectionReasons:
     ])
     def test_attribute_and_sequence_reasons(self, focal, target, cand, kind, reason):
         report = infer_relationships(
-            small_bundle(), small_corpus(), Only(focal, target, cand),
-            self.MODEL, universes(),
+            stores_for(small_corpus()), Only(focal, target, cand), self.MODEL
         )
         assert report.relationships == [] and report.proposed == 1
         ((rel, got),) = report.rejected
@@ -328,8 +338,8 @@ class TestRejectionReasons:
         poor = universes()
         poor["orders"]["id"] = {"o0"}
         report = infer_relationships(
-            small_bundle(), small_corpus(),
-            Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL, poor,
+            stores_for(small_corpus(), poor),
+            Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL,
         )
         assert [reason for _, reason in report.rejected] == [
             "value overlap 0.167 below threshold"
@@ -337,8 +347,8 @@ class TestRejectionReasons:
 
     def test_coverage_reason(self):
         report = infer_relationships(
-            small_bundle(), partial_env_corpus(n=6, covered=5),
-            Only("login", "Env", ("arguments.loginId", "userId")), self.MODEL, universes(),
+            stores_for(partial_env_corpus(n=6, covered=5)),
+            Only("login", "Env", ("arguments.loginId", "userId")), self.MODEL,
         )
         assert [reason for _, reason in report.rejected] == [
             "environment coverage 0.833 below threshold"
@@ -349,9 +359,9 @@ class TestRejectionReasons:
         poor["orders"]["id"] = {"o0"}
         with pytest.raises(InferenceError) as err:
             infer_relationships(
-                small_bundle(), small_corpus(),
+                stores_for(small_corpus(), poor),
                 Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL,
-                poor, mode="strict",
+                mode="strict",
             )
         assert str(err.value) == (
             "API_DB payOrder.arguments.orderId -> orders.id: "
@@ -361,8 +371,7 @@ class TestRejectionReasons:
     def test_repeated_candidate_is_kept_once(self):
         twice = ("arguments.orderId", "id")
         report = infer_relationships(
-            small_bundle(), small_corpus(), Only("payOrder", "orders", twice, twice),
-            self.MODEL, universes(),
+            stores_for(small_corpus()), Only("payOrder", "orders", twice, twice), self.MODEL
         )
         assert report.proposed == 2 and report.rejected == []
         assert [(r.focal_attr, r.target_attr) for r in report.relationships] == [twice]
@@ -370,8 +379,7 @@ class TestRejectionReasons:
     def test_accepted_links_carry_score_and_provenance(self):
         model = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
         report = infer_relationships(
-            small_bundle(), small_corpus(), StubProposer(), model, universes(),
-            delta_ms=777,
+            stores_for(small_corpus()), StubProposer(), model, delta_ms=777
         )
         by_kind = {}
         for rel in report.relationships:

@@ -1,6 +1,6 @@
 """Scalar coercion, equality, value keys, and path navigation."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apivet.values import (
@@ -8,40 +8,47 @@ from apivet.values import (
     coerce_scalar,
     get_path,
     value_key,
-    values_equal,
 )
+
+from oracles import values_equal
 
 scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-(2**63), max_value=2**64),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(max_size=12),
 )
 
 
 class TestEquality:
+    """value_key is the package's one equality rule: equal keys, equal values."""
+
     def test_null_never_matches(self):
-        assert not values_equal(None, None)
-        assert not values_equal(None, 0)
-        assert not values_equal("", None)
+        assert value_key(None) is None
+        assert value_key(0) is not None
+        assert value_key("") is not None
 
     def test_numeric_cross_type(self):
-        assert values_equal(1, 1.0)
-        assert values_equal(0.5, 0.5)
-        assert not values_equal(1, 2)
+        assert value_key(1) == value_key(1.0)
+        assert value_key(1.0) in {value_key(1)}
+        assert value_key(0.5) == value_key(0.5)
+        assert value_key(1) != value_key(2)
 
     def test_bool_is_not_a_number(self):
-        assert not values_equal(True, 1)
-        assert not values_equal(False, 0)
-        assert values_equal(True, True)
+        assert value_key(True) != value_key(1)
+        assert value_key(False) != value_key(0)
+        assert value_key(True) == value_key(True)
 
     def test_strings(self):
-        assert values_equal("a", "a")
-        assert not values_equal("1", 1)
+        assert value_key("a") == value_key("a")
+        assert value_key("1") != value_key(1)
 
     @settings(max_examples=200, deadline=None)
     @given(scalars, scalars)
+    @example(2**60, 2**60 + 1)
+    @example(2**60 + 1, float(2**60))
+    @example(2**60, float(2**60))
     def test_value_key_partitions_like_values_equal(self, a, b):
         ka, kb = value_key(a), value_key(b)
         if a is None or b is None:
@@ -50,6 +57,8 @@ class TestEquality:
                 assert ka is None
         else:
             assert values_equal(a, b) == (ka == kb)
+            if ka == kb:
+                assert hash(ka) == hash(kb)
 
     def test_document_key_is_order_free(self):
         assert value_key({"a": 1, "b": 2}) == value_key({"b": 2, "a": 1})
