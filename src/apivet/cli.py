@@ -65,12 +65,19 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _read_json(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc.msg}")
+def _read_document(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read_calls(path: str, depth_limit: int) -> list:
+    """One API entity per entry of a {name: {arguments, response}} file."""
+    return [
+        flatten_api_signature(
+            name, sig.get("arguments", {}), sig.get("response", {}), depth_limit
+        )
+        for name, sig in sorted(_read_document(path).items())
+    ]
 
 
 def _load(path: str, loader):
@@ -115,23 +122,13 @@ def _cmd_schema_parse(args) -> int:
     if args.ddl:
         entities.extend(parse_create_table(_read_text(args.ddl)))
     if args.calls:
-        calls = _read_json(args.calls)
-        if not isinstance(calls, dict):
-            raise ConfigError("calls file must map API names to signatures")
-        for name in sorted(calls):
-            sig = calls[name]
-            if not isinstance(sig, dict):
-                raise ConfigError(f"signature of {name!r} must be a document")
-            entities.append(
-                flatten_api_signature(
-                    name,
-                    sig.get("arguments", {}),
-                    sig.get("response", {}),
-                    depth_limit=args.depth,
-                )
-            )
+        if args.depth < 1:
+            raise ConfigError("--depth must be at least 1")
+        entities.extend(_load_document(args.calls, lambda p: _read_calls(p, args.depth)))
     if args.env:
-        entities.append(load_env_descriptor(_read_json(args.env), name=args.env_name))
+        entities.append(_load_document(
+            args.env, lambda p: load_env_descriptor(_read_document(p), name=args.env_name)
+        ))
     if not entities:
         raise ConfigError("nothing to parse: pass --ddl, --calls, or --env")
     bundle = merge_bundle(entities)

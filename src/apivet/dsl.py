@@ -381,23 +381,17 @@ class _Parser:
         raise self._error("expected literal")
 
 
-def _refs_of(operand: Any) -> Iterable[FieldRef]:
-    if isinstance(operand, FieldRef):
-        yield operand
-
-
 def _check_scope(node: Any, focal: str, bound: frozenset) -> None:
     if isinstance(node, (Cmp, InSet, Match, NullCheck)):
         operands = (
             (node.left, node.right) if isinstance(node, Cmp) else (node.operand,)
         )
-        for operand in operands:
-            for ref in _refs_of(operand):
-                if ref.root != focal and ref.root not in bound:
-                    raise DslScopeError(
-                        f"reference to {ref.root}.{ref.path} is outside any "
-                        f"quantifier binding {ref.root!r}"
-                    )
+        for ref in operands:
+            if isinstance(ref, FieldRef) and ref.root != focal and ref.root not in bound:
+                raise DslScopeError(
+                    f"reference to {ref.root}.{ref.path} is outside any "
+                    f"quantifier binding {ref.root!r}"
+                )
     elif isinstance(node, Not):
         _check_scope(node.expr, focal, bound)
     elif isinstance(node, (And, Or)):

@@ -1,11 +1,12 @@
 """Proposer bridge: prompt rendering, fenced-block extraction, providers.
 
 Two providers implement the same contract. The stub is fully deterministic
-and runs offline from name-affinity rules and schema-driven templates; the
-remote provider speaks a generic chat-completion JSON dialect over HTTP,
-configured by `config.ProviderConfig`; `urllib.request` is imported only
-when a call goes out. Pipelines depend only on the contract, so either can
-back a run.
+and runs offline: it proposes relationships by name affinity, and its
+invariant templates restate the relationships inference accepted, plus
+field-shape checks drawn from the schema. The remote provider speaks a
+generic chat-completion JSON dialect over HTTP, configured by
+`config.ProviderConfig`; `urllib.request` is imported only when a call goes
+out. Pipelines depend only on the contract, so either can back a run.
 """
 
 from __future__ import annotations
@@ -150,11 +151,8 @@ _CATEGORY_NOTES = {
 }
 
 
-def render_invariant_prompt(joined_schema, categories=None) -> str:
+def render_invariant_prompt(joined_schema) -> str:
     """Deterministic prompt describing the joined schema and asking for invariants."""
-    from .dsl import CATEGORIES
-
-    cats = list(categories) if categories is not None else list(CATEGORIES)
     lines = [
         "You are a software engineer writing runtime checks for a web",
         "application. Propose invariants that every legitimate call must",
@@ -172,8 +170,7 @@ def render_invariant_prompt(joined_schema, categories=None) -> str:
         "",
         "Categories:",
     ]
-    for cat in cats:
-        note = _CATEGORY_NOTES.get(cat, "")
+    for cat, note in _CATEGORY_NOTES.items():
         lines.append(f"- {cat}: {note}")
     lines.append("")
     lines.append(f"Focal entity: {_render_entity(joined_schema.focal)}")
@@ -261,12 +258,6 @@ def _synonym_map(
     return table
 
 
-def _expand(
-    key: tuple[str, ...], synonyms: dict[tuple[str, ...], set[tuple[str, ...]]]
-) -> set[tuple[str, ...]]:
-    return {key} | synonyms.get(key, set())
-
-
 # --- deterministic stub ------------------------------------------------------
 
 
@@ -297,34 +288,23 @@ class StubProposer(ProposerContract):
                 yield attr
 
     def _names_of(self, name: str) -> set[tuple[str, ...]]:
-        return _expand(name_words(name), self._synonyms)
+        words = name_words(name)
+        return {words} | self._synonyms.get(words, set())
 
     def _table_candidates(
         self, focal: EntityType, target: EntityType
     ) -> list[RelationshipCandidate]:
         out: list[RelationshipCandidate] = []
-        seen: set[tuple[str, str]] = set()
-        table_words = name_words(target.name)
+        entity_id = name_words(target.name) + ("id",)
         for attr in self._payload_attrs(focal, ("arguments", "response")):
             focal_names = self._names_of(attr.last_segment)
-            for column in target.attributes:
-                col_names = self._names_of(column.path)
-                if focal_names & col_names:
-                    key = (attr.path, column.path)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(RelationshipCandidate(attr.path, column.path))
             # `<entity>Id` points at the primary id column of a like-named table.
-            for fname in focal_names:
-                if len(fname) >= 2 and fname[-1] == "id" and fname[:-1] == table_words:
-                    for column in target.attributes:
-                        if name_words(column.path) == ("id",):
-                            key = (attr.path, column.path)
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(
-                                    RelationshipCandidate(attr.path, column.path)
-                                )
+            names_entity = entity_id in focal_names
+            for column in target.attributes:
+                if focal_names & self._names_of(column.path) or (
+                    names_entity and name_words(column.path) == ("id",)
+                ):
+                    out.append(RelationshipCandidate(attr.path, column.path))
         return out
 
     def _api_candidates(
@@ -374,6 +354,15 @@ class StubProposer(ProposerContract):
             ident = re.sub(r"[^A-Za-z0-9_]", "_", f"{fname}__{suffix}")
             out.append(Invariant(id=ident, focal=fname, category=category, body=body))
 
+        def add_id_format(path: str) -> None:
+            ref = FieldRef(fname, path)
+            add(
+                f"{path}__format",
+                "format",
+                And((NullCheck(ref, negated=True), Match(ref, ID_VALUE_PATTERN))),
+            )
+
+        enum_domains: dict[tuple[str, ...], tuple[str, ...]] = {}
         for binding in joined_schema.bindings:
             rel = binding.relationship
             if rel.kind == "API_DB":
@@ -383,9 +372,11 @@ class StubProposer(ProposerContract):
                     Quant(exists=True, name=binding.name, body=BoolConst(True)),
                 )
                 for column in binding.entity.attributes:
-                    if column.type.tag != "enum":
+                    domain = column.type.enum_domain  # set on enum columns only
+                    if domain is None:
                         continue
-                    for value in column.type.enum_domain or ():
+                    enum_domains.setdefault(name_words(column.path), domain)
+                    for value in domain:
                         add(
                             f"{binding.name}__{column.path}__{value}",
                             "database",
@@ -399,74 +390,37 @@ class StubProposer(ProposerContract):
                                 ),
                             ),
                         )
-            elif rel.kind == "API_ENV":
-                env_attr = rel.target_attr
-                if env_attr is None:
-                    continue
-                for arg in self._payload_attrs(focal, ("arguments",)):
-                    if self._names_of(arg.last_segment) & self._names_of(env_attr):
-                        add(
-                            f"{binding.name}__{env_attr}__match",
-                            "environment",
-                            Quant(
-                                exists=True,
-                                name=binding.name,
-                                body=Cmp(
-                                    "==",
-                                    FieldRef(fname, arg.path),
-                                    FieldRef(binding.name, env_attr),
-                                ),
-                            ),
-                        )
-            elif rel.kind == "API_API":
-                for arg in self._payload_attrs(focal, ("arguments",)):
-                    arg_names = self._names_of(arg.last_segment)
-                    for resp in self._payload_attrs(binding.entity, ("response",)):
-                        if arg_names & self._names_of(resp.last_segment):
-                            add(
-                                f"{binding.name}__{resp.last_segment}__flow",
-                                "related_api",
-                                Quant(
-                                    exists=True,
-                                    name=binding.name,
-                                    body=Cmp(
-                                        "==",
-                                        FieldRef(fname, arg.path),
-                                        FieldRef(binding.name, resp.path),
-                                    ),
-                                ),
-                            )
+            elif rel.focal_attr is not None and rel.target_attr is not None:
+                # API_ENV and API_API: restate the link inference vetted.
+                suffix, category = (
+                    ("match", "environment")
+                    if rel.kind == "API_ENV"
+                    else ("flow", "related_api")
+                )
+                target_name = rel.target_attr.rsplit(".", 1)[-1]
+                add(
+                    f"{binding.name}__{target_name}__{suffix}",
+                    category,
+                    Quant(
+                        exists=True,
+                        name=binding.name,
+                        body=Cmp(
+                            "==",
+                            FieldRef(fname, rel.focal_attr),
+                            FieldRef(binding.name, rel.target_attr),
+                        ),
+                    ),
+                )
 
         # Field-shape templates need no bindings.
-        enum_domains: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for binding in joined_schema.bindings:
-            if binding.relationship.kind != "API_DB":
-                continue
-            for column in binding.entity.attributes:
-                if column.type.tag == "enum" and column.type.enum_domain:
-                    enum_domains.setdefault(
-                        name_words(column.path), column.type.enum_domain
-                    )
         for attr in self._payload_attrs(focal, ("arguments", "response")):
             words = name_words(attr.last_segment)
             if attr.type.tag == "string" and words and words[-1] == "id":
-                ref = FieldRef(fname, attr.path)
-                add(
-                    f"{attr.path}__format",
-                    "format",
-                    And(
-                        (
-                            NullCheck(ref, negated=True),
-                            Match(ref, ID_VALUE_PATTERN),
-                        )
-                    ),
-                )
+                add_id_format(attr.path)
             if attr.type.tag == "string":
-                domain = None
-                for key in _expand(words, self._synonyms):
-                    if key in enum_domains:
-                        domain = enum_domains[key]
-                        break
+                # own name first, then synonyms in a fixed order
+                keys = (words, *sorted(self._synonyms.get(words, ())))
+                domain = next((enum_domains[k] for k in keys if k in enum_domains), ())
                 if domain:
                     add(
                         f"{attr.path}__domain",
@@ -485,16 +439,7 @@ class StubProposer(ProposerContract):
                     Cmp(">", FieldRef(fname, attr.path), Lit(0)),
                 )
         # sessionId is a string id field too
-        add(
-            "sessionId__format",
-            "format",
-            And(
-                (
-                    NullCheck(FieldRef(fname, "sessionId"), negated=True),
-                    Match(FieldRef(fname, "sessionId"), ID_VALUE_PATTERN),
-                )
-            ),
-        )
+        add_id_format("sessionId")
         return out
 
     # refinement
@@ -575,19 +520,22 @@ class RemoteProposer(ProposerContract):
                 logger.warning("provider call failed, retrying: %s", exc)
         raise ProposalError(f"provider unreachable after retries: {last_error!r}")
 
+    def _ask(self, conversation: Conversation, tag: str, again: str) -> list[str]:
+        """Chat and extract the `tag` blocks, asking `again` once if none came."""
+        try:
+            return extract_fenced_blocks(self._chat(conversation), tag)
+        except ExtractionError:
+            conversation.append("user", again)
+            return extract_fenced_blocks(self._chat(conversation), tag)
+
     def propose_relationships(
         self, focal: EntityType, target: EntityType
     ) -> list[RelationshipCandidate]:
         conversation = Conversation()
         conversation.append("user", render_relationship_prompt(focal, target))
-        text = self._chat(conversation)
-        try:
-            blocks = extract_fenced_blocks(text, "json")
-        except ExtractionError:
-            conversation.append(
-                "user", "Reply again with exactly one fenced block tagged json."
-            )
-            blocks = extract_fenced_blocks(self._chat(conversation), "json")
+        blocks = self._ask(
+            conversation, "json", "Reply again with exactly one fenced block tagged json."
+        )
         try:
             data = json.loads(blocks[-1])
             raw = data["relationships"]
@@ -612,15 +560,11 @@ class RemoteProposer(ProposerContract):
     def propose_invariants(self, joined_schema) -> InvariantProposal:
         conversation = Conversation()
         conversation.append("user", render_invariant_prompt(joined_schema))
-        text = self._chat(conversation)
-        try:
-            blocks = extract_fenced_blocks(text, "invariant")
-        except ExtractionError:
-            conversation.append(
-                "user",
-                "Reply again with each invariant in a fenced block tagged invariant.",
-            )
-            blocks = extract_fenced_blocks(self._chat(conversation), "invariant")
+        blocks = self._ask(
+            conversation,
+            "invariant",
+            "Reply again with each invariant in a fenced block tagged invariant.",
+        )
         texts = [block for block in blocks if block.strip()]
         return InvariantProposal(texts=texts, conversation=conversation)
 

@@ -239,11 +239,31 @@ class TestSchemaParse:
     def test_requires_some_input(self, tmp_path):
         assert main(["schema", "parse", "--out", str(tmp_path / "b.json")]) == 1
 
-    def test_rejects_non_document_calls(self, tmp_path):
+    @pytest.mark.parametrize("flag,text", [
+        ("--calls", "{oops"),
+        ("--env", "{oops"),
+        ("--calls", "[1, 2]"),
+        ("--calls", '{"f": 3}'),
+        ("--calls", '{"f": {"arguments": [1]}}'),
+        ("--env", '["sessionId"]'),
+    ], ids=["calls_not_json", "env_not_json", "calls_list", "calls_scalar_signature",
+            "calls_list_arguments", "env_list"])
+    def test_malformed_input_exits_two_naming_it(self, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert main(["schema", "parse", flag, str(bad), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: malformed {bad}: ")
+        assert not out.exists()
+
+    def test_depth_below_one_is_a_usage_problem(self, tmp_path, capsys):
         calls = tmp_path / "calls.json"
-        calls.write_text("[1, 2]")
-        assert main(["schema", "parse", "--calls", str(calls),
+        calls.write_text(json.dumps({"ping": {"arguments": {"token": "string"}}}))
+        assert main(["schema", "parse", "--calls", str(calls), "--depth", "0",
                      "--out", str(tmp_path / "b.json")]) == 1
+        assert "--depth" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -445,3 +465,46 @@ class TestExitCodes:
         assert main(["benchgen", "--out", str(tmp_path / "b"),
                      "--sessions", "2", "--seed", "1",
                      "--double-refund", "10"]) == 1
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Every command's output is byte-identical under two hash seeds."""
+        commands = [
+            ["benchgen", "--out", "train", "--sessions", "200", "--seed", "7"],
+            ["benchgen", "--out", "eval", "--sessions", "200", "--seed", "12",
+             "--double-refund", "4", "--cross-user", "4", "--tamper", "1"],
+            ["relations", "infer", "--bundle", "train/bundle.json",
+             "--logs", "train/logs.jsonl", "--binlog", "train/binlog.jsonl",
+             "--out", "relations.json", "--diagram", "diagram.json"],
+            ["invariants", "generate", "--bundle", "train/bundle.json",
+             "--logs", "train/logs.jsonl", "--binlog", "train/binlog.jsonl",
+             "--relations", "relations.json", "--out", "invariants.txt",
+             "--outcomes", "outcomes.json"],
+            ["detect", "--bundle", "train/bundle.json",
+             "--logs", "eval/logs.jsonl", "--binlog", "eval/binlog.jsonl",
+             "--relations", "relations.json", "--invariants", "invariants.txt",
+             "--out", "report.json", "--dump-joined", "joined.jsonl"],
+            ["eval", "--report", "report.json", "--labels", "eval/labels.jsonl",
+             "--out", "metrics.json"],
+        ]
+        outputs = []
+        for seed in ("0", "1"):
+            run = tmp_path / f"hashseed{seed}"
+            run.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(apivet.__file__).parents[1]))
+            for argv in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "apivet.cli", *argv], cwd=run, env=env,
+                    capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+            outputs.append({
+                path.relative_to(run).as_posix(): path.read_bytes()
+                for path in sorted(run.rglob("*")) if path.is_file()
+            })
+        assert "joined.jsonl" in outputs[0] and "metrics.json" in outputs[0]
+        assert outputs[0].keys() == outputs[1].keys()
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name

@@ -1,10 +1,15 @@
 """Proposer contract: name affinity, stub templates, remote transport."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from apivet.dsl import parse_invariant
+import apivet
+from apivet.dsl import CATEGORIES, Cmp, FieldRef, parse_invariant
 from apivet.errors import ExtractionError, ProposalError
 from apivet.proposer import (
     Conversation,
@@ -128,6 +133,42 @@ def joined_schema(focal, *bindings):
     return JoinedSchema(focal=focal, bindings=list(bindings))
 
 
+def stub_invariants(focal, *bindings):
+    proposal = StubProposer().propose_invariants(joined_schema(focal, *bindings))
+    return [parse_invariant(text) for text in proposal.texts]
+
+
+# Prints the __domain template of an argument whose own name and whose
+# synonym both name an enum column of a joined table.
+_PRINT_DOMAIN = """\
+from apivet.joins import Binding, JoinedSchema
+from apivet.proposer import StubProposer
+from apivet.relations import Relationship
+from apivet.schema import flatten_api_signature, parse_create_table
+
+t1, t2 = parse_create_table(
+    "CREATE TABLE t1 (id VARCHAR(64) PRIMARY KEY, state ENUM('open','shut'));"
+    "CREATE TABLE t2 (id VARCHAR(64) PRIMARY KEY, status ENUM('paid','unpaid'));"
+)
+foo = flatten_api_signature(
+    "foo", {"t1Id": "string", "t2Id": "string", "state": "string"}, {}
+)
+bindings = [
+    Binding(
+        name=table.name,
+        relationship=Relationship("API_DB", "foo", f"arguments.{table.name}Id",
+                                  table.name, "id"),
+        entity=table,
+    )
+    for table in (t1, t2)
+]
+stub = StubProposer(synonyms=(("state", "status"),))
+proposal = stub.propose_invariants(JoinedSchema(foo, bindings))
+(domain,) = [text for text in proposal.texts if "__domain" in text]
+print(domain)
+"""
+
+
 class TestStubInvariants:
     def test_templates_parse_and_cover_categories(self, create_order, orders_table):
         rel = Relationship(
@@ -157,6 +198,82 @@ class TestStubInvariants:
         assert 'IN ["unpaid", "paid", "cancelled"]' in proposal.texts[
             invs.index(domain[0])
         ]
+
+    def test_environment_template_restates_the_vetted_link(self):
+        # ownerId and userId share no name; loginId would match by synonym
+        transfer = flatten_api_signature(
+            "transfer", {"loginId": "string", "ownerId": "string"}, {}
+        )
+        env = load_env_descriptor({"sessionId": "string", "userId": "string"})
+        rel = Relationship(
+            kind="API_ENV",
+            focal_entity="transfer",
+            focal_attr="arguments.ownerId",
+            target_entity="Env",
+            target_attr="userId",
+        )
+        invs = stub_invariants(transfer, Binding(name="Env", relationship=rel, entity=env))
+        (match,) = [inv for inv in invs if inv.category == "environment"]
+        assert match.id == "transfer__Env__userId__match"
+        assert match.body.body == Cmp(
+            "==", FieldRef("transfer", "arguments.ownerId"), FieldRef("Env", "userId")
+        )
+
+    def test_flow_template_restates_the_vetted_pair(self, create_order):
+        pay = flatten_api_signature(
+            "payOrder", {"loginId": "string", "orderId": "string"}, {}
+        )
+        # both argument names also name a response field of createOrder
+        target = flatten_api_signature(
+            "createOrder", {}, {"loginId": "string", "orderId": "string"}
+        )
+        rel = Relationship(
+            kind="API_API",
+            focal_entity="payOrder",
+            focal_attr="arguments.orderId",
+            target_entity="createOrder",
+            target_attr="response.orderId",
+        )
+        invs = stub_invariants(
+            pay, Binding(name="createOrder", relationship=rel, entity=target)
+        )
+        (flow,) = [inv for inv in invs if inv.category == "related_api"]
+        assert flow.id == "payOrder__createOrder__orderId__flow"
+        assert flow.body.body == Cmp(
+            "==",
+            FieldRef("payOrder", "arguments.orderId"),
+            FieldRef("createOrder", "response.orderId"),
+        )
+
+    def test_link_without_attributes_yields_no_flow(self):
+        pay = flatten_api_signature("payOrder", {"orderId": "string"}, {})
+        target = flatten_api_signature("createOrder", {}, {"orderId": "string"})
+        rel = Relationship(
+            kind="API_API",
+            focal_entity="payOrder",
+            focal_attr=None,
+            target_entity="createOrder",
+            target_attr=None,
+        )
+        invs = stub_invariants(
+            pay, Binding(name="createOrder", relationship=rel, entity=target)
+        )
+        assert invs and not [inv for inv in invs if inv.category == "related_api"]
+
+    def test_domain_prefers_own_name_under_every_hash_seed(self):
+        """Set order must not choose between an own-name and a synonym domain."""
+        env = dict(os.environ, PYTHONPATH=str(Path(apivet.__file__).parents[1]))
+        texts = set()
+        for seed in range(6):
+            env["PYTHONHASHSEED"] = str(seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", _PRINT_DOMAIN], env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            texts.add(proc.stdout.strip())
+        (text,) = texts
+        assert text.endswith('WHERE foo.arguments.state IN ["open", "shut"]')
 
     def test_conversation_carries_prompt_and_reply(self, create_order):
         proposal = StubProposer().propose_invariants(joined_schema(create_order))
@@ -235,6 +352,8 @@ class TestPrompts:
         )
         text = render_invariant_prompt(schema)
         assert "orders" in text and "createOrder" in text
+        for category in CATEGORIES:
+            assert f"- {category}: " in text
 
     def test_refine_message_carries_samples(self):
         request = RefineRequest(
@@ -300,6 +419,20 @@ class TestRemoteProposer:
         proposal = remote.propose_invariants(joined_schema(create_order))
         assert len(proposal.texts) == 2
         assert proposal.conversation.messages[-1].role == "assistant"
+
+    def test_asks_again_once_when_no_block_came(self, create_order, orders_table):
+        transport = canned_transport(["no fences", "```json\n{\"relationships\": []}\n```"])
+        remote = RemoteProposer(provider_config(), transport=transport)
+        assert remote.propose_relationships(create_order, orders_table) == []
+        messages = transport.calls[1]["payload"]["messages"]
+        assert [m["role"] for m in messages] == ["user", "assistant", "user"]
+        assert "tagged json" in messages[-1]["content"]
+
+        transport = canned_transport(["no fences", "still none"])
+        remote = RemoteProposer(provider_config(), transport=transport)
+        with pytest.raises(ExtractionError):
+            remote.propose_invariants(joined_schema(create_order))
+        assert len(transport.calls) == 2
 
     def test_transport_errors_are_retried_then_fatal(self, create_order, orders_table):
         transport = canned_transport(
