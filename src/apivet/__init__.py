@@ -6,29 +6,34 @@ proposes per-call invariants, keeps only the ones all training traffic
 satisfies, and then flags and explains any call that breaks them.
 """
 
-from .config import PipelineConfig, load_config
-from .detector import check_corpus, evaluate_metrics
-from .dsl import Invariant, evaluate, explain, parse_invariant, print_invariant
-from .errors import ApivetError
-from .relations import Relationship
-from .schema import SchemaBundle, flatten_api_signature, parse_create_table
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApivetError",
-    "Invariant",
-    "PipelineConfig",
-    "Relationship",
-    "SchemaBundle",
-    "check_corpus",
-    "evaluate",
-    "evaluate_metrics",
-    "explain",
-    "flatten_api_signature",
-    "load_config",
-    "parse_create_table",
-    "parse_invariant",
-    "print_invariant",
-    "__version__",
-]
+# Each re-exported name is imported from its module on first access, so that
+# importing one submodule (or the CLI) does not load the detection stack.
+_EXPORTS = {
+    "ApivetError": "errors",
+    "Invariant": "dsl",
+    "PipelineConfig": "config",
+    "Relationship": "relations",
+    "SchemaBundle": "schema",
+    "check_corpus": "detector",
+    "evaluate": "dsl",
+    "evaluate_metrics": "detector",
+    "explain": "dsl",
+    "flatten_api_signature": "schema",
+    "load_config": "config",
+    "parse_create_table": "schema",
+    "parse_invariant": "dsl",
+    "print_invariant": "dsl",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)

@@ -6,9 +6,10 @@ problems, 3 proposer/provider failures.
 Every command is a fresh process, so start-up is paid on each run. A module
 that some command does not run is imported inside the command or function
 that needs it, not at module level: `benchgen` in `_cmd_benchgen`, the
-training pipeline in the two training commands, numpy (through `seqmodel`)
-only where a sequence model is trained or scored, and `urllib.request` only
-when the remote proposer sends a request. `detect` and `eval` load neither.
+detector in `detect` and `eval`, the training pipeline in the two training
+commands, numpy (through `seqmodel`) only where a sequence model is trained
+or scored, and `urllib.request` only when the remote proposer sends a
+request. `detect` and `eval` load no training module.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ from dataclasses import replace
 from . import __version__
 from .binlog import ingest_binlog, read_binlog_file
 from .config import PipelineConfig, load_config
-from .detector import (
-    check_corpus,
-    evaluate_metrics,
-    flagged_ids,
-    metrics_to_dict,
-    read_report,
-    write_metrics,
-    write_report,
-)
 from .dsl import read_invariant_file, write_invariant_file
-from .errors import ApivetError, ConfigError, ExtractionError, ProposalError, SchemaError
+from .errors import (
+    ApivetError,
+    ConfigError,
+    DslScopeError,
+    DslSyntaxError,
+    ExtractionError,
+    IngestError,
+    ProposalError,
+    SchemaError,
+)
 from .fileio import write_json
 from .logstore import read_label_file, read_log_file
 from .relations import (
@@ -88,10 +89,19 @@ def _load(path: str, loader):
 
 
 def _load_document(path: str, loader):
-    """_load for a JSON input: bad JSON or a wrong shape exits 2 naming the file."""
+    """_load for a structured input: bad syntax or a wrong shape exits 2 naming the file."""
     try:
         return _load(path, loader)
-    except (AttributeError, LookupError, TypeError, ValueError, SchemaError) as exc:
+    except (
+        AttributeError,
+        LookupError,
+        TypeError,
+        ValueError,
+        SchemaError,
+        DslSyntaxError,
+        DslScopeError,
+        IngestError,
+    ) as exc:
         raise ApivetError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -190,12 +200,14 @@ def _cmd_invariants_generate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from .detector import check_corpus, write_report
+
     config = _config_for(args)
     bundle = _load_document(args.bundle, load_bundle)
     corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     relationships = _load_document(args.relations, load_relationships)
-    invariants = _load(args.invariants, read_invariant_file)
+    invariants = _load_document(args.invariants, read_invariant_file)
     result = check_corpus(
         bundle, corpus, tables, relationships, invariants, jobs=config.jobs
     )
@@ -237,8 +249,16 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
 
 
 def _cmd_eval(args) -> int:
+    from .detector import (
+        evaluate_metrics,
+        flagged_ids,
+        metrics_to_dict,
+        read_report,
+        write_metrics,
+    )
+
     flagged = _load_document(args.report, lambda p: flagged_ids(read_report(p)))
-    labels = _load(args.labels, lambda p: read_label_file(p, mode="strict"))
+    labels = _load_document(args.labels, lambda p: read_label_file(p, mode="strict"))
     metrics = evaluate_metrics(flagged, labels, window_size=args.window)
     write_metrics(metrics, args.out)
     summary = metrics_to_dict(metrics)
@@ -316,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ri = relations_sub.add_parser("infer", help="infer and filter relationships")
     _common_inputs(ri)
     _training_options(ri)
+    ri.add_argument("--seed", type=int, help="override sequence model training seed")
     ri.add_argument("--out", required=True, help="relationships output path")
     ri.add_argument("--diagram", help="optional diagram JSON output")
     ri.set_defaults(func=_cmd_relations_infer)
@@ -375,7 +396,6 @@ def _training_options(parser) -> None:
     parser.add_argument(
         "--proposer", choices=("stub", "remote"), help="override configured proposer"
     )
-    parser.add_argument("--seed", type=int, help="override model training seed")
 
 
 def main(argv=None) -> int:

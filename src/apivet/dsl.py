@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import DslScopeError, DslSyntaxError, EvaluationError
+from .lexer import Cursor, Token
 from .values import value_key
 
 CATEGORIES = ("common_sense", "format", "database", "environment", "related_api")
@@ -125,7 +126,7 @@ class Invariant:
     body: Any
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- parser ----------------------------------------------------------------
 
 _DSL_TOKEN_RE = re.compile(
     r"""
@@ -140,51 +141,10 @@ _DSL_TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # STRING NUMBER IDENT KW OP PUNCT
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _DSL_TOKEN_RE.match(text, pos)
-        if match is None:
-            raise DslSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup or ""
-        raw = match.group(0)
-        column = pos - line_start + 1
-        if kind == "ident":
-            tokens.append(_Tok("KW" if raw in KEYWORDS else "IDENT", raw, line, column))
-        elif kind == "string":
-            tokens.append(_Tok("STRING", raw, line, column))
-        elif kind == "number":
-            tokens.append(_Tok("NUMBER", raw, line, column))
-        elif kind == "op":
-            tokens.append(_Tok("OP", raw, line, column))
-        elif kind == "punct":
-            tokens.append(_Tok("PUNCT", raw, line, column))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + raw.rfind("\n") + 1
-        pos = match.end()
-    return tokens
-
-
 _BACKREF_RE = re.compile(r"\\[1-9]")
 
 
-def _check_pattern(pattern: str, tok: _Tok) -> None:
+def _check_pattern(pattern: str, tok: Token) -> None:
     if _BACKREF_RE.search(pattern):
         raise DslSyntaxError("backreferences are not supported", tok.line, tok.column)
     try:
@@ -193,60 +153,17 @@ def _check_pattern(pattern: str, tok: _Tok) -> None:
         raise DslSyntaxError(f"bad pattern: {exc}", tok.line, tok.column)
 
 
-# --- parser ----------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _error(self, message: str) -> DslSyntaxError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return DslSyntaxError(f"{message}, got {tok.text!r}", tok.line, tok.column)
-        if self.tokens:
-            last = self.tokens[-1]
-            return DslSyntaxError(message, last.line, last.column + len(last.text))
-        return DslSyntaxError(message, 1, 1)
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "KW" and tok.text == word
+class _Parser(Cursor):
+    pattern = _DSL_TOKEN_RE
+    error_class = DslSyntaxError
 
     def take_kw(self, word: str) -> None:
-        if not self.at_kw(word):
-            raise self._error(f"expected {word}")
-        self.pos += 1
-
-    def try_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.pos += 1
-            return True
-        return False
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "PUNCT" and tok.text == text
-
-    def take_punct(self, text: str) -> None:
-        if not self.at_punct(text):
-            raise self._error(f"expected {text!r}")
-        self.pos += 1
-
-    def try_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.pos += 1
-            return True
-        return False
+        self.take("ident", word, what=word)
 
     def ident(self) -> str:
         tok = self.peek()
-        if tok is None or tok.kind != "IDENT":
-            raise self._error("expected identifier")
+        if tok is None or tok.kind != "ident" or tok.text in KEYWORDS:
+            raise self.error("expected identifier")
         self.pos += 1
         return tok.text
 
@@ -264,7 +181,7 @@ class _Parser:
         self.take_kw("CATEGORY")
         category = self.ident()
         if category not in CATEGORIES:
-            raise self._error(
+            raise self.error(
                 f"category must be one of {', '.join(CATEGORIES)}; got {category!r}"
             )
         self.take_kw("WHERE")
@@ -275,90 +192,87 @@ class _Parser:
 
     def parse_expr(self) -> Any:
         parts = [self.parse_andx()]
-        while self.try_kw("OR"):
+        while self.accept("ident", "OR"):
             parts.append(self.parse_andx())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_andx(self) -> Any:
         parts = [self.parse_notx()]
-        while self.try_kw("AND"):
+        while self.accept("ident", "AND"):
             parts.append(self.parse_notx())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_notx(self) -> Any:
-        if self.try_kw("NOT"):
+        if self.accept("ident", "NOT"):
             return Not(self.parse_notx())
         return self.parse_atom()
 
     def parse_atom(self) -> Any:
-        if self.try_punct("("):
+        if self.accept("punct", "("):
             inner = self.parse_expr()
-            self.take_punct(")")
+            self.take("punct", ")")
             return inner
         tok = self.peek()
         if tok is None:
-            raise self._error("expected expression")
-        if tok.kind == "KW" and tok.text in ("TRUE", "FALSE"):
+            raise self.error("expected expression")
+        if tok.kind == "ident" and tok.text in ("TRUE", "FALSE"):
             # Boolean literals double as predicate operands: look ahead.
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
+            nxt = self.peek(1)
             if nxt is not None and (
-                nxt.kind == "OP" or (nxt.kind == "KW" and nxt.text in ("IN", "MATCHES", "IS"))
+                nxt.kind == "op"
+                or (nxt.kind == "ident" and nxt.text in ("IN", "MATCHES", "IS"))
             ):
                 return self.parse_pred()
             self.pos += 1
             return BoolConst(tok.text == "TRUE")
-        if tok.kind == "KW" and tok.text in ("EXISTS", "FORALL"):
+        if tok.kind == "ident" and tok.text in ("EXISTS", "FORALL"):
             self.pos += 1
-            self.take_punct("(")
+            self.take("punct", "(")
             name = self.ident()
-            self.take_punct(":")
+            self.take("punct", ":")
             body = self.parse_expr()
-            self.take_punct(")")
+            self.take("punct", ")")
             return Quant(exists=tok.text == "EXISTS", name=name, body=body)
         return self.parse_pred()
 
     def parse_pred(self) -> Any:
         operand = self.parse_operand()
-        tok = self.peek()
-        if tok is not None and tok.kind == "OP":
-            self.pos += 1
+        op = self.accept("op")
+        if op is not None:
             right = self.parse_operand()
-            return Cmp(op=tok.text, left=operand, right=right)
-        if self.try_kw("IN"):
-            self.take_punct("[")
+            return Cmp(op=op.text, left=operand, right=right)
+        if self.accept("ident", "IN"):
+            self.take("punct", "[")
             items = [self.parse_literal()]
-            while self.try_punct(","):
+            while self.accept("punct", ","):
                 items.append(self.parse_literal())
-            self.take_punct("]")
+            self.take("punct", "]")
             return InSet(operand=operand, items=tuple(items))
-        if self.try_kw("MATCHES"):
-            tok = self.peek()
-            if tok is None or tok.kind != "STRING":
-                raise self._error("expected pattern string")
-            self.pos += 1
+        if self.accept("ident", "MATCHES"):
+            tok = self.take("string", what="pattern string")
             pattern = json.loads(tok.text)
             _check_pattern(pattern, tok)
             return Match(operand=operand, pattern=pattern)
-        if self.try_kw("IS"):
-            negated = self.try_kw("NOT")
+        if self.accept("ident", "IS"):
+            negated = self.accept("ident", "NOT") is not None
             self.take_kw("NULL")
             return NullCheck(operand=operand, negated=negated)
-        raise self._error("expected comparison, IN, MATCHES, or IS")
+        raise self.error("expected comparison, IN, MATCHES, or IS")
 
     def parse_operand(self) -> Any:
         tok = self.peek()
         if tok is None:
-            raise self._error("expected operand")
-        if tok.kind == "IDENT":
+            raise self.error("expected operand")
+        if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.pos += 1
-            if not self.try_punct("."):
+            if not self.accept("punct", "."):
                 raise DslSyntaxError(
                     "field reference requires an entity-qualified path",
                     tok.line,
                     tok.column,
                 )
             segments = [self.ident()]
-            while self.try_punct("."):
+            while self.accept("punct", "."):
                 segments.append(self.ident())
             return FieldRef(root=tok.text, path=".".join(segments))
         return self.parse_literal()
@@ -366,19 +280,19 @@ class _Parser:
     def parse_literal(self) -> Lit:
         tok = self.peek()
         if tok is None:
-            raise self._error("expected literal")
-        if tok.kind == "STRING":
+            raise self.error("expected literal")
+        if tok.kind == "string":
             self.pos += 1
             return Lit(json.loads(tok.text))
-        if tok.kind == "NUMBER":
+        if tok.kind == "number":
             self.pos += 1
             if re.fullmatch(r"-?[0-9]+", tok.text):
                 return Lit(int(tok.text))
             return Lit(float(tok.text))
-        if tok.kind == "KW" and tok.text in ("TRUE", "FALSE"):
+        if tok.kind == "ident" and tok.text in ("TRUE", "FALSE"):
             self.pos += 1
             return Lit(tok.text == "TRUE")
-        raise self._error("expected literal")
+        raise self.error("expected literal")
 
 
 def _check_scope(node: Any, focal: str, bound: frozenset) -> None:
@@ -419,7 +333,7 @@ def parse_invariant(text: str) -> Invariant:
     parser = _Parser(text)
     inv = parser.parse_one()
     if parser.peek() is not None:
-        raise parser._error("trailing input after invariant")
+        raise parser.error("trailing input after invariant")
     return inv
 
 

@@ -17,13 +17,17 @@ class SchemaError(ApivetError):
     """Entity or attribute definitions violate a schema invariant."""
 
 
-class DdlParseError(ApivetError):
-    """Unsupported or malformed DDL input."""
+class ParseError(ApivetError):
+    """Input text that a grammar rejects at a line and column."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class DdlParseError(ParseError):
+    """Unsupported or malformed DDL input."""
 
 
 class IngestError(ApivetError):
@@ -50,13 +54,8 @@ class InferenceError(ApivetError):
     """Relationship inference produced no usable result in strict mode."""
 
 
-class DslSyntaxError(ApivetError):
+class DslSyntaxError(ParseError):
     """Invariant text does not conform to the grammar."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class DslScopeError(ApivetError):

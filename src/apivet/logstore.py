@@ -250,14 +250,18 @@ def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecor
             if mode == "strict":
                 raise IngestError(f"invalid JSON ({exc.msg})", line_no)
             continue
+        if not isinstance(record, dict):
+            record = {}  # valid JSON, but not a label record
         log_id = record.get("log_id")
         label = record.get("label")
+        trace = record.get("trace")
         if (
             isinstance(log_id, int)
             and not isinstance(log_id, bool)
             and label in ("normal", "attack")
+            and (trace is None or isinstance(trace, str))
         ):
-            out.append(LabelRecord(log_id=log_id, label=label, trace=record.get("trace")))
+            out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
         elif mode == "strict":
             raise IngestError("malformed label record", line_no)
     return out

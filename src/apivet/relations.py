@@ -237,7 +237,8 @@ def relationship_to_dict(rel: Relationship) -> dict:
 
 
 def relationship_from_dict(data: dict) -> Relationship:
-    return Relationship(
+    """Read one saved relationship, rejecting wrong shapes with a ValueError."""
+    rel = Relationship(
         kind=data["kind"],
         focal_entity=data["focal_entity"],
         focal_attr=data.get("focal_attr"),
@@ -247,6 +248,20 @@ def relationship_from_dict(data: dict) -> Relationship:
         score=data.get("score"),
         provenance=data.get("provenance", "proposed"),
     )
+    for name in ("focal_entity", "target_entity"):
+        value = getattr(rel, name)
+        if not isinstance(value, str) or not value:
+            raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    for name in ("focal_attr", "target_attr"):
+        value = getattr(rel, name)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{name} must be null or a string, got {value!r}")
+    delta = rel.delta_ms
+    if delta is not None and (
+        not isinstance(delta, int) or isinstance(delta, bool) or delta < 1
+    ):
+        raise ValueError(f"delta_ms must be null or an int >= 1, got {delta!r}")
+    return rel
 
 
 def diagram_to_dict(bundle: SchemaBundle, relationships: list[Relationship]) -> dict:

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DdlParseError, SchemaError
+from .lexer import Cursor, Token
 
 TYPE_TAGS = (
     "string",
@@ -224,88 +225,28 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class _DdlParser(Cursor):
+    pattern = _TOKEN_RE
+    error_class = DdlParseError
 
-
-def _tokenize_ddl(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise DdlParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup or ""
-        raw = match.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, raw, line, pos - line_start + 1))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + raw.rfind("\n") + 1
-        pos = match.end()
-    return tokens
-
-
-class _DdlParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_ddl(text)
-        self.pos = 0
-
-    def _error(self, message: str) -> DdlParseError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return DdlParseError(message, tok.line, tok.column)
-        last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-        return DdlParseError(message, last.line, last.column + len(last.text))
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
+    def next(self, what: str) -> Token:
         tok = self.peek()
         if tok is None:
-            raise self._error("unexpected end of input")
+            raise self.error(f"expected {what}")
         self.pos += 1
         return tok
 
-    def expect_word(self, *words: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "word" or tok.text.upper() not in words:
-            raise DdlParseError(
-                f"expected {' or '.join(words)}, got {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
-        return tok
-
-    def expect_punct(self, punct: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != punct:
-            raise DdlParseError(
-                f"expected {punct!r}, got {tok.text!r}", tok.line, tok.column
-            )
-        return tok
+    def expect_word(self, *words: str) -> None:
+        if not self.at_word(*words):
+            raise self.error(f"expected {' or '.join(words)}")
+        self.pos += 1
 
     def identifier(self) -> str:
-        tok = self.next()
-        if tok.kind != "word":
-            raise DdlParseError(
-                f"expected identifier, got {tok.text!r}", tok.line, tok.column
-            )
-        return tok.text.strip("`")
+        return self.take("word", what="identifier").text.strip("`")
 
-    def at_word(self, word: str) -> bool:
+    def at_word(self, *words: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == "word" and tok.text.upper() == word
+        return tok is not None and tok.kind == "word" and tok.text.upper() in words
 
     def parse_statements(self) -> list[EntityType]:
         entities = []
@@ -317,21 +258,21 @@ class _DdlParser:
         self.expect_word("CREATE")
         self.expect_word("TABLE")
         name = self.identifier()
-        self.expect_punct("(")
+        self.take("punct", "(")
         columns: list[Attribute] = []
         seen: set[str] = set()
         pk: list[str] | None = None
         while True:
             if self.at_word("PRIMARY"):
-                self.next()
+                self.pos += 1
                 self.expect_word("KEY")
-                self.expect_punct("(")
+                self.take("punct", "(")
                 cols = [self.identifier()]
-                while self._try_punct(","):
+                while self.accept("punct", ","):
                     cols.append(self.identifier())
-                self.expect_punct(")")
+                self.take("punct", ")")
                 if pk is not None:
-                    raise self._error("duplicate PRIMARY KEY clause")
+                    raise self.error("duplicate PRIMARY KEY clause", got=False)
                 pk = cols
             else:
                 col, col_pk = self.parse_column()
@@ -341,17 +282,12 @@ class _DdlParser:
                 columns.append(col)
                 if col_pk:
                     if pk is not None:
-                        raise self._error("duplicate PRIMARY KEY clause")
+                        raise self.error("duplicate PRIMARY KEY clause", got=False)
                     pk = [col.path]
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == ",":
-                continue
-            if tok.kind == "punct" and tok.text == ")":
+            if self.accept("punct", ")"):
                 break
-            raise DdlParseError(
-                f"expected ',' or ')', got {tok.text!r}", tok.line, tok.column
-            )
-        self.expect_punct(";")
+            self.take("punct", ",", what="',' or ')'")
+        self.take("punct", ";")
         attrs = columns
         if pk is not None:
             attrs = [
@@ -364,31 +300,16 @@ class _DdlParser:
             primary_key=tuple(pk) if pk else None,
         )
 
-    def _try_punct(self, punct: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == punct:
-            self.pos += 1
-            return True
-        return False
-
     def parse_column(self) -> tuple[Attribute, bool]:
         name = self.identifier()
-        type_tok = self.next()
-        if type_tok.kind != "word":
-            raise DdlParseError(
-                f"expected column type, got {type_tok.text!r}",
-                type_tok.line,
-                type_tok.column,
-            )
-        sem = self.parse_type(type_tok)
-        is_pk = False
-        if self.at_word("PRIMARY"):
-            self.next()
+        sem = self.parse_type(self.take("word", what="column type"))
+        is_pk = self.at_word("PRIMARY")
+        if is_pk:
+            self.pos += 1
             self.expect_word("KEY")
-            is_pk = True
         return Attribute(name, sem), is_pk
 
-    def parse_type(self, tok: _Token) -> SemanticType:
+    def parse_type(self, tok: Token) -> SemanticType:
         upper = tok.text.upper()
         args = self.parse_type_args()
         if upper in ("VARCHAR", "TEXT"):
@@ -415,10 +336,10 @@ class _DdlParser:
 
     def parse_type_args(self) -> list[str]:
         args: list[str] = []
-        if not self._try_punct("("):
+        if not self.accept("punct", "("):
             return args
         while True:
-            tok = self.next()
+            tok = self.next("type argument")
             if tok.kind == "string":
                 args.append(tok.text[1:-1].replace("\\'", "'"))
             elif tok.kind == "number":
@@ -427,13 +348,9 @@ class _DdlParser:
                 raise DdlParseError(
                     f"unexpected type argument {tok.text!r}", tok.line, tok.column
                 )
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == ")":
+            if self.accept("punct", ")"):
                 return args
-            if not (tok.kind == "punct" and tok.text == ","):
-                raise DdlParseError(
-                    f"expected ',' or ')', got {tok.text!r}", tok.line, tok.column
-                )
+            self.take("punct", ",", what="',' or ')'")
 
 
 def parse_create_table(ddl_text: str) -> list[EntityType]:

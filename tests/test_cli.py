@@ -216,6 +216,18 @@ class TestImportClosure:
         assert "apivet.seqmodel" in loaded
         assert "urllib.request" not in loaded
 
+    @pytest.mark.parametrize("command", ["schema", "benchgen"])
+    def test_schema_parse_and_benchgen_load_no_detection(self, tmp_path, command):
+        if command == "schema":
+            ddl = tmp_path / "ddl.sql"
+            ddl.write_text("CREATE TABLE users (id VARCHAR(64) PRIMARY KEY);")
+            argv = ["schema", "parse", "--ddl", str(ddl), "--out", str(tmp_path / "b.json")]
+        else:
+            argv = ["benchgen", "--out", str(tmp_path / "bench"), "--sessions", "2"]
+        loaded = _modules_after(argv)
+        assert "apivet.schema" in loaded
+        assert sorted(loaded & {"apivet.detector", "apivet.joins"}) == []
+
 
 class TestSchemaParse:
     def test_builds_a_bundle_from_files(self, tmp_path, capsys):
@@ -264,6 +276,13 @@ class TestSchemaParse:
         assert main(["schema", "parse", "--calls", str(calls), "--depth", "0",
                      "--out", str(tmp_path / "b.json")]) == 1
         assert "--depth" in capsys.readouterr().err
+
+
+def _api_link(**fields):
+    """A one-link relationships file: an API_API link with `fields` changed."""
+    link = {"kind": "API_API", "focal_entity": "payOrder", "focal_attr": None,
+            "target_entity": "login", "target_attr": None, "delta_ms": 60000}
+    return json.dumps([{**link, **fields}])
 
 
 class TestExitCodes:
@@ -400,30 +419,44 @@ class TestExitCodes:
         ("--relations", "{oops"),
         ("--relations", '[{"kind": "API_DB"}]'),
         ("--relations", '{"kind": "API_DB"}'),
+        pytest.param("--relations", _api_link(delta_ms="5"), id="relations-delta_string"),
+        pytest.param("--relations", _api_link(delta_ms=True), id="relations-delta_bool"),
+        pytest.param("--relations", _api_link(delta_ms=0), id="relations-delta_zero"),
+        pytest.param("--relations", _api_link(focal_entity=3), id="relations-entity_int"),
+        pytest.param("--relations", _api_link(target_entity=""), id="relations-entity_empty"),
+        pytest.param("--relations", _api_link(target_attr=5), id="relations-attr_int"),
+        ("--invariants", "INVARIANT x ON"),
+        ("--invariants", "INVARIANT x ON a CATEGORY format WHERE ghost.b == 1"),
         ("--report", "{oops"),
         ("--report", "5"),
         ("--report", '{"violations": [1], "summary": {}}'),
+        ("--labels", "{oops"),
+        ("--labels", "[1]"),
+        ("--labels", '{"log_id": 0, "label": "attack", "trace": ["x"]}'),
     ])
     def test_malformed_document_exits_two_naming_it(
         self, pipeline, tmp_path, capsys, flag, text
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        if flag == "--report":
-            argv = ["eval", "--report", str(bad),
-                    "--labels", str(pipeline["eval"] / "labels.jsonl")]
+        inputs = {"--bundle": str(pipeline["bundle"]),
+                  "--relations": str(pipeline["relations"]),
+                  "--invariants": str(pipeline["invariants"]),
+                  "--report": str(pipeline["report"]),
+                  "--labels": str(pipeline["eval"] / "labels.jsonl"),
+                  flag: str(bad)}
+        if flag in ("--report", "--labels"):
+            argv = ["eval", "--report", inputs["--report"], "--labels", inputs["--labels"]]
         else:
-            inputs = {"--bundle": str(pipeline["bundle"]),
-                      "--relations": str(pipeline["relations"]), flag: str(bad)}
             argv = ["detect", "--bundle", inputs["--bundle"],
                     "--logs", str(pipeline["eval"] / "logs.jsonl"),
                     "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
                     "--relations", inputs["--relations"],
-                    "--invariants", str(pipeline["invariants"])]
+                    "--invariants", inputs["--invariants"]]
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and str(bad) in line
+        assert line.startswith(f"error: malformed {bad}: ")
         assert not (tmp_path / "out.json").exists()
 
     def test_missing_input_file_exits_one(self, pipeline, tmp_path):
@@ -450,6 +483,15 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {flag} {value}" in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_invariants_generate_rejects_seed(self, pipeline, tmp_path, capsys):
+        # --seed steers the sequence model, which only relations infer trains
+        capsys.readouterr()
+        assert main(["invariants", "generate", *_inputs(pipeline, "train"),
+                     "--relations", str(pipeline["relations"]),
+                     "--out", str(tmp_path / "inv.txt"), "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "inv.txt").exists()
 
     def test_bad_workdir_exits_one(self):
         assert main(["--workdir", "/no/such/dir", "benchgen",

@@ -2,8 +2,8 @@
 
 Reference implementations that only tests call belong in tests/oracles.py.
 A public top-level function or class that nothing in the package names, as
-a call, an attribute or an import (the imports in __init__ are the library
-surface), is dead code. A name used only inside its own top-level definition,
+a call, an attribute or an import, and that the package does not re-export
+(`apivet._EXPORTS`, the library surface), is dead code. A name used only inside its own top-level definition,
 as in a recursive call, counts as named nowhere.
 """
 
@@ -17,7 +17,7 @@ PACKAGE = Path(apivet.__file__).parent
 
 def public_definitions_and_references():
     defined = set()
-    referenced = set()
+    referenced = set(apivet._EXPORTS)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:

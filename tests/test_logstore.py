@@ -197,3 +197,16 @@ class TestLabels:
             parse_labels(["{bad"], mode="strict")
         with pytest.raises(IngestError):
             parse_labels([json.dumps({"log_id": True, "label": "normal"})], mode="strict")
+
+    @pytest.mark.parametrize("line", [
+        "[1]",
+        "3",
+        "null",
+        json.dumps({"log_id": 0, "label": "attack", "trace": ["x"]}),
+        json.dumps({"log_id": 0, "label": "attack", "trace": 7}),
+    ], ids=["list", "number", "null", "list_trace", "number_trace"])
+    def test_non_record_lines_are_malformed(self, line):
+        good = json.dumps({"log_id": 1, "label": "normal"})
+        assert parse_labels([line, good]) == [LabelRecord(log_id=1, label="normal")]
+        with pytest.raises(IngestError, match="line 1: malformed label record"):
+            parse_labels([line, good], mode="strict")
