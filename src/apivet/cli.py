@@ -28,11 +28,11 @@ from .dsl import read_invariant_file, write_invariant_file
 from .errors import (
     ApivetError,
     ConfigError,
-    DslScopeError,
-    DslSyntaxError,
     ExtractionError,
     IngestError,
+    ParseError,
     ProposalError,
+    ReplayError,
     SchemaError,
 )
 from .fileio import write_json
@@ -58,17 +58,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
-
-
 def _read_document(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_ddl(path: str) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return parse_create_table(fh.read())
 
 
 def _read_calls(path: str, depth_limit: int) -> list:
@@ -81,26 +78,25 @@ def _read_calls(path: str, depth_limit: int) -> list:
     ]
 
 
-def _load(path: str, loader):
+def _load_document(path: str, loader):
+    """`loader(path)` for any input file.
+
+    A file that cannot be read exits 1; bad syntax, a wrong shape or, under
+    --strict, a bad record exits 2 naming the file.
+    """
     try:
         return loader(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}")
-
-
-def _load_document(path: str, loader):
-    """_load for a structured input: bad syntax or a wrong shape exits 2 naming the file."""
-    try:
-        return _load(path, loader)
     except (
         AttributeError,
         LookupError,
         TypeError,
         ValueError,
         SchemaError,
-        DslSyntaxError,
-        DslScopeError,
+        ParseError,
         IngestError,
+        ReplayError,
     ) as exc:
         raise ApivetError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
@@ -120,8 +116,11 @@ def _config_for(args) -> PipelineConfig:
 
 
 def _load_tables(args, bundle, config):
-    rows = _load(args.binlog, lambda p: read_binlog_file(p, mode=config.mode))
-    return ingest_binlog(rows, bundle, mode=config.mode)
+    def load(path):
+        rows = read_binlog_file(path, mode=config.mode)
+        return ingest_binlog(rows, bundle, mode=config.mode)
+
+    return _load_document(args.binlog, load)
 
 
 # --- commands ----------------------------------------------------------------
@@ -130,7 +129,7 @@ def _load_tables(args, bundle, config):
 def _cmd_schema_parse(args) -> int:
     entities = []
     if args.ddl:
-        entities.extend(parse_create_table(_read_text(args.ddl)))
+        entities.extend(_load_document(args.ddl, _read_ddl))
     if args.calls:
         if args.depth < 1:
             raise ConfigError("--depth must be at least 1")
@@ -152,7 +151,7 @@ def _cmd_relations_infer(args) -> int:
 
     config = _config_for(args)
     bundle = _load_document(args.bundle, load_bundle)
-    corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
+    corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     report = run_inference(bundle, corpus, tables, config)
     save_relationships(report.relationships, args.out)
@@ -170,7 +169,7 @@ def _cmd_invariants_generate(args) -> int:
 
     config = _config_for(args)
     bundle = _load_document(args.bundle, load_bundle)
-    corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
+    corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     relationships = _load_document(args.relations, load_relationships)
     result = run_generation(bundle, corpus, tables, relationships, config)
@@ -204,7 +203,7 @@ def _cmd_detect(args) -> int:
 
     config = _config_for(args)
     bundle = _load_document(args.bundle, load_bundle)
-    corpus = _load(args.logs, lambda p: read_log_file(p, mode=config.mode))
+    corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     relationships = _load_document(args.relations, load_relationships)
     invariants = _load_document(args.invariants, read_invariant_file)

@@ -7,14 +7,14 @@ One invariant constrains the joined groups of a single focal entity:
     WHERE EXISTS(orders: orders.status == "paid")
 
 Quantifiers range over the rows a relationship bound into the group; any
-reference to a non-focal entity must sit inside a quantifier binding it.
+reference to a non-focal entity must sit inside a quantifier binding it,
+which the parser checks as it reads.
 Evaluation is two-valued: comparisons touching null are false (only
 IS [NOT] NULL sees null), and type-incompatible comparisons are false.
 
-`compile_invariant` is the one evaluator: it turns an invariant into
-closures that refinement and detection both run. A failure's explanation is
-plain text, built by re-running the closures of the sub-expressions it
-reports on.
+`compile_invariant` is the one evaluator: it compiles each node of an
+invariant once, into a check that refinement and detection both run and an
+explanation of the node's failure as plain text.
 """
 
 from __future__ import annotations
@@ -179,16 +179,18 @@ class _Parser(Cursor):
         self.take_kw("ON")
         focal = self.ident()
         self.take_kw("CATEGORY")
+        tok = self.peek()
         category = self.ident()
         if category not in CATEGORIES:
-            raise self.error(
-                f"category must be one of {', '.join(CATEGORIES)}; got {category!r}"
+            raise DslSyntaxError(
+                f"category must be one of {', '.join(CATEGORIES)}; got {category!r}",
+                tok.line,
+                tok.column,
             )
         self.take_kw("WHERE")
+        self.bound = [focal]  # the names a field reference may start with here
         body = self.parse_expr()
-        inv = Invariant(id=name, focal=focal, category=category, body=body)
-        _check_scope(inv.body, focal, frozenset())
-        return inv
+        return Invariant(id=name, focal=focal, category=category, body=body)
 
     def parse_expr(self) -> Any:
         parts = [self.parse_andx()]
@@ -230,7 +232,9 @@ class _Parser(Cursor):
             self.take("punct", "(")
             name = self.ident()
             self.take("punct", ":")
+            self.bound.append(name)
             body = self.parse_expr()
+            self.bound.pop()
             self.take("punct", ")")
             return Quant(exists=tok.text == "EXISTS", name=name, body=body)
         return self.parse_pred()
@@ -274,7 +278,15 @@ class _Parser(Cursor):
             segments = [self.ident()]
             while self.accept("punct", "."):
                 segments.append(self.ident())
-            return FieldRef(root=tok.text, path=".".join(segments))
+            ref = FieldRef(root=tok.text, path=".".join(segments))
+            if ref.root not in self.bound:
+                raise DslScopeError(
+                    f"reference to {ref.root}.{ref.path} is outside any "
+                    f"quantifier binding {ref.root!r}",
+                    tok.line,
+                    tok.column,
+                )
+            return ref
         return self.parse_literal()
 
     def parse_literal(self) -> Lit:
@@ -293,26 +305,6 @@ class _Parser(Cursor):
             self.pos += 1
             return Lit(tok.text == "TRUE")
         raise self.error("expected literal")
-
-
-def _check_scope(node: Any, focal: str, bound: frozenset) -> None:
-    if isinstance(node, (Cmp, InSet, Match, NullCheck)):
-        operands = (
-            (node.left, node.right) if isinstance(node, Cmp) else (node.operand,)
-        )
-        for ref in operands:
-            if isinstance(ref, FieldRef) and ref.root != focal and ref.root not in bound:
-                raise DslScopeError(
-                    f"reference to {ref.root}.{ref.path} is outside any "
-                    f"quantifier binding {ref.root!r}"
-                )
-    elif isinstance(node, Not):
-        _check_scope(node.expr, focal, bound)
-    elif isinstance(node, (And, Or)):
-        for part in node.parts:
-            _check_scope(part, focal, bound)
-    elif isinstance(node, Quant):
-        _check_scope(node.body, focal, bound | {node.name})
 
 
 def quantified_names(node: Any) -> set[str]:
@@ -446,45 +438,43 @@ def _unbound(name: str) -> EvaluationError:
     return EvaluationError(f"entity {name!r} is not bound in this group")
 
 
-# Every closure takes (bindings, scope): the group's binding name -> rows map
-# and the entity name -> current row map. `closures` collects the closure of
-# each node and operand by id() so the tracer can re-run any sub-expression.
+# `_compile` turns a node into two closures over (bindings, scope), the
+# group's binding name -> rows map and the entity name -> current row map:
+# `test` gives the node's truth value, and `why`, called only where the node
+# is false, gives the failure text. Each node's printed text is formatted
+# here, once.
 
 
-def _compile_operand(node: Any, closures: dict):
+def _compile_operand(node: Any):
     if node.__class__ is Lit:
         value = node.value
+        return lambda b, s: value
+    root, path = node.root, node.path
 
-        def read(b, s):
-            return value
+    def read(b, s):
+        try:
+            row = s[root]
+        except KeyError:
+            raise _unbound(root) from None
+        return row.get(path)
 
-    else:
-        root, path = node.root, node.path
-
-        def read(b, s):
-            try:
-                row = s[root]
-            except KeyError:
-                raise _unbound(root) from None
-            return row.get(path)
-
-    closures[id(node)] = read
     return read
 
 
-def _compile(node: Any, closures: dict):
-    fn = _compile_node(node, closures)
-    closures[id(node)] = fn
-    return fn
+_MAX_TRACED_ROWS = 3
 
 
-def _compile_node(node: Any, closures: dict):
+def _compile(node: Any):
+    """The node's (test, why) pair."""
     cls = node.__class__
+    if cls is And or cls is Or:
+        return _junction(cls, [_compile(p) for p in node.parts])
+    failed = f"{print_expr(node)} failed"
     if cls is Cmp:
         op = node.op
         test = _OPERATORS[op]
-        left = _compile_operand(node.left, closures)
-        right = _compile_operand(node.right, closures)
+        left = _compile_operand(node.left)
+        right = _compile_operand(node.right)
 
         def compare(b, s):
             x = left(b, s)
@@ -497,10 +487,10 @@ def _compile_node(node: Any, closures: dict):
                 and test(x, y)
             )
 
-        return compare
+        return compare, _predicate_why(failed, (node.left, node.right), (left, right), op)
     if cls is Quant:
         name = node.name
-        body = _compile(node.body, closures)
+        body, body_why = _compile(node.body)
         exists = node.exists
 
         def quantified(b, s):
@@ -527,122 +517,104 @@ def _compile_node(node: Any, closures: dict):
                 else:
                     s[name] = prev
 
-        return quantified
-    if cls is And:
-        parts = tuple(_compile(p, closures) for p in node.parts)
-        if len(parts) == 2:
-            first, second = parts
-            return lambda b, s: first(b, s) and second(b, s)
-        return lambda b, s: all(p(b, s) for p in parts)
-    if cls is Or:
-        parts = tuple(_compile(p, closures) for p in node.parts)
-        if len(parts) == 2:
-            first, second = parts
-            return lambda b, s: first(b, s) or second(b, s)
-        return lambda b, s: any(p(b, s) for p in parts)
+        # a failed EXISTS fails on every row, so both count the failing rows
+        # and explain the first few
+        counted = "{n} bound row(s)" if exists else "{bad} of {n} row(s) violated"
+
+        def why(b, s):
+            try:
+                rows = b[name]
+            except KeyError:
+                raise _unbound(name) from None
+            prev = s.get(name)
+            children = []
+            bad = 0
+            try:
+                for i, row in enumerate(rows):
+                    s[name] = row
+                    if not body(b, s):
+                        bad += 1
+                        if bad <= _MAX_TRACED_ROWS:
+                            children.append(f"row[{i}]: {body_why(b, s)}")
+            finally:
+                if prev is None:
+                    s.pop(name, None)
+                else:
+                    s[name] = prev
+            label = f"{failed}: {counted.format(bad=bad, n=len(rows))}"
+            return "; ".join([label, *children])
+
+        return quantified, why
     if cls is Not:
-        inner = _compile(node.expr, closures)
-        return lambda b, s: not inner(b, s)
+        inner = _compile(node.expr)[0]
+        held = f"{failed}: inner condition held"
+        return (lambda b, s: not inner(b, s)), (lambda b, s: held)
     if cls is NullCheck:
-        operand = _compile_operand(node.operand, closures)
+        operand = _compile_operand(node.operand)
         if node.negated:
-            return lambda b, s: operand(b, s) is not None
-        return lambda b, s: operand(b, s) is None
-    if cls is Match:
-        operand = _compile_operand(node.operand, closures)
+            test = lambda b, s: operand(b, s) is not None
+        else:
+            test = lambda b, s: operand(b, s) is None
+    elif cls is Match:
+        operand = _compile_operand(node.operand)
         fullmatch = re.compile(node.pattern).fullmatch
 
-        def matches(b, s):
+        def test(b, s):
             value = operand(b, s)
             return isinstance(value, str) and fullmatch(value) is not None
 
-        return matches
-    if cls is InSet:
-        operand = _compile_operand(node.operand, closures)
+    elif cls is InSet:
+        operand = _compile_operand(node.operand)
         keys = frozenset(value_key(item.value) for item in node.items)
-        return lambda b, s: value_key(operand(b, s)) in keys
-    if cls is BoolConst:
+        test = lambda b, s: value_key(operand(b, s)) in keys
+    elif cls is BoolConst:
         value = node.value
-        return lambda b, s: value
-    raise TypeError(f"not an expression node: {node!r}")
+        return (lambda b, s: value), (lambda b, s: failed)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return test, _predicate_why(failed, (node.operand,), (operand,))
 
 
-def _fmt_value(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    return format_literal(value)
-
-
-_MAX_TRACED_ROWS = 3
-
-
-def _trace(node: Any, closures: dict, b: dict, s: dict) -> str:
-    """Explanation text for a node known to evaluate false."""
-    cls = node.__class__
-    if cls in (Cmp, InSet, Match, NullCheck):
-        operands = (node.left, node.right) if cls is Cmp else (node.operand,)
-        values = [closures[id(op)](b, s) for op in operands]
-        details = [
-            f"{op.root}.{op.path} = {_fmt_value(value)}"
-            for op, value in zip(operands, values)
-            if isinstance(op, FieldRef)
-        ]
-        note = ""
-        if cls is Cmp:
-            left, right = values
-            if left is not None and right is not None and not _comparable(
-                node.op, left, right
-            ):
-                note = "; incompatible types"
-        suffix = f" ({', '.join(details)})" if details else ""
-        return f"{print_expr(node)} failed{suffix}{note}"
+def _junction(cls: type, pairs: list):
+    """The (test, why) pair of an And or Or over its parts' pairs."""
+    tests = tuple(test for test, _ in pairs)
     if cls is And:
-        return " AND ".join(
-            _trace(p, closures, b, s) for p in node.parts if not closures[id(p)](b, s)
+        if len(tests) == 2:
+            first, second = tests
+            test = lambda b, s: first(b, s) and second(b, s)
+        else:
+            test = lambda b, s: all(t(b, s) for t in tests)
+        return test, lambda b, s: " AND ".join(w(b, s) for t, w in pairs if not t(b, s))
+    if len(tests) == 2:
+        first, second = tests
+        test = lambda b, s: first(b, s) or second(b, s)
+    else:
+        test = lambda b, s: any(t(b, s) for t in tests)
+    return test, lambda b, s: " OR ".join(w(b, s) for _, w in pairs)
+
+
+def _predicate_why(failed: str, operands: tuple, reads: tuple, op: str | None = None):
+    """A failed predicate's text: the value of each field it read, and for a
+    comparison `op` of two values of unrelated types, a note saying so."""
+    labels = [
+        f"{o.root}.{o.path} = " if o.__class__ is FieldRef else None for o in operands
+    ]
+
+    def why(b, s):
+        values = [read(b, s) for read in reads]
+        details = ", ".join(
+            label + ("NULL" if v is None else format_literal(v))
+            for label, v in zip(labels, values)
+            if label
         )
-    if cls is Or:
-        return " OR ".join(_trace(p, closures, b, s) for p in node.parts)
-    if cls is Not:
-        return f"NOT ({print_expr(node.expr)}) failed: inner condition held"
-    if cls is Quant:
-        rows = b.get(node.name)
-        if rows is None:
-            raise _unbound(node.name)
-        body = closures[id(node.body)]
-        prev = s.get(node.name)
-        children = []
-        try:
-            if node.exists:
-                for i, row in enumerate(rows[:_MAX_TRACED_ROWS]):
-                    s[node.name] = row
-                    children.append(f"row[{i}]: {_trace(node.body, closures, b, s)}")
-                label = (
-                    f"EXISTS({node.name}: {print_expr(node.body)}) failed: "
-                    f"{len(rows)} bound row(s)"
-                )
-            else:
-                bad = 0
-                for i, row in enumerate(rows):
-                    s[node.name] = row
-                    if not body(b, s):
-                        bad += 1
-                        if len(children) < _MAX_TRACED_ROWS:
-                            children.append(
-                                f"row[{i}]: {_trace(node.body, closures, b, s)}"
-                            )
-                label = (
-                    f"FORALL({node.name}: {print_expr(node.body)}) failed: "
-                    f"{bad} of {len(rows)} row(s) violated"
-                )
-        finally:
-            if prev is None:
-                s.pop(node.name, None)
-            else:
-                s[node.name] = prev
-        return "; ".join([label] + children)
-    if cls is BoolConst:
-        return "FALSE failed"
-    raise TypeError(f"not an expression node: {node!r}")
+        text = f"{failed} ({details})" if details else failed
+        if op is not None:
+            x, y = values
+            if x is not None and y is not None and not _comparable(op, x, y):
+                text += "; incompatible types"
+        return text
+
+    return why
 
 
 class CompiledInvariant:
@@ -650,25 +622,29 @@ class CompiledInvariant:
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). A failure's explanation re-runs the closures compiled for the
-    sub-expressions it reports on.
+    of rows). Every node is compiled once, into its check and the
+    explanation of its failure.
     """
 
-    __slots__ = ("invariant", "_focal", "_body", "_closures")
+    __slots__ = ("invariant", "_focal", "_test", "_why", "_conjuncts")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
         self._focal = inv.focal
-        self._closures: dict = {}
-        self._body = _compile(inv.body, self._closures)
+        body = inv.body
+        conjunctive = body.__class__ is And
+        parts = body.parts if conjunctive else (body,)
+        pairs = [_compile(part) for part in parts]
+        # the top-level conjuncts with their tests, for failing_conjuncts
+        self._conjuncts = [(part, test) for part, (test, _) in zip(parts, pairs)]
+        self._test, self._why = _junction(And, pairs) if conjunctive else pairs[0]
 
     def __call__(self, group: Any) -> bool:
-        return self._body(group.bindings, {self._focal: group.focal})
+        return self._test(group.bindings, {self._focal: group.focal})
 
     def explain(self, group: Any) -> str:
         """Explanation of why this invariant fails on the group."""
-        scope = {self._focal: group.focal}
-        return _trace(self.invariant.body, self._closures, group.bindings, scope)
+        return self._why(group.bindings, {self._focal: group.focal})
 
     def failing_conjuncts(self, group: Any) -> list[str]:
         """Printed top-level conjuncts that fail on the group.
@@ -676,15 +652,12 @@ class CompiledInvariant:
         For a non-conjunctive body the whole printed body is returned when
         it fails.
         """
-        body = self.invariant.body
-        if isinstance(body, And):
-            scope = {self._focal: group.focal}
-            return [
-                print_expr(part)
-                for part in body.parts
-                if not self._closures[id(part)](group.bindings, scope)
-            ]
-        return [] if self(group) else [print_expr(body)]
+        scope = {self._focal: group.focal}
+        return [
+            print_expr(part)
+            for part, test in self._conjuncts
+            if not test(group.bindings, scope)
+        ]
 
 
 def compile_invariant(inv: Invariant) -> CompiledInvariant:
@@ -704,7 +677,3 @@ def explain(verdict: Verdict) -> str:
     """Human-readable account of a failed evaluation; empty when it passed."""
     return verdict.explanation
 
-
-def failing_conjuncts(inv: Invariant, group: Any) -> list[str]:
-    """Printed top-level conjuncts of `inv` that fail on the group."""
-    return compile_invariant(inv).failing_conjuncts(group)

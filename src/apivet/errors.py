@@ -58,7 +58,7 @@ class DslSyntaxError(ParseError):
     """Invariant text does not conform to the grammar."""
 
 
-class DslScopeError(ApivetError):
+class DslScopeError(ParseError):
     """A field reference escapes the quantifier binding its entity."""
 
 

@@ -349,14 +349,10 @@ def _binding_joiners(
 
             joiners.append((binding.name, api_join))
         else:
-            untimed, timed = env = stores.env_index(rel.target_entity)
+            env = stores.env_index(rel.target_entity)
 
-            def env_join(row, untimed=untimed, timed=timed, env=env):
-                sid = row["sessionId"]
-                if sid in timed:
-                    env_row = env_before(env, sid, row["time"])
-                else:  # no timed record: the plain lookup untimed corpora take
-                    env_row = untimed.get(sid)
+            def env_join(row, env=env):
+                env_row = env_before(env, row["sessionId"], row["time"])
                 return [env_row] if env_row is not None else _EMPTY_ROWS
 
             joiners.append((binding.name, env_join))

@@ -240,6 +240,8 @@ def session_sequences(events: Iterable[LogEvent]) -> dict[str, list[str]]:
 
 def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecord]:
     """Parse the label sidecar (one record per log id)."""
+    if mode not in ("strict", "lenient"):
+        raise ValueError(f"unknown ingest mode {mode!r}")
     out: list[LabelRecord] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():

@@ -15,8 +15,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 from .dsl import (
-    DslScopeError,
-    DslSyntaxError,
     Invariant,
     compile_invariant,
     evaluate,
@@ -24,7 +22,7 @@ from .dsl import (
     parse_invariant,
     print_invariant,
 )
-from .errors import EvaluationError, ExtractionError, ProposalError
+from .errors import EvaluationError, ExtractionError, ParseError, ProposalError
 from .proposer import Conversation, RefineRequest, ViolationSample
 
 logger = logging.getLogger(__name__)
@@ -90,7 +88,7 @@ def refine_candidates(
         while True:
             try:
                 inv = parse_invariant(text)
-            except (DslSyntaxError, DslScopeError) as exc:
+            except ParseError as exc:
                 reason = f"unparseable: {exc}"
                 break
             if inv.focal != focal_name:

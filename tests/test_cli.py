@@ -258,8 +258,9 @@ class TestSchemaParse:
         ("--calls", '{"f": 3}'),
         ("--calls", '{"f": {"arguments": [1]}}'),
         ("--env", '["sessionId"]'),
+        ("--ddl", "CREATE TABLE t (id INT"),
     ], ids=["calls_not_json", "env_not_json", "calls_list", "calls_scalar_signature",
-            "calls_list_arguments", "env_list"])
+            "calls_list_arguments", "env_list", "ddl_unterminated"])
     def test_malformed_input_exits_two_naming_it(self, tmp_path, capsys, flag, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -433,6 +434,10 @@ class TestExitCodes:
         ("--labels", "{oops"),
         ("--labels", "[1]"),
         ("--labels", '{"log_id": 0, "label": "attack", "trace": ["x"]}'),
+        # under --strict, a bad record or an event that cannot be replayed
+        ("--logs", '{"kind": "nope"}'),
+        ("--binlog", '{"table": "orders", "op": "delete", "ts": 1, '
+                     '"before": {"id": "zz"}, "after": null}'),
     ])
     def test_malformed_document_exits_two_naming_it(
         self, pipeline, tmp_path, capsys, flag, text
@@ -444,19 +449,28 @@ class TestExitCodes:
                   "--invariants": str(pipeline["invariants"]),
                   "--report": str(pipeline["report"]),
                   "--labels": str(pipeline["eval"] / "labels.jsonl"),
+                  "--logs": str(pipeline["eval"] / "logs.jsonl"),
+                  "--binlog": str(pipeline["eval"] / "binlog.jsonl"),
                   flag: str(bad)}
         if flag in ("--report", "--labels"):
             argv = ["eval", "--report", inputs["--report"], "--labels", inputs["--labels"]]
         else:
             argv = ["detect", "--bundle", inputs["--bundle"],
-                    "--logs", str(pipeline["eval"] / "logs.jsonl"),
-                    "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                    "--logs", inputs["--logs"],
+                    "--binlog", inputs["--binlog"],
                     "--relations", inputs["--relations"],
                     "--invariants", inputs["--invariants"]]
+            if flag in ("--logs", "--binlog"):
+                argv.append("--strict")
         capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: malformed {bad}: ")
+        if "ghost" in text:  # a scope error says where the reference is
+            assert line.endswith(
+                "DslScopeError: line 1, column 40: "
+                "reference to ghost.b is outside any quantifier binding 'ghost'"
+            )
         assert not (tmp_path / "out.json").exists()
 
     def test_missing_input_file_exits_one(self, pipeline, tmp_path):

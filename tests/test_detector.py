@@ -20,7 +20,6 @@ from apivet.detector import (
 from apivet.dsl import (
     evaluate,
     explain,
-    failing_conjuncts,
     parse_invariant,
     print_invariant,
 )
@@ -102,7 +101,7 @@ class TestCompileInvariant:
                 verdict = evaluate(inv, group)
                 assert verdict.passed == passed
                 assert explain(verdict) == explain_oracle(inv, group)
-                assert failing_conjuncts(inv, group) == failing_conjuncts_oracle(
+                assert fn.failing_conjuncts(group) == failing_conjuncts_oracle(
                     inv, group
                 )
         assert failures > 300  # enough failures to exercise the tracer

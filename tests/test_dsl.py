@@ -19,9 +19,9 @@ from apivet.dsl import (
     NullCheck,
     Or,
     Quant,
+    compile_invariant,
     evaluate,
     explain,
-    failing_conjuncts,
     parse_invariant,
     parse_invariants,
     print_invariant,
@@ -294,11 +294,11 @@ class TestExplain:
         inv = parse_invariant(
             "INVARIANT x ON f CATEGORY format WHERE f.a == 1 AND f.b == 2"
         )
-        parts = failing_conjuncts(inv, group({"a": 1, "b": 3}))
+        parts = compile_invariant(inv).failing_conjuncts(group({"a": 1, "b": 3}))
         assert parts == ["f.b == 2"]
         # non-conjunctive body: the whole thing
         inv2 = parse_invariant("INVARIANT x ON f CATEGORY format WHERE f.a == 1")
-        assert failing_conjuncts(inv2, group({"a": 2})) == ["f.a == 1"]
+        assert compile_invariant(inv2).failing_conjuncts(group({"a": 2})) == ["f.a == 1"]
 
 
 class TestQuantifiedNames:

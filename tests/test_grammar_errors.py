@@ -10,7 +10,7 @@ input an error says what was expected there.
 import pytest
 
 from apivet.dsl import parse_invariant, parse_invariants
-from apivet.errors import DdlParseError, DslSyntaxError
+from apivet.errors import DdlParseError, DslScopeError, DslSyntaxError
 from apivet.schema import parse_create_table
 
 H = "INVARIANT x ON a CATEGORY format WHERE "
@@ -21,9 +21,9 @@ DSL_ERRORS = [
     ("INVARIANT x ON", 1, 15, "expected identifier"),
     ("INVARIANT x ON a", 1, 17, "expected CATEGORY"),
     ("INVARIANT x ON a CATEGORY", 1, 26, "expected identifier"),
-    ("INVARIANT x ON a CATEGORY bogus WHERE TRUE", 1, 33,
+    ("INVARIANT x ON a CATEGORY bogus WHERE TRUE", 1, 27,
      "category must be one of common_sense, format, database, environment, "
-     "related_api; got 'bogus', got 'WHERE'"),
+     "related_api; got 'bogus'"),
     ("INVARIANT x ON a CATEGORY format", 1, 33, "expected WHERE"),
     (H, 1, 39, "expected expression"),
     ("ON a CATEGORY format WHERE TRUE", 1, 1, "expected INVARIANT, got 'ON'"),
@@ -66,6 +66,27 @@ DSL_ERRORS = [
      "  # trailing comment\n", 3, 15, "expected operand"),
     ("INVARIANT x ON a CATEGORY format WHERE\n  a.b == 1 AND\n  a.c ~ 2", 3, 7,
      "unexpected character '~'"),
+]
+
+# A field reference must start with the focal entity or a name bound by an
+# enclosing quantifier; the error points at the reference's first token.
+SCOPE_ERRORS = [
+    (H + "ghost.b == 1", 1, 40,
+     "reference to ghost.b is outside any quantifier binding 'ghost'"),
+    (H + "1 == ghost.b.c", 1, 45,
+     "reference to ghost.b.c is outside any quantifier binding 'ghost'"),
+    # the binding ends where its quantifier closes
+    (H + "EXISTS(o: TRUE) AND o.x == 1", 1, 60,
+     "reference to o.x is outside any quantifier binding 'o'"),
+    (H + "EXISTS(o: EXISTS(p: TRUE) OR p.k == o.k)", 1, 69,
+     "reference to p.k is outside any quantifier binding 'p'"),
+    # inside nested quantifiers, only the enclosing names are bound
+    (H + "EXISTS(o: EXISTS(p: p.k == q.k))", 1, 67,
+     "reference to q.k is outside any quantifier binding 'q'"),
+    # each invariant binds its own focal entity, not an earlier one's
+    ("INVARIANT a ON b CATEGORY format WHERE TRUE\n\n"
+     "INVARIANT c ON d CATEGORY format\n  WHERE d.x == 1 AND b.x == 1", 4, 22,
+     "reference to b.x is outside any quantifier binding 'b'"),
 ]
 
 # parse_invariant also rejects empty input and anything after one invariant
@@ -130,6 +151,13 @@ def _check(exc_info, line, column, message):
 @pytest.mark.parametrize("text, line, column, message", DSL_ERRORS)
 def test_invariant_file_errors(text, line, column, message):
     with pytest.raises(DslSyntaxError) as exc_info:
+        parse_invariants(text)
+    _check(exc_info, line, column, message)
+
+
+@pytest.mark.parametrize("text, line, column, message", SCOPE_ERRORS)
+def test_scope_errors(text, line, column, message):
+    with pytest.raises(DslScopeError) as exc_info:
         parse_invariants(text)
     _check(exc_info, line, column, message)
 

@@ -198,6 +198,11 @@ class TestLabels:
         with pytest.raises(IngestError):
             parse_labels([json.dumps({"log_id": True, "label": "normal"})], mode="strict")
 
+    def test_unknown_mode_rejected(self):
+        # even on input every mode accepts: a typo must not act as lenient
+        with pytest.raises(ValueError, match="unknown ingest mode 'fast'"):
+            parse_labels([json.dumps({"log_id": 0, "label": "normal"})], mode="fast")
+
     @pytest.mark.parametrize("line", [
         "[1]",
         "3",
