@@ -1,32 +1,37 @@
 """Detection and scoring: run accepted invariants over a corpus.
 
-Each invariant is compiled once with `dsl.compile_invariant` and called on
-every joined group of its focal entity; only a failing group pays for an
-explanation, which the same compiled object writes. Focal calls are swept in
-(time, log id) order whatever the order of the log lines, so each join
-cursor passes over its version stream once. Parallel runs split the sorted
-calls into contiguous slices with independent join cursors, so a
-multi-worker run reports exactly what a single worker would.
+Each focal API's invariants become one generated check (`dsl.compile_checks`)
+that reads the call's attributes once and probes its joins directly. Every
+focal API's calls are merged into one (time, log id) sweep, whatever the
+order of the log lines, so each table's cursor passes over its version
+stream once. A call that passes allocates no group; a failing one gets its
+joined group built and each failed invariant explained by
+`dsl.compile_invariant`'s object. Parallel runs split the merged calls into
+contiguous slices with their own cursors and checks, so a multi-worker run
+reports exactly what a single worker would.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .binlog import TemporalTable
-from .dsl import Invariant, compile_invariant, quantified_names
-from .errors import MetricsError
-from .joins import (
-    JoinStores,
-    _binding_joiners,
-    iter_joined_groups,
-    joined_schema_for,
+from .dsl import (
+    Invariant,
+    compile_checks,
+    compile_invariant,
+    field_refs,
+    quantified_names,
 )
+from .errors import MetricsError
+from .joins import JoinedGroup, JoinedSchema, JoinStores, Sweep, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
-from .relations import Relationship
+from .relations import API_ENV, Relationship
 from .schema import SchemaBundle
 
 
@@ -45,6 +50,8 @@ class ViolationRecord:
 class DetectionResult:
     violations: list[ViolationRecord]
     logs_processed: int = 0
+    # calls checked, each against its joined group (the report's name: a
+    # call that passes has its joins probed, and no group is built for it)
     groups_built: int = 0
     evaluations: int = 0
     elapsed_s: float = 0.0
@@ -53,24 +60,58 @@ class DetectionResult:
 # --- corpus checking ---------------------------------------------------------
 
 
-def _check_stream(stores, schema, rows, compiled, focal_name, only):
-    # each worker sweeps its own join cursors forward over its own rows
+@dataclass
+class _FocalPlan:
+    name: str
+    invariants: list[Invariant]
+    compiled: list  # compile_invariant of each, for explanations
+    schema: JoinedSchema
+    only: set[str]  # the bindings its invariants quantify over
+
+
+def _env_attrs(plans: list[_FocalPlan]) -> dict[str, frozenset]:
+    """Per environment entity, the attribute paths the invariants read on
+    rows bound to it: detection projects only these."""
+    attrs: dict[str, set] = {}
+    for plan in plans:
+        refs = [ref for inv in plan.invariants for ref in field_refs(inv.body)]
+        for binding in plan.schema.bindings:
+            if binding.relationship.kind != API_ENV or binding.name not in plan.only:
+                continue
+            read = attrs.setdefault(binding.entity.name, set())
+            read.update(ref.path for ref in refs if ref.root == binding.name)
+    return {entity: frozenset(paths) for entity, paths in attrs.items()}
+
+
+def _check_slice(plans: list[_FocalPlan], work: tuple) -> list:
+    """Check one slice of (time, log id, row, plan index) calls, sorted, in
+    one forward sweep: `work` is (sweep, each plan's check, each plan's
+    group bindings, calls), all built on the slice's sweep."""
+    sweep, checks, bindings, calls = work
+    advance = sweep.advance
     violations = []
-    for group in iter_joined_groups(stores, schema, rows, only):
-        for fn in compiled:
-            if not fn(group):
-                inv = fn.invariant
-                violations.append(
-                    ViolationRecord(
-                        invariant_id=inv.id,
-                        category=inv.category,
-                        log_id=group.log_id,
-                        api=focal_name,
-                        time=group.focal["time"],
-                        session_id=group.focal["sessionId"],
-                        explanation=fn.explain(group),
-                    )
+    pending = -math.inf  # time of the first version no cursor has applied
+    for t, log_id, row, k in calls:
+        if t > pending:
+            pending = advance(t)
+        failed = checks[k](row)
+        if not failed:
+            continue
+        plan = plans[k]
+        group = JoinedGroup(log_id, row, bindings[k](row))
+        for i in failed:
+            fn = plan.compiled[i]
+            violations.append(
+                ViolationRecord(
+                    invariant_id=fn.invariant.id,
+                    category=fn.invariant.category,
+                    log_id=log_id,
+                    api=plan.name,
+                    time=t,
+                    session_id=row["sessionId"],
+                    explanation=fn.explain(group),
                 )
+            )
     return violations
 
 
@@ -90,38 +131,54 @@ def check_corpus(
 
     stores = JoinStores(bundle, corpus, tables)
     result = DetectionResult(violations=[], logs_processed=len(corpus.events))
-
+    plans = []
+    calls = []
     for focal_name in sorted(by_focal):
         invs = by_focal[focal_name]
-        schema = joined_schema_for(bundle, focal_name, relationships)
-        rows = stores.instances(focal_name).rows
-        result.groups_built += len(rows)
-        result.evaluations += len(rows) * len(invs)
-        compiled = [compile_invariant(inv) for inv in invs]
-        # join only the bindings these invariants quantify over
         only: set[str] = set()
         for inv in invs:
             only |= quantified_names(inv.body)
-        if jobs <= 1 or len(rows) < 2:
-            result.violations.extend(
-                _check_stream(stores, schema, rows, compiled, focal_name, only)
+        rows = stores.instances(focal_name).rows
+        result.groups_built += len(rows)
+        result.evaluations += len(rows) * len(invs)
+        k = len(plans)
+        calls.extend((row["time"], log_id, row, k) for log_id, row in rows)
+        plans.append(
+            _FocalPlan(
+                name=focal_name,
+                invariants=invs,
+                compiled=[compile_invariant(inv) for inv in invs],
+                schema=joined_schema_for(bundle, focal_name, relationships),
+                only=only,
             )
-        else:
-            # fill shared caches before forking
-            _binding_joiners(stores, schema, only)
-            # rows are in (time, id) order, so each contiguous slice is too:
-            # every worker sweeps its own cursors once and answers match jobs=1
-            step = (len(rows) + jobs - 1) // jobs
-            parts = [rows[i : i + step] for i in range(0, len(rows), step)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                chunks = pool.map(
-                    lambda part: _check_stream(
-                        stores, schema, part, compiled, focal_name, only
-                    ),
-                    parts,
-                )
-                for chunk in chunks:
-                    result.violations.extend(chunk)
+        )
+    # log ids are unique, so the sort never compares rows
+    calls.sort()
+
+    # contiguous slices of (time, id) ordered calls are in that order too:
+    # every worker sweeps its own cursors once and answers match jobs=1
+    if jobs <= 1 or len(calls) < 2:
+        parts = [calls]
+    else:
+        step = -(-len(calls) // jobs)
+        parts = [calls[i : i + step] for i in range(0, len(calls), step)]
+    # sweeps and checks are built here, before any worker runs, so the
+    # store's shared caches fill in one thread
+    env_attrs = _env_attrs(plans)
+    schemas = [(p.schema, p.only) for p in plans]
+    work = []
+    for part in parts:
+        sweep = Sweep(stores, schemas, env_attrs)
+        checks = [
+            compile_checks(p.invariants, partial(sweep.emit, focal_name=p.name)) for p in plans
+        ]
+        work.append((sweep, checks, [sweep.group_bindings(p.name) for p in plans], part))
+    if len(work) == 1:
+        result.violations = _check_slice(plans, work[0])
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for chunk in pool.map(partial(_check_slice, plans), work):
+                result.violations.extend(chunk)
 
     result.violations.sort(key=lambda v: (v.log_id, v.invariant_id))
     result.elapsed_s = _time.perf_counter() - started

@@ -12,18 +12,28 @@ which the parser checks as it reads.
 Evaluation is two-valued: comparisons touching null are false (only
 IS [NOT] NULL sees null), and type-incompatible comparisons are false.
 
-`compile_invariant` is the one evaluator: it compiles each node of an
-invariant once, into a check that refinement and detection both run and an
-explanation of the node's failure as plain text.
+Evaluation is generated Python: an Emitter translates an expression into
+one Python expression, with comparisons specialised by literal type and
+every read that no quantified row feeds hoisted to the top of the
+function. It is the one evaluator, with two entry points:
+`compile_invariant` runs one invariant over a joined group (refinement,
+detection's explanations and the tests), and `compile_checks` builds
+detection's one function per focal API, whose binding rows the join engine
+supplies. A failure is explained by a tree of closures that asks generated
+per-node tests which parts failed. Invariant text never becomes an
+identifier: names and literals enter the code through repr() or the
+function's namespace.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import DslScopeError, DslSyntaxError, EvaluationError
 from .lexer import Cursor, Token
@@ -50,6 +60,11 @@ KEYWORDS = {
 }
 
 CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+
+# NOT, a parenthesised group and a quantifier each open a level. Generated
+# code nests at most three Python parentheses per level, and Python's own
+# parser stops at 200.
+MAX_NESTING = 50
 
 
 # --- AST -------------------------------------------------------------------
@@ -189,6 +204,7 @@ class _Parser(Cursor):
             )
         self.take_kw("WHERE")
         self.bound = [focal]  # the names a field reference may start with here
+        self.depth = 0
         body = self.parse_expr()
         return Invariant(id=name, focal=focal, category=category, body=body)
 
@@ -204,15 +220,25 @@ class _Parser(Cursor):
             parts.append(self.parse_notx())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels", got=False)
+
     def parse_notx(self) -> Any:
         if self.accept("ident", "NOT"):
-            return Not(self.parse_notx())
+            self.nest()
+            inner = self.parse_notx()
+            self.depth -= 1
+            return Not(inner)
         return self.parse_atom()
 
     def parse_atom(self) -> Any:
         if self.accept("punct", "("):
+            self.nest()
             inner = self.parse_expr()
             self.take("punct", ")")
+            self.depth -= 1
             return inner
         tok = self.peek()
         if tok is None:
@@ -232,10 +258,12 @@ class _Parser(Cursor):
             self.take("punct", "(")
             name = self.ident()
             self.take("punct", ":")
+            self.nest()
             self.bound.append(name)
             body = self.parse_expr()
             self.bound.pop()
             self.take("punct", ")")
+            self.depth -= 1
             return Quant(exists=tok.text == "EXISTS", name=name, body=body)
         return self.parse_pred()
 
@@ -319,6 +347,25 @@ def quantified_names(node: Any) -> set[str]:
     if isinstance(node, Not):
         return quantified_names(node.expr)
     return set()
+
+
+def field_refs(node: Any) -> Iterator[FieldRef]:
+    """Every field reference of an expression, at any depth."""
+    cls = node.__class__
+    if cls is FieldRef:
+        yield node
+    elif cls is And or cls is Or:
+        for part in node.parts:
+            yield from field_refs(part)
+    elif cls is Not:
+        yield from field_refs(node.expr)
+    elif cls is Quant:
+        yield from field_refs(node.body)
+    elif cls is Cmp:
+        yield from field_refs(node.left)
+        yield from field_refs(node.right)
+    elif cls in (InSet, Match, NullCheck):
+        yield from field_refs(node.operand)
 
 
 def parse_invariant(text: str) -> Invariant:
@@ -406,7 +453,7 @@ def read_invariant_file(path: str) -> list[Invariant]:
         return parse_invariants(fh.read())
 
 
-# --- compiled evaluation and explanation ------------------------------------
+# --- generated evaluation and explanation -----------------------------------
 
 
 @dataclass(frozen=True)
@@ -423,10 +470,12 @@ _OPERATORS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+# the same comparison with its operands swapped
+_MIRRORED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _comparable(op: str, a: Any, b: Any) -> bool:
-    """Two strings, two booleans under ==/!=, or two numbers."""
+    """Two strings, two booleans under ==/!=, or two numbers; never null."""
     if isinstance(a, str):
         return isinstance(b, str)
     if isinstance(a, bool) or isinstance(b, bool):
@@ -434,98 +483,266 @@ def _comparable(op: str, a: Any, b: Any) -> bool:
     return isinstance(a, (int, float)) and isinstance(b, (int, float))
 
 
+def _comparison(op: str):
+    test = _OPERATORS[op]
+
+    def compare(x, y):
+        # null never compares; mixed types never satisfy any operator
+        return x is not None and y is not None and _comparable(op, x, y) and test(x, y)
+
+    return compare
+
+
+_COMPARISONS = {op: _comparison(op) for op in CMP_OPS}
+
+
 def _unbound(name: str) -> EvaluationError:
     return EvaluationError(f"entity {name!r} is not bound in this group")
 
 
-# `_compile` turns a node into two closures over (bindings, scope), the
-# group's binding name -> rows map and the entity name -> current row map:
-# `test` gives the node's truth value, and `why`, called only where the node
-# is false, gives the failure text. Each node's printed text is formatted
-# here, once.
+def _raise_unbound(name: str):
+    raise _unbound(name)
 
 
-def _compile_operand(node: Any):
-    if node.__class__ is Lit:
-        value = node.value
-        return lambda b, s: value
-    root, path = node.root, node.path
+def _rows(bindings: dict, name: str):
+    try:
+        return bindings[name]
+    except KeyError:
+        raise _unbound(name) from None
 
-    def read(b, s):
-        try:
-            row = s[root]
-        except KeyError:
-            raise _unbound(root) from None
-        return row.get(path)
 
-    return read
+# names every generated function may use; the emitter's own start with _v,
+# _k, _r and _t, and its parameters are row, b and s
+_HELPERS = {
+    "_comparable": _comparable,
+    "_value_key": value_key,
+    "_rows": _rows,
+    "_unbound": _raise_unbound,
+}
 
+
+# evaluate() compiles an invariant per call and every detection worker its
+# own checks: equal source compiles once
+@functools.lru_cache(maxsize=1024)
+def _code(source: str):
+    return compile(source, "<invariant>", "exec")
+
+
+class Emitter:
+    """The source of one generated function and the namespace it runs in.
+
+    Field paths, binding names and literals from the invariant text reach
+    the source only through repr(), or as namespace constants (patterns,
+    value sets, non-finite numbers); every identifier is made here. Work
+    that no quantified row feeds (a read of a row the function starts with,
+    its value key, a binding's rows) is hoisted into the prologue and done
+    once per call.
+
+    `rows` maps a binding name to an expression of its rows, hoisted by
+    whoever built it; without it, rows are read from the `b` argument when
+    a quantifier is reached.
+    """
+
+    def __init__(self):
+        self.ns = dict(_HELPERS)
+        self.rows: dict[str, str] | None = None
+        self._prologue: list[str] = []
+        self._locals: dict[str, str] = {}
+        self._made = 0
+
+    def _name(self, prefix: str) -> str:
+        self._made += 1
+        return f"{prefix}{self._made}"
+
+    def const(self, value: Any) -> str:
+        """A namespace name holding `value`."""
+        name = self._name("_k")
+        self.ns[name] = value
+        return name
+
+    def local(self, code: str) -> str:
+        """A local computed from `code` once, at the top of the function."""
+        name = self._locals.get(code)
+        if name is None:
+            name = self._locals[code] = self._name("_v")
+            self._prologue.append(f"{name} = {code}")
+        return name
+
+    def read(self, row: str, path: str) -> str:
+        return self.local(f"{row}.get({path!r})")
+
+    def key(self, row: str, path: str) -> str:
+        return self.local(f"_value_key({self.read(row, path)})")
+
+    def literal(self, value: Any) -> str:
+        cls = value.__class__
+        if cls in (str, bool, int) or (cls is float and math.isfinite(value)):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        return self.const(value)
+
+    def function(self, params: str, body: list[str]):
+        lines = [f"def _f({params}):", *(f"    {line}" for line in self._prologue + body)]
+        exec(_code("\n".join(lines) + "\n"), self.ns)
+        # the namespace must not keep the function: that cycle would hold
+        # whatever the function reads until the next full collection
+        return self.ns.pop("_f")
+
+    # `env` maps each entity name in scope to (row code, hoisted): a row the
+    # function starts with has its reads hoisted, a quantified row does not
+
+    def _binding(self, name: str) -> str:
+        if self.rows is None:
+            return f"_rows(b, {name!r})"
+        rows = self.rows.get(name)
+        return rows if rows is not None else f"_unbound({name!r})"
+
+    def _operand(self, node: Any, env: dict, twice: bool = False) -> tuple[str, str]:
+        """Code reading an operand, and code that gives the value again once
+        the first has run."""
+        if node.__class__ is Lit:
+            text = self.literal(node.value)
+            return text, text
+        bound = env.get(node.root)
+        if bound is None:
+            text = f"_unbound({node.root!r})"
+            return text, text
+        row, hoisted = bound
+        if hoisted:
+            text = self.read(row, node.path)
+            return text, text
+        text = f"{row}.get({node.path!r})"
+        if not twice:
+            return text, text
+        temp = self._name("_t")
+        return f"({temp} := {text})", temp
+
+    def test(self, node: Any, env: dict) -> str:
+        """The node's truth value as a Python expression."""
+        cls = node.__class__
+        if cls is And or cls is Or:
+            word = " and " if cls is And else " or "
+            return "(" + word.join(self.test(part, env) for part in node.parts) + ")"
+        if cls is Not:
+            return f"(not {self.test(node.expr, env)})"
+        if cls is BoolConst:
+            return "True" if node.value else "False"
+        if cls is Quant:
+            rows = self._binding(node.name)
+            body = node.body
+            if node.exists and body.__class__ is BoolConst and body.value:
+                return f"bool({rows})"
+            row = self._name("_r")
+            inner = self.test(body, {**env, node.name: (row, False)})
+            return f"{'any' if node.exists else 'all'}({inner} for {row} in {rows})"
+        if cls is Cmp:
+            return self._compare(node.op, node.left, node.right, env)
+        if cls is NullCheck:
+            if node.operand.__class__ is Lit:  # `is` on a literal is a SyntaxWarning
+                return str((node.operand.value is None) != node.negated)
+            value, _ = self._operand(node.operand, env)
+            return f"({value} is {'not ' if node.negated else ''}None)"
+        if cls is Match:
+            value, again = self._operand(node.operand, env, twice=True)
+            fullmatch = self.const(re.compile(node.pattern).fullmatch)
+            return f"(isinstance({value}, str) and {fullmatch}({again}) is not None)"
+        if cls is InSet:
+            keys = self.const(frozenset(value_key(item.value) for item in node.items))
+            operand = node.operand
+            bound = env.get(operand.root) if operand.__class__ is FieldRef else None
+            if bound is not None and bound[1]:
+                key = self.key(bound[0], operand.path)
+            else:
+                key = f"_value_key({self._operand(operand, env)[0]})"
+            return f"({key} in {keys})"
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def _compare(self, op: str, left: Any, right: Any, env: dict) -> str:
+        # a literal operand lets the type rule be settled here, once
+        if left.__class__ is Lit and right.__class__ is not Lit:
+            op, left, right = _MIRRORED[op], right, left
+        if right.__class__ is Lit and left.__class__ is not Lit:
+            value = right.value
+            cls = value.__class__
+            text = self.literal(value)
+            if cls is str:
+                if op == "==":  # only a string equals a string
+                    return f"({self._operand(left, env)[0]} == {text})"
+                x, again = self._operand(left, env, twice=True)
+                return f"(isinstance({x}, str) and {again} {op} {text})"
+            if cls is bool and op in ("==", "!="):
+                x, _ = self._operand(left, env)
+                return f"({x} is {value if op == '==' else not value})"
+            if cls in (int, float):
+                x, again = self._operand(left, env, twice=True)
+                return (
+                    f"(isinstance({x}, (int, float)) and {again}.__class__ is not bool "
+                    f"and {again} {op} {text})"
+                )
+        if op in ("==", "!=") and left.__class__ is not Lit:
+            # equality never raises, so the type rule can wait for a match
+            x, x_again = self._operand(left, env, twice=True)
+            y, y_again = self._operand(right, env, twice=True)
+            return f"({x} {op} {y} and _comparable({op!r}, {x_again}, {y_again}))"
+        x, _ = self._operand(left, env)
+        y, _ = self._operand(right, env)
+        return f"{self.const(_COMPARISONS[op])}({x}, {y})"
+
+
+def _scope_test(node: Any, names: tuple):
+    """Generated test of a node over (bindings, scope), where scope maps each
+    of `names` to its current row."""
+    em = Emitter()
+    env = {name: (em.local(f"s[{name!r}]"), True) for name in names}
+    expr = em.test(node, env)
+    return em.function("b, s", [f"return {expr}"])
+
+
+def compile_checks(invariants: list[Invariant], bind) -> Any:
+    """One generated function checking invariants of one focal entity on a
+    focal row: it returns the positions of those that fail, () if none does.
+
+    `bind(emitter)` gives each binding's rows as an expression of the
+    function (see Emitter.rows); `row` is the focal row it reads them for.
+    """
+    em = Emitter()
+    em.rows = bind(em)
+    lines = ["bad = ()"]
+    for i, inv in enumerate(invariants):
+        lines.append(f"if not {em.test(inv.body, {inv.focal: ('row', True)})}:")
+        lines.append(f"    bad += ({i},)")
+    lines.append("return bad")
+    return em.function("row", lines)
+
+
+# An explanation is a tree of closures over (bindings, scope), the group's
+# binding name -> rows map and the entity name -> current row map. Each is
+# called only where its node is false; each node's printed text is formatted
+# here, once, and every truth value it needs comes from a generated test.
 
 _MAX_TRACED_ROWS = 3
 
 
-def _compile(node: Any):
-    """The node's (test, why) pair."""
+def _explainer(node: Any, names: tuple):
+    """The node's failure text, as a function of (bindings, scope)."""
     cls = node.__class__
-    if cls is And or cls is Or:
-        return _junction(cls, [_compile(p) for p in node.parts])
+    if cls is And:
+        pairs = [(_scope_test(part, names), _explainer(part, names)) for part in node.parts]
+        return lambda b, s: " AND ".join(why(b, s) for test, why in pairs if not test(b, s))
+    if cls is Or:
+        whys = [_explainer(part, names) for part in node.parts]
+        return lambda b, s: " OR ".join(why(b, s) for why in whys)
     failed = f"{print_expr(node)} failed"
-    if cls is Cmp:
-        op = node.op
-        test = _OPERATORS[op]
-        left = _compile_operand(node.left)
-        right = _compile_operand(node.right)
-
-        def compare(b, s):
-            x = left(b, s)
-            y = right(b, s)
-            # null never compares; mixed types never satisfy any operator
-            return (
-                x is not None
-                and y is not None
-                and _comparable(op, x, y)
-                and test(x, y)
-            )
-
-        return compare, _predicate_why(failed, (node.left, node.right), (left, right), op)
     if cls is Quant:
         name = node.name
-        body, body_why = _compile(node.body)
-        exists = node.exists
-
-        def quantified(b, s):
-            try:
-                rows = b[name]
-            except KeyError:
-                raise _unbound(name) from None
-            prev = s.get(name)
-            try:
-                if exists:
-                    for row in rows:
-                        s[name] = row
-                        if body(b, s):
-                            return True
-                    return False
-                for row in rows:
-                    s[name] = row
-                    if not body(b, s):
-                        return False
-                return True
-            finally:
-                if prev is None:
-                    s.pop(name, None)
-                else:
-                    s[name] = prev
-
+        inner = names + (name,)
+        body, body_why = _scope_test(node.body, inner), _explainer(node.body, inner)
         # a failed EXISTS fails on every row, so both count the failing rows
         # and explain the first few
-        counted = "{n} bound row(s)" if exists else "{bad} of {n} row(s) violated"
+        counted = "{n} bound row(s)" if node.exists else "{bad} of {n} row(s) violated"
 
         def why(b, s):
-            try:
-                rows = b[name]
-            except KeyError:
-                raise _unbound(name) from None
+            rows = _rows(b, name)
             prev = s.get(name)
             children = []
             bad = 0
@@ -544,56 +761,30 @@ def _compile(node: Any):
             label = f"{failed}: {counted.format(bad=bad, n=len(rows))}"
             return "; ".join([label, *children])
 
-        return quantified, why
+        return why
     if cls is Not:
-        inner = _compile(node.expr)[0]
         held = f"{failed}: inner condition held"
-        return (lambda b, s: not inner(b, s)), (lambda b, s: held)
-    if cls is NullCheck:
-        operand = _compile_operand(node.operand)
-        if node.negated:
-            test = lambda b, s: operand(b, s) is not None
-        else:
-            test = lambda b, s: operand(b, s) is None
-    elif cls is Match:
-        operand = _compile_operand(node.operand)
-        fullmatch = re.compile(node.pattern).fullmatch
-
-        def test(b, s):
-            value = operand(b, s)
-            return isinstance(value, str) and fullmatch(value) is not None
-
-    elif cls is InSet:
-        operand = _compile_operand(node.operand)
-        keys = frozenset(value_key(item.value) for item in node.items)
-        test = lambda b, s: value_key(operand(b, s)) in keys
-    elif cls is BoolConst:
-        value = node.value
-        return (lambda b, s: value), (lambda b, s: failed)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return test, _predicate_why(failed, (node.operand,), (operand,))
+        return lambda b, s: held
+    if cls is BoolConst:
+        return lambda b, s: failed
+    if cls is Cmp:
+        return _predicate_why(failed, (node.left, node.right), node.op)
+    if cls in (NullCheck, Match, InSet):
+        return _predicate_why(failed, (node.operand,))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
-def _junction(cls: type, pairs: list):
-    """The (test, why) pair of an And or Or over its parts' pairs."""
-    tests = tuple(test for test, _ in pairs)
-    if cls is And:
-        if len(tests) == 2:
-            first, second = tests
-            test = lambda b, s: first(b, s) and second(b, s)
-        else:
-            test = lambda b, s: all(t(b, s) for t in tests)
-        return test, lambda b, s: " AND ".join(w(b, s) for t, w in pairs if not t(b, s))
-    if len(tests) == 2:
-        first, second = tests
-        test = lambda b, s: first(b, s) or second(b, s)
-    else:
-        test = lambda b, s: any(t(b, s) for t in tests)
-    return test, lambda b, s: " OR ".join(w(b, s) for _, w in pairs)
+def _value(operand: Any, s: dict) -> Any:
+    if operand.__class__ is Lit:
+        return operand.value
+    try:
+        row = s[operand.root]
+    except KeyError:
+        raise _unbound(operand.root) from None
+    return row.get(operand.path)
 
 
-def _predicate_why(failed: str, operands: tuple, reads: tuple, op: str | None = None):
+def _predicate_why(failed: str, operands: tuple, op: str | None = None):
     """A failed predicate's text: the value of each field it read, and for a
     comparison `op` of two values of unrelated types, a note saying so."""
     labels = [
@@ -601,7 +792,7 @@ def _predicate_why(failed: str, operands: tuple, reads: tuple, op: str | None = 
     ]
 
     def why(b, s):
-        values = [read(b, s) for read in reads]
+        values = [_value(operand, s) for operand in operands]
         details = ", ".join(
             label + ("NULL" if v is None else format_literal(v))
             for label, v in zip(labels, values)
@@ -618,33 +809,35 @@ def _predicate_why(failed: str, operands: tuple, reads: tuple, op: str | None = 
 
 
 class CompiledInvariant:
-    """One invariant compiled to closures over a group.
+    """One invariant as generated code over a group.
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). Every node is compiled once, into its check and the
-    explanation of its failure.
+    of rows). The test, the explanation and the per-conjunct tests are
+    each generated on first use, so detection, which asks only for
+    explanations, generates no test.
     """
 
-    __slots__ = ("invariant", "_focal", "_test", "_why", "_conjuncts")
+    __slots__ = ("invariant", "_test", "_why", "_conjuncts")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
-        self._focal = inv.focal
-        body = inv.body
-        conjunctive = body.__class__ is And
-        parts = body.parts if conjunctive else (body,)
-        pairs = [_compile(part) for part in parts]
-        # the top-level conjuncts with their tests, for failing_conjuncts
-        self._conjuncts = [(part, test) for part, (test, _) in zip(parts, pairs)]
-        self._test, self._why = _junction(And, pairs) if conjunctive else pairs[0]
+        self._test = None
+        self._why = None
+        self._conjuncts = None
 
     def __call__(self, group: Any) -> bool:
-        return self._test(group.bindings, {self._focal: group.focal})
+        inv = self.invariant
+        if self._test is None:
+            self._test = _scope_test(inv.body, (inv.focal,))
+        return self._test(group.bindings, {inv.focal: group.focal})
 
     def explain(self, group: Any) -> str:
         """Explanation of why this invariant fails on the group."""
-        return self._why(group.bindings, {self._focal: group.focal})
+        inv = self.invariant
+        if self._why is None:
+            self._why = _explainer(inv.body, (inv.focal,))
+        return self._why(group.bindings, {inv.focal: group.focal})
 
     def failing_conjuncts(self, group: Any) -> list[str]:
         """Printed top-level conjuncts that fail on the group.
@@ -652,12 +845,14 @@ class CompiledInvariant:
         For a non-conjunctive body the whole printed body is returned when
         it fails.
         """
-        scope = {self._focal: group.focal}
-        return [
-            print_expr(part)
-            for part, test in self._conjuncts
-            if not test(group.bindings, scope)
-        ]
+        inv = self.invariant
+        if self._conjuncts is None:
+            parts = inv.body.parts if inv.body.__class__ is And else (inv.body,)
+            self._conjuncts = [
+                (print_expr(part), _scope_test(part, (inv.focal,))) for part in parts
+            ]
+        scope = {inv.focal: group.focal}
+        return [text for text, test in self._conjuncts if not test(group.bindings, scope)]
 
 
 def compile_invariant(inv: Invariant) -> CompiledInvariant:
@@ -676,4 +871,3 @@ def evaluate(inv: Invariant, group: Any) -> Verdict:
 def explain(verdict: Verdict) -> str:
     """Human-readable account of a failed evaluation; empty when it passed."""
     return verdict.explanation
-

@@ -5,20 +5,25 @@ rows come from the table state strictly before the call, from earlier calls
 in the same session window, or from the session environment record in force
 before the call.
 
-Each focal API's calls are held in (time, log id) order, whatever the order
-of the log lines, so table joins are answered by one forward sweep of each
-column's version stream per corpus. iter_joined_groups is the one join
-path; independent reference joins live with the tests.
+Calls are taken in (time, log id) order, whatever the order of the log
+lines. A Sweep gives every table one TableCursor, which indexes each column
+some binding probes and only moves forward along the table's one version
+stream, so a pass replays each table once. Sweep.emit translates each join
+into generated code once: detection's checks inline it, and the groups of
+iter_joined_groups (training, --dump-joined) and of a failed check are
+built by it. Independent reference joins live with the tests.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
 from .binlog import TemporalTable
+from .dsl import Emitter
 from .errors import StoreLookupError
 from .logstore import (
     InstanceTable,
@@ -100,20 +105,20 @@ def joined_schema_for(
     return JoinedSchema(focal=focal, bindings=bindings)
 
 
-def _project_env_record(entity: EntityType, fields: dict) -> dict:
+def _project_env_record(specs: list[tuple[str, str]], fields: dict) -> dict:
     row: dict = {}
-    for attr in entity.attributes:
-        raw = fields.get(attr.path)
-        if raw is None:
-            row[attr.path] = None
-        else:
-            value, _ = coerce_scalar(raw, attr.type.tag)
-            row[attr.path] = value
+    for path, tag in specs:
+        raw = fields.get(path)
+        row[path] = None if raw is None else coerce_scalar(raw, tag)[0]
     return row
 
 
 class JoinStores:
-    """Indexes shared by every join of one corpus against one store state."""
+    """Indexes shared by every join of one corpus against one store state.
+
+    Each is built on first use and kept, so a store pays only for what its
+    joins read.
+    """
 
     def __init__(
         self,
@@ -126,18 +131,12 @@ class JoinStores:
         self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
+        self._table_events: dict[str, list] = {}
         self._column_events: dict[tuple[str, str], list] = {}
         self._column_keys: dict[tuple[str, str], set] = {}
-        untimed, timed = env_history(corpus.env_records)
-        self._env: dict[str, tuple[dict, dict]] = {}
-        for entity in bundle.of_kind(ENV):
-            self._env[entity.name] = (
-                {sid: _project_env_record(entity, r.fields) for sid, r in untimed.items()},
-                {
-                    sid: (times, [_project_env_record(entity, r.fields) for r in records])
-                    for sid, (times, records) in timed.items()
-                },
-            )
+        self._env_entities = {entity.name: entity for entity in bundle.of_kind(ENV)}
+        self._env_history: tuple[dict, dict] | None = None
+        self._env: dict[tuple[str, frozenset | None], tuple[dict, dict]] = {}
 
     def instances(self, api_name: str) -> InstanceTable:
         """Projected calls of one API, sorted by (time, log id).
@@ -153,39 +152,57 @@ class JoinStores:
             self._instances[api_name] = table
         return self._instances[api_name]
 
-    def _versions(self, table_name: str, column: str):
-        """column_events' tuples, unsorted."""
+    def _versions(self, table_name: str):
+        """table_events' tuples, unsorted."""
         store = self.tables.get(table_name)
         if store is None:
             raise StoreLookupError(f"unknown table {table_name!r}")
         for chain_key, chain in store.chains.items():
             for ts, ordinal, row in chain:
-                vk = None if row is None else value_key(row.get(column))
-                yield ts, ordinal, vk, chain_key, row
+                yield ts, ordinal, chain_key, row
 
-    def column_events(self, table_name: str, column: str) -> list:
-        """Version stream of one column: (ts, ordinal, value key, chain key, row).
+    def table_events(self, table_name: str) -> list:
+        """Version stream of one table: (ts, ordinal, chain key, row).
 
-        Sorted by (ts, ordinal) and shared by every cursor that sweeps this
-        column; deletes and null column values carry a None value key.
+        Sorted by (ts, ordinal) and shared by every cursor on the table; a
+        delete carries a None row.
         """
-        cache_key = (table_name, column)
-        if cache_key not in self._column_events:
-            events = list(self._versions(table_name, column))
+        if table_name not in self._table_events:
+            events = list(self._versions(table_name))
             # (ts, ordinal) ties when an update moves a row to a new key, so
             # whole events are not comparable: sort stably, minor field first
             events.sort(key=itemgetter(1))
             events.sort(key=itemgetter(0))
-            self._column_events[cache_key] = events
+            self._table_events[table_name] = events
+        return self._table_events[table_name]
+
+    def column_events(self, table_name: str, column: str) -> list:
+        """table_events seen through one column: (ts, ordinal, value key,
+        chain key, row), where deletes and null values carry a None key.
+
+        Joins index table_events directly; this per-column view is for
+        callers that time or check one column's stream on its own.
+        """
+        cache_key = (table_name, column)
+        if cache_key not in self._column_events:
+            self._column_events[cache_key] = [
+                (ts, ordinal, None if row is None else value_key(row.get(column)), chain_key, row)
+                for ts, ordinal, chain_key, row in self.table_events(table_name)
+            ]
         return self._column_events[cache_key]
 
     def column_keys(self, table_name: str, column: str) -> set:
-        """Non-null value keys of column_events, without building the stream:
+        """Non-null value keys of one column, without building the stream:
         every value the column held in any version, for relationship inference."""
         cache_key = (table_name, column)
         if cache_key not in self._column_keys:
-            versions = self._versions(table_name, column)
-            self._column_keys[cache_key] = {v[2] for v in versions if v[2] is not None}
+            keys = {
+                value_key(row.get(column))
+                for _, _, _, row in self._versions(table_name)
+                if row is not None
+            }
+            keys.discard(None)
+            self._column_keys[cache_key] = keys
         return self._column_keys[cache_key]
 
     def session_calls(self, api_name: str) -> tuple[list, list, dict]:
@@ -211,95 +228,97 @@ class JoinStores:
             self._session_index[api_name] = ([row["time"] for row in rows], rows, spans)
         return self._session_index[api_name]
 
-    def env_index(self, entity_name: str) -> tuple[dict, dict]:
+    def env_index(
+        self, entity_name: str, attrs: frozenset | None = None
+    ) -> tuple[dict, dict]:
         """Projected environment records of one entity, per session, in
         logstore.env_history's shape: each session's last untimed row, and
         (times, rows) arrays for sessions with timed records.
+
+        `attrs` limits the projection to those attribute paths; None
+        projects them all.
         """
-        if entity_name not in self._env:
+        entity = self._env_entities.get(entity_name)
+        if entity is None:
             raise StoreLookupError(f"unknown environment entity {entity_name!r}")
-        return self._env[entity_name]
+        cache_key = (entity_name, attrs)
+        if cache_key not in self._env:
+            if self._env_history is None:
+                self._env_history = env_history(self._corpus.env_records)
+            untimed, timed = self._env_history
+            specs = [
+                (attr.path, attr.type.tag)
+                for attr in entity.attributes
+                if attrs is None or attr.path in attrs
+            ]
+            self._env[cache_key] = (
+                {sid: _project_env_record(specs, r.fields) for sid, r in untimed.items()},
+                {
+                    sid: (times, [_project_env_record(specs, r.fields) for r in records])
+                    for sid, (times, records) in timed.items()
+                },
+            )
+        return self._env[cache_key]
 
 
-class BucketRows:
-    """Read-only view of one cursor bucket, valid until the cursor advances.
+class TableCursor:
+    """One table's live rows, grouped by value on each probed column, moved
+    along the timeline.
 
-    Streaming detection finishes with a group before asking for the next,
-    so the hot path never copies rows. Indexing and slicing (the explanation
-    sampler does both) materialize a tuple on demand.
+    After advance(t), buckets[column] maps a value key to the {chain key:
+    row} of the rows live strictly before t that hold it there. The maps
+    change in place, so a reference to one stays current. Calls with
+    non-decreasing t cost one pass over the table's version stream in
+    total, which is what every sweep in (time, log id) order makes. A
+    backward t, which only a caller with its own row order can make,
+    replays the stream from the start.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_events", "_pos", "_t", "_probes", "buckets", "pending")
 
-    def __init__(self, rows: dict):
-        self._rows = rows
-
-    def __iter__(self):
-        return iter(self._rows.values())
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __bool__(self):
-        return bool(self._rows)
-
-    def __getitem__(self, index):
-        return tuple(self._rows.values())[index]
-
-
-_EMPTY_ROWS: tuple = ()
-
-
-class DbJoinCursor:
-    """One column's live rows grouped by value, advanced along the timeline.
-
-    rows_as_of(value, t) answers with the rows live strictly before t whose
-    column equals value. Calls with non-decreasing t cost one sweep over the
-    version stream in total, which is what every sweep over
-    JoinStores.instances makes. A backward t, which only a caller with its
-    own row order can make, replays from the start.
-    """
-
-    __slots__ = ("_events", "_pos", "_t", "_live", "_buckets")
-
-    def __init__(self, events: list):
+    def __init__(self, events: list, columns):
         self._events = events
         self._pos = 0
         self._t: int | None = None
-        self._live: dict = {}  # chain key -> value key of its live row
-        self._buckets: dict = {}  # value key -> {chain key: row}
+        # per column: (column, value key -> {chain key: row}, chain key ->
+        # the value key its live row holds there)
+        self._probes = tuple((column, {}, {}) for column in columns)
+        self.buckets = {column: index for column, index, _ in self._probes}
+        # time of the first version not yet applied (infinity when none is)
+        self.pending = events[0][0] if events else math.inf
 
-    def rows_as_of(self, value, t: int):
+    def advance(self, t: int) -> None:
+        """Apply every version strictly before t."""
         if self._t is not None and t < self._t:
             self._pos = 0
-            self._live = {}
-            self._buckets = {}
+            for _, index, live in self._probes:
+                index.clear()
+                live.clear()
         self._t = t
         events = self._events
         pos = self._pos
         n = len(events)
-        buckets = self._buckets
-        if pos < n and events[pos][0] < t:
-            live = self._live
-            while pos < n:
-                event = events[pos]
-                if event[0] >= t:
-                    break
-                pos += 1
-                _, _, vk, chain_key, row = event
+        probes = self._probes
+        while pos < n:
+            ts, _, chain_key, row = events[pos]
+            if ts >= t:
+                break
+            pos += 1
+            for column, index, live in probes:
                 old = live.pop(chain_key, None)
                 if old is not None:
-                    del buckets[old][chain_key]
-                if vk is None:
+                    del index[old][chain_key]
+                if row is None:
                     continue
-                live[chain_key] = vk
-                bucket = buckets.get(vk)
-                if bucket is None:
-                    bucket = buckets[vk] = {}
-                bucket[chain_key] = row
-            self._pos = pos
-        bucket = buckets.get(value_key(value))
-        return BucketRows(bucket) if bucket else _EMPTY_ROWS
+                vk = value_key(row.get(column))
+                if vk is not None:
+                    live[chain_key] = vk
+                    bucket = index.get(vk)
+                    if bucket is None:
+                        bucket = index[vk] = {}
+                    bucket[chain_key] = row
+        self._pos = pos
+        self.pending = events[pos][0] if pos < n else math.inf
 
 
 def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
@@ -309,54 +328,102 @@ def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
     return rows[bisect_right(times, t - delta, lo, hi) : bisect_left(times, t, lo, hi)]
 
 
-def _binding_joiners(
-    stores: JoinStores, schema: JoinedSchema, only: set[str] | None = None
-):
-    """Fresh per-binding join callables; DB cursors start at time zero.
+class Sweep:
+    """The join state of one pass over calls in (time, log id) order.
 
-    `only` restricts joining to the named bindings (the rest stay unbound);
-    callers that know which bindings their expressions quantify over skip
-    the dead joins entirely. Bindings on one (table, column) share a cursor:
-    all bindings of a group probe at the call's time, so it never advances
-    between them and their bucket views stay valid together.
+    Every table some binding probes gets one TableCursor, indexing every
+    column probed on it, so a pass replays each table once however many
+    APIs and columns join it. Each focal API's bindings are resolved here,
+    once, to their sources, and `emit` is the one translation of a join:
+    detection's generated checks inline its expressions, and
+    `group_bindings` returns them as a group's bindings.
+
+    `schemas` holds (schema, only) pairs, where `only` names the bindings to
+    join (None: all). `env_attrs` maps an environment entity to the
+    attribute paths to project (None: every attribute of every entity).
     """
-    joiners = []
-    cursors: dict[tuple[str, str], DbJoinCursor] = {}
-    for binding in schema.bindings:
-        if only is not None and binding.name not in only:
-            continue
-        rel = binding.relationship
-        if rel.kind == API_DB:
-            column = (rel.target_entity, rel.target_attr)
-            cursor = cursors.get(column)
-            if cursor is None:
-                cursor = cursors[column] = DbJoinCursor(stores.column_events(*column))
-            attr = rel.focal_attr
 
-            def db_join(row, cursor=cursor, attr=attr):
-                value = row.get(attr)
-                if value is None:
-                    return _EMPTY_ROWS
-                return cursor.rows_as_of(value, row["time"])
+    def __init__(
+        self,
+        stores: JoinStores,
+        schemas: list[tuple[JoinedSchema, set[str] | None]],
+        env_attrs: dict[str, frozenset] | None = None,
+    ):
+        columns: dict[str, list[str]] = {}
+        self._sources: dict[str, list] = {}
+        for schema, only in schemas:
+            sources = self._sources[schema.focal.name] = []
+            for binding in schema.bindings:
+                if only is not None and binding.name not in only:
+                    continue
+                rel = binding.relationship
+                if rel.kind == API_DB:
+                    probed = columns.setdefault(rel.target_entity, [])
+                    if rel.target_attr not in probed:
+                        probed.append(rel.target_attr)
+                    source = (rel.target_entity, rel.target_attr, rel.focal_attr)
+                elif rel.kind == API_API:
+                    delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
+                    source = (stores.session_calls(rel.target_entity), delta)
+                else:
+                    attrs = None if env_attrs is None else env_attrs.get(rel.target_entity)
+                    source = stores.env_index(rel.target_entity, attrs)
+                sources.append((binding.name, rel.kind, source))
+        self.cursors = {
+            table: TableCursor(stores.table_events(table), probed)
+            for table, probed in columns.items()
+        }
+        self._cursors = tuple(self.cursors.values())
+        self._t = -math.inf
 
-            joiners.append((binding.name, db_join))
-        elif rel.kind == API_API:
-            delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
-            calls = stores.session_calls(rel.target_entity)
+    def advance(self, t: int) -> float:
+        """Move every cursor to t; returns the time of the first version
+        still pending, before which a later t that is not smaller needs no
+        call. A t smaller than the last one replays the tables from the
+        start."""
+        back = t < self._t
+        self._t = t
+        pending = math.inf
+        for cursor in self._cursors:
+            if back or cursor.pending < t:
+                cursor.advance(t)
+            if cursor.pending < pending:
+                pending = cursor.pending
+        return pending
 
-            def api_join(row, calls=calls, delta=delta):
-                return _calls_in_window(calls, row["sessionId"], row["time"], delta)
+    def group_bindings(self, focal_name: str):
+        """A generated function giving a focal row's {binding name: rows}
+        as the cursors stand (see advance): the bindings of its group."""
+        em = Emitter()
+        rows = self.emit(em, focal_name)
+        items = ", ".join(f"{name!r}: {expr}" for name, expr in rows.items())
+        return em.function("row", [f"return {{{items}}}"])
 
-            joiners.append((binding.name, api_join))
-        else:
-            env = stores.env_index(rel.target_entity)
-
-            def env_join(row, env=env):
-                env_row = env_before(env, row["sessionId"], row["time"])
-                return [env_row] if env_row is not None else _EMPTY_ROWS
-
-            joiners.append((binding.name, env_join))
-    return joiners
+    def emit(self, em, focal_name: str) -> dict[str, str]:
+        """Each binding of one focal API as an expression of its rows in a
+        generated function over `row` (see dsl.Emitter). DB bindings read
+        the cursor buckets directly, so the function must run after
+        advance(row time). A null focal value has a None key, which no
+        bucket holds."""
+        rows = {}
+        for name, kind, source in self._sources[focal_name]:
+            if kind == API_DB:
+                table, column, attr = source
+                buckets = em.const(self.cursors[table].buckets[column])
+                bucket = em.local(f"{buckets}.get({em.key('row', attr)})")
+                rows[name] = em.local(f"{bucket}.values() if {bucket} else ()")
+                continue
+            session, t = em.read("row", "sessionId"), em.read("row", "time")
+            if kind == API_API:
+                calls, delta = source
+                rows[name] = em.local(
+                    f"{em.const(_calls_in_window)}({em.const(calls)}, {session}, {t}, "
+                    f"{em.const(delta)})"
+                )
+            else:
+                env_row = em.local(f"{em.const(env_before)}({em.const(source)}, {session}, {t})")
+                rows[name] = em.local(f"({env_row},) if {env_row} is not None else ()")
+        return rows
 
 
 def iter_joined_groups(
@@ -373,10 +440,11 @@ def iter_joined_groups(
     """
     if rows is None:
         rows = stores.instances(schema.focal.name).rows
-    joiners = _binding_joiners(stores, schema, only)
+    sweep = Sweep(stores, [(schema, only)])
+    bindings_of = sweep.group_bindings(schema.focal.name)
     for log_id, row in rows:
-        bindings = {name: join(row) for name, join in joiners}
-        yield JoinedGroup(log_id=log_id, focal=row, bindings=bindings)
+        sweep.advance(row["time"])
+        yield JoinedGroup(log_id=log_id, focal=row, bindings=bindings_of(row))
 
 
 def build_joined_groups(

@@ -1,7 +1,9 @@
 """Detector: compiled invariants, corpus checking, scoring, and reports."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -25,7 +27,7 @@ from apivet.dsl import (
 )
 from apivet.errors import MetricsError
 from apivet.logstore import LabelRecord, ingest_logs
-from apivet.relations import API_DB, Relationship
+from apivet.relations import API_DB, API_ENV, Relationship
 from apivet.schema import (
     flatten_api_signature,
     load_env_descriptor,
@@ -179,6 +181,80 @@ class TestCheckCorpus:
         threaded = check_corpus(bundle, corpus, tables, rels, invs, jobs=3)
         assert report_to_dict(serial, len(invs)) == report_to_dict(threaded, len(invs))
         assert serial.violations  # the comparison is not vacuous
+
+
+    def test_env_projection_reads_only_the_attributes_invariants_read(self, monkeypatch):
+        import apivet.joins as joins
+
+        bundle = detector_bundle()
+        corpus = ingest_logs([
+            env_line("s1", {"sessionId": "s1", "userId": "u1"}),
+            api_line("login", 10, "s1", {"loginId": "u1"}, {"userId": "u1"}),
+            api_line("login", 20, "s1", {"loginId": "u2"}, {"userId": "u2"}),
+        ])
+        tables = ingest_binlog([], bundle, mode="strict")
+        rels = [Relationship(API_ENV, "login", "arguments.loginId", "Env", "userId")]
+        inv = parse_invariant(
+            "INVARIANT env_user ON login CATEGORY environment "
+            "WHERE EXISTS(Env: Env.userId == login.arguments.loginId)"
+        )
+        asked = []
+        env_index = joins.JoinStores.env_index
+
+        def recording(self, entity_name, attrs=None):
+            asked.append((entity_name, attrs))
+            return env_index(self, entity_name, attrs)
+
+        monkeypatch.setattr(joins.JoinStores, "env_index", recording)
+        result = check_corpus(bundle, corpus, tables, rels, [inv])
+        assert set(asked) == {("Env", frozenset({"userId"}))}
+        assert [v.log_id for v in result.violations] == [1]
+        assert "Env.userId = \"u1\"" in result.violations[0].explanation
+
+
+class TestMemory:
+    """Nothing detection builds outlives check_corpus: the generated code's
+    namespaces hold the cursors and the store's indexes, and a reference
+    cycle through them would keep all of it until a full collection."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_and_cursors_die_on_return(self, monkeypatch, jobs):
+        import apivet.detector as detector
+        import apivet.joins as joins
+
+        stores, cursors, indexes = [], [], []
+
+        def tracked_stores(*args):
+            store = joins.JoinStores(*args)
+            stores.append(weakref.ref(store))
+            return store
+
+        class Index(dict):  # a dict that takes weak references
+            pass
+
+        class TrackedCursor(joins.TableCursor):
+            def __init__(self, events, columns):
+                super().__init__(events, columns)
+                # the generated checks hold the bucket maps, not the cursor
+                self._probes = tuple((column, Index(), {}) for column in columns)
+                self.buckets = {column: index for column, index, _ in self._probes}
+                cursors.append(weakref.ref(self))
+                indexes.extend(weakref.ref(index) for index in self.buckets.values())
+
+        monkeypatch.setattr(detector, "JoinStores", tracked_stores)
+        monkeypatch.setattr(joins, "TableCursor", TrackedCursor)
+        bundle, corpus, tables, rels, invs = planted_setup()
+        gc.collect()
+        gc.disable()
+        try:
+            result = check_corpus(bundle, corpus, tables, rels, invs, jobs=jobs)
+            assert result.violations
+            assert len(stores) == 1 and cursors
+            assert stores[0]() is None
+            assert all(cursor() is None for cursor in cursors)
+            assert all(index() is None for index in indexes)
+        finally:
+            gc.enable()
 
 
 class TestReports:

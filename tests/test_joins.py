@@ -1,5 +1,5 @@
-"""Join engine: the sweeping cursor and streamed groups, checked against the
-reference joins in oracles.py."""
+"""Join engine: the sweeping table cursor and streamed groups, checked
+against the reference joins in oracles.py."""
 
 import random
 
@@ -10,9 +10,8 @@ from apivet.detector import check_corpus
 from apivet.dsl import parse_invariant
 from apivet.errors import StoreLookupError
 from apivet.joins import (
-    BucketRows,
-    DbJoinCursor,
     JoinStores,
+    TableCursor,
     binding_names,
     build_joined_groups,
     iter_joined_groups,
@@ -26,9 +25,16 @@ from apivet.schema import (
     merge_bundle,
     parse_create_table,
 )
+from apivet.values import value_key
 
 from conftest import api_line, env_line, row_event
 from oracles import api_join_oracle, db_join_oracle, env_join_oracle
+
+
+def rows_at(cursor, column, value, t):
+    """The rows a generated join reads for `value` on `column` at time t."""
+    cursor.advance(t)
+    return list(cursor.buckets[column].get(value_key(value), {}).values())
 
 
 def rel(kind, focal, fattr, target, tattr, **kw):
@@ -290,33 +296,59 @@ class TestEnvAsOf:
             ]
 
 
-class TestDbJoinCursor:
+class TestTableCursor:
     def setup_method(self):
         _, _, self.stores = make_stores(
             [api_line("payOrder", 25, "s1", {"orderId": "o1"}, {"status": "paid"})]
         )
         self.row_events = order_events()
-        self.events = self.stores.column_events("orders", "userId")
+        self.events = self.stores.table_events("orders")
 
-    def probe(self, cursor, value, t):
-        return sorted_rows(list(cursor.rows_as_of(value, t)))
+    def probe(self, cursor, value, t, column="userId"):
+        return sorted_rows(rows_at(cursor, column, value, t))
 
-    def reference(self, value, t):
-        return sorted_rows(db_join_oracle(self.row_events, "userId", value, t))
+    def reference(self, value, t, column="userId"):
+        return sorted_rows(db_join_oracle(self.row_events, column, value, t))
 
     def test_forward_sweep_matches_reference(self):
-        cursor = DbJoinCursor(self.events)
+        cursor = TableCursor(self.events, ["userId"])
         for t in (5, 10, 11, 20, 21, 30, 31, 40, 41, 50, 51, 99):
             for value in ("u1", "u2", "u3"):
                 assert self.probe(cursor, value, t) == self.reference(value, t)
 
+    def test_every_indexed_column_matches_reference(self):
+        cursor = TableCursor(self.events, ["userId", "id", "status"])
+        cases = {"userId": ("u1", "u2"), "id": ("o1", "o2", "o3"),
+                 "status": ("paid", "unpaid", "cancelled")}
+        for t in (5, 11, 21, 31, 41, 51, 99):
+            for column, values in cases.items():
+                for value in values:
+                    assert self.probe(cursor, value, t, column) == self.reference(
+                        value, t, column
+                    )
+
     def test_backward_time_rewinds(self):
-        cursor = DbJoinCursor(self.events)
+        cursor = TableCursor(self.events, ["userId"])
         assert self.probe(cursor, "u1", 99) == self.reference("u1", 99)
         # going back in time replays the stream from scratch
         assert self.probe(cursor, "u1", 11) == self.reference("u1", 11)
         assert self.probe(cursor, "u2", 11) == self.reference("u2", 11)
         assert self.probe(cursor, "u1", 60) == self.reference("u1", 60)
+
+    def test_bucket_maps_are_updated_in_place(self):
+        cursor = TableCursor(self.events, ["userId"])
+        index = cursor.buckets["userId"]
+        cursor.advance(99)
+        cursor.advance(11)  # a rewind keeps the same map
+        assert cursor.buckets["userId"] is index
+        assert sorted_rows(index[("s", "u2")].values()) == self.reference("u2", 11)
+
+    def test_an_update_moves_its_row_to_the_bucket_end(self):
+        # a bucket lists its rows by last write, which the row[i] indices of
+        # explanations follow: o1's update at 50 comes after o3's insert
+        cursor = TableCursor(self.events, ["userId", "status"])
+        assert [r["id"] for r in rows_at(cursor, "userId", "u1", 45)] == ["o1", "o3"]
+        assert [r["id"] for r in rows_at(cursor, "userId", "u1", 51)] == ["o3", "o1"]
 
     def test_rekeying_update_ties_on_ts_and_ordinal(self):
         # lenient ingest keeps an update that changes the key: the old chain
@@ -329,26 +361,27 @@ class TestDbJoinCursor:
         bundle = join_bundle()
         self.row_events = events
         stores = JoinStores(bundle, ingest_logs([]), ingest_binlog(events, bundle))
-        cursor = DbJoinCursor(stores.column_events("orders", "userId"))
+        cursor = TableCursor(stores.table_events("orders"), ["userId"])
         for t in (55, 60, 61, 99):
             for value in ("u1", "u2"):
                 assert self.probe(cursor, value, t) == self.reference(value, t)
-        assert [r["id"] for r in cursor.rows_as_of("u2", 99)] == ["o4"]
+        assert [r["id"] for r in rows_at(cursor, "userId", "u2", 99)] == ["o4"]
 
     def test_unseen_value_yields_empty(self):
-        cursor = DbJoinCursor(self.events)
-        assert list(cursor.rows_as_of("ghost", 99)) == []
-        assert not cursor.rows_as_of("ghost", 99)
+        cursor = TableCursor(self.events, ["userId"])
+        assert rows_at(cursor, "userId", "ghost", 99) == []
+        assert ("s", "ghost") not in cursor.buckets["userId"]
 
     def test_random_probe_schedule_matches_reference(self):
         rng = random.Random(7)
-        cursor = DbJoinCursor(self.events)
+        cursor = TableCursor(self.events, ["userId", "status"])
         for _ in range(300):
             t = rng.randrange(0, 70)
-            value = rng.choice(["u1", "u2", "u3", None])
+            column = rng.choice(["userId", "status"])
+            value = rng.choice(["u1", "u2", "u3", "paid", "unpaid", None])
             if value is None:
                 continue
-            assert self.probe(cursor, value, t) == self.reference(value, t)
+            assert self.probe(cursor, value, t, column) == self.reference(value, t, column)
 
 
 class TestBigIntegerKeys:
@@ -410,19 +443,19 @@ class TestCallOrder:
 
 
 class TestSharedCursor:
-    def test_bindings_on_one_column_share_a_cursor(self, monkeypatch):
+    def test_bindings_on_one_table_share_a_cursor(self, monkeypatch):
         import apivet.joins as joins
 
         built = []
 
-        class CountingCursor(DbJoinCursor):
+        class CountingCursor(TableCursor):
             __slots__ = ()
 
-            def __init__(self, events):
-                built.append(events)
-                super().__init__(events)
+            def __init__(self, events, columns):
+                built.append((events, list(columns)))
+                super().__init__(events, columns)
 
-        monkeypatch.setattr(joins, "DbJoinCursor", CountingCursor)
+        monkeypatch.setattr(joins, "TableCursor", CountingCursor)
         lines = [
             api_line("login", t, "s1", {"loginId": u}, {"userId": v})
             for t, u, v in ((5, "u1", "u1"), (20, "u1", "u2"), (25, "u1", "u2"),
@@ -436,9 +469,11 @@ class TestSharedCursor:
         ]
         schema = joined_schema_for(bundle, "login", rels)
         groups = build_joined_groups(stores, schema)
-        # two bindings on orders.userId, one on orders.id
-        assert len(built) == 2
-        assert built[0] is stores.column_events("orders", "userId")
+        # two bindings on orders.userId and one on orders.id: one cursor
+        # over the table's stream indexes both columns
+        assert len(built) == 1
+        assert built[0][0] is stores.table_events("orders")
+        assert built[0][1] == ["userId", "id"]
         for group in groups:
             for binding in schema.bindings:
                 r = binding.relationship
@@ -449,23 +484,6 @@ class TestSharedCursor:
                     )
                 )
         assert any(group.bindings["orders__arguments_loginId__userId"] for group in groups)
-
-
-class TestBucketRows:
-    def make(self, n):
-        return BucketRows({i: {"id": f"o{i}"} for i in range(n)})
-
-    def test_len_iter_bool(self):
-        view = self.make(3)
-        assert len(view) == 3 and bool(view)
-        assert [r["id"] for r in view] == ["o0", "o1", "o2"]
-        assert not self.make(0)
-
-    def test_indexing_and_slicing(self):
-        view = self.make(5)
-        assert view[0] == {"id": "o0"}
-        assert [r["id"] for r in view[:3]] == ["o0", "o1", "o2"]
-        assert isinstance(view[:3], tuple)
 
 
 class TestJoinedGroups:

@@ -23,7 +23,7 @@ from apivet.benchgen import (
 from apivet.binlog import ingest_binlog, parse_row_events
 from apivet.config import PipelineConfig
 from apivet.detector import check_corpus, report_to_dict
-from apivet.joins import DbJoinCursor, JoinStores
+from apivet.joins import JoinStores, TableCursor
 from apivet.logstore import ingest_logs
 from apivet.pipeline import run_generation, run_inference
 from apivet.schema import API
@@ -122,20 +122,20 @@ def test_instances_are_in_time_then_id_order(setup):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_join_cursors_never_see_a_backward_time(setup, monkeypatch, jobs):
-    rows_as_of = DbJoinCursor.rows_as_of
+    advance = TableCursor.advance
     last_t = {}  # id(cursor) -> (cursor, last t); holding the cursor pins its id
     probes = rewinds = 0
 
-    def counting(self, value, t):
+    def counting(self, t):
         nonlocal probes, rewinds
         probes += 1
         seen = last_t.get(id(self))
         if seen is not None and t < seen[1]:
             rewinds += 1
         last_t[id(self)] = (self, t)
-        return rows_as_of(self, value, t)
+        return advance(self, t)
 
-    monkeypatch.setattr(DbJoinCursor, "rows_as_of", counting)
+    monkeypatch.setattr(TableCursor, "advance", counting)
     detect(setup, setup.swapped, jobs)
     assert probes > 0
     assert rewinds == 0
