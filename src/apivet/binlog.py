@@ -34,36 +34,38 @@ class RowEvent:
 
 
 def parse_row_events(lines: Iterable[str], mode: str = "lenient") -> list[RowEvent]:
-    """Parse binary-log JSON Lines into RowEvents (ordinal = file position)."""
+    """Parse binary-log JSON Lines into RowEvents (ordinal = file position).
+
+    Blank lines are ignored.
+    """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown ingest mode {mode!r}")
     events: list[RowEvent] = []
     skipped = 0
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        problem = None
-        record = None
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
+            if not line.strip():  # a blank line is never valid JSON
+                continue
             problem = f"invalid JSON ({exc.msg})"
-        if isinstance(record, dict):
-            problem = _check_row_event(record)
+        else:
+            if record.__class__ is not dict:
+                problem = "row event must be a document"
+            else:
+                problem = _check_row_event(record)
             if problem is None:
                 events.append(
                     RowEvent(
-                        table=record["table"],
-                        op=record["op"],
-                        ts=record["ts"],
-                        before=record.get("before"),
-                        after=record.get("after"),
-                        ordinal=len(events),
+                        record["table"],
+                        record["op"],
+                        record["ts"],
+                        record.get("before"),
+                        record.get("after"),
+                        len(events),
                     )
                 )
                 continue
-        elif problem is None:
-            problem = "row event must be a document"
         if mode == "strict":
             raise IngestError(problem, line_no)
         skipped += 1
@@ -73,21 +75,23 @@ def parse_row_events(lines: Iterable[str], mode: str = "lenient") -> list[RowEve
 
 
 def _check_row_event(record: dict) -> str | None:
-    if not isinstance(record.get("table"), str) or not record["table"]:
+    # exact class tests: json.loads yields builtin classes only
+    table = record.get("table")
+    if table.__class__ is not str or not table:
         return "table must be a non-empty string"
     op = record.get("op")
     if op not in OPS:
         return f"unknown op {op!r}"
     ts = record.get("ts")
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+    if ts.__class__ is not int or ts < 0:
         return "ts must be a non-negative integer"
     before = record.get("before")
     after = record.get("after")
-    if op == "insert" and not (isinstance(after, dict) and before is None):
+    if op == "insert" and not (after.__class__ is dict and before is None):
         return "insert carries only an after image"
-    if op == "delete" and not (isinstance(before, dict) and after is None):
+    if op == "delete" and not (before.__class__ is dict and after is None):
         return "delete carries only a before image"
-    if op == "update" and not (isinstance(before, dict) and isinstance(after, dict)):
+    if op == "update" and not (before.__class__ is dict and after.__class__ is dict):
         return "update carries both images"
     return None
 
@@ -127,7 +131,15 @@ def _key_of(entity: EntityType, image: dict, ts: int) -> tuple:
                 f"row image for {entity.name!r} at ts {ts} lacks key column {col!r}"
             )
         key.append(image[col])
-    return tuple(key)
+    chain_key = tuple(key)
+    try:
+        hash(chain_key)
+    except TypeError:  # a JSON list or object cannot key a chain
+        raise ReplayError(
+            f"row image for {entity.name!r} at ts {ts} has a list or object in its "
+            f"key {chain_key!r}"
+        ) from None
+    return chain_key
 
 
 def ingest_binlog(

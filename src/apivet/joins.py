@@ -33,7 +33,7 @@ from .logstore import (
     project_instances,
 )
 from .relations import API_API, API_DB, Relationship
-from .schema import ENV, EntityType, SchemaBundle
+from .schema import API, ENV, EntityType, SchemaBundle
 from .values import coerce_scalar, value_key
 
 DEFAULT_DELTA_MS = 60000
@@ -128,7 +128,7 @@ class JoinStores:
     ):
         self.bundle = bundle
         self.tables = tables
-        self._instances: dict[str, InstanceTable] = {}
+        self._instances: dict[str, InstanceTable] | None = None
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._table_events: dict[str, list] = {}
@@ -141,16 +141,21 @@ class JoinStores:
     def instances(self, api_name: str) -> InstanceTable:
         """Projected calls of one API, sorted by (time, log id).
 
-        Every sweep over them moves its join cursors forward only, so a
-        corpus joins in one pass whatever the order of its log lines.
+        The first request projects every API of the bundle, in one pass
+        over the corpus. Every sweep over them moves its join cursors
+        forward only, so a corpus joins in one pass whatever the order of
+        its log lines.
         """
-        if api_name not in self._instances:
-            table = project_instances(self._corpus.events, self.bundle.entity(api_name))
-            # projection keeps ingest (log id) order, so a stable sort on
-            # time alone gives (time, log id)
-            table.rows.sort(key=lambda item: item[1]["time"])
-            self._instances[api_name] = table
-        return self._instances[api_name]
+        if self._instances is None:
+            self._instances = project_instances(self._corpus.events, self.bundle.of_kind(API))
+            for table in self._instances.values():
+                # projection keeps ingest (log id) order, so a stable sort on
+                # time alone gives (time, log id)
+                table.rows.sort(key=lambda item: item[1]["time"])
+        table = self._instances.get(api_name)
+        if table is None:
+            raise StoreLookupError(f"unknown API {api_name!r}")
+        return table
 
     def _versions(self, table_name: str):
         """table_events' tuples, unsorted."""

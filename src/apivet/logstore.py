@@ -62,63 +62,69 @@ class InstanceTable:
     mismatches: int = 0
 
 
+# The rules below test exact classes: json.loads yields builtin classes
+# only, so `x.__class__ is int` holds exactly where isinstance(x, int) and
+# not isinstance(x, bool) would.
+
+
 def _check_api_line(record: dict) -> str | None:
-    if not isinstance(record.get("api"), str) or not record["api"]:
+    api = record.get("api")
+    if api.__class__ is not str or not api:
         return "api name must be a non-empty string"
-    if not isinstance(record.get("arguments"), dict):
+    if record.get("arguments").__class__ is not dict:
         return "arguments must be a document"
-    if not isinstance(record.get("response"), dict):
+    if record.get("response").__class__ is not dict:
         return "response must be a document"
-    if not _is_time(record.get("time")):
+    t = record.get("time")
+    if t.__class__ is not int or t < 0:
         return "time must be a non-negative integer"
     sid = record.get("sessionId")
-    if not isinstance(sid, str) or not sid:
+    if sid.__class__ is not str or not sid:
         return "sessionId must be a non-empty string"
     return None
 
 
-def _is_time(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _check_env_line(record: dict) -> str | None:
     sid = record.get("sessionId")
-    if not isinstance(sid, str) or not sid or not isinstance(record.get("fields"), dict):
+    if sid.__class__ is not str or not sid or record.get("fields").__class__ is not dict:
         return "env record requires sessionId and fields"
-    if "time" in record and not _is_time(record["time"]):
-        return "env time must be a non-negative integer"
+    if "time" in record:
+        t = record["time"]
+        if t.__class__ is not int or t < 0:
+            return "env time must be a non-negative integer"
     return None
 
 
 def ingest_logs(lines: Iterable[str], mode: str = "lenient") -> LogCorpus:
-    """Parse a log stream; strict mode raises on the first malformed line."""
+    """Parse a log stream; strict mode raises on the first malformed line.
+
+    Blank lines are ignored.
+    """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown ingest mode {mode!r}")
     events: list[LogEvent] = []
     env_records: list[EnvRecord] = []
     skipped = 0
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        problem = None
-        record = None
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
+            if not line.strip():  # a blank line is never valid JSON
+                continue
             problem = f"invalid JSON ({exc.msg})"
-        if record is not None:
-            kind = record.get("kind") if isinstance(record, dict) else None
+        else:
+            kind = record.get("kind") if record.__class__ is dict else None
             if kind == "api":
                 problem = _check_api_line(record)
                 if problem is None:
                     events.append(
                         LogEvent(
-                            id=len(events),
-                            api=record["api"],
-                            arguments=record["arguments"],
-                            response=record["response"],
-                            time=record["time"],
-                            sessionId=record["sessionId"],
+                            len(events),
+                            record["api"],
+                            record["arguments"],
+                            record["response"],
+                            record["time"],
+                            record["sessionId"],
                         )
                     )
                     continue
@@ -126,17 +132,15 @@ def ingest_logs(lines: Iterable[str], mode: str = "lenient") -> LogCorpus:
                 problem = _check_env_line(record)
                 if problem is None:
                     env_records.append(
-                        EnvRecord(
-                            sessionId=record["sessionId"],
-                            fields=record["fields"],
-                            time=record.get("time"),
-                        )
+                        EnvRecord(record["sessionId"], record["fields"], record.get("time"))
                     )
                     continue
+            elif record is None:
+                problem = "malformed record"
             else:
                 problem = f"unknown record kind {kind!r}"
         if mode == "strict":
-            raise IngestError(problem or "malformed record", line_no)
+            raise IngestError(problem, line_no)
         skipped += 1
         logger.debug("skipping log line %d: %s", line_no, problem)
     if skipped:
@@ -187,41 +191,47 @@ def env_before(history: tuple[dict, dict], session_id: str, t: int):
     return untimed.get(session_id)
 
 
-def project_instances(events: Iterable[LogEvent], entity: EntityType) -> InstanceTable:
-    """Project matching events onto the entity's attributes.
+_SIDES = {"arguments": 0, "response": 1}  # a call's documents, by path root
 
-    Missing leaves become null; coercion mismatches become null and bump
-    the table's mismatch counter.
+
+def project_instances(
+    events: Iterable[LogEvent], entities: Iterable[EntityType]
+) -> dict[str, InstanceTable]:
+    """Project each event onto the attributes of the API entity it calls.
+
+    One pass over the events fills one table per entity, rows in event
+    order; events of other APIs are skipped. Missing leaves become null;
+    coercion mismatches become null and bump the table's mismatch counter.
     """
-    table = InstanceTable(entity=entity)
-    specs = [
-        (attr.path, attr.segments, attr.type.tag)
-        for attr in entity.attributes
-        if attr.path not in ("time", "sessionId")
-    ]
-    for event in events:
-        if event.api != entity.name:
-            continue
-        row: dict = {}
-        for path, segments, tag in specs:
-            root = segments[0]
-            if root == "arguments":
-                found, raw = get_path(event.arguments, segments[1:])
-            elif root == "response":
-                found, raw = get_path(event.response, segments[1:])
-            else:
-                found, raw = False, None
-            if not found:
-                row[path] = None
+    plans = {}
+    for entity in entities:
+        specs = []
+        for attr in entity.attributes:
+            if attr.path in ("time", "sessionId"):
                 continue
-            value, mismatch = coerce_scalar(raw, tag)
+            root, *rest = attr.segments
+            side = _SIDES.get(root)
+            if side is None:  # no document of the call: read a leaf of nothing
+                side, rest = 2, [root]
+            specs.append((attr.path, side, tuple(rest), attr.type.tag))
+        plans[entity.name] = (InstanceTable(entity=entity), specs)
+    nowhere: dict = {}
+    for event in events:
+        plan = plans.get(event.api)
+        if plan is None:
+            continue
+        table, specs = plan
+        docs = (event.arguments, event.response, nowhere)
+        row: dict = {}
+        for path, side, segments, tag in specs:
+            value, mismatch = coerce_scalar(get_path(docs[side], segments)[1], tag)
             row[path] = value
             if mismatch:
                 table.mismatches += 1
         row["time"] = event.time
         row["sessionId"] = event.sessionId
         table.rows.append((event.id, row))
-    return table
+    return {name: table for name, (table, _) in plans.items()}
 
 
 def session_sequences(events: Iterable[LogEvent]) -> dict[str, list[str]]:

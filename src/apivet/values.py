@@ -66,14 +66,14 @@ def value_key(value: Any) -> tuple[str, Any] | None:
     Python compares and hashes int and float exactly, so 1 matches 1.0 and
     integers beyond 2**53 stay apart.
     """
+    if isinstance(value, str):  # the most common key: test it first
+        return ("s", value)
     if value is None:
         return None
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, (int, float)):
         return ("n", value)
-    if isinstance(value, str):
-        return ("s", value)
     return ("o", canonical_json(value))
 
 

@@ -226,14 +226,161 @@ def session_sequence_oracle(events):
     return grouped
 
 
+# --- ingest -----------------------------------------------------------------
+
+
+class OracleReject(Exception):
+    """Strict mode's first malformed line: (line number, message)."""
+
+
+def _non_negative_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _non_empty_str(value):
+    return isinstance(value, str) and value != ""
+
+
+def _api_problem(record):
+    if not _non_empty_str(record.get("api")):
+        return "api name must be a non-empty string"
+    if not isinstance(record.get("arguments"), dict):
+        return "arguments must be a document"
+    if not isinstance(record.get("response"), dict):
+        return "response must be a document"
+    if not _non_negative_int(record.get("time")):
+        return "time must be a non-negative integer"
+    if not _non_empty_str(record.get("sessionId")):
+        return "sessionId must be a non-empty string"
+    return None
+
+
+def _env_problem(record):
+    if not _non_empty_str(record.get("sessionId")) or not isinstance(record.get("fields"), dict):
+        return "env record requires sessionId and fields"
+    if "time" in record and not _non_negative_int(record["time"]):
+        return "env time must be a non-negative integer"
+    return None
+
+
+def _row_problem(record):
+    if not _non_empty_str(record.get("table")):
+        return "table must be a non-empty string"
+    op = record.get("op")
+    if op not in ("insert", "update", "delete"):
+        return f"unknown op {op!r}"
+    if not _non_negative_int(record.get("ts")):
+        return "ts must be a non-negative integer"
+    before, after = record.get("before"), record.get("after")
+    images = {
+        "insert": isinstance(after, dict) and before is None,
+        "delete": isinstance(before, dict) and after is None,
+        "update": isinstance(before, dict) and isinstance(after, dict),
+    }
+    if not images[op]:
+        return {
+            "insert": "insert carries only an after image",
+            "delete": "delete carries only a before image",
+            "update": "update carries both images",
+        }[op]
+    return None
+
+
+def _records(lines):
+    """(line number, record or None, problem) per non-blank line."""
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip() == "":
+            continue
+        try:
+            yield line_no, json.loads(line), None
+        except json.JSONDecodeError as exc:
+            yield line_no, None, f"invalid JSON ({exc.msg})"
+
+
+def ingest_oracle(lines, mode):
+    """The log rules: api events as (id, api, arguments, response, time,
+    sessionId), env records as (sessionId, fields, time) and the skipped
+    count. Strict mode raises OracleReject(line_no, message) instead."""
+    events, env, skipped = [], [], 0
+    for line_no, record, problem in _records(lines):
+        if problem is None:
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind == "api":
+                problem = _api_problem(record)
+                if problem is None:
+                    events.append((len(events), record["api"], record["arguments"],
+                                   record["response"], record["time"], record["sessionId"]))
+            elif kind == "env":
+                problem = _env_problem(record)
+                if problem is None:
+                    env.append((record["sessionId"], record["fields"], record.get("time")))
+            elif record is None:
+                problem = "malformed record"
+            else:
+                problem = f"unknown record kind {kind!r}"
+        if problem is not None:
+            if mode == "strict":
+                raise OracleReject(line_no, problem)
+            skipped += 1
+    return events, env, skipped
+
+
+def row_events_oracle(lines, mode):
+    """The binlog rules: events as (table, op, ts, before, after, ordinal)
+    and the skipped count. Strict mode raises OracleReject instead."""
+    events, skipped = [], 0
+    for line_no, record, problem in _records(lines):
+        if problem is None:
+            if isinstance(record, dict):
+                problem = _row_problem(record)
+            else:
+                problem = "row event must be a document"
+        if problem is None:
+            events.append((record["table"], record["op"], record["ts"],
+                           record.get("before"), record.get("after"), len(events)))
+        elif mode == "strict":
+            raise OracleReject(line_no, problem)
+        else:
+            skipped += 1
+    return events, skipped
+
+
 # --- projection -------------------------------------------------------------
 
 
-def project_oracle(events, api, attribute_paths):
+def coerce_oracle(value, tag):
+    """(value, mismatch) of one leaf bound for an attribute of type `tag`,
+    by the rules values.py documents: null passes, a document keeps its
+    canonical JSON, numbers stringify for strings, digit strings parse for
+    integers, booleans match only booleans, anything else is a mismatch."""
+    if value is None:
+        return None, False
+    if tag == "document":
+        return json.dumps(value, sort_keys=True, separators=(",", ":")), False
+    if isinstance(value, bool):
+        return (value, False) if tag == "boolean" else (None, True)
+    if tag in ("string", "enum"):
+        if isinstance(value, str):
+            return value, False
+        if isinstance(value, (int, float)):
+            return str(value), False
+    elif tag in ("integer", "timestamp-millis"):
+        if isinstance(value, int):
+            return value, False
+        if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+            return int(value), False
+    elif tag == "float":
+        if isinstance(value, (int, float)):
+            return float(value), False
+    return None, True
+
+
+def project_oracle(events, api, attributes):
     """Brute-force per-event path walk for the instance table of one api.
 
-    No type coercion: intended for corpora whose values already match the
-    declared attribute types. Returns [(log_id, row)] in event order.
+    `attributes` maps each attribute path to its type tag; a path whose tag
+    is None keeps its raw value. Returns ([(log_id, row)] in event order,
+    the number of coercion mismatches).
     """
 
     def get_path(ev, path):
@@ -246,15 +393,21 @@ def project_oracle(events, api, attribute_paths):
                 return None
         return node
 
-    rows = []
+    rows, mismatches = [], 0
     for ev in events:
         if ev.api != api:
             continue
-        row = {path: get_path(ev, path) for path in attribute_paths}
+        row = {}
+        for path, tag in attributes.items():
+            value = get_path(ev, path)
+            if tag is not None:
+                value, mismatch = coerce_oracle(value, tag)
+                mismatches += mismatch
+            row[path] = value
         row["time"] = ev.time
         row["sessionId"] = ev.sessionId
         rows.append((ev.id, row))
-    return rows
+    return rows, mismatches
 
 
 # --- metrics ----------------------------------------------------------------

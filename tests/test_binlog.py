@@ -236,3 +236,16 @@ class TestRandomStreams:
                 expected = replay_oracle_rows(events, t)
                 got = {(r["id"],): r for r in state_as_of(tables, "t", t)}
                 assert got == expected
+
+
+@pytest.mark.parametrize("key", [["o1"], {"v": "o1"}], ids=["list", "object"])
+def test_a_list_or_object_key_is_a_replay_error(orders_bundle, key):
+    events = seq([
+        row_event("orders", "insert", 5, after={"id": key}),
+        row_event("orders", "update", 6, before={"id": "o2"}, after={"id": key}),
+        row_event("orders", "insert", 7, after={"id": "o2"}),
+    ])
+    tables = ingest_binlog(events, orders_bundle)
+    assert list(tables["orders"].chains) == [("o2",)]
+    with pytest.raises(ReplayError, match="at ts 5 has a list or object in its key"):
+        ingest_binlog(events, orders_bundle, mode="strict")

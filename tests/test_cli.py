@@ -1,6 +1,8 @@
 """Command line pipeline: benchgen through eval, exit codes, options."""
 
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import apivet
+from apivet import cli
 from apivet.cli import main
+from apivet.errors import ReplayError
 from apivet.dsl import read_invariant_file
 from apivet.relations import load_relationships
 from apivet.schema import load_bundle
@@ -521,6 +525,123 @@ class TestExitCodes:
         assert main(["benchgen", "--out", str(tmp_path / "b"),
                      "--sessions", "2", "--seed", "1",
                      "--double-refund", "10"]) == 1
+
+
+# a users row whose primary key is a JSON list: it cannot key a chain
+LIST_KEY_EVENT = json.dumps({"table": "users", "op": "insert", "ts": 1,
+                             "before": None, "after": {"id": ["u1"]}})
+
+
+class TestUnhashableKey:
+    @staticmethod
+    def _binlog_with_list_key(pipeline, tmp_path, corpus):
+        binlog = tmp_path / "binlog.jsonl"
+        original = (pipeline[corpus] / "binlog.jsonl").read_text()
+        binlog.write_text(LIST_KEY_EVENT + "\n" + original)
+        return binlog
+
+    def test_lenient_replay_skips_it_as_a_repair(self, pipeline, tmp_path, caplog):
+        binlog = self._binlog_with_list_key(pipeline, tmp_path, "train")
+        relations = tmp_path / "relations.json"
+        with caplog.at_level(logging.WARNING, logger="apivet.binlog"):
+            assert main(["relations", "infer",
+                         "--bundle", str(pipeline["bundle"]),
+                         "--logs", str(pipeline["train"] / "logs.jsonl"),
+                         "--binlog", str(binlog),
+                         "--out", str(relations)]) == 0
+        assert "repaired or skipped 1 inconsistent row event(s)" in caplog.messages
+        assert relations.read_bytes() == pipeline["relations"].read_bytes()
+
+        binlog = self._binlog_with_list_key(pipeline, tmp_path, "eval")
+        report = tmp_path / "report.json"
+        assert main(["detect", "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(pipeline["eval"] / "logs.jsonl"), "--binlog", str(binlog),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(pipeline["invariants"]),
+                     "--out", str(report)]) == 0
+        assert report.read_bytes() == pipeline["report"].read_bytes()
+
+    def test_strict_replay_exits_two_naming_it(self, pipeline, tmp_path, capsys):
+        binlog = self._binlog_with_list_key(pipeline, tmp_path, "eval")
+        capsys.readouterr()
+        assert main(["detect", "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(pipeline["eval"] / "logs.jsonl"), "--binlog", str(binlog),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(pipeline["invariants"]),
+                     "--strict", "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {binlog}: ReplayError: row image for 'users' at ts 1 "
+            "has a list or object in its key (['u1'],)"
+        ]
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("outcome", ["returns", "fails", "raises"])
+    def test_main_gives_back_the_state_it_found(self, monkeypatch, enabled, outcome):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if outcome == "fails":
+                raise ReplayError("bad stream")
+            if outcome == "raises":
+                raise RuntimeError("not an apivet error")
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_benchgen", command)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "raises":
+                with pytest.raises(RuntimeError):
+                    main(["benchgen", "--out", "unused", "--sessions", "1"])
+            else:
+                code = main(["benchgen", "--out", "unused", "--sessions", "1"])
+                assert code == (2 if outcome == "fails" else 0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False]
+
+    def test_no_record_leaves_a_cycle(self, tmp_path):
+        """A paused collector must not let garbage grow with the input:
+        what one command leaves unreachable (argparse's and the lazy
+        imports' own cycles) is the same on a corpus ten times the size."""
+        root = tmp_path
+        for n in (300, 3000):
+            assert main(["benchgen", "--out", str(root / f"b{n}"), "--sessions", str(n),
+                         "--seed", "3"]) == 0
+
+        def commands(n):
+            inputs = ["--bundle", str(root / f"b{n}" / "bundle.json"),
+                      "--logs", str(root / f"b{n}" / "logs.jsonl"),
+                      "--binlog", str(root / f"b{n}" / "binlog.jsonl")]
+            model = [str(root / "relations.json"), str(root / "invariants.txt")]
+            return {
+                "relations infer": ["relations", "infer", *inputs, "--out", model[0]],
+                "invariants generate": ["invariants", "generate", *inputs,
+                                        "--relations", model[0], "--out", model[1]],
+                "detect": ["detect", *inputs, "--relations", model[0],
+                           "--invariants", model[1], "--out", str(root / "report.json")],
+            }
+
+        def unreachable(argv):
+            gc.collect()
+            assert main(argv) == 0
+            return gc.collect()
+
+        before = gc.isenabled()
+        gc.disable()
+        try:
+            for argv in commands(300).values():  # lazy imports happen here
+                unreachable(argv)
+            small = {name: unreachable(argv) for name, argv in commands(300).items()}
+            large = {name: unreachable(argv) for name, argv in commands(3000).items()}
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert large == small
 
 
 class TestHashSeed:

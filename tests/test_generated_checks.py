@@ -178,9 +178,9 @@ def write_order(row_events, t):
 def reference_report(corpus, row_events, invariants):
     """Violations as (log id, invariant id, time, session, explanation),
     from the reference joins and the tree-walking evaluator."""
-    calls = project_oracle(corpus.events, "call", CALL_FIELDS)
+    calls = project_oracle(corpus.events, "call", dict.fromkeys(CALL_FIELDS))[0]
     prev_calls = [row for _, row in sorted(
-        project_oracle(corpus.events, "prev", FIELDS["prev"]),
+        project_oracle(corpus.events, "prev", dict.fromkeys(FIELDS["prev"]))[0],
         key=lambda item: (item[1]["time"], item[0]),
     )]
     self_calls = [row for _, row in sorted(calls, key=lambda item: (item[1]["time"], item[0]))]
@@ -266,7 +266,7 @@ def check_both_paths(lines, text, expected_log_ids):
     assert got == reference_report(corpus, row_events, [inv])
     assert [v[0] for v in got] == expected_log_ids
     fn = compile_invariant(inv)
-    for log_id, focal in project_oracle(corpus.events, "call", CALL_FIELDS):
+    for log_id, focal in project_oracle(corpus.events, "call", dict.fromkeys(CALL_FIELDS))[0]:
         group = FakeGroup(log_id, focal, {"items": [], "prev": [], "call": [], "Env": []})
         assert fn(group) == eval_oracle(inv, group)
         if not fn(group):

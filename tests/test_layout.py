@@ -71,3 +71,25 @@ def test_every_import_is_used():
         for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert unused == [], f"imported in src/apivet but never used: {unused}"
+
+
+def imported_modules(tree):
+    """Top-level names of the modules a module imports, at any depth."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def test_only_the_cli_touches_the_collector():
+    # pausing the cyclic collector is a process-wide side effect: a command
+    # may take it, a library caller of check_corpus or the pipeline must not
+    importers = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "gc" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["cli.py"]

@@ -4,9 +4,15 @@ import json
 
 import pytest
 
-from apivet.errors import IngestError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apivet.errors import IngestError, StoreLookupError
+from apivet.joins import JoinStores
 from apivet.logstore import (
     LabelRecord,
+    LogCorpus,
+    LogEvent,
     env_history,
     ingest_logs,
     parse_labels,
@@ -15,7 +21,14 @@ from apivet.logstore import (
     read_log_file,
     session_sequences,
 )
-from apivet.schema import flatten_api_signature
+from apivet.schema import (
+    API,
+    Attribute,
+    EntityType,
+    SchemaBundle,
+    SemanticType,
+    flatten_api_signature,
+)
 
 from conftest import api_line, env_line
 from oracles import project_oracle, session_sequence_oracle
@@ -102,7 +115,133 @@ class TestEnvBySession:
         assert list(timed) == ["s1"] and timed["s1"][0] == [5]
 
 
+def project(events, entity):
+    """One entity's table from the one-pass projection."""
+    return project_instances(events, [entity])[entity.name]
+
+
+def oracle_table(events, entity):
+    attributes = {
+        attr.path: attr.type.tag
+        for attr in entity.attributes
+        if attr.path not in ("time", "sessionId")
+    }
+    return project_oracle(events, entity.name, attributes)
+
+
+def typed(rows):
+    """Rows with each value's class beside it: True == 1 and 1 == 1.0 in
+    Python, but a projection must keep them apart."""
+    return [(i, {k: (type(v), v) for k, v in row.items()}) for i, row in rows]
+
+
+class Doc(dict):
+    """A dict subclass, as a caller building LogEvents directly may pass."""
+
+
+TAGS = [
+    SemanticType("string"),
+    SemanticType("enum", ("a", "b")),
+    SemanticType("integer"),
+    SemanticType("timestamp-millis"),
+    SemanticType("float"),
+    SemanticType("boolean"),
+    SemanticType("document"),
+]
+
+
+def every_tag_entity(name):
+    """An API entity with one attribute per tag on a one-leaf argument path,
+    a nested argument path and a one-leaf response path."""
+    attrs = []
+    for semantic in TAGS:
+        leaf = semantic.tag.replace("-", "_")
+        attrs += [
+            Attribute(f"arguments.{leaf}", semantic),
+            Attribute(f"arguments.deep.{leaf}", semantic),
+            Attribute(f"response.{leaf}", semantic),
+        ]
+    attrs += [Attribute("time", SemanticType("timestamp-millis")),
+              Attribute("sessionId", SemanticType("string"))]
+    return EntityType(name, API, attrs)
+
+
+LEAVES = [semantic.tag.replace("-", "_") for semantic in TAGS]
+# a leaf of every class json.loads yields, with the edge cases of coercion
+SAMPLE_VALUES = [
+    None, True, False, 0, -7, 2**63, 2**70, 1.0, -0.0, 2.5, 1e300,
+    "", "a", "7", "+7", "-0", "007", "7.5", "1e3", " 7", "7\n",
+    [], [1, "a"], {}, {"b": 1, "a": [None]},
+]
+json_values = (
+    st.sampled_from(SAMPLE_VALUES)
+    | st.integers(-(2**70), 2**70)
+    | st.integers(-(2**70), 2**70).map(str)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+
+
+@st.composite
+def documents(draw):
+    """A call document: some leaves present, `deep` a dict, a dict subclass,
+    a non-dict node or absent, and sometimes the whole document a Doc."""
+    doc = draw(st.dictionaries(st.sampled_from(LEAVES), json_values, max_size=len(LEAVES)))
+    deep = draw(st.sampled_from(["dict", "doc", "value", "absent"]))
+    if deep in ("dict", "doc"):
+        inner = draw(st.dictionaries(st.sampled_from(LEAVES), json_values, max_size=4))
+        doc["deep"] = Doc(inner) if deep == "doc" else inner
+    elif deep == "value":
+        doc["deep"] = draw(json_values)
+    return Doc(doc) if draw(st.booleans()) else doc
+
+
+@st.composite
+def call_events(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    return [
+        LogEvent(i, draw(st.sampled_from(["f", "g", "other"])), draw(documents()),
+                 draw(documents()), draw(st.integers(0, 50)), "s1")
+        for i in range(n)
+    ]
+
+
 class TestProjection:
+    @settings(max_examples=100, deadline=None)
+    @given(events=call_events())
+    def test_one_pass_matches_the_oracle_for_every_tag_and_class(self, events):
+        entities = [every_tag_entity("f"), every_tag_entity("g")]
+        tables = project_instances(events, entities)
+        assert sorted(tables) == ["f", "g"]
+        for entity in entities:
+            rows, mismatches = oracle_table(events, entity)
+            assert typed(tables[entity.name].rows) == typed(rows)
+            assert tables[entity.name].mismatches == mismatches
+
+    def test_every_api_projects_in_one_visit_per_event(self):
+        class CountingEvents(list):
+            visits = 0
+
+            def __iter__(self):
+                for event in super().__iter__():
+                    self.visits += 1
+                    yield event
+
+        names = ["f", "g", "h"]
+        bundle = SchemaBundle([every_tag_entity(name) for name in names])
+        events = CountingEvents(
+            LogEvent(i, names[i % 4] if i % 4 < 3 else "other", {"integer": i}, {}, i, "s1")
+            for i in range(12)
+        )
+        stores = JoinStores(bundle, LogCorpus(events=events, env_records=[]), {})
+        for name in names:
+            assert [i for i, _ in stores.instances(name).rows] == [
+                i for i in range(12) if i % 4 == names.index(name)
+            ]
+        assert events.visits == len(events)
+        with pytest.raises(StoreLookupError):
+            stores.instances("other")
+
     def test_paths_nulls_and_filtering(self):
         entity = flatten_api_signature(
             "createOrder",
@@ -115,11 +254,8 @@ class TestProjection:
             api_line("createOrder", 12, "s2", {"userId": "u2"}, {}),
         ]
         corpus = ingest_logs(lines)
-        table = project_instances(corpus.events, entity)
-        paths = ["arguments.userId", "arguments.amount", "response.order.id"]
-        assert [(i, r) for i, r in table.rows] == project_oracle(
-            corpus.events, "createOrder", paths
-        )
+        table = project(corpus.events, entity)
+        assert (table.rows, table.mismatches) == oracle_table(corpus.events, entity)
         first = table.rows[0][1]
         assert first["arguments.amount"] == 5.0
         assert first["time"] == 10 and first["sessionId"] == "s1"
@@ -131,28 +267,28 @@ class TestProjection:
     def test_coercion_mismatch_counts_and_nulls(self):
         entity = flatten_api_signature("f", {"n": "int"}, {})
         corpus = ingest_logs([api_line("f", 1, "s1", {"n": "not a number"})])
-        table = project_instances(corpus.events, entity)
+        table = project(corpus.events, entity)
         assert table.rows[0][1]["arguments.n"] is None
         assert table.mismatches == 1
 
     def test_digit_string_coerces_to_int_but_float_does_not(self):
         entity = flatten_api_signature("f", {"n": "int"}, {})
         corpus = ingest_logs([api_line("f", 1, "s1", {"n": "42"})])
-        assert table_value(project_instances(corpus.events, entity)) == 42
+        assert table_value(project(corpus.events, entity)) == 42
         corpus = ingest_logs([api_line("f", 1, "s1", {"n": 3.0})])
-        table = project_instances(corpus.events, entity)
+        table = project(corpus.events, entity)
         assert table.rows[0][1]["arguments.n"] is None
         assert table.mismatches == 1
 
     def test_number_stringifies_for_string_attribute(self):
         entity = flatten_api_signature("f", {"s": "string"}, {})
         corpus = ingest_logs([api_line("f", 1, "s1", {"s": 7})])
-        assert table_value(project_instances(corpus.events, entity)) == "7"
+        assert table_value(project(corpus.events, entity)) == "7"
 
     def test_document_attribute_projects_canonical_json(self):
         entity = flatten_api_signature("f", {"blob": "document"}, {})
         corpus = ingest_logs([api_line("f", 1, "s1", {"blob": {"b": 1, "a": 2}})])
-        value = table_value(project_instances(corpus.events, entity))
+        value = table_value(project(corpus.events, entity))
         assert value == '{"a":2,"b":1}'
 
 
