@@ -10,12 +10,12 @@ own database effect never leaks into its own evaluation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import IngestError, ReplayError
+from .fileio import json_lines
 from .schema import TABLE, EntityType, SchemaBundle
 
 logger = logging.getLogger(__name__)
@@ -42,14 +42,8 @@ def parse_row_events(lines: Iterable[str], mode: str = "lenient") -> list[RowEve
         raise ValueError(f"unknown ingest mode {mode!r}")
     events: list[RowEvent] = []
     skipped = 0
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if not line.strip():  # a blank line is never valid JSON
-                continue
-            problem = f"invalid JSON ({exc.msg})"
-        else:
+    for line_no, record, problem in json_lines(lines):
+        if problem is None:
             if record.__class__ is not dict:
                 problem = "row event must be a document"
             else:

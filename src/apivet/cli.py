@@ -7,8 +7,9 @@ Every command is a fresh process, so start-up is paid on each run. A module
 that some command does not run is imported inside the command or function
 that needs it, not at module level: `benchgen` in `_cmd_benchgen`, the
 detector in `detect` and `eval`, the training pipeline in the two training
-commands, numpy (through `seqmodel`) only where a sequence model is trained
-or scored, and `urllib.request` only when the remote proposer sends a
+commands, the thread pool only when `detect` runs more than one job, numpy
+only in the opt-in HMM sequence model (`relations infer` at its defaults
+loads none), and `urllib.request` only when the remote proposer sends a
 request. `detect` and `eval` load no training module.
 """
 
@@ -82,8 +83,9 @@ def _read_calls(path: str, depth_limit: int) -> list:
 def _load_document(path: str, loader):
     """`loader(path)` for any input file.
 
-    A file that cannot be read exits 1; bad syntax, a wrong shape or, under
-    --strict, a bad record exits 2 naming the file.
+    A file that cannot be read exits 1; bad syntax (nesting too deep to
+    decode included), a wrong shape or, under --strict, a bad record exits 2
+    naming the file.
     """
     try:
         return loader(path)
@@ -92,6 +94,7 @@ def _load_document(path: str, loader):
     except (
         AttributeError,
         LookupError,
+        RecursionError,
         TypeError,
         ValueError,
         SchemaError,

@@ -111,6 +111,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown proposer {self.proposer!r}")
         if self.proposer == "remote" and self.provider is None:
             raise ConfigError("remote proposer requires a provider section")
+        if not isinstance(self.synonyms, list):
+            raise ConfigError(f"synonyms must be a list of string pairs, got {self.synonyms!r}")
         for pair in self.synonyms:
             if (
                 not isinstance(pair, (list, tuple))
@@ -159,4 +161,6 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"cannot read configuration: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc.msg}")
+    except RecursionError:
+        raise ConfigError("configuration is not valid JSON: nested too deeply")
     return config_from_dict(data)

@@ -1,11 +1,13 @@
 """Detection and scoring: run accepted invariants over a corpus.
 
 Each focal API's invariants become one generated check (`dsl.compile_checks`)
-that reads the call's attributes once and probes its joins directly. Every
-focal API's calls are merged into one (time, log id) sweep, whatever the
-order of the log lines, so each table's cursor passes over its version
-stream once. A call that passes allocates no group; a failing one gets its
-joined group built and each failed invariant explained by
+that reads the call's attributes once and probes its joins directly. Only
+the calls the checks read are projected (`Sweep.apis_read`): the focal
+APIs' and those of the earlier-call bindings their invariants quantify
+over. Every focal API's calls are merged into one (time, log id) sweep,
+whatever the order of the log lines, so each table's cursor passes over its
+version stream once. A call that passes allocates no group; a failing one
+gets its joined group built and each failed invariant explained by
 `dsl.compile_invariant`'s object. Parallel runs split the merged calls into
 contiguous slices with their own cursors and checks, so a multi-worker run
 reports exactly what a single worker would.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -129,20 +130,12 @@ def check_corpus(
     for inv in sorted(invariants, key=lambda i: i.id):
         by_focal.setdefault(inv.focal, []).append(inv)
 
-    stores = JoinStores(bundle, corpus, tables)
-    result = DetectionResult(violations=[], logs_processed=len(corpus.events))
     plans = []
-    calls = []
     for focal_name in sorted(by_focal):
         invs = by_focal[focal_name]
         only: set[str] = set()
         for inv in invs:
             only |= quantified_names(inv.body)
-        rows = stores.instances(focal_name).rows
-        result.groups_built += len(rows)
-        result.evaluations += len(rows) * len(invs)
-        k = len(plans)
-        calls.extend((row["time"], log_id, row, k) for log_id, row in rows)
         plans.append(
             _FocalPlan(
                 name=focal_name,
@@ -152,6 +145,17 @@ def check_corpus(
                 only=only,
             )
         )
+
+    schemas = [(p.schema, p.only) for p in plans]
+    stores = JoinStores(bundle, corpus, tables)
+    stores.project(Sweep.apis_read(schemas))
+    result = DetectionResult(violations=[], logs_processed=len(corpus.events))
+    calls = []
+    for k, plan in enumerate(plans):
+        rows = stores.instances(plan.name).rows
+        result.groups_built += len(rows)
+        result.evaluations += len(rows) * len(plan.invariants)
+        calls.extend((row["time"], log_id, row, k) for log_id, row in rows)
     # log ids are unique, so the sort never compares rows
     calls.sort()
 
@@ -165,7 +169,6 @@ def check_corpus(
     # sweeps and checks are built here, before any worker runs, so the
     # store's shared caches fill in one thread
     env_attrs = _env_attrs(plans)
-    schemas = [(p.schema, p.only) for p in plans]
     work = []
     for part in parts:
         sweep = Sweep(stores, schemas, env_attrs)
@@ -176,6 +179,8 @@ def check_corpus(
     if len(work) == 1:
         result.violations = _check_slice(plans, work[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(partial(_check_slice, plans), work):
                 result.violations.extend(chunk)

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .binlog import TemporalTable
 from .dsl import Emitter
@@ -128,7 +128,8 @@ class JoinStores:
     ):
         self.bundle = bundle
         self.tables = tables
-        self._instances: dict[str, InstanceTable] | None = None
+        self._apis = {entity.name: entity for entity in bundle.of_kind(API)}
+        self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._table_events: dict[str, list] = {}
@@ -138,24 +139,38 @@ class JoinStores:
         self._env_history: tuple[dict, dict] | None = None
         self._env: dict[tuple[str, frozenset | None], tuple[dict, dict]] = {}
 
+    def project(self, api_names: Iterable[str]) -> None:
+        """Project the calls of these APIs, in one pass over the corpus,
+        for instances to return. APIs already projected are skipped.
+
+        Every sweep over projected calls moves its join cursors forward
+        only, so a corpus joins in one pass whatever the order of its log
+        lines.
+        """
+        entities = {}
+        for name in api_names:
+            if name not in self._instances:
+                entity = self._apis.get(name)
+                if entity is None:
+                    raise StoreLookupError(f"unknown API {name!r}")
+                entities[name] = entity
+        if not entities:
+            return
+        for name, table in project_instances(self._corpus.events, entities.values()).items():
+            # projection keeps ingest (log id) order, so a stable sort on
+            # time alone gives (time, log id)
+            table.rows.sort(key=lambda item: item[1]["time"])
+            self._instances[name] = table
+
     def instances(self, api_name: str) -> InstanceTable:
         """Projected calls of one API, sorted by (time, log id).
 
-        The first request projects every API of the bundle, in one pass
-        over the corpus. Every sweep over them moves its join cursors
-        forward only, so a corpus joins in one pass whatever the order of
-        its log lines.
+        A request for an API not projected yet projects it together with
+        every other API of the bundle not projected yet, in one pass.
         """
-        if self._instances is None:
-            self._instances = project_instances(self._corpus.events, self.bundle.of_kind(API))
-            for table in self._instances.values():
-                # projection keeps ingest (log id) order, so a stable sort on
-                # time alone gives (time, log id)
-                table.rows.sort(key=lambda item: item[1]["time"])
-        table = self._instances.get(api_name)
-        if table is None:
-            raise StoreLookupError(f"unknown API {api_name!r}")
-        return table
+        if api_name not in self._instances:
+            self.project([api_name, *self._apis])
+        return self._instances[api_name]
 
     def _versions(self, table_name: str):
         """table_events' tuples, unsorted."""
@@ -333,6 +348,12 @@ def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
     return rows[bisect_right(times, t - delta, lo, hi) : bisect_left(times, t, lo, hi)]
 
 
+def _joined(schema: JoinedSchema, only: set[str] | None) -> list:
+    """The bindings of `schema` a sweep joins: those `only` names (None:
+    all)."""
+    return [b for b in schema.bindings if only is None or b.name in only]
+
+
 class Sweep:
     """The join state of one pass over calls in (time, log id) order.
 
@@ -358,9 +379,7 @@ class Sweep:
         self._sources: dict[str, list] = {}
         for schema, only in schemas:
             sources = self._sources[schema.focal.name] = []
-            for binding in schema.bindings:
-                if only is not None and binding.name not in only:
-                    continue
+            for binding in _joined(schema, only):
                 rel = binding.relationship
                 if rel.kind == API_DB:
                     probed = columns.setdefault(rel.target_entity, [])
@@ -380,6 +399,21 @@ class Sweep:
         }
         self._cursors = tuple(self.cursors.values())
         self._t = -math.inf
+
+    @staticmethod
+    def apis_read(schemas: list[tuple[JoinedSchema, set[str] | None]]) -> list[str]:
+        """The APIs whose calls a sweep over these (schema, only) pairs
+        reads: each focal API, and the earlier-call target of each API_API
+        binding it joins. Projecting only these is enough for the sweep."""
+        names = []
+        for schema, only in schemas:
+            names.append(schema.focal.name)
+            names.extend(
+                binding.relationship.target_entity
+                for binding in _joined(schema, only)
+                if binding.relationship.kind == API_API
+            )
+        return names
 
     def advance(self, t: int) -> float:
         """Move every cursor to t; returns the time of the first version

@@ -8,7 +8,6 @@ tiebreaker everywhere downstream.
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import IngestError
+from .fileio import json_lines
 from .schema import EntityType
 from .values import coerce_scalar, get_path
 
@@ -105,14 +105,8 @@ def ingest_logs(lines: Iterable[str], mode: str = "lenient") -> LogCorpus:
     events: list[LogEvent] = []
     env_records: list[EnvRecord] = []
     skipped = 0
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if not line.strip():  # a blank line is never valid JSON
-                continue
-            problem = f"invalid JSON ({exc.msg})"
-        else:
+    for line_no, record, problem in json_lines(lines):
+        if problem is None:
             kind = record.get("kind") if record.__class__ is dict else None
             if kind == "api":
                 problem = _check_api_line(record)
@@ -253,14 +247,10 @@ def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecor
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown ingest mode {mode!r}")
     out: list[LabelRecord] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+    for line_no, record, problem in json_lines(lines):
+        if problem is not None:
             if mode == "strict":
-                raise IngestError(f"invalid JSON ({exc.msg})", line_no)
+                raise IngestError(problem, line_no)
             continue
         if not isinstance(record, dict):
             record = {}  # valid JSON, but not a label record

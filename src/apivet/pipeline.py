@@ -26,11 +26,13 @@ def make_proposer(config: PipelineConfig) -> ProposerContract:
 
 
 def train_sequence_model(corpus: LogCorpus, config: PipelineConfig):
-    from .seqmodel import train_hmm, train_markov
-
     sequences = list(session_sequences(corpus.events).values())
     if config.sequence_model == "hmm":
+        from .hmm import train_hmm
+
         return train_hmm(sequences, n_states=config.hmm_states, seed=config.hmm_seed)
+    from .seqmodel import train_markov
+
     return train_markov(sequences, alpha=config.markov_alpha)
 
 

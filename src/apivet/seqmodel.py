@@ -1,10 +1,13 @@
 """Sequence models over per-session API call traces.
 
 The default model is a first-order Markov chain with Laplace smoothing and a
-synthetic start symbol. A hidden Markov model trained with Baum-Welch is
-available as an opt-in alternative; both expose the same scoring surface.
-Models live only in memory: relationship inference trains one per run and
-nothing saves or loads it.
+synthetic start symbol, kept in plain lists of floats: its count table is
+(1 + number of APIs) square, far too small to pay for loading numpy. A
+hidden Markov model trained with Baum-Welch (`hmm`, the one module that
+imports numpy) is available as an opt-in alternative; the scoring functions
+here take either, and load `hmm` only for an HMM. Models live only in
+memory: relationship inference trains one per run and nothing saves or
+loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import TrainingError
 
@@ -24,8 +25,8 @@ START = "<START>"
 class MarkovModel:
     alphabet: list[str]  # START first, then the api names in sorted order
     alpha: float
-    counts: np.ndarray  # (n, n) raw bigram counts, START row = sequence heads
-    transition: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: list[list[float]]  # n x n raw bigram counts, START row = sequence heads
+    transition: list[list[float]] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -33,17 +34,15 @@ class MarkovModel:
     def __post_init__(self):
         self._index = {sym: i for i, sym in enumerate(self.alphabet)}
         n = len(self.alphabet)
-        totals = self.counts.sum(axis=1, keepdims=True)
-        denom = totals + self.alpha * n
-        matrix = np.empty((n, n), dtype=float)
-        for i in range(n):
-            if denom[i, 0] > 0:
-                matrix[i] = (self.counts[i] + self.alpha) / denom[i, 0]
+        self.transition = []
+        for row in self.counts:
+            denom = sum(row) + self.alpha * n
+            if denom > 0:
+                self.transition.append([(count + self.alpha) / denom for count in row])
             else:
                 # No evidence and no smoothing mass: fall back to uniform so
                 # every row stays a probability distribution.
-                matrix[i] = 1.0 / n
-        self.transition = matrix
+                self.transition.append([1.0 / n] * n)
 
 
 def train_markov(sequences: Iterable[Sequence[str]], alpha: float = 1.0) -> MarkovModel:
@@ -60,12 +59,12 @@ def train_markov(sequences: Iterable[Sequence[str]], alpha: float = 1.0) -> Mark
         raise TrainingError("training corpus has no non-empty sequence")
     alphabet = [START] + symbols
     index = {sym: i for i, sym in enumerate(alphabet)}
-    counts = np.zeros((len(alphabet), len(alphabet)), dtype=float)
+    counts = [[0.0] * len(alphabet) for _ in alphabet]
     for seq in seqs:
         prev = 0
         for sym in seq:
             cur = index[sym]
-            counts[prev, cur] += 1
+            counts[prev][cur] += 1
             prev = cur
     return MarkovModel(alphabet=alphabet, alpha=alpha, counts=counts)
 
@@ -76,181 +75,32 @@ def transition_score(model: MarkovModel, src: str, dst: str) -> float:
     i = model._index.get(src)
     j = model._index.get(dst)
     if i is not None and j is not None:
-        return float(model.transition[i, j])
-    if i is None:
-        row_total = 0.0
-    else:
-        row_total = float(model.counts[i].sum())
+        return model.transition[i][j]
+    row_total = 0.0 if i is None else sum(model.counts[i])
     denom = row_total + model.alpha * n
     if denom <= 0:
         return 0.0
     return model.alpha / denom
 
 
-@dataclass
-class HmmModel:
-    alphabet: list[str]
-    pi: np.ndarray  # (S,)
-    trans: np.ndarray  # (S, S)
-    emit: np.ndarray  # (S, K)
-    log_likelihoods: list[float] = field(default_factory=list)
-    _index: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        self._index = {sym: i for i, sym in enumerate(self.alphabet)}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.pi)
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    totals = matrix.sum(axis=1, keepdims=True)
-    out = np.where(totals > 0, matrix / np.where(totals > 0, totals, 1.0), 0.0)
-    zero = totals[:, 0] <= 0
-    if zero.any():
-        out[zero] = 1.0 / matrix.shape[1]
-    return out
-
-
-def _forward_scaled(
-    model_pi: np.ndarray,
-    model_trans: np.ndarray,
-    emit_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scaled forward pass; emit_cols[t] is the emission column at step t.
-
-    Returns (alpha_hat, scales, log_likelihood) with
-    alpha_hat[t].sum() == 1 and log P = sum(log scales).
-    """
-    length = emit_cols.shape[0]
-    n = len(model_pi)
-    alpha_hat = np.empty((length, n))
-    scales = np.empty(length)
-    cur = model_pi * emit_cols[0]
-    total = cur.sum()
-    if total <= 0:
-        return alpha_hat, scales, float("-inf")
-    alpha_hat[0] = cur / total
-    scales[0] = total
-    for t in range(1, length):
-        cur = (alpha_hat[t - 1] @ model_trans) * emit_cols[t]
-        total = cur.sum()
-        if total <= 0:
-            return alpha_hat, scales, float("-inf")
-        alpha_hat[t] = cur / total
-        scales[t] = total
-    return alpha_hat, scales, float(np.log(scales[:length]).sum())
-
-
-def _backward_scaled(
-    model_trans: np.ndarray, emit_cols: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    length, n = emit_cols.shape[0], model_trans.shape[0]
-    beta_hat = np.empty((length, n))
-    beta_hat[length - 1] = 1.0 / scales[length - 1]
-    for t in range(length - 2, -1, -1):
-        beta_hat[t] = (model_trans @ (emit_cols[t + 1] * beta_hat[t + 1])) / scales[t]
-    return beta_hat
-
-
-def train_hmm(
-    sequences: Iterable[Sequence[str]],
-    n_states: int | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> HmmModel:
-    """Baum-Welch over all sequences with a fixed-seed random start.
-
-    The per-iteration corpus log-likelihood is recorded and is non-decreasing
-    up to floating-point slack.
-    """
-    seqs = [list(s) for s in sequences if len(s) > 0]
-    if not seqs:
-        raise TrainingError("training corpus has no non-empty sequence")
-    alphabet = sorted({sym for seq in seqs for sym in seq})
-    index = {sym: i for i, sym in enumerate(alphabet)}
-    encoded = [np.array([index[sym] for sym in seq]) for seq in seqs]
-    n_sym = len(alphabet)
-    if n_states is None:
-        n_states = min(8, n_sym)
-    if n_states < 1:
-        raise TrainingError("n_states must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    pi = _normalize_rows(rng.random((1, n_states)) + 0.1)[0]
-    trans = _normalize_rows(rng.random((n_states, n_states)) + 0.1)
-    emit = _normalize_rows(rng.random((n_states, n_sym)) + 0.1)
-
-    history: list[float] = []
-    for _ in range(max_iter):
-        pi_acc = np.zeros(n_states)
-        trans_acc = np.zeros((n_states, n_states))
-        emit_acc = np.zeros((n_states, n_sym))
-        total_ll = 0.0
-        for obs in encoded:
-            emit_cols = emit[:, obs].T  # (T, S)
-            alpha_hat, scales, ll = _forward_scaled(pi, trans, emit_cols)
-            if not math.isfinite(ll):
-                raise TrainingError("sequence has zero probability under the model")
-            total_ll += ll
-            beta_hat = _backward_scaled(trans, emit_cols, scales)
-            gamma = alpha_hat * beta_hat * scales[:, None]
-            pi_acc += gamma[0]
-            for t in range(len(obs) - 1):
-                xi = (
-                    trans
-                    * np.outer(alpha_hat[t], emit_cols[t + 1] * beta_hat[t + 1])
-                )
-                trans_acc += xi
-            for t, sym in enumerate(obs):
-                emit_acc[:, sym] += gamma[t]
-        history.append(total_ll)
-        pi = pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else pi
-        trans = _normalize_rows(trans_acc)
-        emit = _normalize_rows(emit_acc)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
-            break
-    return HmmModel(
-        alphabet=alphabet,
-        pi=pi,
-        trans=trans,
-        emit=emit,
-        log_likelihoods=history,
-    )
-
-
-def _hmm_emit_cols(model: HmmModel, sequence: Sequence[str]) -> np.ndarray:
-    """Emission column per step; unknown symbols get a uniform floor."""
-    n_sym = len(model.alphabet)
-    floor = np.full(model.n_states, 1.0 / n_sym)
-    cols = np.empty((len(sequence), model.n_states))
-    for t, sym in enumerate(sequence):
-        j = model._index.get(sym)
-        cols[t] = model.emit[:, j] if j is not None else floor
-    return cols
-
-
-def sequence_probability(model: MarkovModel | HmmModel, sequence: Sequence[str]) -> float:
-    """Raw probability of the sequence under the model."""
+def sequence_probability(model, sequence: Sequence[str]) -> float:
+    """Raw probability of the sequence under the model (a MarkovModel or
+    an hmm.HmmModel)."""
     if not sequence:
         return 1.0
-    if isinstance(model, MarkovModel):
-        p = 1.0
-        prev = START
-        for sym in sequence:
-            p *= transition_score(model, prev, sym)
-            prev = sym
-        return p
-    cols = _hmm_emit_cols(model, sequence)
-    _, _, ll = _forward_scaled(model.pi, model.trans, cols)
-    return math.exp(ll) if math.isfinite(ll) else 0.0
+    if not isinstance(model, MarkovModel):
+        from . import hmm
+
+        return hmm.sequence_probability(model, sequence)
+    p = 1.0
+    prev = START
+    for sym in sequence:
+        p *= transition_score(model, prev, sym)
+        prev = sym
+    return p
 
 
-def forward_likelihood(model: MarkovModel | HmmModel, sequence: Sequence[str]) -> float:
+def forward_likelihood(model, sequence: Sequence[str]) -> float:
     """Per-step geometric-mean score: exp(log P / max(1, len - 1))."""
     p = sequence_probability(model, sequence)
     if p <= 0:
@@ -258,7 +108,7 @@ def forward_likelihood(model: MarkovModel | HmmModel, sequence: Sequence[str]) -
     return math.exp(math.log(p) / max(1, len(sequence) - 1))
 
 
-def pair_score(model: MarkovModel | HmmModel, prior: str, follower: str) -> float:
+def pair_score(model, prior: str, follower: str) -> float:
     """Adjacency score for 'follower directly after prior'."""
     if isinstance(model, MarkovModel):
         return transition_score(model, prior, follower)

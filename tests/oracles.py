@@ -295,6 +295,8 @@ def _records(lines):
             yield line_no, json.loads(line), None
         except json.JSONDecodeError as exc:
             yield line_no, None, f"invalid JSON ({exc.msg})"
+        except RecursionError:
+            yield line_no, None, "invalid JSON (nested too deeply)"
 
 
 def ingest_oracle(lines, mode):
@@ -346,6 +348,25 @@ def row_events_oracle(lines, mode):
 
 
 # --- projection -------------------------------------------------------------
+
+
+def labels_oracle(lines, mode):
+    """The label rules: records as (log_id, label, trace). Strict mode
+    raises OracleReject instead of dropping a line."""
+    out = []
+    for line_no, record, problem in _records(lines):
+        if problem is None:
+            record = record if isinstance(record, dict) else {}
+            log_id, label, trace = record.get("log_id"), record.get("label"), record.get("trace")
+            if (isinstance(log_id, int) and not isinstance(log_id, bool)
+                    and label in ("normal", "attack")
+                    and (trace is None or isinstance(trace, str))):
+                out.append((log_id, label, trace))
+                continue
+            problem = "malformed label record"
+        if mode == "strict":
+            raise OracleReject(line_no, problem)
+    return out
 
 
 def coerce_oracle(value, tag):

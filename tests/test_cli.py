@@ -201,8 +201,9 @@ class TestImportClosure:
              "--out", str(tmp_path / "report.json")])
         assert "apivet.detector" in loaded
         assert sorted(loaded & {
-            "numpy", "urllib.request", "apivet.seqmodel", "apivet.proposer",
+            "numpy", "urllib.request", "apivet.seqmodel", "apivet.hmm", "apivet.proposer",
             "apivet.pipeline", "apivet.refine", "apivet.benchgen",
+            "concurrent.futures",
         }) == []
 
     def test_invariants_generate_loads_no_numpy_or_http(self, pipeline, tmp_path):
@@ -213,12 +214,22 @@ class TestImportClosure:
         assert "apivet.refine" in loaded
         assert sorted(loaded & {"numpy", "urllib.request"}) == []
 
-    def test_relations_infer_loads_no_http(self, pipeline, tmp_path):
+    def test_relations_infer_loads_no_numpy_or_http(self, pipeline, tmp_path):
         loaded = _modules_after(
             ["relations", "infer", *_inputs(pipeline, "train"),
              "--out", str(tmp_path / "relations.json")])
         assert "apivet.seqmodel" in loaded
-        assert "urllib.request" not in loaded
+        assert sorted(loaded & {"numpy", "urllib.request", "apivet.hmm"}) == []
+
+    def test_the_hmm_loads_numpy(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sequence_model": "hmm"}))
+        out = tmp_path / "relations.json"
+        loaded = _modules_after(
+            ["relations", "infer", *_inputs(pipeline, "train"),
+             "--config", str(config), "--out", str(out)])
+        assert "numpy" in loaded
+        assert load_relationships(out)
 
     @pytest.mark.parametrize("command", ["schema", "benchgen"])
     def test_schema_parse_and_benchgen_load_no_detection(self, tmp_path, command):
@@ -574,6 +585,113 @@ class TestUnhashableKey:
             "has a list or object in its key (['u1'],)"
         ]
         assert not (tmp_path / "report.json").exists()
+
+
+# nested past any recursion limit: decoding either raises RecursionError
+DEEP_ARRAY = "[" * 200_000
+DEEP_OBJECT = '{"a":' * 100_000
+
+
+class TestDeepNesting:
+    """A line or document nested too deeply to decode is malformed input:
+    lenient mode skips and counts such a line, anything else exits 2 (a
+    configuration 1, as every configuration problem does)."""
+
+    @staticmethod
+    def _prepend(source, tmp_path, line):
+        path = tmp_path / source.name
+        path.write_text(line + "\n" + source.read_text())
+        return path
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_log_line(self, pipeline, tmp_path, capsys, caplog, strict):
+        logs = self._prepend(pipeline["eval"] / "logs.jsonl", tmp_path, DEEP_ARRAY)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="apivet.logstore"):
+            code = main(["detect", "--bundle", str(pipeline["bundle"]),
+                         "--logs", str(logs),
+                         "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                         "--relations", str(pipeline["relations"]),
+                         "--invariants", str(pipeline["invariants"]),
+                         "--out", str(report), *(["--strict"] if strict else [])])
+        if strict:
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: malformed {logs}: IngestError: line 1: "
+                "invalid JSON (nested too deeply)"
+            ]
+            assert not report.exists()
+        else:
+            assert code == 0
+            assert "skipped 1 malformed log line(s)" in caplog.messages
+            assert report.read_bytes() == pipeline["report"].read_bytes()
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_binlog_line(self, pipeline, tmp_path, capsys, caplog, strict):
+        binlog = self._prepend(pipeline["train"] / "binlog.jsonl", tmp_path, DEEP_OBJECT)
+        relations = tmp_path / "relations.json"
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="apivet.binlog"):
+            code = main(["relations", "infer", *_inputs(pipeline, "train")[:4],
+                         "--binlog", str(binlog),
+                         "--out", str(relations), *(["--strict"] if strict else [])])
+        if strict:
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: malformed {binlog}: IngestError: line 1: "
+                "invalid JSON (nested too deeply)"
+            ]
+            assert not relations.exists()
+        else:
+            assert code == 0
+            assert "skipped 1 malformed binlog line(s)" in caplog.messages
+            assert relations.read_bytes() == pipeline["relations"].read_bytes()
+
+    def test_label_line(self, pipeline, tmp_path, capsys):
+        labels = self._prepend(pipeline["eval"] / "labels.jsonl", tmp_path, DEEP_ARRAY)
+        capsys.readouterr()
+        assert main(["eval", "--report", str(pipeline["report"]),
+                     "--labels", str(labels), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {labels}: IngestError: line 1: "
+            "invalid JSON (nested too deeply)"
+        ]
+
+    @pytest.mark.parametrize("flag", ["--bundle", "--relations", "--report"])
+    def test_whole_document(self, pipeline, tmp_path, capsys, flag):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_ARRAY)
+        out = tmp_path / "out.json"
+        if flag == "--report":
+            argv = ["eval", "--report", str(deep),
+                    "--labels", str(pipeline["eval"] / "labels.jsonl")]
+        else:
+            inputs = {"--bundle": str(pipeline["bundle"]),
+                      "--relations": str(pipeline["relations"]), flag: str(deep)}
+            argv = ["detect", "--bundle", inputs["--bundle"],
+                    "--logs", str(pipeline["eval"] / "logs.jsonl"),
+                    "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                    "--relations", inputs["--relations"],
+                    "--invariants", str(pipeline["invariants"])]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: malformed {deep}: RecursionError: ")
+        assert not out.exists()
+
+    def test_config(self, pipeline, tmp_path, capsys):
+        # a configuration problem of any kind exits 1, as invalid JSON does
+        deep = tmp_path / "config.json"
+        deep.write_text(DEEP_ARRAY)
+        out = tmp_path / "relations.json"
+        capsys.readouterr()
+        assert main(["relations", "infer", *_inputs(pipeline, "train"),
+                     "--config", str(deep), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: configuration is not valid JSON: nested too deeply"
+        ]
+        assert not out.exists()
 
 
 class TestCollectorPause:

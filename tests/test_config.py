@@ -49,6 +49,7 @@ class TestValidation:
         {"synonyms": [["loginId"]]},
         {"synonyms": [["a", ""]]},
         {"synonyms": ["ab"]},
+        {"synonyms": 5},
         {"hmm_states": 0},
         {"hmm_states": True},
         {"hmm_states": 2.0},

@@ -27,7 +27,7 @@ from apivet.dsl import (
 )
 from apivet.errors import MetricsError
 from apivet.logstore import LabelRecord, ingest_logs
-from apivet.relations import API_DB, API_ENV, Relationship
+from apivet.relations import API_API, API_DB, API_ENV, Relationship
 from apivet.schema import (
     flatten_api_signature,
     load_env_descriptor,
@@ -210,6 +210,44 @@ class TestCheckCorpus:
         assert set(asked) == {("Env", frozenset({"userId"}))}
         assert [v.log_id for v in result.violations] == [1]
         assert "Env.userId = \"u1\"" in result.violations[0].explanation
+
+    def test_projects_only_the_apis_invariants_read(self, monkeypatch):
+        import apivet.joins as joins
+
+        login = flatten_api_signature("login", {"loginId": "string"}, {"userId": "string"})
+        pay = flatten_api_signature("payOrder", {"orderId": "string"}, {"status": "string"})
+        query = flatten_api_signature("queryOrder", {"orderId": "string"}, {})
+        refund = flatten_api_signature("refundOrder", {"orderId": "string"}, {})
+        bundle = merge_bundle([login, pay, query, refund])
+        corpus = ingest_logs([
+            api_line("login", 10, "s1", {"loginId": "u1"}, {"userId": "u1"}),
+            api_line("queryOrder", 15, "s1", {"orderId": "o1"}),
+            api_line("payOrder", 20, "s1", {"orderId": "o1"}, {"status": "paid"}),
+            api_line("refundOrder", 25, "s2", {"orderId": "o1"}),
+            api_line("payOrder", 30, "s2", {"orderId": "o2"}, {"status": "paid"}),
+        ])
+        rels = [
+            Relationship(API_API, "payOrder", None, "login", None, delta_ms=60000),
+            # joined, but quantified over by no invariant: not projected
+            Relationship(API_API, "payOrder", None, "queryOrder", None, delta_ms=60000),
+        ]
+        inv = parse_invariant(
+            "INVARIANT logged_in ON payOrder CATEGORY related_api "
+            "WHERE EXISTS(login: TRUE)"
+        )
+        projected = []
+        project_instances = joins.project_instances
+
+        def recording(events, entities):
+            entities = list(entities)
+            projected.append(sorted(entity.name for entity in entities))
+            return project_instances(events, entities)
+
+        monkeypatch.setattr(joins, "project_instances", recording)
+        result = check_corpus(bundle, corpus, {}, rels, [inv])
+        assert projected == [["login", "payOrder"]]  # one pass, two APIs
+        assert [v.log_id for v in result.violations] == [4]  # s2 never logged in
+        assert result.groups_built == 2
 
 
 class TestMemory:

@@ -1,4 +1,5 @@
-"""Ingest rules against their reference: logs and binlog, lenient and strict.
+"""Ingest rules against their reference: logs, binlog and labels, lenient
+and strict.
 
 Records are drawn near the valid ones: each field is either right or wrong
 in one of the ways a JSON producer gets it wrong (bool, float or negative
@@ -9,14 +10,15 @@ lines), so most lines sit right on a rule's boundary.
 import json
 import logging
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apivet.binlog import parse_row_events
 from apivet.errors import IngestError
-from apivet.logstore import ingest_logs
+from apivet.logstore import ingest_logs, parse_labels, read_log_file
 
-from oracles import OracleReject, ingest_oracle, row_events_oracle
+from oracles import OracleReject, ingest_oracle, labels_oracle, row_events_oracle
 
 MISSING = object()  # the key is left out of the record
 
@@ -141,3 +143,73 @@ def test_binlog_parse_matches_the_reference(lines):
 
     assert strict_outcome(package, lines) == strict_outcome(reference, lines)
 
+
+API = json.dumps({"kind": "api", "api": "login", "arguments": {}, "response": {},
+                  "time": 1, "sessionId": "s1"})
+ROW = json.dumps({"table": "orders", "op": "insert", "ts": 1, "before": None,
+                  "after": {"id": "o1"}})
+LABEL = json.dumps({"log_id": 0, "label": "normal"})
+
+# lines the property tests may never draw, each around a valid record {r}:
+# every one must get what json.loads gives it
+DECODER_CASES = {
+    "blank_after_valid": ["{r}\n", "   \n", "\t\n", "{r}\n"],
+    "padded": [" {r}\n", "{r}  \n", "\t{r}\t\n", "{r} "],
+    "extra_data": ["{r}\n", "{r}}", "5x", "1 2\n", "{r} {r}\n", "{r}\n"],
+    "bom": ["\ufeff{r}\n", "{r}\n"],
+    "nan": ["NaN\n", "[NaN]\n", "-Infinity\n", "{r}\n"],
+    "crlf": ["{r}\r\n", "\r\n", "{r} \r\n", "{r}\r\n"],
+    "no_final_newline": ["{r}\n", "{r}"],
+    "nested_too_deeply": ["[" * 100_000 + "\n", "{r}\n"],
+}
+
+
+def case_lines(case, record):
+    return [line.replace("{r}", record) for line in DECODER_CASES[case]]
+
+
+@pytest.mark.parametrize("case", sorted(DECODER_CASES))
+def test_decoder_edge_lines_match_the_reference(case):
+    lines = case_lines(case, API)
+    events, env, skipped = ingest_oracle(lines, "lenient")
+    corpus = ingest_logs(lines)
+    assert [(e.id, e.api, e.time, e.sessionId) for e in corpus.events] == [
+        (e[0], e[1], e[4], e[5]) for e in events
+    ]
+    assert corpus.skipped == skipped
+
+    def logs(lines, mode):
+        return [e.id for e in ingest_logs(lines, mode=mode).events]
+
+    assert strict_outcome(logs, lines) == strict_outcome(
+        lambda lines, mode: [e[0] for e in ingest_oracle(lines, mode)[0]], lines
+    )
+
+    lines = case_lines(case, ROW)
+    events, _ = row_events_oracle(lines, "lenient")
+    assert [e.ordinal for e in parse_row_events(lines)] == [e[5] for e in events]
+
+    def binlog(lines, mode):
+        return [e.ordinal for e in parse_row_events(lines, mode=mode)]
+
+    assert strict_outcome(binlog, lines) == strict_outcome(
+        lambda lines, mode: [e[5] for e in row_events_oracle(lines, mode)[0]], lines
+    )
+
+    lines = case_lines(case, LABEL)
+
+    def labels(lines, mode):
+        return [(r.log_id, r.label, r.trace) for r in parse_labels(lines, mode=mode)]
+
+    assert labels(lines, "lenient") == labels_oracle(lines, "lenient")
+    assert strict_outcome(labels, lines) == strict_outcome(labels_oracle, lines)
+
+
+def test_a_crlf_file_reads_as_its_lf_twin(tmp_path):
+    lines = case_lines("crlf", API)
+    crlf, lf = tmp_path / "crlf.jsonl", tmp_path / "lf.jsonl"
+    crlf.write_bytes("".join(lines).encode())
+    lf.write_bytes("".join(lines).replace("\r\n", "\n").encode())
+    got, want = read_log_file(str(crlf)), read_log_file(str(lf))
+    assert [(e.id, e.api) for e in got.events] == [(e.id, e.api) for e in want.events]
+    assert len(got.events) == 3 and got.skipped == want.skipped == 0

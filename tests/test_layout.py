@@ -93,3 +93,15 @@ def test_only_the_cli_touches_the_collector():
         if "gc" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert importers == ["cli.py"]
+
+
+def test_only_the_hmm_loads_numpy():
+    # importing numpy costs more than a default training run spends in it:
+    # only the opt-in HMM's module imports it (test_cli checks that a
+    # default run never loads that module)
+    importers = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "numpy" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["hmm.py"]

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apivet.errors import TrainingError
+from apivet.hmm import train_hmm
 from apivet.seqmodel import (
     START,
     forward_likelihood,
     pair_score,
     sequence_probability,
-    train_hmm,
     train_markov,
     transition_score,
 )
@@ -33,6 +33,17 @@ SEQS = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+def _bigrams(seqs):
+    """Bigram counts with "^" heading every sequence, as markov_oracle counts."""
+    counts = {}
+    for seq in seqs:
+        prev = "^"
+        for sym in seq:
+            counts[(prev, sym)] = counts.get((prev, sym), 0) + 1
+            prev = sym
+    return counts
 
 
 class TestMarkov:
@@ -58,8 +69,31 @@ class TestMarkov:
 
     def test_rows_sum_to_one(self):
         model = train_markov([["a", "b"], ["b", "c", "a"]], alpha=0.7)
-        sums = model.transition.sum(axis=1)
+        sums = np.sum(model.transition, axis=1)
         assert np.allclose(sums, 1.0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEQS, st.just(0.0) | st.sampled_from([0.3, 1.0, 2.7]) | st.floats(0.0, 10.0))
+    def test_scores_are_the_float_formula_exactly(self, seqs, alpha):
+        # the same float operations in the same order, so scores are not
+        # merely close to the formula but equal to it, bit for bit
+        model = train_markov(seqs, alpha=alpha)
+        alphabet, probs = markov_oracle(seqs, alpha)
+        n = len(alphabet)
+        counts = _bigrams(seqs)
+        for src in alphabet:
+            row_total = sum(c for (head, _), c in counts.items() if head == src)
+            for dst in alphabet:
+                got = transition_score(
+                    model, START if src == "^" else src, START if dst == "^" else dst
+                )
+                assert got == probs[(src, dst)]
+            # an unseen destination keeps the row's smoothing mass
+            denom = row_total + alpha * n
+            unseen = transition_score(model, START if src == "^" else src, "zzz")
+            assert unseen == (alpha / denom if denom > 0 else 0.0)
+        unseen_src = transition_score(model, "zzz", alphabet[-1])
+        assert unseen_src == (alpha / (alpha * n) if alpha * n > 0 else 0.0)
 
     def test_zero_alpha_evidence_free_row_is_uniform(self):
         model = train_markov([["a", "b"]], alpha=0.0)
