@@ -25,6 +25,7 @@ _EXPORTS = {
     "parse_create_table": "schema",
     "parse_invariant": "dsl",
     "print_invariant": "dsl",
+    "report_to_dict": "detector",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .fileio import write_text
+from .fileio import write_chunks
 from .schema import (
     SchemaBundle,
     flatten_api_signature,
@@ -459,9 +459,9 @@ def write_bench(bench: Bench, out_dir: str) -> dict:
         "binlog": os.path.join(out_dir, "binlog.jsonl"),
         "bundle": os.path.join(out_dir, "bundle.json"),
     }
-    write_text("\n".join(log_lines) + "\n", paths["logs"])
-    write_text("\n".join(label_lines) + "\n", paths["labels"])
-    write_text("\n".join(row_lines) + "\n", paths["binlog"])
+    write_chunks(("\n".join(log_lines), "\n"), paths["logs"])
+    write_chunks(("\n".join(label_lines), "\n"), paths["labels"])
+    write_chunks(("\n".join(row_lines), "\n"), paths["binlog"])
     from .schema import save_bundle
 
     save_bundle(scenario_bundle(), paths["bundle"])

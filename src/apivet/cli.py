@@ -246,9 +246,9 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
                     sort_keys=True,
                 )
             )
-    from .fileio import write_text
+    from .fileio import write_chunks
 
-    write_text("\n".join(lines) + "\n" if lines else "", path)
+    write_chunks([line + "\n" for line in lines], path)
 
 
 def _cmd_eval(args) -> int:

@@ -10,7 +10,8 @@ version stream once. A call that passes allocates no group; a failing one
 gets its joined group built and each failed invariant explained by
 `dsl.compile_invariant`'s object. Parallel runs split the merged calls into
 contiguous slices with their own cursors and checks, so a multi-worker run
-reports exactly what a single worker would.
+reports exactly what a single worker would. The report streams to its file
+one violation at a time, in json.dumps' indented layout.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import time as _time
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from .binlog import TemporalTable
 from .dsl import (
@@ -270,24 +272,69 @@ def violation_to_dict(record: ViolationRecord) -> dict:
     }
 
 
-def report_to_dict(result: DetectionResult, invariants_checked: int) -> dict:
+def _summary(result: DetectionResult, invariants_checked: int) -> dict:
     # elapsed time stays out of the file so reruns compare byte for byte
     return {
-        "summary": {
-            "logs_processed": result.logs_processed,
-            "groups_built": result.groups_built,
-            "evaluations": result.evaluations,
-            "invariants_checked": invariants_checked,
-            "violations": len(result.violations),
-        },
+        "logs_processed": result.logs_processed,
+        "groups_built": result.groups_built,
+        "evaluations": result.evaluations,
+        "invariants_checked": invariants_checked,
+        "violations": len(result.violations),
+    }
+
+
+def report_to_dict(result: DetectionResult, invariants_checked: int) -> dict:
+    return {
+        "summary": _summary(result, invariants_checked),
         "violations": [violation_to_dict(v) for v in result.violations],
     }
 
 
-def write_report(result: DetectionResult, invariants_checked: int, path) -> None:
-    from .fileio import write_json
+# one violation as json.dumps(violation_to_dict(v), indent=2) lays it out
+# inside the report's list: ingest and the binlog parser guarantee str and
+# int fields, so strings go through json's own C escaper and ints through %d
+_VIOLATION = (
+    "\n    {"
+    '\n      "invariant_id": %s,'
+    '\n      "category": %s,'
+    '\n      "log_id": %d,'
+    '\n      "api": %s,'
+    '\n      "time": %d,'
+    '\n      "session_id": %s,'
+    '\n      "explanation": %s'
+    "\n    }"
+)
 
-    write_json(report_to_dict(result, invariants_checked), path)
+
+def _report_chunks(result: DetectionResult, invariants_checked: int):
+    """The bytes of json.dumps(report_to_dict(...), indent=2) + "\n", a
+    violation per chunk, without the dicts or the whole string."""
+    enc = encode_basestring_ascii
+    summary = _summary(result, invariants_checked)
+    frame = json.dumps({"summary": summary, "violations": []}, indent=2)
+    if not result.violations:
+        yield frame + "\n"
+        return
+    yield frame[: -len("[]\n}")] + "["
+    sep = ""
+    for v in result.violations:
+        yield sep + _VIOLATION % (
+            enc(v.invariant_id),
+            enc(v.category),
+            v.log_id,
+            enc(v.api),
+            v.time,
+            enc(v.session_id),
+            enc(v.explanation),
+        )
+        sep = ","
+    yield "\n  ]\n}\n"
+
+
+def write_report(result: DetectionResult, invariants_checked: int, path) -> None:
+    from .fileio import write_chunks
+
+    write_chunks(_report_chunks(result, invariants_checked), path)
 
 
 def read_report(path) -> dict:

@@ -442,10 +442,10 @@ def print_invariant(inv: Invariant) -> str:
 
 
 def write_invariant_file(invariants: Iterable[Invariant], path: str) -> None:
-    from .fileio import write_text
+    from .fileio import write_chunks
 
     blocks = [print_invariant(inv) for inv in invariants]
-    write_text("\n\n".join(blocks) + ("\n" if blocks else ""), path)
+    write_chunks(("\n\n".join(blocks), "\n" if blocks else ""), path)
 
 
 def read_invariant_file(path: str) -> list[Invariant]:

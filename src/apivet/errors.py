@@ -10,7 +10,8 @@ class ApivetError(Exception):
 
 
 class ConfigError(ApivetError):
-    """Invalid configuration value, missing input file, or bad wiring."""
+    """Invalid configuration value, missing input file, unwritable output
+    path, or bad wiring."""
 
 
 class SchemaError(ApivetError):

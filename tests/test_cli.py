@@ -543,6 +543,44 @@ LIST_KEY_EVENT = json.dumps({"table": "users", "op": "insert", "ts": 1,
                              "before": None, "after": {"id": ["u1"]}})
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 naming the user's path, not
+    the temp file, and leaves no temp file behind."""
+
+    @pytest.fixture(params=["missing_directory", "directory"])
+    def bad_out(self, request, tmp_path):
+        if request.param == "missing_directory":
+            return tmp_path / "missing" / "out.json", "No such file or directory"
+        (tmp_path / "taken").mkdir()
+        return tmp_path / "taken", "Is a directory"
+
+    @staticmethod
+    def assert_refused(argv, bad_out, capsys, tmp_path):
+        path, reason = bad_out
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_detect_out(self, pipeline, tmp_path, capsys, bad_out):
+        self.assert_refused(
+            ["detect", *_inputs(pipeline, "eval"),
+             "--relations", str(pipeline["relations"]),
+             "--invariants", str(pipeline["invariants"]),
+             "--out", str(bad_out[0])],
+            bad_out, capsys, tmp_path)
+
+    def test_relations_infer_out(self, pipeline, tmp_path, capsys, bad_out):
+        self.assert_refused(
+            ["relations", "infer", *_inputs(pipeline, "train"), "--out", str(bad_out[0])],
+            bad_out, capsys, tmp_path)
+
+    def test_relations_infer_diagram(self, pipeline, tmp_path, capsys, bad_out):
+        self.assert_refused(
+            ["relations", "infer", *_inputs(pipeline, "train"),
+             "--out", str(tmp_path / "relations.json"), "--diagram", str(bad_out[0])],
+            bad_out, capsys, tmp_path)
+
+
 class TestUnhashableKey:
     @staticmethod
     def _binlog_with_list_key(pipeline, tmp_path, corpus):

@@ -3,12 +3,17 @@
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apivet.binlog import ingest_binlog
 from apivet.detector import (
+    DetectionResult,
+    ViolationRecord,
     check_corpus,
     compile_invariant,
     evaluate_metrics,
@@ -295,6 +300,28 @@ class TestMemory:
             gc.enable()
 
 
+# report strings with everything json escapes: quotes, backslashes, control
+# characters, non-BMP characters and lone surrogates
+REPORT_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ufeff\U0001f600'),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=12,
+)
+REPORT_INT = st.integers(0, 2**70)
+
+
+@st.composite
+def detection_results(draw):
+    violations = draw(st.lists(
+        st.builds(ViolationRecord, REPORT_TEXT, REPORT_TEXT, REPORT_INT, REPORT_TEXT,
+                  REPORT_INT, REPORT_TEXT, REPORT_TEXT),
+        max_size=4,
+    ))
+    return DetectionResult(violations, draw(REPORT_INT), draw(REPORT_INT), draw(REPORT_INT))
+
+
 class TestReports:
     def test_report_roundtrip_and_flagged_ids(self, tmp_path):
         bundle, corpus, tables, rels, invs = planted_setup()
@@ -317,6 +344,34 @@ class TestReports:
             "invariant_id", "category", "log_id", "api",
             "time", "session_id", "explanation",
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(result=detection_results(), invariants_checked=st.integers(0, 2**70))
+    def test_report_bytes_are_json_dumps(self, tmp_path_factory, result, invariants_checked):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        write_report(result, invariants_checked, path)
+        want = json.dumps(report_to_dict(result, invariants_checked), indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_writing_a_report_holds_no_copy_of_it(self, tmp_path):
+        # the report streams to the file one violation at a time: neither
+        # the violation dicts nor the whole text are ever held
+        explanation = "orders.status == 'paid' failed: " + "x" * 200
+        violations = [
+            ViolationRecord(f"inv{i % 50}", "state", i, "refund", 10 * i, f"s{i}", explanation)
+            for i in range(20_000)
+        ]
+        result = DetectionResult(violations, logs_processed=20_000)
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            write_report(result, 50, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size // 20, (peak, size)
 
     def test_read_report_rejects_other_json(self, tmp_path):
         path = tmp_path / "other.json"

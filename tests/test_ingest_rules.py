@@ -11,14 +11,15 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from apivet import fileio
 from apivet.binlog import parse_row_events
 from apivet.errors import IngestError
 from apivet.logstore import ingest_logs, parse_labels, read_log_file
 
-from oracles import OracleReject, ingest_oracle, labels_oracle, row_events_oracle
+from oracles import OracleReject, _records, ingest_oracle, labels_oracle, row_events_oracle
 
 MISSING = object()  # the key is left out of the record
 
@@ -159,6 +160,9 @@ DECODER_CASES = {
     "bom": ["\ufeff{r}\n", "{r}\n"],
     "nan": ["NaN\n", "[NaN]\n", "-Infinity\n", "{r}\n"],
     "crlf": ["{r}\r\n", "\r\n", "{r} \r\n", "{r}\r\n"],
+    "lone_cr": ["{r}\r", "{r}\n"],
+    # str.isspace() holds for both, yet json.loads calls them extra data
+    "non_json_space": ["{r}\x0b\n", "{r}\u2028\n", "{r}\n"],
     "no_final_newline": ["{r}\n", "{r}"],
     "nested_too_deeply": ["[" * 100_000 + "\n", "{r}\n"],
 }
@@ -213,3 +217,69 @@ def test_a_crlf_file_reads_as_its_lf_twin(tmp_path):
     got, want = read_log_file(str(crlf)), read_log_file(str(lf))
     assert [(e.id, e.api) for e in got.events] == [(e.id, e.api) for e in want.events]
     assert len(got.events) == 3 and got.skipped == want.skipped == 0
+
+
+# --- the decoder against the json.loads loop --------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# JSON whitespace, then what str.isspace() or str.strip() take and JSON not
+PADDING = st.text(st.sampled_from(
+    [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000"]
+), max_size=3)
+
+
+@st.composite
+def decoder_lines(draw):
+    text = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    text = draw(PADDING) + text + draw(PADDING)
+    shape = draw(st.sampled_from(["whole", "cut", "second_value", "bom"]))
+    if shape == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif shape == "second_value":
+        text += draw(PADDING) + json.dumps(draw(JSON_VALUES))
+    elif shape == "bom":
+        text = "\ufeff" + text
+    return text + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+
+
+def decoded(decode, lines):
+    # repr tells 1 from 1.0 and True, and makes NaN equal to itself
+    return [(line_no, repr(value), problem) for line_no, value, problem in decode(lines)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(decoder_lines(), max_size=4))
+def test_json_lines_is_the_json_loads_loop(lines):
+    assert decoded(fileio.json_lines, lines) == decoded(_records, lines)
+
+
+class RemainderTest:
+    """A stand-in for fileio._LINE_ENDS that takes a remainder by a test."""
+
+    def __init__(self, test):
+        self.test = test
+
+    def __contains__(self, rest):
+        return self.test(rest)
+
+
+@pytest.mark.parametrize("test", [
+    pytest.param(lambda rest: rest == "" or rest.isspace(), id="isspace"),
+    pytest.param(lambda rest: rest.strip() == "", id="strip"),
+])
+def test_a_whitespace_remainder_test_is_caught(monkeypatch, test):
+    monkeypatch.setattr(fileio, "_LINE_ENDS", RemainderTest(test))
+    lines = case_lines("non_json_space", API)
+    assert decoded(fileio.json_lines, lines) != decoded(_records, lines)
+    # and the property test's lines find one by themselves: find() raises
+    # if no drawn line tells the two decoders apart
+    find(
+        decoder_lines(),
+        lambda line: decoded(fileio.json_lines, [line]) != decoded(_records, [line]),
+        settings=settings(max_examples=2000, database=None),
+    )

@@ -10,6 +10,8 @@ as in a recursive call, counts as named nowhere.
 import ast
 from pathlib import Path
 
+import pytest
+
 import apivet
 
 PACKAGE = Path(apivet.__file__).parent
@@ -105,3 +107,65 @@ def test_only_the_hmm_loads_numpy():
         if "numpy" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert importers == ["hmm.py"]
+
+
+# calls that open a file for writing whatever their arguments
+WRITERS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile",
+           "SpooledTemporaryFile", "fdopen", "write_bytes", "write_text"}
+
+
+def opens_for_writing(call):
+    """Whether an ast.Call may open a file for writing: an `open` whose mode
+    is not a constant without "w", "a", "x" or "+", or one of WRITERS."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in WRITERS:
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id == "os":
+        return True  # os.open takes flags, not a mode
+    # open(file, mode) or Path.open(mode)
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if len(call.args) > position:
+        modes.append(call.args[position])
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+             and not set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
+
+def test_only_fileio_opens_files_for_writing():
+    # every output goes through fileio.write_chunks: atomic, and an OS error
+    # is a ConfigError naming the path
+    writers = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(isinstance(node, ast.Call) and opens_for_writing(node)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert writers == ["fileio.py"]
+
+
+@pytest.mark.parametrize("source,writes", [
+    ("open(path)", False),
+    ("open(path, encoding='utf-8')", False),
+    ("open(path, 'r', encoding='utf-8')", False),
+    ("path.open()", False),
+    ("urllib.request.urlopen(request)", False),
+    ("open(path, 'w')", True),
+    ("open(path, mode='a')", True),
+    ("open(path, 'r+')", True),
+    ("open(path, 'xb')", True),
+    ("open(path, mode)", True),
+    ("path.open('w')", True),
+    ("os.open(path, os.O_RDONLY)", True),
+    ("Path(path).write_text(text)", True),
+    ("tempfile.mkstemp(dir=d)", True),
+    ("os.fdopen(fd, 'w')", True),
+])
+def test_the_writer_guard_sees_each_way_to_write(source, writes):
+    assert opens_for_writing(ast.parse(source).body[0].value) is writes
