@@ -12,17 +12,18 @@ which the parser checks as it reads.
 Evaluation is two-valued: comparisons touching null are false (only
 IS [NOT] NULL sees null), and type-incompatible comparisons are false.
 
-Evaluation is generated Python: an Emitter translates an expression into
-one Python expression, with comparisons specialised by literal type and
-every read that no quantified row feeds hoisted to the top of the
-function. It is the one evaluator, with two entry points:
-`compile_invariant` runs one invariant over a joined group (refinement,
+Evaluation and explanation are generated Python: an Emitter translates an
+expression into one Python expression of its truth value (Emitter.test),
+with comparisons specialised by literal type and every read that no
+quantified row feeds hoisted to the top of the function, or of its failure
+text (Emitter.why), which names the parts that failed and the values they
+read. It is the one evaluator, with two entry points: `compile_invariant`
+generates, per invariant, one function of (focal row, bindings) for each
+of the verdict, the explanation and the failing conjuncts (refinement,
 detection's explanations and the tests), and `compile_checks` builds
 detection's one function per focal API, whose binding rows the join engine
-supplies. A failure is explained by a tree of closures that asks generated
-per-node tests which parts failed. Invariant text never becomes an
-identifier: names and literals enter the code through repr() or the
-function's namespace.
+supplies. Invariant text never becomes an identifier: names and literals
+enter the code through repr() or the function's namespace.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -59,11 +59,9 @@ KEYWORDS = {
     "NULL",
 }
 
-CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
-
-# NOT, a parenthesised group and a quantifier each open a level. Generated
-# code nests at most three Python parentheses per level, and Python's own
-# parser stops at 200.
+# NOT, a parenthesised group and a quantifier each open a level. A
+# generated test or explanation nests at most three Python parentheses per
+# level, and Python's own parser stops at 200.
 MAX_NESTING = 50
 
 
@@ -462,14 +460,6 @@ class Verdict:
     explanation: str = ""
 
 
-_OPERATORS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 # the same comparison with its operands swapped
 _MIRRORED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -483,41 +473,62 @@ def _comparable(op: str, a: Any, b: Any) -> bool:
     return isinstance(a, (int, float)) and isinstance(b, (int, float))
 
 
-def _comparison(op: str):
-    test = _OPERATORS[op]
-
-    def compare(x, y):
-        # null never compares; mixed types never satisfy any operator
-        return x is not None and y is not None and _comparable(op, x, y) and test(x, y)
-
-    return compare
-
-
-_COMPARISONS = {op: _comparison(op) for op in CMP_OPS}
-
-
-def _unbound(name: str) -> EvaluationError:
-    return EvaluationError(f"entity {name!r} is not bound in this group")
-
-
-def _raise_unbound(name: str):
-    raise _unbound(name)
+def _unbound(name: str):
+    raise EvaluationError(f"entity {name!r} is not bound in this group")
 
 
 def _rows(bindings: dict, name: str):
-    try:
-        return bindings[name]
-    except KeyError:
-        raise _unbound(name) from None
+    rows = bindings.get(name)
+    return _unbound(name) if rows is None else rows
+
+
+# An explanation is generated code too (Emitter.why), run only where its
+# node is false; these are the helpers it calls.
+
+_MAX_TRACED_ROWS = 3
+
+
+def _fmt(value: Any) -> str:
+    return "NULL" if value is None else format_literal(value)
+
+
+def _note(op: str, x: Any, y: Any) -> str:
+    """What a failed comparison of two values of unrelated types adds."""
+    if x is None or y is None or _comparable(op, x, y):
+        return ""
+    return "; incompatible types"
+
+
+def _and_why(*texts: str | None) -> str:
+    """The failing conjuncts' texts; a conjunct that holds passes None."""
+    return " AND ".join(text for text in texts if text is not None)
+
+
+def _rows_why(failed: str, exists: bool, rows: list, test, why) -> str:
+    """A failed quantifier's text: the failing rows counted (a failed EXISTS
+    fails on every row) and the first few explained."""
+    bad = 0
+    children = []
+    for i, row in enumerate(rows):
+        if not test(row):
+            bad += 1
+            if bad <= _MAX_TRACED_ROWS:
+                children.append(f"row[{i}]: {why(row)}")
+    counted = f"{len(rows)} bound row(s)" if exists else f"{bad} of {len(rows)} row(s) violated"
+    return "; ".join([f"{failed}: {counted}", *children])
 
 
 # names every generated function may use; the emitter's own start with _v,
-# _k, _r and _t, and its parameters are row, b and s
+# _k, _r and _t, and its parameters are row and b
 _HELPERS = {
     "_comparable": _comparable,
     "_value_key": value_key,
     "_rows": _rows,
-    "_unbound": _raise_unbound,
+    "_unbound": _unbound,
+    "_fmt": _fmt,
+    "_note": _note,
+    "_and_why": _and_why,
+    "_rows_why": _rows_why,
 }
 
 
@@ -679,23 +690,59 @@ class Emitter:
                     f"(isinstance({x}, (int, float)) and {again}.__class__ is not bool "
                     f"and {again} {op} {text})"
                 )
-        if op in ("==", "!=") and left.__class__ is not Lit:
+        x, x_again = self._operand(left, env, twice=True)
+        y, y_again = self._operand(right, env, twice=True)
+        if op in ("==", "!="):
             # equality never raises, so the type rule can wait for a match
-            x, x_again = self._operand(left, env, twice=True)
-            y, y_again = self._operand(right, env, twice=True)
             return f"({x} {op} {y} and _comparable({op!r}, {x_again}, {y_again}))"
-        x, _ = self._operand(left, env)
-        y, _ = self._operand(right, env)
-        return f"{self.const(_COMPARISONS[op])}({x}, {y})"
+        # _comparable rejects null and the mixed types an ordering would raise on
+        return f"(_comparable({op!r}, {x}, {y}) and {x_again} {op} {y_again})"
+
+    def why(self, node: Any, env: dict) -> str:
+        """The node's failure text as a Python expression, for where the node
+        is false: the printed node, and the values of the fields it read."""
+        cls = node.__class__
+        if cls is And:
+            texts = (f"None if {self.test(part, env)} else {self.why(part, env)}"
+                     for part in node.parts)
+            return f"_and_why({', '.join(texts)})"
+        if cls is Or:  # every part failed
+            return " + ' OR ' + ".join(self.why(part, env) for part in node.parts)
+        failed = f"{print_expr(node)} failed"
+        if cls is Not:
+            return repr(f"{failed}: inner condition held")
+        if cls is BoolConst:
+            return repr(failed)
+        if cls is Quant:
+            row = self._name("_r")
+            inner = {**env, node.name: (row, False)}
+            return (
+                f"_rows_why({failed!r}, {node.exists}, {self._binding(node.name)}, "
+                f"lambda {row}: {self.test(node.body, inner)}, "
+                f"lambda {row}: {self.why(node.body, inner)})"
+            )
+        operands = (node.left, node.right) if cls is Cmp else (node.operand,)
+        values = [self._operand(operand, env)[0] for operand in operands]
+        text, sep = repr(failed), " ("
+        for operand, value in zip(operands, values):
+            if operand.__class__ is FieldRef:
+                label = f"{sep}{operand.root}.{operand.path} = "
+                text += f" + {label!r} + _fmt({value})"
+                sep = ", "
+        if sep == ", ":
+            text += " + ')'"
+        if cls is Cmp:
+            text += f" + _note({node.op!r}, {values[0]}, {values[1]})"
+        return text
 
 
-def _scope_test(node: Any, names: tuple):
-    """Generated test of a node over (bindings, scope), where scope maps each
-    of `names` to its current row."""
-    em = Emitter()
-    env = {name: (em.local(f"s[{name!r}]"), True) for name in names}
-    expr = em.test(node, env)
-    return em.function("b, s", [f"return {expr}"])
+def _positions(tests: list[str]) -> list[str]:
+    """A function body returning the positions of the false tests, () if
+    none is."""
+    lines = ["bad = ()"]
+    for i, test in enumerate(tests):
+        lines += [f"if not {test}:", f"    bad += ({i},)"]
+    return lines + ["return bad"]
 
 
 def compile_checks(invariants: list[Invariant], bind) -> Any:
@@ -707,105 +754,26 @@ def compile_checks(invariants: list[Invariant], bind) -> Any:
     """
     em = Emitter()
     em.rows = bind(em)
-    lines = ["bad = ()"]
-    for i, inv in enumerate(invariants):
-        lines.append(f"if not {em.test(inv.body, {inv.focal: ('row', True)})}:")
-        lines.append(f"    bad += ({i},)")
-    lines.append("return bad")
-    return em.function("row", lines)
+    return em.function(
+        "row", _positions([em.test(inv.body, {inv.focal: ("row", True)}) for inv in invariants])
+    )
 
 
-# An explanation is a tree of closures over (bindings, scope), the group's
-# binding name -> rows map and the entity name -> current row map. Each is
-# called only where its node is false; each node's printed text is formatted
-# here, once, and every truth value it needs comes from a generated test.
-
-_MAX_TRACED_ROWS = 3
+def _conjuncts(inv: Invariant) -> tuple:
+    return inv.body.parts if inv.body.__class__ is And else (inv.body,)
 
 
-def _explainer(node: Any, names: tuple):
-    """The node's failure text, as a function of (bindings, scope)."""
-    cls = node.__class__
-    if cls is And:
-        pairs = [(_scope_test(part, names), _explainer(part, names)) for part in node.parts]
-        return lambda b, s: " AND ".join(why(b, s) for test, why in pairs if not test(b, s))
-    if cls is Or:
-        whys = [_explainer(part, names) for part in node.parts]
-        return lambda b, s: " OR ".join(why(b, s) for why in whys)
-    failed = f"{print_expr(node)} failed"
-    if cls is Quant:
-        name = node.name
-        inner = names + (name,)
-        body, body_why = _scope_test(node.body, inner), _explainer(node.body, inner)
-        # a failed EXISTS fails on every row, so both count the failing rows
-        # and explain the first few
-        counted = "{n} bound row(s)" if node.exists else "{bad} of {n} row(s) violated"
-
-        def why(b, s):
-            rows = _rows(b, name)
-            prev = s.get(name)
-            children = []
-            bad = 0
-            try:
-                for i, row in enumerate(rows):
-                    s[name] = row
-                    if not body(b, s):
-                        bad += 1
-                        if bad <= _MAX_TRACED_ROWS:
-                            children.append(f"row[{i}]: {body_why(b, s)}")
-            finally:
-                if prev is None:
-                    s.pop(name, None)
-                else:
-                    s[name] = prev
-            label = f"{failed}: {counted.format(bad=bad, n=len(rows))}"
-            return "; ".join([label, *children])
-
-        return why
-    if cls is Not:
-        held = f"{failed}: inner condition held"
-        return lambda b, s: held
-    if cls is BoolConst:
-        return lambda b, s: failed
-    if cls is Cmp:
-        return _predicate_why(failed, (node.left, node.right), node.op)
-    if cls in (NullCheck, Match, InSet):
-        return _predicate_why(failed, (node.operand,))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _value(operand: Any, s: dict) -> Any:
-    if operand.__class__ is Lit:
-        return operand.value
-    try:
-        row = s[operand.root]
-    except KeyError:
-        raise _unbound(operand.root) from None
-    return row.get(operand.path)
-
-
-def _predicate_why(failed: str, operands: tuple, op: str | None = None):
-    """A failed predicate's text: the value of each field it read, and for a
-    comparison `op` of two values of unrelated types, a note saying so."""
-    labels = [
-        f"{o.root}.{o.path} = " if o.__class__ is FieldRef else None for o in operands
-    ]
-
-    def why(b, s):
-        values = [_value(operand, s) for operand in operands]
-        details = ", ".join(
-            label + ("NULL" if v is None else format_literal(v))
-            for label, v in zip(labels, values)
-            if label
-        )
-        text = f"{failed} ({details})" if details else failed
-        if op is not None:
-            x, y = values
-            if x is not None and y is not None and not _comparable(op, x, y):
-                text += "; incompatible types"
-        return text
-
-    return why
+def _answer(inv: Invariant, answer: str):
+    """One generated function of (focal row, bindings) giving the verdict
+    ("test"), the failure text ("why") or the positions of the failing
+    top-level conjuncts ("conjuncts")."""
+    em = Emitter()
+    env = {inv.focal: ("row", True)}
+    if answer == "conjuncts":
+        lines = _positions([em.test(part, env) for part in _conjuncts(inv)])
+    else:
+        lines = [f"return {getattr(em, answer)(inv.body, env)}"]
+    return em.function("row, b", lines)
 
 
 class CompiledInvariant:
@@ -813,31 +781,27 @@ class CompiledInvariant:
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). The test, the explanation and the per-conjunct tests are
-    each generated on first use, so detection, which asks only for
+    of rows). The test, the explanation and the per-conjunct test are each
+    one function generated on first use, so detection, which asks only for
     explanations, generates no test.
     """
 
-    __slots__ = ("invariant", "_test", "_why", "_conjuncts")
+    __slots__ = ("invariant", "_test", "_why", "_failing")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
-        self._test = None
-        self._why = None
-        self._conjuncts = None
+        self._test = self._why = self._failing = None
 
     def __call__(self, group: Any) -> bool:
-        inv = self.invariant
         if self._test is None:
-            self._test = _scope_test(inv.body, (inv.focal,))
-        return self._test(group.bindings, {inv.focal: group.focal})
+            self._test = _answer(self.invariant, "test")
+        return self._test(group.focal, group.bindings)
 
     def explain(self, group: Any) -> str:
         """Explanation of why this invariant fails on the group."""
-        inv = self.invariant
         if self._why is None:
-            self._why = _explainer(inv.body, (inv.focal,))
-        return self._why(group.bindings, {inv.focal: group.focal})
+            self._why = _answer(self.invariant, "why")
+        return self._why(group.focal, group.bindings)
 
     def failing_conjuncts(self, group: Any) -> list[str]:
         """Printed top-level conjuncts that fail on the group.
@@ -845,14 +809,10 @@ class CompiledInvariant:
         For a non-conjunctive body the whole printed body is returned when
         it fails.
         """
-        inv = self.invariant
-        if self._conjuncts is None:
-            parts = inv.body.parts if inv.body.__class__ is And else (inv.body,)
-            self._conjuncts = [
-                (print_expr(part), _scope_test(part, (inv.focal,))) for part in parts
-            ]
-        scope = {inv.focal: group.focal}
-        return [text for text, test in self._conjuncts if not test(group.bindings, scope)]
+        if self._failing is None:
+            self._failing = _answer(self.invariant, "conjuncts")
+        parts = _conjuncts(self.invariant)
+        return [print_expr(parts[i]) for i in self._failing(group.focal, group.bindings)]
 
 
 def compile_invariant(inv: Invariant) -> CompiledInvariant:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Iterable, Iterator
 
 from .errors import ConfigError
@@ -50,13 +49,16 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any, str | None]]:
 
 def write_chunks(chunks: Iterable[str], path: str) -> None:
     """Write the chunks, in order, to `path` atomically: a temp file beside
-    it is renamed into place, and removed if anything fails. An OS error
-    (a missing directory, a directory at `path`, a full disk) is a
-    ConfigError naming `path`."""
+    it is renamed into place, and removed if anything fails. The file gets
+    the mode open(path, "w") would give a new file, 0o666 less the umask.
+    An OS error (a missing directory, a directory at `path`, a full disk)
+    is a ConfigError naming `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from apivet import cli
 from apivet.cli import main
 from apivet.errors import ReplayError
 from apivet.dsl import read_invariant_file
+from apivet.fileio import write_json
 from apivet.relations import load_relationships
 from apivet.schema import load_bundle
 
@@ -579,6 +581,27 @@ class TestUnwritableOutput:
             ["relations", "infer", *_inputs(pipeline, "train"),
              "--out", str(tmp_path / "relations.json"), "--diagram", str(bad_out[0])],
             bad_out, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_get_the_mode_open_would_give(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert main(["benchgen", "--out", str(tmp_path / "corpus"),
+                     "--sessions", "2", "--seed", "1"]) == 0
+        write_json({"a": 1}, str(tmp_path / "out.json"))
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    expected = 0o666 & ~umask
+    assert stat.S_IMODE((tmp_path / "plain.json").stat().st_mode) == expected
+    outputs = [tmp_path / "out.json", *(tmp_path / "corpus").iterdir()]
+    assert len(outputs) > 1
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in outputs} == {
+        path.name: expected for path in outputs
+    }
+    assert list(tmp_path.rglob(".tmp-*")) == []
 
 
 class TestUnhashableKey:

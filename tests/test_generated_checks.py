@@ -371,7 +371,8 @@ def test_rebound_names_shadow_and_restore(body):
 
 @pytest.mark.parametrize(
     "name", ["row", "b", "s", "bad", "_f", "_v1", "_k2", "_r3", "_t4", "_rows", "_unbound",
-             "_comparable", "_value_key", "any", "all", "bool", "None", "True", "lambda"],
+             "_comparable", "_value_key", "_fmt", "_note", "_and_why", "_rows_why", "any",
+             "all", "bool", "None", "True", "lambda"],
 )
 def test_names_that_collide_with_generated_ones(name):
     # entity, binding and field names reach the code only as strings
@@ -415,7 +416,8 @@ def test_deepest_accepted_nesting_compiles(opening, leaf, closing):
     "body",
     ['"abc" IS NULL', "5 IS NOT NULL", "TRUE IS NULL", '"a" MATCHES "a"', "1 == 1.0",
      '"a" IN ["a", 1]', "TRUE == call.arguments.b", "1.5 < call.arguments.f",
-     '"b" > call.arguments.x', "2 != call.arguments.n"],
+     '"b" > call.arguments.x', "2 != call.arguments.n", '1 < "a"', "TRUE < 1", "2.5 >= 2",
+     '"b" > "a"'],
 )
 def test_literal_operands_compile_cleanly(body, recwarn):
     inv = parse_invariant(f"INVARIANT lit ON call CATEGORY format WHERE {body}")
@@ -424,6 +426,8 @@ def test_literal_operands_compile_cleanly(body, recwarn):
                    "arguments.n": 2}, {}):
         group = FakeGroup(1, focal, {})
         assert fn(group) == eval_oracle(inv, group)
+        if not fn(group):
+            assert fn.explain(group) == explain_oracle(inv, group)
     assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
 
 

@@ -109,6 +109,19 @@ def test_only_the_hmm_loads_numpy():
     assert importers == ["hmm.py"]
 
 
+def test_only_the_emitter_runs_generated_code():
+    # invariants become code in one place, dsl.Emitter: a second evaluator
+    # or explainer would need a builtin that compiles or runs source
+    runners = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in ("exec", "eval", "compile")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert runners == ["dsl.py"]
+
+
 # calls that open a file for writing whatever their arguments
 WRITERS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile",
            "SpooledTemporaryFile", "fdopen", "write_bytes", "write_text"}
