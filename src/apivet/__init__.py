@@ -16,6 +16,7 @@ _EXPORTS = {
     "PipelineConfig": "config",
     "Relationship": "relations",
     "SchemaBundle": "schema",
+    "build_joined_groups": "joins",
     "check_corpus": "detector",
     "evaluate": "dsl",
     "evaluate_metrics": "detector",
@@ -25,6 +26,7 @@ _EXPORTS = {
     "parse_create_table": "schema",
     "parse_invariant": "dsl",
     "print_invariant": "dsl",
+    "refine_candidates": "refine",
     "report_to_dict": "detector",
 }
 

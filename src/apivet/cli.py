@@ -7,7 +7,8 @@ Every command is a fresh process, so start-up is paid on each run. A module
 that some command does not run is imported inside the command or function
 that needs it, not at module level: `benchgen` in `_cmd_benchgen`, the
 detector in `detect` and `eval`, the training pipeline in the two training
-commands, the thread pool only when `detect` runs more than one job, numpy
+commands, the invariant language in the commands that read or write
+invariants (`relations infer` loads neither it nor refinement), the thread pool only when `detect` runs more than one job, numpy
 only in the opt-in HMM sequence model (`relations infer` at its defaults
 loads none), and `urllib.request` only when the remote proposer sends a
 request. `detect` and `eval` load no training module.
@@ -26,7 +27,6 @@ from dataclasses import replace
 from . import __version__
 from .binlog import ingest_binlog, read_binlog_file
 from .config import PipelineConfig, load_config
-from .dsl import read_invariant_file, write_invariant_file
 from .errors import (
     ApivetError,
     ConfigError,
@@ -169,6 +169,7 @@ def _cmd_relations_infer(args) -> int:
 
 
 def _cmd_invariants_generate(args) -> int:
+    from .dsl import write_invariant_file
     from .pipeline import run_generation
 
     config = _config_for(args)
@@ -204,6 +205,7 @@ def _cmd_invariants_generate(args) -> int:
 
 def _cmd_detect(args) -> int:
     from .detector import check_corpus, write_report
+    from .dsl import read_invariant_file
 
     config = _config_for(args)
     bundle = _load_document(args.bundle, load_bundle)

@@ -9,9 +9,12 @@ Calls are taken in (time, log id) order, whatever the order of the log
 lines. A Sweep gives every table one TableCursor, which indexes each column
 some binding probes and only moves forward along the table's one version
 stream, so a pass replays each table once. Sweep.emit translates each join
-into generated code once: detection's checks inline it, and the groups of
-iter_joined_groups (training, --dump-joined) and of a failed check are
-built by it. Independent reference joins live with the tests.
+into generated code once: the checks of detection and of each refinement
+round inline it, and the groups of a failed check and of
+iter_joined_groups (--dump-joined) are built by it. The DSL's Emitter is
+imported only where a Sweep generates a function of its own, so
+relationship inference, which reads the stores, does not load the DSL.
+Independent reference joins live with the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .binlog import TemporalTable
-from .dsl import Emitter
 from .errors import StoreLookupError
 from .logstore import (
     InstanceTable,
@@ -433,6 +435,8 @@ class Sweep:
     def group_bindings(self, focal_name: str):
         """A generated function giving a focal row's {binding name: rows}
         as the cursors stand (see advance): the bindings of its group."""
+        from .dsl import Emitter
+
         em = Emitter()
         rows = self.emit(em, focal_name)
         items = ", ".join(f"{name!r}: {expr}" for name, expr in rows.items())
@@ -489,7 +493,8 @@ def iter_joined_groups(
 def build_joined_groups(
     stores: JoinStores, schema: JoinedSchema
 ) -> list[JoinedGroup]:
-    """One group per focal call, with binding rows copied out as lists."""
+    """One group per focal call, with binding rows copied out as lists: the
+    input of refine.refine_candidates. The pipeline keeps no group list."""
     groups = []
     for group in iter_joined_groups(stores, schema):
         group.bindings = {name: list(rows) for name, rows in group.bindings.items()}

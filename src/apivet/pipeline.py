@@ -1,20 +1,30 @@
 """End-to-end wiring: train models, infer relationships, generate invariants.
-Both training stages read the corpus and tables through joins.JoinStores."""
+
+Both training stages read the corpus and tables through one
+joins.JoinStores each. Generation refines every API's candidates together,
+one join sweep over all the APIs' calls per refinement round
+(refine.sweep_check). Relationship inference loads neither the invariant
+language nor refinement: they are imported where generation runs.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .binlog import TemporalTable
 from .config import PipelineConfig
 from .errors import ConfigError
-from .dsl import Invariant
-from .joins import JoinStores, build_joined_groups, joined_schema_for
+from .joins import JoinStores, joined_schema_for
 from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, RemoteProposer, StubProposer
-from .refine import CandidateOutcome, RefinementReport, refine_candidates
 from .relations import InferenceReport, Relationship, infer_relationships
 from .schema import API, SchemaBundle
+
+if TYPE_CHECKING:
+    from .dsl import Invariant
+    from .refine import CandidateOutcome
 
 
 def make_proposer(config: PipelineConfig) -> ProposerContract:
@@ -75,27 +85,22 @@ def run_generation(
     proposer: ProposerContract | None = None,
 ) -> GenerationResult:
     """Propose and refine invariants for every API entity."""
+    from .refine import refine_rounds, sweep_check
+
     proposer = proposer or make_proposer(config)
     stores = JoinStores(bundle, corpus, tables)
     result = GenerationResult()
-    used_ids: set[str] = set()
+    apis = []
     for entity in sorted(bundle.of_kind(API), key=lambda e: e.name):
         schema = joined_schema_for(bundle, entity.name, relationships)
-        groups = build_joined_groups(stores, schema)
         proposal = proposer.propose_invariants(schema)
         result.proposals += len(proposal.texts)
-        report: RefinementReport = refine_candidates(
-            proposal.texts,
-            proposal.conversation,
-            groups,
-            entity.name,
-            proposer,
-            max_rounds=config.max_refine_rounds,
-            sample_limit=config.violation_samples,
-            used_ids=used_ids,
-        )
+        bound = {binding.name for binding in schema.bindings}
+        apis.append((entity.name, bound, schema, proposal.texts, proposal.conversation))
+    check = partial(sweep_check, stores, sample_limit=config.violation_samples)
+    reports = refine_rounds(apis, check, proposer, max_rounds=config.max_refine_rounds)
+    for (name, *_), report in zip(apis, reports):
         result.refine_calls += report.refine_calls
-        for outcome in report.outcomes:
-            result.outcomes.append((entity.name, outcome))
+        result.outcomes.extend((name, outcome) for outcome in report.outcomes)
         result.invariants.extend(report.accepted)
     return result

@@ -7,6 +7,8 @@ field-shape checks drawn from the schema. The remote provider speaks a
 generic chat-completion JSON dialect over HTTP, configured by
 `config.ProviderConfig`; `urllib.request` is imported only when a call goes
 out. Pipelines depend only on the contract, so either can back a run.
+The invariant language is imported by the stub's invariant methods, so
+relationship inference does not load it.
 """
 
 from __future__ import annotations
@@ -16,25 +18,14 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_SYNONYMS, ProviderConfig
-from .dsl import (
-    And,
-    BoolConst,
-    Cmp,
-    FieldRef,
-    InSet,
-    Invariant,
-    Lit,
-    Match,
-    NullCheck,
-    Quant,
-    parse_invariant,
-    print_expr,
-    print_invariant,
-)
 from .errors import ExtractionError, ProposalError
 from .schema import API, ENV, TABLE, EntityType
+
+if TYPE_CHECKING:
+    from .dsl import Invariant
 
 logger = logging.getLogger(__name__)
 
@@ -336,6 +327,8 @@ class StubProposer(ProposerContract):
     # invariant proposals
 
     def propose_invariants(self, joined_schema) -> InvariantProposal:
+        from .dsl import print_invariant
+
         texts = [print_invariant(inv) for inv in self._templates(joined_schema)]
         conversation = Conversation()
         conversation.append("user", render_invariant_prompt(joined_schema))
@@ -346,6 +339,19 @@ class StubProposer(ProposerContract):
         return InvariantProposal(texts=texts, conversation=conversation)
 
     def _templates(self, joined_schema) -> list[Invariant]:
+        from .dsl import (
+            And,
+            BoolConst,
+            Cmp,
+            FieldRef,
+            InSet,
+            Invariant,
+            Lit,
+            Match,
+            NullCheck,
+            Quant,
+        )
+
         focal = joined_schema.focal
         fname = focal.name
         out: list[Invariant] = []
@@ -445,6 +451,8 @@ class StubProposer(ProposerContract):
     # refinement
 
     def refine_invariant(self, conversation: Conversation, request: RefineRequest) -> str:
+        from .dsl import And, parse_invariant, print_expr, print_invariant
+
         conversation.append("user", render_refine_message(request))
         inv = parse_invariant(request.invariant_text)
         if not isinstance(inv.body, And):

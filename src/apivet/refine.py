@@ -1,34 +1,58 @@
 """Candidate refinement: keep an invariant only once training traffic is clean.
 
-Each candidate is compiled once and checked against every joined group. The
-first few violations are explained and fed back to the proposer on a forked
-conversation; after the round budget is spent, a still-violated candidate is
-discarded. Accepted invariants therefore pass the whole training corpus by
-construction. Each candidate ends in one outcome: accepted, or discarded with
-a reason. An accepted invariant is renamed, if it must be, to an id no earlier
-acceptance of the run holds, so its outcome names the id that is written.
+A candidate is vetted before it runs: it must parse, be about its focal API,
+nest its quantifiers at most MAX_QUANTIFIER_DEPTH deep and quantify only over
+names its API binds, so no check fails on an unbound name or runs for ever.
+Candidates are then checked in rounds. A round checks the open candidates of
+every API at once, counts each one's violations and explains only the first
+few; a violated candidate goes back to the proposer with those samples, on
+its own fork of the proposal conversation, and what comes back is checked in
+the next round. After the round budget is spent, a still-violated candidate
+is discarded. Accepted invariants therefore pass the whole training corpus
+by construction.
+
+Each candidate ends in one outcome: accepted, or discarded with a reason.
+Acceptance is settled after the last round, in candidate order, so a
+candidate that comes clean only after refinement still precedes a later one
+with the same body. An accepted invariant is renamed, if it must be, to an
+id no earlier acceptance of the run holds, so its outcome names the id that
+is written.
+
+Two checkers back the rounds. `sweep_check` runs each API's open candidates
+as one generated check over one (time, log id) sweep of every API's calls,
+as detection does, and builds a group only for a violation it explains.
+`refine_candidates` checks one API's candidates, one at a time, over a list
+of joined groups.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .dsl import (
+    And,
     Invariant,
+    Not,
+    Or,
+    Quant,
+    compile_checks,
     compile_invariant,
     evaluate,
     explain,
     parse_invariant,
     print_invariant,
 )
-from .errors import EvaluationError, ExtractionError, ParseError, ProposalError
+from .errors import ExtractionError, ParseError, ProposalError
+from .joins import JoinedGroup, Sweep
 from .proposer import Conversation, RefineRequest, ViolationSample
-
-logger = logging.getLogger(__name__)
 
 MAX_ROUNDS = 3
 SAMPLE_LIMIT = 5
+# a check costs the product of its nested quantifiers' row counts: deeper
+# candidates are discarded before they are compiled
+MAX_QUANTIFIER_DEPTH = 3
 
 
 @dataclass
@@ -45,6 +69,193 @@ class RefinementReport:
     accepted: list[Invariant] = field(default_factory=list)
     outcomes: list[CandidateOutcome] = field(default_factory=list)
     refine_calls: int = 0
+
+
+@dataclass
+class _Candidate:
+    original: str
+    fork: Conversation
+    attempts: int = 0
+    inv: Invariant | None = None  # the version to check
+    reason: str | None = None  # set once discarded
+    clean: bool = False  # no training violation: accepted unless a duplicate
+
+
+def _quantifiers(node, depth: int = 1):
+    """(bound name, nesting depth) of each quantifier of an expression, in
+    text order."""
+    cls = node.__class__
+    if cls is Quant:
+        yield node.name, depth
+        yield from _quantifiers(node.body, depth + 1)
+    elif cls is And or cls is Or:
+        for part in node.parts:
+            yield from _quantifiers(part, depth)
+    elif cls is Not:
+        yield from _quantifiers(node.expr, depth)
+
+
+def _admit(cand: _Candidate, text: str, focal_name: str, bound: set[str] | None) -> None:
+    """Make `text` the candidate's version to check, or discard the candidate.
+
+    `bound` holds the names its focal API binds; None admits any name.
+    """
+    try:
+        inv = parse_invariant(text)
+    except ParseError as exc:
+        cand.reason = f"unparseable: {exc}"
+        return
+    if inv.focal != focal_name:
+        cand.reason = f"wrong focal entity {inv.focal!r}"
+        return
+    quantifiers = list(_quantifiers(inv.body))
+    depth = max((d for _, d in quantifiers), default=0)
+    if depth > MAX_QUANTIFIER_DEPTH:
+        cand.reason = f"quantifiers nested {depth} deep, more than {MAX_QUANTIFIER_DEPTH}"
+        return
+    for name, _ in quantifiers:
+        if bound is not None and name not in bound:
+            cand.reason = f"unknown binding: entity {name!r} is not bound in this group"
+            return
+    cand.inv = inv
+
+
+def refine_rounds(
+    apis: list[tuple],
+    check,
+    proposer,
+    max_rounds: int = MAX_ROUNDS,
+    used_ids: set[str] | None = None,
+) -> list[RefinementReport]:
+    """Run the accept-or-refine loop for the candidates of several focal APIs.
+
+    `apis` holds one (focal name, names it binds or None, its calls,
+    candidate texts, proposal conversation) per API, in the order ids are
+    settled. `check` takes a list of (calls, invariants) and gives, per
+    batch and invariant, its violation count and explained samples.
+    An accepted invariant takes the first id not in `used_ids`, which it then
+    joins; pass one set across calls to keep ids unique over a run.
+    """
+    used_ids = set() if used_ids is None else used_ids
+    reports = [RefinementReport() for _ in apis]
+    candidates = []
+    for focal_name, bound, _, texts, conversation in apis:
+        own = [_Candidate(text, conversation.fork()) for text in texts]
+        for cand in own:
+            _admit(cand, cand.original, focal_name, bound)
+        candidates.append(own)
+
+    while True:
+        # per API, its open candidates: those refined in the last round (all,
+        # in the first)
+        batches = []
+        for k, own in enumerate(candidates):
+            open_ = [cand for cand in own if cand.reason is None and not cand.clean]
+            if open_:
+                batches.append((k, open_))
+        if not batches:
+            break
+        found = check([(apis[k][2], [c.inv for c in open_]) for k, open_ in batches])
+        for (k, open_), results in zip(batches, found):
+            focal_name, bound = apis[k][:2]
+            for cand, (n_violations, samples) in zip(open_, results):
+                if not n_violations:
+                    cand.clean = True
+                    continue
+                if cand.attempts >= max_rounds:
+                    cand.reason = (
+                        f"{n_violations} training violation(s) after "
+                        f"{cand.attempts} refinement(s)"
+                    )
+                    continue
+                request = RefineRequest(
+                    invariant_text=print_invariant(cand.inv), samples=samples
+                )
+                cand.attempts += 1
+                reports[k].refine_calls += 1
+                try:
+                    text = proposer.refine_invariant(cand.fork, request)
+                except (ProposalError, ExtractionError) as exc:
+                    cand.reason = f"refinement failed: {exc}"
+                    continue
+                if not text.strip():
+                    cand.reason = "proposer withdrew the candidate"
+                    continue
+                _admit(cand, text, focal_name, bound)
+
+    for own, report in zip(candidates, reports):
+        seen_bodies: set[str] = set()
+        for cand in own:
+            inv, reason = cand.inv, cand.reason
+            if cand.clean:
+                canonical = print_invariant(inv)
+                if canonical in seen_bodies:
+                    reason = "duplicate of an accepted invariant"
+                else:
+                    seen_bodies.add(canonical)
+                    inv = unique_id(inv, used_ids)
+                    used_ids.add(inv.id)
+                    report.accepted.append(inv)
+            report.outcomes.append(
+                CandidateOutcome(
+                    text=cand.original,
+                    status="discarded" if reason else "accepted",
+                    attempts=cand.attempts,
+                    invariant=None if reason else inv,
+                    reason=reason,
+                )
+            )
+    return reports
+
+
+def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) -> list:
+    """`refine_rounds`' check over a join store, for (joined schema,
+    invariants) batches: each focal API's invariants become one generated
+    check, and every batch's calls are merged into one (time, log id) sweep.
+    A failing call gets a group only while some invariant it fails has
+    fewer than `sample_limit` samples, and is explained there, as the
+    cursors stand at the call, the way detection explains a violation.
+    """
+    schemas = [
+        (schema, {name for inv in invs for name, _ in _quantifiers(inv.body)})
+        for schema, invs in batches
+    ]
+    sweep = Sweep(stores, schemas)
+    checks, calls = [], []
+    for k, (schema, invs) in enumerate(batches):
+        name = schema.focal.name
+        checks.append(compile_checks(invs, partial(sweep.emit, focal_name=name)))
+        calls.extend((row["time"], log_id, row, k) for log_id, row in stores.instances(name).rows)
+    # log ids are unique, so the sort never compares rows
+    calls.sort()
+
+    compiled = [[compile_invariant(inv) for inv in invs] for _, invs in batches]
+    counts = [[0] * len(invs) for _, invs in batches]
+    samples = [[[] for _ in invs] for _, invs in batches]
+    bindings = {}  # per batch, its Sweep.group_bindings, made at its first sample
+    advance = sweep.advance
+    pending = -math.inf  # time of the first version no cursor has applied
+    for t, log_id, row, k in calls:
+        if t > pending:
+            pending = advance(t)
+        failed = checks[k](row)
+        if not failed:
+            continue
+        group = None
+        counted = counts[k]
+        for i in failed:
+            counted[i] += 1
+            if counted[i] > sample_limit:
+                continue
+            if group is None:
+                if k not in bindings:
+                    bindings[k] = sweep.group_bindings(batches[k][0].focal.name)
+                group = JoinedGroup(log_id, row, bindings[k](row))
+            fn = compiled[k][i]
+            samples[k][i].append(
+                ViolationSample(log_id, fn.explain(group), fn.failing_conjuncts(group))
+            )
+    return [list(zip(ns, found)) for ns, found in zip(counts, samples)]
 
 
 def _violations(inv: Invariant, groups, sample_limit: int):
@@ -72,71 +283,20 @@ def refine_candidates(
     sample_limit: int = SAMPLE_LIMIT,
     used_ids: set[str] | None = None,
 ) -> RefinementReport:
-    """Run the accept-or-refine loop for one focal entity's candidates.
+    """Run the accept-or-refine loop for one focal entity's candidates over
+    a list of its joined groups.
 
-    An accepted invariant takes the first id not in `used_ids`, which it then
-    joins; pass one set across focal entities to keep ids unique over a run.
+    The names the API binds are those every group binds; with no groups
+    nothing is evaluated, so any name is admitted. An accepted invariant
+    takes the first id not in `used_ids`, which it then joins.
     """
-    report = RefinementReport()
-    seen_bodies: set[str] = set()
-    used_ids = set() if used_ids is None else used_ids
+    bound = set(groups[0].bindings).intersection(*(g.bindings for g in groups)) if groups else None
 
-    for original in texts:
-        fork = conversation.fork()
-        text = original
-        attempts = 0
-        while True:
-            try:
-                inv = parse_invariant(text)
-            except ParseError as exc:
-                reason = f"unparseable: {exc}"
-                break
-            if inv.focal != focal_name:
-                reason = f"wrong focal entity {inv.focal!r}"
-                break
-            try:
-                n_violations, samples = _violations(inv, groups, sample_limit)
-            except EvaluationError as exc:
-                reason = f"unknown binding: {exc}"
-                break
-            if not n_violations:
-                canonical = print_invariant(inv)
-                if canonical in seen_bodies:
-                    reason = "duplicate of an accepted invariant"
-                    break
-                seen_bodies.add(canonical)
-                inv = unique_id(inv, used_ids)
-                used_ids.add(inv.id)
-                report.accepted.append(inv)
-                reason = None
-                break
-            if attempts >= max_rounds:
-                reason = (
-                    f"{n_violations} training violation(s) after "
-                    f"{attempts} refinement(s)"
-                )
-                break
-            request = RefineRequest(invariant_text=print_invariant(inv), samples=samples)
-            attempts += 1
-            report.refine_calls += 1
-            try:
-                text = proposer.refine_invariant(fork, request)
-            except (ProposalError, ExtractionError) as exc:
-                reason = f"refinement failed: {exc}"
-                break
-            if not text.strip():
-                reason = "proposer withdrew the candidate"
-                break
-        report.outcomes.append(
-            CandidateOutcome(
-                text=original,
-                status="discarded" if reason else "accepted",
-                attempts=attempts,
-                invariant=None if reason else inv,
-                reason=reason,
-            )
-        )
-    return report
+    def check(batches):
+        return [[_violations(inv, calls, sample_limit) for inv in invs] for calls, invs in batches]
+
+    apis = [(focal_name, bound, groups, texts, conversation)]
+    return refine_rounds(apis, check, proposer, max_rounds, used_ids)[0]
 
 
 def unique_id(inv: Invariant, used: set[str]) -> Invariant:

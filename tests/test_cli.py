@@ -207,13 +207,19 @@ class TestImportClosure:
             "apivet.pipeline", "apivet.refine", "apivet.benchgen",
             "concurrent.futures",
         }) == []
+        # the whole package closure: moving training imports must not move these
+        assert sorted(name for name in loaded if name.startswith("apivet")) == [
+            "apivet", "apivet.binlog", "apivet.cli", "apivet.config", "apivet.detector",
+            "apivet.dsl", "apivet.errors", "apivet.fileio", "apivet.joins", "apivet.lexer",
+            "apivet.logstore", "apivet.relations", "apivet.schema", "apivet.values",
+        ]
 
     def test_invariants_generate_loads_no_numpy_or_http(self, pipeline, tmp_path):
         loaded = _modules_after(
             ["invariants", "generate", *_inputs(pipeline, "train"),
              "--relations", str(pipeline["relations"]),
              "--out", str(tmp_path / "invariants.txt")])
-        assert "apivet.refine" in loaded
+        assert {"apivet.dsl", "apivet.refine"} <= loaded
         assert sorted(loaded & {"numpy", "urllib.request"}) == []
 
     def test_relations_infer_loads_no_numpy_or_http(self, pipeline, tmp_path):
@@ -222,6 +228,15 @@ class TestImportClosure:
              "--out", str(tmp_path / "relations.json")])
         assert "apivet.seqmodel" in loaded
         assert sorted(loaded & {"numpy", "urllib.request", "apivet.hmm"}) == []
+
+    def test_relations_infer_loads_no_invariant_language(self, pipeline, tmp_path):
+        # inference proposes and vets links only: parsing, printing and
+        # checking invariants belong to generation and detection
+        loaded = _modules_after(
+            ["relations", "infer", *_inputs(pipeline, "train"),
+             "--out", str(tmp_path / "relations.json")])
+        assert "apivet.pipeline" in loaded
+        assert sorted(loaded & {"apivet.dsl", "apivet.refine"}) == []
 
     def test_the_hmm_loads_numpy(self, pipeline, tmp_path):
         config = tmp_path / "config.json"
