@@ -159,6 +159,8 @@ def generate_normal(
     session_gap_ms: int = 400,
 ) -> Bench:
     """Seeded normal workload; sessions overlap on the shared timeline."""
+    if n_sessions < 0:
+        raise ConfigError(f"session count must not be negative, got {n_sessions}")
     rng = random.Random(seed)
     bench = Bench()
     for k in range(first_index, first_index + n_sessions):
@@ -267,6 +269,8 @@ def inject_double_refund(bench: Bench, n_traces: int, seed: int) -> Bench:
     rng = random.Random(seed)
     out = bench.clone()
     pool = [s for s in out.sessions if s.refunded]
+    if n_traces < 0:
+        raise ConfigError(f"trace count must not be negative, got {n_traces}")
     if len(pool) < n_traces:
         raise ConfigError(f"need {n_traces} refunded sessions, have {len(pool)}")
     for i, victim in enumerate(rng.sample(pool, n_traces)):
@@ -289,6 +293,8 @@ def inject_cross_user(bench: Bench, n_traces: int, seed: int) -> Bench:
     rng = random.Random(seed)
     out = bench.clone()
     pool = [s for s in out.sessions if not s.refunded]
+    if n_traces < 0:
+        raise ConfigError(f"trace count must not be negative, got {n_traces}")
     if len(pool) < n_traces:
         raise ConfigError(f"need {n_traces} unrefunded sessions, have {len(pool)}")
     victims = rng.sample(pool, n_traces)
@@ -345,6 +351,8 @@ def inject_field_tamper(
     for kind in kinds:
         if kind not in TAMPER_KINDS:
             raise ConfigError(f"unknown tamper kind {kind!r}")
+    if per_kind < 0:
+        raise ConfigError(f"traces per kind must not be negative, got {per_kind}")
     needed = per_kind * len(kinds)
     if len(out.sessions) < needed:
         raise ConfigError(f"need {needed} sessions, have {len(out.sessions)}")

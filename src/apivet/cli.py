@@ -8,10 +8,10 @@ that some command does not run is imported inside the command or function
 that needs it, not at module level: `benchgen` in `_cmd_benchgen`, the
 detector in `detect` and `eval`, the training pipeline in the two training
 commands, the invariant language in the commands that read or write
-invariants (`relations infer` loads neither it nor refinement), the thread pool only when `detect` runs more than one job, numpy
-only in the opt-in HMM sequence model (`relations infer` at its defaults
-loads none), and `urllib.request` only when the remote proposer sends a
-request. `detect` and `eval` load no training module.
+invariants (`relations infer` loads neither it nor refinement), numpy only
+in the opt-in HMM sequence model (`relations infer` at its defaults loads
+none), and `urllib.request` only when the remote proposer sends a request.
+`detect` and `eval` load no training module.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ def _cmd_eval(args) -> int:
         write_metrics,
     )
 
+    if args.window < 1:
+        raise ConfigError("--window must be at least 1")
     flagged = _load_document(args.report, lambda p: flagged_ids(read_report(p)))
     labels = _load_document(args.labels, lambda p: read_label_file(p, mode="strict"))
     metrics = evaluate_metrics(flagged, labels, window_size=args.window)
@@ -361,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--relations", required=True, help="relationships JSON path")
     detect.add_argument("--invariants", required=True, help="invariant file path")
     detect.add_argument("--out", required=True, help="report output path")
-    detect.add_argument("--jobs", type=int, help="worker count (default 1)")
+    detect.add_argument(
+        "--jobs", type=int, help="accepted for existing scripts; detection runs one sweep"
+    )
     detect.add_argument(
         "--dump-joined", metavar="PATH", help="debug: write joined groups as JSONL"
     )

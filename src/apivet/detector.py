@@ -1,40 +1,28 @@
 """Detection and scoring: run accepted invariants over a corpus.
 
-Each focal API's invariants become one generated check (`dsl.compile_checks`)
-that reads the call's attributes once and probes its joins directly. Only
-the calls the checks read are projected (`Sweep.apis_read`): the focal
-APIs' and those of the earlier-call bindings their invariants quantify
-over. Every focal API's calls are merged into one (time, log id) sweep,
-whatever the order of the log lines, so each table's cursor passes over its
-version stream once. A call that passes allocates no group; a failing one
-gets its joined group built and each failed invariant explained by
-`dsl.compile_invariant`'s object. Parallel runs split the merged calls into
-contiguous slices with their own cursors and checks, so a multi-worker run
-reports exactly what a single worker would. The report streams to its file
-one violation at a time, in json.dumps' indented layout.
+Each focal API's invariants are one batch of `joins.failing_calls`, the one
+check sweep: one generated check per API over one (time, log id) sweep of
+every focal API's calls, whatever the order of the log lines, projecting
+only the calls and environment attributes the checks read. A call that
+passes allocates no group; a failing one gets its joined group built and
+each failed invariant explained by `dsl.compile_invariant`'s object. The
+report streams to its file one violation at a time, in json.dumps'
+indented layout.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time as _time
 from dataclasses import dataclass
-from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .binlog import TemporalTable
-from .dsl import (
-    Invariant,
-    compile_checks,
-    compile_invariant,
-    field_refs,
-    quantified_names,
-)
+from .dsl import Invariant, compile_invariant
 from .errors import MetricsError
-from .joins import JoinedGroup, JoinedSchema, JoinStores, Sweep, joined_schema_for
+from .joins import JoinStores, failing_calls, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
-from .relations import API_ENV, Relationship
+from .relations import Relationship
 from .schema import SchemaBundle
 
 
@@ -63,61 +51,6 @@ class DetectionResult:
 # --- corpus checking ---------------------------------------------------------
 
 
-@dataclass
-class _FocalPlan:
-    name: str
-    invariants: list[Invariant]
-    compiled: list  # compile_invariant of each, for explanations
-    schema: JoinedSchema
-    only: set[str]  # the bindings its invariants quantify over
-
-
-def _env_attrs(plans: list[_FocalPlan]) -> dict[str, frozenset]:
-    """Per environment entity, the attribute paths the invariants read on
-    rows bound to it: detection projects only these."""
-    attrs: dict[str, set] = {}
-    for plan in plans:
-        refs = [ref for inv in plan.invariants for ref in field_refs(inv.body)]
-        for binding in plan.schema.bindings:
-            if binding.relationship.kind != API_ENV or binding.name not in plan.only:
-                continue
-            read = attrs.setdefault(binding.entity.name, set())
-            read.update(ref.path for ref in refs if ref.root == binding.name)
-    return {entity: frozenset(paths) for entity, paths in attrs.items()}
-
-
-def _check_slice(plans: list[_FocalPlan], work: tuple) -> list:
-    """Check one slice of (time, log id, row, plan index) calls, sorted, in
-    one forward sweep: `work` is (sweep, each plan's check, each plan's
-    group bindings, calls), all built on the slice's sweep."""
-    sweep, checks, bindings, calls = work
-    advance = sweep.advance
-    violations = []
-    pending = -math.inf  # time of the first version no cursor has applied
-    for t, log_id, row, k in calls:
-        if t > pending:
-            pending = advance(t)
-        failed = checks[k](row)
-        if not failed:
-            continue
-        plan = plans[k]
-        group = JoinedGroup(log_id, row, bindings[k](row))
-        for i in failed:
-            fn = plan.compiled[i]
-            violations.append(
-                ViolationRecord(
-                    invariant_id=fn.invariant.id,
-                    category=fn.invariant.category,
-                    log_id=log_id,
-                    api=plan.name,
-                    time=t,
-                    session_id=row["sessionId"],
-                    explanation=fn.explain(group),
-                )
-            )
-    return violations
-
-
 def check_corpus(
     bundle: SchemaBundle,
     corpus: LogCorpus,
@@ -126,68 +59,45 @@ def check_corpus(
     invariants: list[Invariant],
     jobs: int = 1,
 ) -> DetectionResult:
-    """Evaluate every invariant against every matching call in the corpus."""
+    """Evaluate every invariant against every matching call in the corpus.
+
+    `jobs` is accepted so existing callers keep working; every run is the
+    one sweep of `joins.failing_calls`, whatever its value.
+    """
     started = _time.perf_counter()
     by_focal: dict[str, list[Invariant]] = {}
     for inv in sorted(invariants, key=lambda i: i.id):
         by_focal.setdefault(inv.focal, []).append(inv)
+    batches = [
+        (joined_schema_for(bundle, name, relationships), by_focal[name])
+        for name in sorted(by_focal)
+    ]
+    compiled = [[compile_invariant(inv) for inv in invs] for _, invs in batches]
 
-    plans = []
-    for focal_name in sorted(by_focal):
-        invs = by_focal[focal_name]
-        only: set[str] = set()
-        for inv in invs:
-            only |= quantified_names(inv.body)
-        plans.append(
-            _FocalPlan(
-                name=focal_name,
-                invariants=invs,
-                compiled=[compile_invariant(inv) for inv in invs],
-                schema=joined_schema_for(bundle, focal_name, relationships),
-                only=only,
-            )
-        )
-
-    schemas = [(p.schema, p.only) for p in plans]
     stores = JoinStores(bundle, corpus, tables)
-    stores.project(Sweep.apis_read(schemas))
-    result = DetectionResult(violations=[], logs_processed=len(corpus.events))
-    calls = []
-    for k, plan in enumerate(plans):
-        rows = stores.instances(plan.name).rows
+    violations = []
+    for k, log_id, row, failed, make_group in failing_calls(stores, batches):
+        group = make_group()
+        api = batches[k][0].focal.name
+        for i in failed:
+            fn = compiled[k][i]
+            violations.append(
+                ViolationRecord(
+                    invariant_id=fn.invariant.id,
+                    category=fn.invariant.category,
+                    log_id=log_id,
+                    api=api,
+                    time=row["time"],
+                    session_id=row["sessionId"],
+                    explanation=fn.explain(group),
+                )
+            )
+    violations.sort(key=lambda v: (v.log_id, v.invariant_id))
+    result = DetectionResult(violations=violations, logs_processed=len(corpus.events))
+    for schema, invs in batches:
+        rows = stores.instances(schema.focal.name).rows
         result.groups_built += len(rows)
-        result.evaluations += len(rows) * len(plan.invariants)
-        calls.extend((row["time"], log_id, row, k) for log_id, row in rows)
-    # log ids are unique, so the sort never compares rows
-    calls.sort()
-
-    # contiguous slices of (time, id) ordered calls are in that order too:
-    # every worker sweeps its own cursors once and answers match jobs=1
-    if jobs <= 1 or len(calls) < 2:
-        parts = [calls]
-    else:
-        step = -(-len(calls) // jobs)
-        parts = [calls[i : i + step] for i in range(0, len(calls), step)]
-    # sweeps and checks are built here, before any worker runs, so the
-    # store's shared caches fill in one thread
-    env_attrs = _env_attrs(plans)
-    work = []
-    for part in parts:
-        sweep = Sweep(stores, schemas, env_attrs)
-        checks = [
-            compile_checks(p.invariants, partial(sweep.emit, focal_name=p.name)) for p in plans
-        ]
-        work.append((sweep, checks, [sweep.group_bindings(p.name) for p in plans], part))
-    if len(work) == 1:
-        result.violations = _check_slice(plans, work[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(partial(_check_slice, plans), work):
-                result.violations.extend(chunk)
-
-    result.violations.sort(key=lambda v: (v.log_id, v.invariant_id))
+        result.evaluations += len(rows) * len(invs)
     result.elapsed_s = _time.perf_counter() - started
     return result
 

@@ -532,8 +532,8 @@ _HELPERS = {
 }
 
 
-# evaluate() compiles an invariant per call and every detection worker its
-# own checks: equal source compiles once
+# evaluate() compiles an invariant per call, and each refinement round its
+# checks again: equal source compiles once
 @functools.lru_cache(maxsize=1024)
 def _code(source: str):
     return compile(source, "<invariant>", "exec")

@@ -9,12 +9,12 @@ Calls are taken in (time, log id) order, whatever the order of the log
 lines. A Sweep gives every table one TableCursor, which indexes each column
 some binding probes and only moves forward along the table's one version
 stream, so a pass replays each table once. Sweep.emit translates each join
-into generated code once: the checks of detection and of each refinement
-round inline it, and the groups of a failed check and of
-iter_joined_groups (--dump-joined) are built by it. The DSL's Emitter is
-imported only where a Sweep generates a function of its own, so
-relationship inference, which reads the stores, does not load the DSL.
-Independent reference joins live with the tests.
+into generated code once: the checks inline it, and the groups of a failed
+check and of iter_joined_groups (--dump-joined) are built by it.
+failing_calls is the one check sweep: detection and each refinement round
+consume the failing calls it yields. The DSL is imported only where code
+is generated, so relationship inference, which reads the stores, does not
+load it. Independent reference joins live with the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -34,7 +35,7 @@ from .logstore import (
     env_history,
     project_instances,
 )
-from .relations import API_API, API_DB, Relationship
+from .relations import API_API, API_DB, API_ENV, Relationship
 from .schema import API, ENV, EntityType, SchemaBundle
 from .values import coerce_scalar, value_key
 
@@ -363,7 +364,7 @@ class Sweep:
     column probed on it, so a pass replays each table once however many
     APIs and columns join it. Each focal API's bindings are resolved here,
     once, to their sources, and `emit` is the one translation of a join:
-    detection's generated checks inline its expressions, and
+    the generated checks of `failing_calls` inline its expressions, and
     `group_bindings` returns them as a group's bindings.
 
     `schemas` holds (schema, only) pairs, where `only` names the bindings to
@@ -467,6 +468,62 @@ class Sweep:
                 env_row = em.local(f"{em.const(env_before)}({em.const(source)}, {session}, {t})")
                 rows[name] = em.local(f"({env_row},) if {env_row} is not None else ()")
         return rows
+
+
+def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
+    """Check (joined schema, invariants) batches in one (time, log id) sweep
+    of every batch's calls, and yield each failing call as (batch index,
+    log id, focal row, positions of the invariants it fails, group).
+
+    Each batch's invariants become one generated check
+    (`dsl.compile_checks`), which probes only the bindings they quantify
+    over; only the calls and environment attributes those read are
+    projected. `group()` builds the JoinedGroup of the call yielded last,
+    as the cursors stand, so it must be called before the next call is
+    requested. A batch's group-bindings function is generated at its first
+    group.
+    """
+    from .dsl import compile_checks, field_refs, quantified_names
+
+    schemas = []
+    env_attrs: dict[str, set] = {}
+    for schema, invs in batches:
+        only = set().union(*(quantified_names(inv.body) for inv in invs))
+        schemas.append((schema, only))
+        refs = [ref for inv in invs for ref in field_refs(inv.body)]
+        for binding in _joined(schema, only):
+            if binding.relationship.kind == API_ENV:
+                read = env_attrs.setdefault(binding.entity.name, set())
+                read.update(ref.path for ref in refs if ref.root == binding.name)
+    stores.project(Sweep.apis_read(schemas))
+    sweep = Sweep(stores, schemas, {e: frozenset(paths) for e, paths in env_attrs.items()})
+    checks, calls = [], []
+    for k, (schema, invs) in enumerate(batches):
+        name = schema.focal.name
+        checks.append(compile_checks(invs, partial(sweep.emit, focal_name=name)))
+        calls.extend((row["time"], log_id, row, k) for log_id, row in stores.instances(name).rows)
+    # log ids are unique, so the sort never compares rows
+    calls.sort()
+
+    bindings = {}  # per batch, its Sweep.group_bindings
+    at = None  # (batch, log id, row) of the call yielded last
+
+    def group() -> JoinedGroup:
+        k, log_id, row = at
+        bindings_of = bindings.get(k)
+        if bindings_of is None:
+            bindings_of = bindings[k] = sweep.group_bindings(batches[k][0].focal.name)
+        return JoinedGroup(log_id, row, bindings_of(row))
+
+    advance = sweep.advance
+    pending = -math.inf  # time of the first version no cursor has applied
+    for t, log_id, row, k in calls:
+        if t > pending:
+            pending = advance(t)
+        failed = checks[k](row)
+        if failed:
+            at = k, log_id, row
+            yield k, log_id, row, failed, group
 
 
 def iter_joined_groups(

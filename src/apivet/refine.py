@@ -19,17 +19,14 @@ id no earlier acceptance of the run holds, so its outcome names the id that
 is written.
 
 Two checkers back the rounds. `sweep_check` runs each API's open candidates
-as one generated check over one (time, log id) sweep of every API's calls,
-as detection does, and builds a group only for a violation it explains.
-`refine_candidates` checks one API's candidates, one at a time, over a list
-of joined groups.
+as one batch of `joins.failing_calls`, the sweep detection runs, and builds
+a group only for a violation it explains. `refine_candidates` checks one
+API's candidates, one at a time, over a list of joined groups.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .dsl import (
     And,
@@ -37,7 +34,6 @@ from .dsl import (
     Not,
     Or,
     Quant,
-    compile_checks,
     compile_invariant,
     evaluate,
     explain,
@@ -45,7 +41,7 @@ from .dsl import (
     print_invariant,
 )
 from .errors import ExtractionError, ParseError, ProposalError
-from .joins import JoinedGroup, Sweep
+from .joins import failing_calls
 from .proposer import Conversation, RefineRequest, ViolationSample
 
 MAX_ROUNDS = 3
@@ -210,37 +206,16 @@ def refine_rounds(
 
 def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) -> list:
     """`refine_rounds`' check over a join store, for (joined schema,
-    invariants) batches: each focal API's invariants become one generated
-    check, and every batch's calls are merged into one (time, log id) sweep.
-    A failing call gets a group only while some invariant it fails has
-    fewer than `sample_limit` samples, and is explained there, as the
-    cursors stand at the call, the way detection explains a violation.
+    invariants) batches: the failing calls of `joins.failing_calls`, the
+    sweep detection runs, counted per invariant. A failing call gets a group
+    only while some invariant it fails has fewer than `sample_limit`
+    samples, and is explained there, the way detection explains a
+    violation.
     """
-    schemas = [
-        (schema, {name for inv in invs for name, _ in _quantifiers(inv.body)})
-        for schema, invs in batches
-    ]
-    sweep = Sweep(stores, schemas)
-    checks, calls = [], []
-    for k, (schema, invs) in enumerate(batches):
-        name = schema.focal.name
-        checks.append(compile_checks(invs, partial(sweep.emit, focal_name=name)))
-        calls.extend((row["time"], log_id, row, k) for log_id, row in stores.instances(name).rows)
-    # log ids are unique, so the sort never compares rows
-    calls.sort()
-
     compiled = [[compile_invariant(inv) for inv in invs] for _, invs in batches]
     counts = [[0] * len(invs) for _, invs in batches]
     samples = [[[] for _ in invs] for _, invs in batches]
-    bindings = {}  # per batch, its Sweep.group_bindings, made at its first sample
-    advance = sweep.advance
-    pending = -math.inf  # time of the first version no cursor has applied
-    for t, log_id, row, k in calls:
-        if t > pending:
-            pending = advance(t)
-        failed = checks[k](row)
-        if not failed:
-            continue
+    for k, log_id, _, failed, make_group in failing_calls(stores, batches):
         group = None
         counted = counts[k]
         for i in failed:
@@ -248,9 +223,7 @@ def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) 
             if counted[i] > sample_limit:
                 continue
             if group is None:
-                if k not in bindings:
-                    bindings[k] = sweep.group_bindings(batches[k][0].focal.name)
-                group = JoinedGroup(log_id, row, bindings[k](row))
+                group = make_group()
             fn = compiled[k][i]
             samples[k][i].append(
                 ViolationSample(log_id, fn.explain(group), fn.failing_conjuncts(group))

@@ -152,6 +152,17 @@ class TestPipeline:
         assert os.getcwd() == before
         assert (pipeline["root"] / "metrics_rel.json").exists()
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_eval_window_below_one_exits_one(self, pipeline, capsys, window):
+        out = pipeline["root"] / f"metrics_window{window}.json"
+        assert main(["eval",
+                     "--report", str(pipeline["report"]),
+                     "--labels", str(pipeline["eval"] / "labels.jsonl"),
+                     "--window", window,
+                     "--out", str(out)]) == 1
+        assert "error: --window must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_prints_a_summary(self, pipeline, capsys):
         assert main(["eval",
                      "--report", str(pipeline["report"]),
@@ -553,6 +564,22 @@ class TestExitCodes:
         assert main(["benchgen", "--out", str(tmp_path / "b"),
                      "--sessions", "2", "--seed", "1",
                      "--double-refund", "10"]) == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sessions", "-3", "session count must not be negative, got -3"),
+        ("--double-refund", "-2", "trace count must not be negative, got -2"),
+        ("--cross-user", "-2", "trace count must not be negative, got -2"),
+        ("--tamper", "-1", "traces per kind must not be negative, got -1"),
+    ], ids=["sessions", "double_refund", "cross_user", "tamper"])
+    def test_benchgen_negative_count_exits_one(self, tmp_path, capsys, flag, value, message):
+        counts = {"--sessions": "5", flag: value}
+        argv = ["benchgen", "--out", str(tmp_path / "b"), "--seed", "1"]
+        for name, count in counts.items():
+            argv += [name, count]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
 
 # a users row whose primary key is a JSON list: it cannot key a chain

@@ -254,6 +254,46 @@ class TestCheckCorpus:
         assert [v.log_id for v in result.violations] == [4]  # s2 never logged in
         assert result.groups_built == 2
 
+    def test_one_sweep_and_code_only_for_what_fails(self, monkeypatch):
+        # whatever jobs asks for, one sweep checks every call; code is
+        # generated once per focal API's check, once per API with a failing
+        # call for its group bindings, and once per failing invariant for its
+        # explanation
+        import apivet.dsl as dsl
+        import apivet.joins as joins
+
+        sweeps, functions = [], []
+
+        class CountingSweep(joins.Sweep):
+            def __init__(self, *args):
+                sweeps.append(args)
+                super().__init__(*args)
+
+        function = dsl.Emitter.function
+
+        def counting_function(self, params, body):
+            functions.append(params)
+            return function(self, params, body)
+
+        monkeypatch.setattr(joins, "Sweep", CountingSweep)
+        monkeypatch.setattr(dsl.Emitter, "function", counting_function)
+        bundle, _, tables, rels, invs = planted_setup()
+        corpus = ingest_logs([
+            api_line("login", 50, "s1", {"loginId": "u1"}, {"userId": "u1"}),
+            api_line("payOrder", 100, "s1", {"orderId": "o1"}, {"status": "paid"}),
+            api_line("payOrder", 200, "s2", {"orderId": "o2"}, {"status": "oops"}),
+            api_line("payOrder", 300, "s3", {"orderId": "o9"}, {"status": "paid"}),
+            api_line("login", 400, "s4", {"loginId": "u4"}, {"userId": "u4"}),
+        ])
+        clean = parse_invariant(
+            "INVARIANT login_ok ON login CATEGORY format WHERE login.sessionId IS NOT NULL")
+        result = check_corpus(bundle, corpus, tables, rels, [*invs, clean], jobs=8)
+        assert [(v.log_id, v.invariant_id) for v in result.violations] == [
+            (2, "paid_status"), (3, "order_exists")]
+        assert len(sweeps) == 1
+        focal_apis, failing_apis, failing_invariants = 2, 1, 2
+        assert len(functions) == focal_apis + failing_apis + failing_invariants
+
 
 class TestMemory:
     """Nothing detection builds outlives check_corpus: the generated code's

@@ -109,6 +109,18 @@ def test_only_the_hmm_loads_numpy():
     assert importers == ["hmm.py"]
 
 
+def test_only_one_thread_runs_no_module_imports_a_thread_api():
+    # detection and refinement run one check sweep in the caller's thread: a
+    # thread pool under the GIL lost to it at every setting measured
+    importers = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        & {"concurrent", "threading", "_thread"}
+    )
+    assert importers == []
+
+
 def test_only_the_emitter_runs_generated_code():
     # invariants become code in one place, dsl.Emitter: a second evaluator
     # or explainer would need a builtin that compiles or runs source

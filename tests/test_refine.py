@@ -326,12 +326,13 @@ class TestVettedBeforeChecking:
         ]
 
     def test_generation_vets_against_the_bindings_of_the_focal_api(self, train, monkeypatch):
-        from apivet import refine
+        from apivet import dsl, refine
 
         def never(*args, **kwargs):
             raise AssertionError("nothing should be left to check")
 
-        monkeypatch.setattr(refine, "compile_checks", never)
+        # joins.failing_calls, the check sweep, takes compile_checks from dsl
+        monkeypatch.setattr(dsl, "compile_checks", never)
         texts = [
             pay("unbound_last", "TRUE OR EXISTS(nope: TRUE)"),
             pay("unbound_first", "EXISTS(nope: TRUE) OR TRUE"),
@@ -563,7 +564,7 @@ class TestSharedSweep:
         assert bool(result.refine_calls) == bool(config.max_refine_rounds)
 
     def test_groups_only_for_samples_and_one_check_per_api_and_round(self, train, monkeypatch):
-        from apivet import dsl, refine
+        from apivet import dsl, joins, refine
 
         rounds = []  # per round: [(invariants in the batch, violation counts)]
         checks = []
@@ -580,7 +581,7 @@ class TestSharedSweep:
             checks.append(len(invariants))
             return compile_checks(invariants, bind)
 
-        class CountingGroup(refine.JoinedGroup):
+        class CountingGroup(joins.JoinedGroup):
             __slots__ = ()
 
             def __init__(self, *args):
@@ -591,11 +592,12 @@ class TestSharedSweep:
             functions.append(params)
             return function(self, params, body)
 
-        sweep_check, compile_checks = refine.sweep_check, refine.compile_checks
+        sweep_check, compile_checks = refine.sweep_check, dsl.compile_checks
         function = dsl.Emitter.function
         monkeypatch.setattr(refine, "sweep_check", counting_sweep)
-        monkeypatch.setattr(refine, "compile_checks", counting_checks)
-        monkeypatch.setattr(refine, "JoinedGroup", CountingGroup)
+        # the names joins.failing_calls, the check sweep, looks up
+        monkeypatch.setattr(dsl, "compile_checks", counting_checks)
+        monkeypatch.setattr(joins, "JoinedGroup", CountingGroup)
         monkeypatch.setattr(dsl.Emitter, "function", counting_function)
         config = PipelineConfig()
         generate(train, script(), config)
