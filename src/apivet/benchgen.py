@@ -5,13 +5,17 @@ half the time refund it. Every table change lands in the row-change log,
 the user row strictly before its login. Attack injectors append tampered
 or replayed calls with per-trace labels; generation is byte-identical for
 a given seed.
+
+Injection is linear in the bench: each injector indexes every session's
+first normal call per API in one pass, and the bench it returns shares its
+input's events instead of copying them.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .fileio import write_chunks
@@ -92,6 +96,13 @@ class SessionInfo:
 
 @dataclass
 class Bench:
+    """Events of a generated workload, in generation order.
+
+    A bench shares its event dicts and sessions with every bench injected
+    from it: injectors append new events and never change one in place, so
+    callers should treat events as read-only too.
+    """
+
     api_events: list[dict] = field(default_factory=list)
     env_events: list[dict] = field(default_factory=list)
     row_events: list[dict] = field(default_factory=list)
@@ -99,11 +110,12 @@ class Bench:
     next_seq: int = 0
 
     def clone(self) -> "Bench":
+        """A bench with its own lists holding the same events."""
         return Bench(
-            api_events=[dict(e) for e in self.api_events],
-            env_events=[dict(e) for e in self.env_events],
-            row_events=[dict(e) for e in self.row_events],
-            sessions=[replace(s) for s in self.sessions],
+            api_events=list(self.api_events),
+            env_events=list(self.env_events),
+            row_events=list(self.row_events),
+            sessions=list(self.sessions),
             next_seq=self.next_seq,
         )
 
@@ -161,6 +173,10 @@ def generate_normal(
     """Seeded normal workload; sessions overlap on the shared timeline."""
     if n_sessions < 0:
         raise ConfigError(f"session count must not be negative, got {n_sessions}")
+    if base_time < MAX_STEP_MS:
+        # a user row lands up to MAX_STEP_MS before its session starts, and
+        # ingest drops a negative time
+        raise ConfigError(f"base time must be at least {MAX_STEP_MS} ms, got {base_time}")
     rng = random.Random(seed)
     bench = Bench()
     for k in range(first_index, first_index + n_sessions):
@@ -253,15 +269,24 @@ def _one_session(
 # --- attack injectors --------------------------------------------------------
 
 
-def _session_event(bench, session_id, api_name) -> dict:
+def _first_normal_calls(bench) -> dict[tuple[str, str], dict]:
+    """Each session's first normal call per API, keyed (sessionId, api).
+
+    Built once per injector: the calls an injector appends are attacks, so
+    the first normal call of a (session, API) never changes while it runs.
+    """
+    index: dict[tuple[str, str], dict] = {}
     for event in bench.api_events:
-        if (
-            event["sessionId"] == session_id
-            and event["api"] == api_name
-            and event["label"] == "normal"
-        ):
-            return event
-    raise ConfigError(f"session {session_id!r} has no {api_name!r} call")
+        if event["label"] == "normal":
+            index.setdefault((event["sessionId"], event["api"]), event)
+    return index
+
+
+def _session_event(index, session_id, api_name) -> dict:
+    event = index.get((session_id, api_name))
+    if event is None:
+        raise ConfigError(f"session {session_id!r} has no {api_name!r} call")
+    return event
 
 
 def inject_double_refund(bench: Bench, n_traces: int, seed: int) -> Bench:
@@ -273,8 +298,9 @@ def inject_double_refund(bench: Bench, n_traces: int, seed: int) -> Bench:
         raise ConfigError(f"trace count must not be negative, got {n_traces}")
     if len(pool) < n_traces:
         raise ConfigError(f"need {n_traces} refunded sessions, have {len(pool)}")
+    calls = _first_normal_calls(out)
     for i, victim in enumerate(rng.sample(pool, n_traces)):
-        original = _session_event(out, victim.session_id, "refundOrder")
+        original = _session_event(calls, victim.session_id, "refundOrder")
         _api(
             out,
             "refundOrder",
@@ -357,6 +383,7 @@ def inject_field_tamper(
     if len(out.sessions) < needed:
         raise ConfigError(f"need {needed} sessions, have {len(out.sessions)}")
     chosen = rng.sample(out.sessions, needed)
+    calls = _first_normal_calls(out)
     slot = 0
     for kind in kinds:
         for j in range(per_kind):
@@ -364,22 +391,22 @@ def inject_field_tamper(
             slot += 1
             trace = f"{kind}_{j}"
             if kind == "negative_price":
-                original = _session_event(out, session.session_id, "createOrder")
+                original = _session_event(calls, session.session_id, "createOrder")
                 args = dict(original["arguments"])
                 args["price"] = -abs(args["price"])
                 resp = dict(original["response"])
             elif kind == "malformed_id":
-                original = _session_event(out, session.session_id, "payOrder")
+                original = _session_event(calls, session.session_id, "payOrder")
                 args = dict(original["arguments"])
                 args["orderId"] = args["orderId"] + " "
                 resp = dict(original["response"])
             elif kind == "enum_injection":
-                original = _session_event(out, session.session_id, "queryOrder")
+                original = _session_event(calls, session.session_id, "queryOrder")
                 args = dict(original["arguments"])
                 resp = dict(original["response"])
                 resp["status"] = "refunded"
             else:  # dangling_reference
-                original = _session_event(out, session.session_id, "payOrder")
+                original = _session_event(calls, session.session_id, "payOrder")
                 args = dict(original["arguments"])
                 args["orderId"] = f"ghost_{j}"
                 resp = dict(original["response"])

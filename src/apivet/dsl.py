@@ -63,6 +63,9 @@ KEYWORDS = {
 # generated test or explanation nests at most three Python parentheses per
 # level, and Python's own parser stops at 200.
 MAX_NESTING = 50
+# A check costs the product of its nested quantifiers' row counts: a deeper
+# nest is refused before it is compiled, in a candidate and in a file.
+MAX_QUANTIFIER_DEPTH = 3
 
 
 # --- AST -------------------------------------------------------------------
@@ -181,10 +184,23 @@ class _Parser(Cursor):
         return tok.text
 
     def parse_invariants(self) -> list[Invariant]:
-        out = [self.parse_one()]
-        while self.peek() is not None:
-            out.append(self.parse_one())
-        return out
+        """Every invariant left. One whose quantifiers nest deeper than
+        MAX_QUANTIFIER_DEPTH is an error at its INVARIANT keyword."""
+        out = []
+        while True:
+            start = self.peek()
+            inv = self.parse_one()
+            depth = max((d for _, d in quantifiers(inv.body)), default=0)
+            if depth > MAX_QUANTIFIER_DEPTH:
+                raise DslSyntaxError(
+                    f"invariant {inv.id!r} nests quantifiers {depth} deep, "
+                    f"more than {MAX_QUANTIFIER_DEPTH}",
+                    start.line,
+                    start.column,
+                )
+            out.append(inv)
+            if self.peek() is None:
+                return out
 
     def parse_one(self) -> Invariant:
         self.take_kw("INVARIANT")
@@ -333,18 +349,23 @@ class _Parser(Cursor):
         raise self.error("expected literal")
 
 
+def quantifiers(node: Any, depth: int = 1) -> Iterator[tuple[str, int]]:
+    """(bound name, nesting depth) of each quantifier of an expression, in
+    text order."""
+    cls = node.__class__
+    if cls is Quant:
+        yield node.name, depth
+        yield from quantifiers(node.body, depth + 1)
+    elif cls is And or cls is Or:
+        for part in node.parts:
+            yield from quantifiers(part, depth)
+    elif cls is Not:
+        yield from quantifiers(node.expr, depth)
+
+
 def quantified_names(node: Any) -> set[str]:
     """Every binding name an expression quantifies over, at any depth."""
-    if isinstance(node, Quant):
-        return {node.name} | quantified_names(node.body)
-    if isinstance(node, (And, Or)):
-        names: set[str] = set()
-        for part in node.parts:
-            names |= quantified_names(part)
-        return names
-    if isinstance(node, Not):
-        return quantified_names(node.expr)
-    return set()
+    return {name for name, _ in quantifiers(node)}
 
 
 def field_refs(node: Any) -> Iterator[FieldRef]:
@@ -375,6 +396,9 @@ def parse_invariant(text: str) -> Invariant:
 
 
 def parse_invariants(text: str) -> list[Invariant]:
+    """The invariants of a file's text. A quantifier nest deeper than
+    MAX_QUANTIFIER_DEPTH is refused here, as refinement refuses a candidate
+    (parse_invariant) that has one."""
     parser = _Parser(text)
     if parser.peek() is None:
         return []

@@ -37,7 +37,7 @@ from .logstore import (
 )
 from .relations import API_API, API_DB, API_ENV, Relationship
 from .schema import API, ENV, EntityType, SchemaBundle
-from .values import coerce_scalar, value_key
+from .values import SCALAR_CLASSES, coerce_scalar, value_key
 
 DEFAULT_DELTA_MS = 60000
 
@@ -108,11 +108,12 @@ def joined_schema_for(
     return JoinedSchema(focal=focal, bindings=bindings)
 
 
-def _project_env_record(specs: list[tuple[str, str]], fields: dict) -> dict:
+def _project_env_record(specs: list[tuple[str, str, type | None]], fields: dict) -> dict:
     row: dict = {}
-    for path, tag in specs:
+    for path, tag, cls in specs:
         raw = fields.get(path)
-        row[path] = None if raw is None else coerce_scalar(raw, tag)[0]
+        # a value of the tag's own class coerces to itself
+        row[path] = raw if raw.__class__ is cls else coerce_scalar(raw, tag)[0]
     return row
 
 
@@ -270,7 +271,7 @@ class JoinStores:
                 self._env_history = env_history(self._corpus.env_records)
             untimed, timed = self._env_history
             specs = [
-                (attr.path, attr.type.tag)
+                (attr.path, attr.type.tag, SCALAR_CLASSES.get(attr.type.tag))
                 for attr in entity.attributes
                 if attrs is None or attr.path in attrs
             ]
@@ -333,7 +334,8 @@ class TableCursor:
                     del index[old][chain_key]
                 if row is None:
                     continue
-                vk = value_key(row.get(column))
+                value = row.get(column)
+                vk = ("s", value) if value.__class__ is str else value_key(value)
                 if vk is not None:
                     live[chain_key] = vk
                     bucket = index.get(vk)

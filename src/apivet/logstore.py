@@ -17,7 +17,7 @@ from typing import Iterable
 from .errors import IngestError
 from .fileio import json_lines
 from .schema import EntityType
-from .values import coerce_scalar, get_path
+from .values import SCALAR_CLASSES, coerce_scalar, get_path
 
 logger = logging.getLogger(__name__)
 
@@ -207,7 +207,11 @@ def project_instances(
             side = _SIDES.get(root)
             if side is None:  # no document of the call: read a leaf of nothing
                 side, rest = 2, [root]
-            specs.append((attr.path, side, tuple(rest), attr.type.tag))
+            key = rest[0] if len(rest) == 1 else None  # read with one .get
+            tag = attr.type.tag
+            specs.append(
+                (attr.path, side, tuple(rest), key, tag, SCALAR_CLASSES.get(tag))
+            )
         plans[entity.name] = (InstanceTable(entity=entity), specs)
     nowhere: dict = {}
     for event in events:
@@ -217,11 +221,18 @@ def project_instances(
         table, specs = plan
         docs = (event.arguments, event.response, nowhere)
         row: dict = {}
-        for path, side, segments, tag in specs:
-            value, mismatch = coerce_scalar(get_path(docs[side], segments)[1], tag)
+        for path, side, segments, key, tag, cls in specs:
+            doc = docs[side]
+            if key is not None and doc.__class__ is dict:
+                value = doc.get(key)
+            else:
+                value = get_path(doc, segments)[1]
+            # a value of the tag's own class coerces to itself
+            if value.__class__ is not cls:
+                value, mismatch = coerce_scalar(value, tag)
+                if mismatch:
+                    table.mismatches += 1
             row[path] = value
-            if mismatch:
-                table.mismatches += 1
         row["time"] = event.time
         row["sessionId"] = event.sessionId
         table.rows.append((event.id, row))

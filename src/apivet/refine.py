@@ -29,16 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .dsl import (
-    And,
+    MAX_QUANTIFIER_DEPTH,
     Invariant,
-    Not,
-    Or,
-    Quant,
     compile_invariant,
     evaluate,
     explain,
     parse_invariant,
     print_invariant,
+    quantifiers,
 )
 from .errors import ExtractionError, ParseError, ProposalError
 from .joins import failing_calls
@@ -46,9 +44,6 @@ from .proposer import Conversation, RefineRequest, ViolationSample
 
 MAX_ROUNDS = 3
 SAMPLE_LIMIT = 5
-# a check costs the product of its nested quantifiers' row counts: deeper
-# candidates are discarded before they are compiled
-MAX_QUANTIFIER_DEPTH = 3
 
 
 @dataclass
@@ -77,20 +72,6 @@ class _Candidate:
     clean: bool = False  # no training violation: accepted unless a duplicate
 
 
-def _quantifiers(node, depth: int = 1):
-    """(bound name, nesting depth) of each quantifier of an expression, in
-    text order."""
-    cls = node.__class__
-    if cls is Quant:
-        yield node.name, depth
-        yield from _quantifiers(node.body, depth + 1)
-    elif cls is And or cls is Or:
-        for part in node.parts:
-            yield from _quantifiers(part, depth)
-    elif cls is Not:
-        yield from _quantifiers(node.expr, depth)
-
-
 def _admit(cand: _Candidate, text: str, focal_name: str, bound: set[str] | None) -> None:
     """Make `text` the candidate's version to check, or discard the candidate.
 
@@ -104,12 +85,12 @@ def _admit(cand: _Candidate, text: str, focal_name: str, bound: set[str] | None)
     if inv.focal != focal_name:
         cand.reason = f"wrong focal entity {inv.focal!r}"
         return
-    quantifiers = list(_quantifiers(inv.body))
-    depth = max((d for _, d in quantifiers), default=0)
+    found = list(quantifiers(inv.body))
+    depth = max((d for _, d in found), default=0)
     if depth > MAX_QUANTIFIER_DEPTH:
         cand.reason = f"quantifiers nested {depth} deep, more than {MAX_QUANTIFIER_DEPTH}"
         return
-    for name, _ in quantifiers:
+    for name, _ in found:
         if bound is not None and name not in bound:
             cand.reason = f"unknown binding: entity {name!r} is not bound in this group"
             return

@@ -19,6 +19,18 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+# per type tag, the class of a leaf that coerce_scalar returns unchanged:
+# callers may skip coercion for a value of exactly that class
+SCALAR_CLASSES = {
+    "string": str,
+    "enum": str,
+    "integer": int,
+    "timestamp-millis": int,
+    "boolean": bool,
+    "float": float,
+}
+
+
 def coerce_scalar(value: Any, tag: str) -> tuple[Any, bool]:
     """Coerce a raw leaf into the attribute's declared type.
 

@@ -226,6 +226,19 @@ def session_sequence_oracle(events):
     return grouped
 
 
+def session_event_oracle(bench, session_id, api_name):
+    """The first normal-labelled call of a session to an API, by a scan of
+    every call in generation order; None if there is none."""
+    for event in bench.api_events:
+        if (
+            event["sessionId"] == session_id
+            and event["api"] == api_name
+            and event["label"] == "normal"
+        ):
+            return event
+    return None
+
+
 # --- ingest -----------------------------------------------------------------
 
 

@@ -1,11 +1,17 @@
 """Workload generator: normal sessions, attack injectors, serialization."""
 
+import copy
 import json
 
 import pytest
 
+from apivet import benchgen
 from apivet.benchgen import (
+    MAX_STEP_MS,
+    MIN_STEP_MS,
     TAMPER_KINDS,
+    Bench,
+    SessionInfo,
     binlog_lines,
     corpus_lines,
     generate_normal,
@@ -21,6 +27,7 @@ from apivet.logstore import ingest_logs, parse_labels
 from apivet.schema import load_bundle
 
 from conftest import state_as_of
+from oracles import session_event_oracle
 
 
 class TestNormalWorkload:
@@ -94,6 +101,20 @@ class TestNormalWorkload:
         tables = ingest_binlog(events, scenario_bundle(), mode="strict")
         final = state_as_of(tables, "orders", bench.max_time() + 1)
         assert len(final) == 10
+
+    def test_base_time_below_the_longest_step_is_refused(self):
+        # a user row lands up to MAX_STEP_MS before its session's first call
+        with pytest.raises(ConfigError, match="base time must be at least 1000 ms, got 999"):
+            generate_normal(3, seed=1, base_time=MAX_STEP_MS - 1)
+
+    def test_the_lowest_base_time_passes_strict_ingest(self):
+        bench = generate_normal(200, seed=1, base_time=MAX_STEP_MS)
+        log_lines, _ = corpus_lines(bench)
+        corpus = ingest_logs(log_lines, mode="strict")
+        assert len(corpus.events) == len(bench.api_events)
+        events = parse_row_events(binlog_lines(bench), mode="strict")
+        assert len(events) == len(bench.row_events)
+        ingest_binlog(events, scenario_bundle(), mode="strict")
 
 
 class TestInjectors:
@@ -169,10 +190,132 @@ class TestInjectors:
     def test_injectors_do_not_mutate_their_input(self):
         bench = generate_normal(20, seed=8)
         before = corpus_lines(bench)
-        inject_double_refund(bench, 2, seed=1)
-        inject_cross_user(bench, 2, seed=1)
-        inject_field_tamper(bench, per_kind=1, seed=1)
+        lists = ("api_events", "env_events", "row_events", "sessions")
+        snapshot = copy.deepcopy([getattr(bench, name) for name in lists])
+        next_seq = bench.next_seq
+        for inject in (
+            lambda b: inject_double_refund(b, 2, seed=1),
+            lambda b: inject_cross_user(b, 2, seed=1),
+            lambda b: inject_field_tamper(b, per_kind=1, seed=1),
+        ):
+            out = inject(bench)
+            assert [getattr(bench, name) for name in lists] == snapshot
+            assert bench.next_seq == next_seq
+            # the injected bench holds the input's own objects, then its own
+            for name in lists:
+                ours, theirs = getattr(bench, name), getattr(out, name)
+                assert theirs is not ours and len(theirs) >= len(ours)
+                assert all(a is b for a, b in zip(ours, theirs))
         assert corpus_lines(bench) == before
+
+
+# the field each tamper kind changes, and the API whose call it copies
+TAMPERED = {
+    "negative_price": ("createOrder", "arguments", "price"),
+    "malformed_id": ("payOrder", "arguments", "orderId"),
+    "enum_injection": ("queryOrder", "response", "status"),
+    "dangling_reference": ("payOrder", "arguments", "orderId"),
+}
+
+
+def assert_copies_of_the_oracle_pick(bench, attacked):
+    """Every call `attacked` appends to `bench` copies the call the linear
+    scan picks from `bench`, with only its kind's field tampered."""
+    extra = attacked.api_events[len(bench.api_events):]
+    assert extra
+    for event in extra:
+        kind = event["trace"].rsplit("_", 1)[0]
+        original = session_event_oracle(bench, event["sessionId"], event["api"])
+        assert original is not None and original["label"] == "normal"
+        untampered = {"arguments": dict(event["arguments"]),
+                      "response": dict(event["response"])}
+        if kind == "double_refund":
+            assert event["api"] == "refundOrder"
+            assert MIN_STEP_MS <= event["time"] - original["time"] <= MAX_STEP_MS
+        else:
+            api, side, key = TAMPERED[kind]
+            assert event["api"] == api
+            assert event["time"] == original["time"] + 1
+            assert untampered[side][key] != original[side][key]
+            untampered[side][key] = original[side][key]
+        assert untampered == {"arguments": original["arguments"],
+                              "response": original["response"]}
+
+
+class TestVictimLookup:
+    """Injectors find each victim call in one index per call, and pick what
+    a scan of every call would."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_injected_calls_copy_what_the_scan_picks(self, seed):
+        bench = generate_normal(60, seed=seed)
+        refunded = sum(1 for s in bench.sessions if s.refunded)
+        assert_copies_of_the_oracle_pick(
+            bench, inject_double_refund(bench, refunded // 2, seed=seed + 1))
+        for kind in TAMPER_KINDS:
+            assert_copies_of_the_oracle_pick(
+                bench, inject_field_tamper(bench, (kind,), per_kind=5, seed=seed + 2))
+
+    def test_reinjection_never_looks_up_an_attack_copy(self, monkeypatch):
+        looked_up = []
+        session_event = benchgen._session_event
+
+        def recording(index, session_id, api_name):
+            event = session_event(index, session_id, api_name)
+            looked_up.append(event)
+            return event
+
+        monkeypatch.setattr(benchgen, "_session_event", recording)
+        bench = generate_normal(30, seed=5)
+        refunded = sum(1 for s in bench.sessions if s.refunded)
+        # every refunded session, and 28 of 30 sessions per tamper pass:
+        # the second passes revisit calls the first ones copied
+        once = inject_field_tamper(
+            inject_double_refund(bench, refunded, seed=1), per_kind=7, seed=2)
+        first_lookups = len(looked_up)
+        twice = inject_field_tamper(
+            inject_double_refund(once, refunded, seed=3), per_kind=7, seed=4)
+        copied = {(e["sessionId"], e["api"]) for e in once.api_events
+                  if e["label"] == "attack"}
+        revisited = [e for e in looked_up[first_lookups:]
+                     if (e["sessionId"], e["api"]) in copied]
+        assert revisited
+        for event in looked_up:
+            assert event is session_event_oracle(bench, event["sessionId"], event["api"])
+        assert_copies_of_the_oracle_pick(once, twice)
+
+    def test_a_missing_call_is_a_config_error(self):
+        victim = SessionInfo(0, "s0", "u0", "user 0", "o0", 9.5, refunded=True)
+        bench = Bench(sessions=[victim])
+        # an attack-labelled call is never a victim
+        benchgen._api(bench, "refundOrder", {"orderId": "o0", "loginId": "u0"},
+                      {"status": "cancelled", "refundAmount": 9.5}, 100, "s0",
+                      label="attack", trace="double_refund_0")
+        with pytest.raises(ConfigError, match="session 's0' has no 'refundOrder' call"):
+            inject_double_refund(bench, 1, seed=0)
+        with pytest.raises(ConfigError, match="session 's0' has no 'createOrder' call"):
+            inject_field_tamper(bench, ("negative_price",), per_kind=1, seed=0)
+
+    @pytest.mark.parametrize("traces", [1, 12])
+    def test_one_index_per_injector_call_whatever_the_trace_count(
+        self, monkeypatch, traces
+    ):
+        builds = []
+        first_normal_calls = benchgen._first_normal_calls
+
+        def counting(bench):
+            builds.append(len(bench.api_events))
+            return first_normal_calls(bench)
+
+        monkeypatch.setattr(benchgen, "_first_normal_calls", counting)
+        bench = generate_normal(60, seed=7)
+        assert sum(1 for s in bench.sessions if s.refunded) >= 12
+        inject_double_refund(bench, traces, seed=1)
+        assert len(builds) == 1
+        inject_field_tamper(bench, per_kind=traces, seed=2)
+        assert len(builds) == 2
+        inject_cross_user(bench, traces, seed=3)  # it copies no call
+        assert builds == [len(bench.api_events)] * 2
 
 
 class TestSerialization:

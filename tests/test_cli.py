@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,27 @@ class TestExitCodes:
             )
         assert not (tmp_path / "out.json").exists()
 
+    def test_deep_quantifier_nest_in_invariants_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys
+    ):
+        body = 'orders__arguments_orderId.status == "paid"'
+        for _ in range(50):
+            body = f"FORALL(orders__arguments_orderId: {body})"
+        bad = tmp_path / "invariants.txt"
+        bad.write_text(pipeline["invariants"].read_text()
+                       + f"\nINVARIANT too_deep ON payOrder CATEGORY database WHERE {body}\n")
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert main(["detect", *_inputs(pipeline, "eval"),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(bad),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert time.perf_counter() - started < 1.0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: malformed {bad}: DslSyntaxError: line ")
+        assert line.endswith("invariant 'too_deep' nests quantifiers 50 deep, more than 3")
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_input_file_exits_one(self, pipeline, tmp_path):
         assert main(["detect",
                      "--bundle", str(pipeline["bundle"]),
@@ -579,6 +601,16 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
+
+
+    def test_benchgen_base_time_below_the_longest_step_exits_one(self, tmp_path, capsys):
+        # at base time 0 the insert of user u00001 would be written at ts -320
+        assert main(["benchgen", "--out", str(tmp_path / "b"), "--sessions", "3",
+                     "--base-time", "0", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: base time must be at least 1000 ms, got 0" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "b").exists()
 
 

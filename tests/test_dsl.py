@@ -1,12 +1,14 @@
 """Invariant language: parsing, printing, evaluation, explanation."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apivet.dsl import (
+    MAX_QUANTIFIER_DEPTH,
     And,
     BoolConst,
     Cmp,
@@ -150,6 +152,30 @@ class TestPrint:
             reparsed = parse_invariant(printed)
             assert reparsed == inv, printed
             assert print_invariant(reparsed) == printed
+
+    @staticmethod
+    def nest(ident, depth):
+        body = "orders.a == 1"
+        for _ in range(depth):
+            body = f"FORALL(orders: {body})"
+        return f"INVARIANT {ident} ON f CATEGORY database WHERE {body}"
+
+    def test_a_file_nests_quantifiers_at_most_the_limit(self, tmp_path):
+        path = tmp_path / "invariants.txt"
+        path.write_text(self.nest("ok", MAX_QUANTIFIER_DEPTH) + "\n")
+        assert [inv.id for inv in read_invariant_file(path)] == ["ok"]
+        for depth in (MAX_QUANTIFIER_DEPTH + 1, 50):
+            path.write_text(f"{self.nest('ok', 1)}\n\n{self.nest('deep', depth)}\n")
+            started = time.perf_counter()
+            with pytest.raises(DslSyntaxError) as err:
+                read_invariant_file(path)
+            assert time.perf_counter() - started < 1.0
+            assert str(err.value) == (
+                f"line 3, column 1: invariant 'deep' nests quantifiers {depth} deep, "
+                f"more than {MAX_QUANTIFIER_DEPTH}"
+            )
+        # one candidate parses at any depth: refinement vets it with a reason
+        assert parse_invariant(self.nest("deep", 50)).id == "deep"
 
     def test_file_roundtrip(self, tmp_path):
         rng = random.Random(7)

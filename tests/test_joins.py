@@ -28,7 +28,7 @@ from apivet.schema import (
 from apivet.values import value_key
 
 from conftest import api_line, env_line, row_event
-from oracles import api_join_oracle, db_join_oracle, env_join_oracle
+from oracles import api_join_oracle, canonical_key, db_join_oracle, env_join_oracle
 
 
 def rows_at(cursor, column, value, t):
@@ -366,6 +366,26 @@ class TestTableCursor:
             for value in ("u1", "u2"):
                 assert self.probe(cursor, value, t) == self.reference(value, t)
         assert [r["id"] for r in rows_at(cursor, "userId", "u2", 99)] == ["o4"]
+
+    def test_values_of_every_class_bucket_as_the_oracle_keys_them(self):
+        # a string is keyed inline, any other value through value_key
+        values = [None, True, False, 0, 1, 1.0, -2.5, 2**70, "", "1", "True",
+                  [], [1], {}, {"a": 1}]
+        rng = random.Random(3)
+        events = [
+            (ordinal // 2, ordinal, rng.randrange(8),
+             None if rng.random() < 0.1 else {"v": rng.choice(values)})
+            for ordinal in range(200)
+        ]
+        cursor = TableCursor(events, ["v"])
+        for t in range(0, 102, 7):
+            cursor.advance(t)
+            live = {chain: row for ts, _, chain, row in events if ts < t}
+            for value in values:
+                want = {chain for chain, row in live.items()
+                        if row is not None and value is not None
+                        and canonical_key(row["v"]) == canonical_key(value)}
+                assert set(cursor.buckets["v"].get(value_key(value), {})) == want
 
     def test_unseen_value_yields_empty(self):
         cursor = TableCursor(self.events, ["userId"])

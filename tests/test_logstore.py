@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from apivet.errors import IngestError, StoreLookupError
 from apivet.joins import JoinStores
 from apivet.logstore import (
+    EnvRecord,
     LabelRecord,
     LogCorpus,
     LogEvent,
@@ -23,6 +24,7 @@ from apivet.logstore import (
 )
 from apivet.schema import (
     API,
+    ENV,
     Attribute,
     EntityType,
     SchemaBundle,
@@ -31,7 +33,7 @@ from apivet.schema import (
 )
 
 from conftest import api_line, env_line
-from oracles import project_oracle, session_sequence_oracle
+from oracles import coerce_oracle, project_oracle, session_sequence_oracle
 
 
 class TestIngest:
@@ -185,7 +187,8 @@ json_values = (
 @st.composite
 def documents(draw):
     """A call document: some leaves present, `deep` a dict, a dict subclass,
-    a non-dict node or absent, and sometimes the whole document a Doc."""
+    a non-dict node or absent, and sometimes the whole document a Doc or
+    not a dict at all."""
     doc = draw(st.dictionaries(st.sampled_from(LEAVES), json_values, max_size=len(LEAVES)))
     deep = draw(st.sampled_from(["dict", "doc", "value", "absent"]))
     if deep in ("dict", "doc"):
@@ -193,7 +196,11 @@ def documents(draw):
         doc["deep"] = Doc(inner) if deep == "doc" else inner
     elif deep == "value":
         doc["deep"] = draw(json_values)
-    return Doc(doc) if draw(st.booleans()) else doc
+    # a document that is not a dict has no leaves to read
+    shape = draw(st.sampled_from(["dict", "doc", "value"]))
+    if shape == "value":
+        return draw(json_values)
+    return Doc(doc) if shape == "doc" else doc
 
 
 @st.composite
@@ -203,6 +210,23 @@ def call_events(draw):
         LogEvent(i, draw(st.sampled_from(["f", "g", "other"])), draw(documents()),
                  draw(documents()), draw(st.integers(0, 50)), "s1")
         for i in range(n)
+    ]
+
+
+def every_tag_env_entity():
+    """An environment entity with one attribute per tag."""
+    attrs = [Attribute(leaf, semantic) for leaf, semantic in zip(LEAVES, TAGS)]
+    return EntityType("Env", ENV, [*attrs, Attribute("sessionId", SemanticType("string"))])
+
+
+@st.composite
+def env_records(draw):
+    return [
+        EnvRecord(draw(st.sampled_from(["s1", "s2"])),
+                  draw(st.dictionaries(st.sampled_from(LEAVES), json_values,
+                                       max_size=len(LEAVES))),
+                  draw(st.none() | st.integers(0, 50)))
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
     ]
 
 
@@ -217,6 +241,30 @@ class TestProjection:
             rows, mismatches = oracle_table(events, entity)
             assert typed(tables[entity.name].rows) == typed(rows)
             assert tables[entity.name].mismatches == mismatches
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=env_records(), only=st.none() | st.frozensets(st.sampled_from(LEAVES)))
+    def test_env_projection_matches_the_oracle_for_every_tag_and_class(self, records, only):
+        entity = every_tag_env_entity()
+        stores = JoinStores(SchemaBundle([entity]), LogCorpus(events=[], env_records=records), {})
+        tags = {attr.path: attr.type.tag for attr in entity.attributes
+                if only is None or attr.path in only}
+
+        def oracle_row(record):
+            return {path: coerce_oracle(record.fields.get(path), tag)[0]
+                    for path, tag in tags.items()}
+
+        def typed_row(row):
+            return {k: (type(v), v) for k, v in row.items()}
+
+        untimed, timed = stores.env_index("Env", only)
+        untimed_records, timed_records = env_history(records)
+        assert {sid: typed_row(row) for sid, row in untimed.items()} == {
+            sid: typed_row(oracle_row(r)) for sid, r in untimed_records.items()}
+        assert {sid: (times, [typed_row(row) for row in rows])
+                for sid, (times, rows) in timed.items()} == {
+            sid: (times, [typed_row(oracle_row(r)) for r in rs])
+            for sid, (times, rs) in timed_records.items()}
 
     def test_every_api_projects_in_one_visit_per_event(self):
         class CountingEvents(list):
