@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .errors import ConfigError
 from .fileio import write_chunks
@@ -31,6 +33,10 @@ DEFAULT_BASE_TIME = 1_700_000_000_000
 
 MIN_STEP_MS = 10
 MAX_STEP_MS = 1000
+
+# lines per block handed to the file writer: one join per block, and few
+# enough write calls that writing costs no more than joining a whole file
+WRITE_BLOCK_LINES = 2048
 
 _DDL = """
 CREATE TABLE users (
@@ -426,50 +432,51 @@ def inject_field_tamper(
 # --- serialization -----------------------------------------------------------
 
 
-def corpus_lines(bench: Bench) -> tuple[list[str], list[str]]:
-    """Log lines merged by time, plus labels aligned to api line order."""
-    stream = [("env", e) for e in bench.env_events]
-    stream += [("api", e) for e in bench.api_events]
-    stream.sort(key=lambda item: (item[1]["time"], item[1]["seq"]))
-    log_lines = []
-    label_lines = []
-    log_id = 0
-    for kind, event in stream:
-        if kind == "env":
-            log_lines.append(
-                json.dumps(
-                    {
-                        "kind": "env",
-                        "sessionId": event["sessionId"],
-                        "fields": event["fields"],
-                    }
-                )
+def corpus_lines(bench: Bench) -> tuple[Iterator[str], Iterator[str]]:
+    """Log lines merged by time, and labels aligned to api line order; both
+    lazy."""
+    return _log_lines(bench), _label_lines(bench)
+
+
+def _by_time(events: Iterable[dict]) -> list[dict]:
+    return sorted(events, key=lambda e: (e["time"], e["seq"]))
+
+
+def _log_lines(bench: Bench) -> Iterator[str]:
+    # env events first, so the stable sort breaks ties as it always has
+    for event in _by_time(chain(bench.env_events, bench.api_events)):
+        if "api" not in event:  # an env event
+            yield json.dumps(
+                {"kind": "env", "sessionId": event["sessionId"], "fields": event["fields"]}
             )
             continue
-        log_lines.append(
-            json.dumps(
-                {
-                    "kind": "api",
-                    "api": event["api"],
-                    "arguments": event["arguments"],
-                    "response": event["response"],
-                    "time": event["time"],
-                    "sessionId": event["sessionId"],
-                }
-            )
+        yield json.dumps(
+            {
+                "kind": "api",
+                "api": event["api"],
+                "arguments": event["arguments"],
+                "response": event["response"],
+                "time": event["time"],
+                "sessionId": event["sessionId"],
+            }
         )
+
+
+def _label_lines(bench: Bench) -> Iterator[str]:
+    # the api events of the merged order, in that order: a stable sort keeps
+    # their relative order whatever env events lie between them
+    for log_id, event in enumerate(_by_time(bench.api_events)):
         label = {"log_id": log_id, "label": event["label"]}
         if event["trace"]:
             label["trace"] = event["trace"]
-        label_lines.append(json.dumps(label))
-        log_id += 1
-    return log_lines, label_lines
+        yield json.dumps(label)
 
 
-def binlog_lines(bench: Bench) -> list[str]:
+def binlog_lines(bench: Bench) -> Iterator[str]:
+    """Row events by time, lazily."""
     ordered = sorted(bench.row_events, key=lambda e: (e["ts"], e["seq"]))
-    return [
-        json.dumps(
+    for e in ordered:
+        yield json.dumps(
             {
                 "table": e["table"],
                 "op": e["op"],
@@ -478,8 +485,15 @@ def binlog_lines(bench: Bench) -> list[str]:
                 "after": e["after"],
             }
         )
-        for e in ordered
-    ]
+
+
+def _file_blocks(lines: Iterator[str]) -> Iterator[str]:
+    """The text "\\n".join(lines) + "\\n", in blocks of WRITE_BLOCK_LINES lines
+    joined once each: no list of a file's lines, nor its text, is held."""
+    block = list(islice(lines, WRITE_BLOCK_LINES))
+    yield "\n".join(block) + "\n"  # no lines at all write one "\n"
+    while block := list(islice(lines, WRITE_BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
 
 
 def write_bench(bench: Bench, out_dir: str) -> dict:
@@ -487,16 +501,15 @@ def write_bench(bench: Bench, out_dir: str) -> dict:
 
     os.makedirs(out_dir, exist_ok=True)
     log_lines, label_lines = corpus_lines(bench)
-    row_lines = binlog_lines(bench)
     paths = {
         "logs": os.path.join(out_dir, "logs.jsonl"),
         "labels": os.path.join(out_dir, "labels.jsonl"),
         "binlog": os.path.join(out_dir, "binlog.jsonl"),
         "bundle": os.path.join(out_dir, "bundle.json"),
     }
-    write_chunks(("\n".join(log_lines), "\n"), paths["logs"])
-    write_chunks(("\n".join(label_lines), "\n"), paths["labels"])
-    write_chunks(("\n".join(row_lines), "\n"), paths["binlog"])
+    write_chunks(_file_blocks(log_lines), paths["logs"])
+    write_chunks(_file_blocks(label_lines), paths["labels"])
+    write_chunks(_file_blocks(binlog_lines(bench)), paths["binlog"])
     from .schema import save_bundle
 
     save_bundle(scenario_bundle(), paths["bundle"])

@@ -254,29 +254,34 @@ def session_sequences(events: Iterable[LogEvent]) -> dict[str, list[str]]:
 
 
 def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecord]:
-    """Parse the label sidecar (one record per log id)."""
+    """Parse the label sidecar (one record per log id). Lenient mode drops a
+    malformed line and logs one warning with the count; strict mode raises
+    on the first."""
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown ingest mode {mode!r}")
     out: list[LabelRecord] = []
+    skipped = 0
     for line_no, record, problem in json_lines(lines):
-        if problem is not None:
-            if mode == "strict":
-                raise IngestError(problem, line_no)
-            continue
-        if not isinstance(record, dict):
-            record = {}  # valid JSON, but not a label record
-        log_id = record.get("log_id")
-        label = record.get("label")
-        trace = record.get("trace")
-        if (
-            isinstance(log_id, int)
-            and not isinstance(log_id, bool)
-            and label in ("normal", "attack")
-            and (trace is None or isinstance(trace, str))
-        ):
-            out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
-        elif mode == "strict":
-            raise IngestError("malformed label record", line_no)
+        if problem is None:
+            if not isinstance(record, dict):
+                record = {}  # valid JSON, but not a label record
+            log_id = record.get("log_id")
+            label = record.get("label")
+            trace = record.get("trace")
+            if (
+                isinstance(log_id, int)
+                and not isinstance(log_id, bool)
+                and label in ("normal", "attack")
+                and (trace is None or isinstance(trace, str))
+            ):
+                out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
+                continue
+            problem = "malformed label record"
+        if mode == "strict":
+            raise IngestError(problem, line_no)
+        skipped += 1
+    if skipped:
+        logger.warning("skipped %d malformed label line(s)", skipped)
     return out
 
 

@@ -299,8 +299,9 @@ def _row_problem(record):
     return None
 
 
-def _records(lines):
-    """(line number, record or None, problem) per non-blank line."""
+def json_lines_oracle(lines):
+    """The JSON Lines rule, one line at a time: (line number, value or None,
+    problem) per non-blank line, as json.loads decodes that line alone."""
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
@@ -317,7 +318,7 @@ def ingest_oracle(lines, mode):
     sessionId), env records as (sessionId, fields, time) and the skipped
     count. Strict mode raises OracleReject(line_no, message) instead."""
     events, env, skipped = [], [], 0
-    for line_no, record, problem in _records(lines):
+    for line_no, record, problem in json_lines_oracle(lines):
         if problem is None:
             kind = record.get("kind") if isinstance(record, dict) else None
             if kind == "api":
@@ -344,7 +345,7 @@ def row_events_oracle(lines, mode):
     """The binlog rules: events as (table, op, ts, before, after, ordinal)
     and the skipped count. Strict mode raises OracleReject instead."""
     events, skipped = [], 0
-    for line_no, record, problem in _records(lines):
+    for line_no, record, problem in json_lines_oracle(lines):
         if problem is None:
             if isinstance(record, dict):
                 problem = _row_problem(record)
@@ -367,7 +368,7 @@ def labels_oracle(lines, mode):
     """The label rules: records as (log_id, label, trace). Strict mode
     raises OracleReject instead of dropping a line."""
     out = []
-    for line_no, record, problem in _records(lines):
+    for line_no, record, problem in json_lines_oracle(lines):
         if problem is None:
             record = record if isinstance(record, dict) else {}
             log_id, label, trace = record.get("log_id"), record.get("label"), record.get("trace")

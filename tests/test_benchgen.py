@@ -2,6 +2,8 @@
 
 import copy
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -30,14 +32,19 @@ from conftest import state_as_of
 from oracles import session_event_oracle
 
 
+def listed(streams):
+    """The lazy line streams of `corpus_lines`, as lists."""
+    return tuple(list(lines) for lines in streams)
+
+
 class TestNormalWorkload:
     def test_seed_determinism(self):
         a = generate_normal(20, seed=11)
         b = generate_normal(20, seed=11)
-        assert corpus_lines(a) == corpus_lines(b)
-        assert binlog_lines(a) == binlog_lines(b)
+        assert listed(corpus_lines(a)) == listed(corpus_lines(b))
+        assert list(binlog_lines(a)) == list(binlog_lines(b))
         c = generate_normal(20, seed=12)
-        assert corpus_lines(a) != corpus_lines(c)
+        assert listed(corpus_lines(a)) != listed(corpus_lines(c))
 
     def test_session_shape(self):
         bench = generate_normal(30, seed=3)
@@ -89,7 +96,7 @@ class TestNormalWorkload:
 
     def test_lines_parse_cleanly(self):
         bench = generate_normal(10, seed=5)
-        log_lines, label_lines = corpus_lines(bench)
+        log_lines, label_lines = listed(corpus_lines(bench))
         corpus = ingest_logs(log_lines, mode="strict")
         assert len(corpus.events) == len(label_lines)
         assert len(corpus.env_records) == 10
@@ -122,7 +129,7 @@ class TestInjectors:
         bench = generate_normal(40, seed=1)
         attacked = inject_double_refund(bench, 5, seed=9)
         assert len(bench.api_events) + 5 == len(attacked.api_events)
-        assert binlog_lines(bench) == binlog_lines(attacked)  # no row changes
+        assert list(binlog_lines(bench)) == list(binlog_lines(attacked))  # no row changes
         extra = attacked.api_events[len(bench.api_events):]
         traces = sorted(ev["trace"] for ev in extra)
         assert traces == [f"double_refund_{i}" for i in range(5)]
@@ -173,7 +180,7 @@ class TestInjectors:
         assert by_trace["malformed_id_0"]["arguments"]["orderId"].endswith(" ")
         assert by_trace["enum_injection_0"]["response"]["status"] == "refunded"
         assert by_trace["dangling_reference_1"]["arguments"]["orderId"] == "ghost_1"
-        assert binlog_lines(bench) == binlog_lines(attacked)
+        assert list(binlog_lines(bench)) == list(binlog_lines(attacked))
         # tampered twin lands right after the original call
         for ev in extra:
             originals = [e for e in bench.api_events
@@ -189,7 +196,7 @@ class TestInjectors:
 
     def test_injectors_do_not_mutate_their_input(self):
         bench = generate_normal(20, seed=8)
-        before = corpus_lines(bench)
+        before = listed(corpus_lines(bench))
         lists = ("api_events", "env_events", "row_events", "sessions")
         snapshot = copy.deepcopy([getattr(bench, name) for name in lists])
         next_seq = bench.next_seq
@@ -206,7 +213,7 @@ class TestInjectors:
                 ours, theirs = getattr(bench, name), getattr(out, name)
                 assert theirs is not ours and len(theirs) >= len(ours)
                 assert all(a is b for a, b in zip(ours, theirs))
-        assert corpus_lines(bench) == before
+        assert listed(corpus_lines(bench)) == before
 
 
 # the field each tamper kind changes, and the API whose call it copies
@@ -351,6 +358,32 @@ class TestSerialization:
         with open(paths["binlog"]) as fh:
             events = parse_row_events(fh.read().splitlines(), mode="strict")
         ingest_binlog(events, bundle, mode="strict")
+
+    @pytest.mark.parametrize("block", [3, benchgen.WRITE_BLOCK_LINES])
+    @pytest.mark.parametrize("sessions", [0, 7])
+    def test_files_hold_the_lines_joined(self, tmp_path, monkeypatch, block, sessions):
+        monkeypatch.setattr(benchgen, "WRITE_BLOCK_LINES", block)
+        bench = Bench() if sessions == 0 else inject_double_refund(
+            generate_normal(sessions, seed=4), 2, seed=5)
+        paths = write_bench(bench, str(tmp_path))
+        log_lines, label_lines = listed(corpus_lines(bench))
+        for name, lines in (("logs", log_lines), ("labels", label_lines),
+                            ("binlog", list(binlog_lines(bench)))):
+            assert sessions == 0 or len(lines) > 6  # several blocks of 3
+            with open(paths[name], encoding="utf-8", newline="") as fh:
+                assert fh.read() == "\n".join(lines) + "\n"
+
+    def test_writing_holds_less_than_the_log_file(self, tmp_path):
+        # lines are joined a block at a time: neither a file's line list
+        # nor its text is ever held whole
+        bench = generate_normal(2000, seed=6)
+        tracemalloc.start()
+        try:
+            paths = write_bench(bench, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(paths["logs"])
 
     def test_binlog_lines_are_time_sorted(self):
         bench = generate_normal(15, seed=17)

@@ -9,9 +9,10 @@ lines), so most lines sit right on a rule's boundary.
 
 import json
 import logging
+import sys
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from apivet import fileio
@@ -19,7 +20,13 @@ from apivet.binlog import parse_row_events
 from apivet.errors import IngestError
 from apivet.logstore import ingest_logs, parse_labels, read_log_file
 
-from oracles import OracleReject, _records, ingest_oracle, labels_oracle, row_events_oracle
+from oracles import (
+    OracleReject,
+    ingest_oracle,
+    json_lines_oracle,
+    labels_oracle,
+    row_events_oracle,
+)
 
 MISSING = object()  # the key is left out of the record
 
@@ -252,10 +259,29 @@ def decoded(decode, lines):
     return [(line_no, repr(value), problem) for line_no, value, problem in decode(lines)]
 
 
+# lines the whole-batch rule must not vouch for, each beside its neighbours:
+# blank ones, constants, two values, a string or array that would run into
+# the next line, what str.isspace() takes and JSON not, and a lone "\r"
+BATCH_EDGE_LINES = [
+    "", " ", "\t\r\n", "\n", "NaN", "[Infinity]\n", '{"a": -Infinity}', "1, 2",
+    '{"x": "}', '{"}', "1],[2", "\ufeff{}", "\x0b", "{}\x0b", "\r", "{}\r",
+    "[1", "2]", "2], 5, 6", '{"kind": "api"}\n',
+]
+
+
 @settings(max_examples=500, deadline=None)
-@given(lines=st.lists(decoder_lines(), max_size=4))
-def test_json_lines_is_the_json_loads_loop(lines):
-    assert decoded(fileio.json_lines, lines) == decoded(_records, lines)
+@given(lines=st.lists(decoder_lines() | st.sampled_from(BATCH_EDGE_LINES), max_size=9),
+       batch=st.integers(1, 4))
+# an array opened on one line and closed on the next: one value for two
+# lines, and with values enough after it that only the separators' places tell
+@example(lines=["[1", "2]"], batch=2)
+@example(lines=["[1", "2], 5, 6", "3"], batch=3)
+@example(lines=['{"x": "}', '{"}', "1],[2"], batch=3)
+def test_json_lines_is_the_json_loads_loop(lines, batch):
+    # batches of 1 to 4 lines, so most draws cross a batch boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "BATCH_LINES", batch)
+        assert decoded(fileio.json_lines, lines) == decoded(json_lines_oracle, lines)
 
 
 class RemainderTest:
@@ -275,11 +301,50 @@ class RemainderTest:
 def test_a_whitespace_remainder_test_is_caught(monkeypatch, test):
     monkeypatch.setattr(fileio, "_LINE_ENDS", RemainderTest(test))
     lines = case_lines("non_json_space", API)
-    assert decoded(fileio.json_lines, lines) != decoded(_records, lines)
+    assert decoded(fileio.json_lines, lines) != decoded(json_lines_oracle, lines)
     # and the property test's lines find one by themselves: find() raises
     # if no drawn line tells the two decoders apart
     find(
         decoder_lines(),
-        lambda line: decoded(fileio.json_lines, [line]) != decoded(_records, [line]),
+        lambda line: decoded(fileio.json_lines, [line]) != decoded(json_lines_oracle, [line]),
         settings=settings(max_examples=2000, database=None),
     )
+
+
+# --- batches against the lines alone ----------------------------------------
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_a_line_at_the_nesting_limit_decodes_as_alone(monkeypatch):
+    # the deepest array the reference decodes from this frame; a batch holds
+    # it one level deeper, so that batch must be decoded line by line
+    low, high = 1, 100_000
+    while low < high:
+        depth = (low + high + 1) // 2
+        if decoded(json_lines_oracle, [nested(depth)])[0][2] is None:
+            low = depth
+        else:
+            high = depth - 1
+    lines = ["{}", nested(low), nested(low - 1), "{}", nested(low + 5)]
+    per_line = []
+    original = fileio._decode_lines
+    monkeypatch.setattr(fileio, "BATCH_LINES", 2)
+    monkeypatch.setattr(fileio, "_decode_lines",
+                        lambda batch, first: per_line.append(first) or original(batch, first))
+    want = decoded(json_lines_oracle, lines)
+    assert want[1][2] is None and want[4][2] == "invalid JSON (nested too deeply)"
+    assert decoded(fileio.json_lines, lines) == want
+    assert per_line[0] == 1
+
+
+def test_lines_of_one_batch_share_their_keys():
+    lines = ['{"sessionId": "s1", "arguments": {"loginId": "a"}}\n',
+             '{"sessionId": "s2", "arguments": {"loginId": "b"}}\n']
+    (_, first, _), (_, second, _) = fileio.json_lines(lines)
+    assert first == json.loads(lines[0]) and second == json.loads(lines[1])
+    for a, b in zip(first, second):
+        assert a is b
+    assert next(iter(first["arguments"])) is next(iter(second["arguments"]))

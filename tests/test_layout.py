@@ -134,6 +134,28 @@ def test_only_the_emitter_runs_generated_code():
     assert runners == ["dsl.py"]
 
 
+def test_only_fileio_decodes_json_lines():
+    # one JSON Lines decoder, fileio.json_lines: a second would need its own
+    # decoder object or json's scanner, and would not share its batch rule
+    decoders = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if names_in(ast.parse(path.read_text(encoding="utf-8"))) & {"JSONDecoder", "scan_once"}
+    )
+    assert decoders == ["fileio.py"]
+
+
+@pytest.mark.parametrize("source", [
+    "json.JSONDecoder()",
+    "from json import JSONDecoder",
+    "from json.decoder import JSONDecoder as D",
+    "decoder.scan_once(line, 0)",
+    "scan = scan_once",
+])
+def test_the_decoder_guard_sees_each_way_to_decode(source):
+    assert names_in(ast.parse(source)) & {"JSONDecoder", "scan_once"}
+
+
 # calls that open a file for writing whatever their arguments
 WRITERS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile",
            "SpooledTemporaryFile", "fdopen", "write_bytes", "write_text"}

@@ -1,6 +1,7 @@
 """Log store: ingest, projection, session sequences, labels."""
 
 import json
+import logging
 
 import pytest
 
@@ -381,6 +382,20 @@ class TestLabels:
             parse_labels(["{bad"], mode="strict")
         with pytest.raises(IngestError):
             parse_labels([json.dumps({"log_id": True, "label": "normal"})], mode="strict")
+
+    def test_lenient_mode_counts_the_lines_it_drops(self, caplog):
+        good = json.dumps({"log_id": 0, "label": "normal"})
+        lines = [good, "{bad", "", "  ", json.dumps({"log_id": 1, "label": "odd"}), "[1]"]
+        with caplog.at_level(logging.WARNING, logger="apivet.logstore"):
+            assert parse_labels(lines) == [LabelRecord(log_id=0, label="normal")]
+        # blank lines are not records, so not dropped ones
+        assert caplog.messages == ["skipped 3 malformed label line(s)"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="apivet.logstore"):
+            parse_labels([good, ""])
+            with pytest.raises(IngestError, match="line 2: invalid JSON"):
+                parse_labels(lines, mode="strict")
+        assert caplog.messages == []
 
     def test_unknown_mode_rejected(self):
         # even on input every mode accepts: a typo must not act as lenient

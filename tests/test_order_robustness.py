@@ -77,7 +77,7 @@ def setup():
     bench = inject_double_refund(bench, 10, seed=44)
     bench = inject_cross_user(bench, 10, seed=45)
     bench = inject_field_tamper(bench, per_kind=3, seed=46)
-    lines = corpus_lines(bench)[0]
+    lines = list(corpus_lines(bench)[0])
     swapped_lines, order = swap_adjacent(lines, SWAP_SHARE, seed=47)
     return SimpleNamespace(
         bundle=bundle,
