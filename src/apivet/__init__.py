@@ -27,7 +27,6 @@ _EXPORTS = {
     "parse_invariant": "dsl",
     "print_invariant": "dsl",
     "refine_candidates": "refine",
-    "report_to_dict": "detector",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

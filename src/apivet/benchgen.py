@@ -9,18 +9,21 @@ a given seed.
 Injection is linear in the bench: each injector indexes every session's
 first normal call per API in one pass, and the bench it returns shares its
 input's events instead of copying them.
+
+Each JSON line is built from one %-template around `fileio.json_string` and
+`fileio.json_text`, byte-identical to one json.dumps per record, and the
+log and label lines share one sort of the events.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ConfigError
-from .fileio import write_chunks
+from .fileio import json_string, json_text, write_chunks
 from .schema import (
     SchemaBundle,
     flatten_api_signature,
@@ -431,59 +434,64 @@ def inject_field_tamper(
 
 # --- serialization -----------------------------------------------------------
 
+# each line as json.dumps lays out the record the line stands for: strings go
+# through json's C escaper, the ints generation makes (time, ts, log_id)
+# through %d, and documents through the one reused encoder
+_API_LINE = (
+    '{"kind": "api", "api": %s, "arguments": %s, "response": %s, '
+    '"time": %d, "sessionId": %s}'
+)
+_ENV_LINE = '{"kind": "env", "sessionId": %s, "fields": %s}'
+_LABEL_LINE = '{"log_id": %d, "label": %s}'
+_TRACE_LABEL_LINE = '{"log_id": %d, "label": %s, "trace": %s}'
+_ROW_LINE = '{"table": %s, "op": %s, "ts": %d, "before": %s, "after": %s}'
+
 
 def corpus_lines(bench: Bench) -> tuple[Iterator[str], Iterator[str]]:
-    """Log lines merged by time, and labels aligned to api line order; both
-    lazy."""
-    return _log_lines(bench), _label_lines(bench)
+    """Log lines merged by time, and labels aligned to api line order. The
+    events are sorted once, here, for both; the lines are made lazily."""
+    # (time, seq) is unique, so the api events' relative order is the same
+    # whatever env events lie between them
+    merged = sorted(
+        chain(bench.env_events, bench.api_events), key=lambda e: (e["time"], e["seq"])
+    )
+    return _log_lines(merged), _label_lines(merged)
 
 
-def _by_time(events: Iterable[dict]) -> list[dict]:
-    return sorted(events, key=lambda e: (e["time"], e["seq"]))
-
-
-def _log_lines(bench: Bench) -> Iterator[str]:
-    # env events first, so the stable sort breaks ties as it always has
-    for event in _by_time(chain(bench.env_events, bench.api_events)):
-        if "api" not in event:  # an env event
-            yield json.dumps(
-                {"kind": "env", "sessionId": event["sessionId"], "fields": event["fields"]}
+def _log_lines(merged: list[dict]) -> Iterator[str]:
+    for event in merged:
+        if "api" in event:
+            yield _API_LINE % (
+                json_string(event["api"]),
+                json_text(event["arguments"]),
+                json_text(event["response"]),
+                event["time"],
+                json_string(event["sessionId"]),
             )
-            continue
-        yield json.dumps(
-            {
-                "kind": "api",
-                "api": event["api"],
-                "arguments": event["arguments"],
-                "response": event["response"],
-                "time": event["time"],
-                "sessionId": event["sessionId"],
-            }
-        )
+        else:  # an env event
+            yield _ENV_LINE % (json_string(event["sessionId"]), json_text(event["fields"]))
 
 
-def _label_lines(bench: Bench) -> Iterator[str]:
-    # the api events of the merged order, in that order: a stable sort keeps
-    # their relative order whatever env events lie between them
-    for log_id, event in enumerate(_by_time(bench.api_events)):
-        label = {"log_id": log_id, "label": event["label"]}
+def _label_lines(merged: list[dict]) -> Iterator[str]:
+    for log_id, event in enumerate(e for e in merged if "api" in e):
         if event["trace"]:
-            label["trace"] = event["trace"]
-        yield json.dumps(label)
+            yield _TRACE_LABEL_LINE % (
+                log_id, json_string(event["label"]), json_string(event["trace"])
+            )
+        else:
+            yield _LABEL_LINE % (log_id, json_string(event["label"]))
 
 
 def binlog_lines(bench: Bench) -> Iterator[str]:
     """Row events by time, lazily."""
     ordered = sorted(bench.row_events, key=lambda e: (e["ts"], e["seq"]))
     for e in ordered:
-        yield json.dumps(
-            {
-                "table": e["table"],
-                "op": e["op"],
-                "ts": e["ts"],
-                "before": e["before"],
-                "after": e["after"],
-            }
+        yield _ROW_LINE % (
+            json_string(e["table"]),
+            json_string(e["op"]),
+            e["ts"],
+            json_text(e["before"]),
+            json_text(e["after"]),
         )
 
 

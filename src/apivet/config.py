@@ -163,4 +163,6 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"configuration is not valid JSON: {exc.msg}")
     except RecursionError:
         raise ConfigError("configuration is not valid JSON: nested too deeply")
+    except ValueError as exc:  # not UTF-8, or an integer longer than int() takes
+        raise ConfigError(f"configuration is not valid JSON: {exc}")
     return config_from_dict(data)

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import time as _time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 from .binlog import TemporalTable
 from .dsl import Invariant, compile_invariant
 from .errors import MetricsError
+from .fileio import json_string, write_chunks, write_json
 from .joins import JoinStores, failing_calls, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
 from .relations import Relationship
@@ -170,18 +170,6 @@ def evaluate_metrics(
 # --- reports -----------------------------------------------------------------
 
 
-def violation_to_dict(record: ViolationRecord) -> dict:
-    return {
-        "invariant_id": record.invariant_id,
-        "category": record.category,
-        "log_id": record.log_id,
-        "api": record.api,
-        "time": record.time,
-        "session_id": record.session_id,
-        "explanation": record.explanation,
-    }
-
-
 def _summary(result: DetectionResult, invariants_checked: int) -> dict:
     # elapsed time stays out of the file so reruns compare byte for byte
     return {
@@ -193,15 +181,8 @@ def _summary(result: DetectionResult, invariants_checked: int) -> dict:
     }
 
 
-def report_to_dict(result: DetectionResult, invariants_checked: int) -> dict:
-    return {
-        "summary": _summary(result, invariants_checked),
-        "violations": [violation_to_dict(v) for v in result.violations],
-    }
-
-
-# one violation as json.dumps(violation_to_dict(v), indent=2) lays it out
-# inside the report's list: ingest and the binlog parser guarantee str and
+# one violation as json.dumps(..., indent=2) lays out its dict, keys in
+# this order, inside the report's list: ingest and the binlog parser guarantee str and
 # int fields, so strings go through json's own C escaper and ints through %d
 _VIOLATION = (
     "\n    {"
@@ -217,9 +198,9 @@ _VIOLATION = (
 
 
 def _report_chunks(result: DetectionResult, invariants_checked: int):
-    """The bytes of json.dumps(report_to_dict(...), indent=2) + "\n", a
-    violation per chunk, without the dicts or the whole string."""
-    enc = encode_basestring_ascii
+    """The bytes of json.dumps(report, indent=2) + "\n", a violation per
+    chunk, without the report's dicts or the whole string."""
+    enc = json_string
     summary = _summary(result, invariants_checked)
     frame = json.dumps({"summary": summary, "violations": []}, indent=2)
     if not result.violations:
@@ -242,8 +223,6 @@ def _report_chunks(result: DetectionResult, invariants_checked: int):
 
 
 def write_report(result: DetectionResult, invariants_checked: int, path) -> None:
-    from .fileio import write_chunks
-
     write_chunks(_report_chunks(result, invariants_checked), path)
 
 
@@ -273,6 +252,4 @@ def metrics_to_dict(metrics: MetricsResult) -> dict:
 
 
 def write_metrics(metrics: MetricsResult, path) -> None:
-    from .fileio import write_json
-
     write_json(metrics_to_dict(metrics), path)

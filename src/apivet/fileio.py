@@ -1,5 +1,5 @@
-"""File helpers: the one JSON Lines decoder, and the one atomic writer
-(write chunks to a temp file, then rename into place).
+"""File helpers: the one JSON Lines decoder, the one encoder, the one
+atomic writer (write chunks to a temp file, then rename into place).
 
 `json_lines` decodes a batch of up to BATCH_LINES lines in one call into
 json's C scanner, which keeps one string per distinct key for the length of
@@ -9,13 +9,20 @@ alone gets key strings of its own. On a 3000-session corpus that took
 the whole-batch rule does not vouch for is decoded line by line, by the
 rule that alone reports problems, so values, line numbers and problem texts
 are the same.
+
+`json_text` is json.dumps with its defaults, run through one C encoder made
+at import rather than one made per call, and `json_string` is json's C
+string escaper: writers build each line from a template around them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from itertools import islice
+from json.encoder import JSONEncoder, c_make_encoder
+from json.encoder import encode_basestring_ascii as json_string
 from typing import Any, Iterable, Iterator
 
 from .errors import ConfigError
@@ -94,6 +101,10 @@ def _decode_lines(
             if line.strip():  # a blank line is never valid JSON
                 yield line_no, None, f"invalid JSON ({exc.msg})"
             continue
+        except ValueError:  # int() refused an integer literal
+            limit = sys.get_int_max_str_digits()
+            yield line_no, None, f"invalid JSON (integer of more than {limit} digits)"
+            continue
         except RecursionError:
             yield line_no, None, "invalid JSON (nested too deeply)"
             continue
@@ -104,9 +115,10 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any, str | None]]:
     """Decode JSON Lines: (line number, value, None) per line that is one
     JSON value, (line number, None, problem) per line that is not.
 
-    Blank lines are skipped. A line nested too deeply to decode is invalid
-    JSON. Every value and problem text is json.loads' for that line alone.
-    Lines are read a batch ahead of what is yielded.
+    Blank lines are skipped. A line nested too deeply to decode, or holding
+    an integer longer than int() takes, is invalid JSON. Every other value
+    and problem text is json.loads' for that line alone. Lines are read a
+    batch ahead of what is yielded.
     """
     lines = iter(lines)
     line_no = 1
@@ -118,6 +130,22 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any, str | None]]:
             for value_line_no, value in enumerate(values, start=line_no):
                 yield value_line_no, value, None
         line_no += len(batch)
+
+
+# json.dumps(value) with its defaults, encoded by one encoder made here, not
+# one per call. The arguments are those json.dumps' default encoder passes,
+# except markers: a reused markers dict can keep a stale id after a failed
+# encode, so a circular value runs into the recursion limit instead
+if c_make_encoder is None:  # json's C accelerator is absent
+    json_text = json.dumps
+else:
+    _encode = c_make_encoder(
+        None, JSONEncoder().default, json_string, None, ": ", ", ", False, False, True
+    )
+
+    def json_text(value: Any) -> str:
+        """json.dumps(value)."""
+        return "".join(_encode(value, 0))
 
 
 def write_chunks(chunks: Iterable[str], path: str) -> None:

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 from apivet.dsl import (
     And,
@@ -309,6 +310,10 @@ def json_lines_oracle(lines):
             yield line_no, json.loads(line), None
         except json.JSONDecodeError as exc:
             yield line_no, None, f"invalid JSON ({exc.msg})"
+        except ValueError:  # an integer literal longer than int() takes
+            yield line_no, None, (
+                f"invalid JSON (integer of more than {sys.get_int_max_str_digits()} digits)"
+            )
         except RecursionError:
             yield line_no, None, "invalid JSON (nested too deeply)"
 
@@ -359,6 +364,38 @@ def row_events_oracle(lines, mode):
         else:
             skipped += 1
     return events, skipped
+
+
+# --- benchgen serialization ---------------------------------------------------
+
+
+def bench_lines_oracle(bench):
+    """A bench's log, label and binlog lines: one json.dumps per record,
+    the merged log order from one stable sort by (time, seq), labels from a
+    second sort of the api events alone."""
+    by_time = lambda e: (e["time"], e["seq"])
+    logs = []
+    for event in sorted(bench.env_events + bench.api_events, key=by_time):
+        if "api" in event:
+            record = {"kind": "api", "api": event["api"], "arguments": event["arguments"],
+                      "response": event["response"], "time": event["time"],
+                      "sessionId": event["sessionId"]}
+        else:
+            record = {"kind": "env", "sessionId": event["sessionId"],
+                      "fields": event["fields"]}
+        logs.append(json.dumps(record))
+    labels = []
+    for log_id, event in enumerate(sorted(bench.api_events, key=by_time)):
+        record = {"log_id": log_id, "label": event["label"]}
+        if event["trace"]:
+            record["trace"] = event["trace"]
+        labels.append(json.dumps(record))
+    binlog = [
+        json.dumps({"table": e["table"], "op": e["op"], "ts": e["ts"],
+                    "before": e["before"], "after": e["after"]})
+        for e in sorted(bench.row_events, key=lambda e: (e["ts"], e["seq"]))
+    ]
+    return logs, labels, binlog
 
 
 # --- projection -------------------------------------------------------------
@@ -481,6 +518,36 @@ def metrics_oracle(flagged_ids, labels, window_size):
         "recall": recall,
         "windows": len(windows),
         "traces": len(traces),
+    }
+
+
+# --- reports ----------------------------------------------------------------
+
+
+def violation_to_dict(record):
+    return {
+        "invariant_id": record.invariant_id,
+        "category": record.category,
+        "log_id": record.log_id,
+        "api": record.api,
+        "time": record.time,
+        "session_id": record.session_id,
+        "explanation": record.explanation,
+    }
+
+
+def report_to_dict(result, invariants_checked):
+    """The detection report as one dict: detector.write_report streams
+    json.dumps(report_to_dict(...), indent=2) + "\n"."""
+    return {
+        "summary": {
+            "logs_processed": result.logs_processed,
+            "groups_built": result.groups_built,
+            "evaluations": result.evaluations,
+            "invariants_checked": invariants_checked,
+            "violations": len(result.violations),
+        },
+        "violations": [violation_to_dict(v) for v in result.violations],
     }
 
 

@@ -29,7 +29,6 @@ from apivet.detector import (
     check_corpus,
     evaluate_metrics,
     metrics_to_dict,
-    report_to_dict,
 )
 from apivet.dsl import Invariant, Not, Quant, evaluate, parse_invariant, print_invariant
 from apivet.hmm import train_hmm
@@ -47,7 +46,13 @@ from apivet.seqmodel import sequence_probability, train_markov
 
 from conftest import api_line, env_line, row_event, state_as_of
 from generators import random_expr, random_group, random_invariant
-from oracles import api_join_oracle, db_join_oracle, metrics_oracle, replay_oracle_rows
+from oracles import (
+    api_join_oracle,
+    db_join_oracle,
+    metrics_oracle,
+    replay_oracle_rows,
+    report_to_dict,
+)
 
 
 def _check(capsys, name, ok, detail=""):

@@ -1,12 +1,19 @@
 """Workload generator: normal sessions, attack injectors, serialization."""
 
 import copy
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import apivet
 from apivet import benchgen
 from apivet.benchgen import (
     MAX_STEP_MS,
@@ -24,12 +31,14 @@ from apivet.benchgen import (
     write_bench,
 )
 from apivet.binlog import ingest_binlog, parse_row_events
+from apivet.cli import main
 from apivet.errors import ConfigError
+from apivet.fileio import json_text
 from apivet.logstore import ingest_logs, parse_labels
 from apivet.schema import load_bundle
 
 from conftest import state_as_of
-from oracles import session_event_oracle
+from oracles import bench_lines_oracle, session_event_oracle
 
 
 def listed(streams):
@@ -371,7 +380,9 @@ class TestSerialization:
                             ("binlog", list(binlog_lines(bench)))):
             assert sessions == 0 or len(lines) > 6  # several blocks of 3
             with open(paths[name], encoding="utf-8", newline="") as fh:
-                assert fh.read() == "\n".join(lines) + "\n"
+                text = fh.read()
+            assert text == "\n".join(lines) + "\n"
+            assert sessions or text == "\n"  # an empty bench writes one newline
 
     def test_writing_holds_less_than_the_log_file(self, tmp_path):
         # lines are joined a block at a time: neither a file's line list
@@ -389,3 +400,103 @@ class TestSerialization:
         bench = generate_normal(15, seed=17)
         stamps = [json.loads(line)["ts"] for line in binlog_lines(bench)]
         assert stamps == sorted(stamps)
+
+
+# --- the writer against one json.dumps per record ----------------------------
+
+# any code point: non-ASCII, control characters and lone surrogates
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT | st.integers() | st.floats() | st.booleans() | st.none(),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def benches(draw):
+    """Benches whose events have benchgen's shape, with arbitrary strings
+    and documents; few distinct times, so ties across kinds are common."""
+    bench = Bench()
+    times = st.integers(-3, 3) | st.integers()
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["api", "env", "row"]))
+        if kind == "api":
+            benchgen._api(bench, draw(TEXT), draw(DOCUMENTS), draw(DOCUMENTS),
+                          draw(times), draw(TEXT), label=draw(TEXT),
+                          trace=draw(st.none() | TEXT))
+        elif kind == "env":
+            benchgen._env(bench, draw(times), draw(TEXT), draw(DOCUMENTS))
+        else:
+            benchgen._row(bench, draw(TEXT), draw(TEXT), draw(times),
+                          draw(DOCUMENTS), draw(DOCUMENTS))
+    return bench
+
+
+class TestTemplatedLines:
+    @settings(max_examples=200, deadline=None)
+    @given(bench=benches())
+    def test_each_line_is_json_dumps_of_its_record(self, bench):
+        log_lines, label_lines = listed(corpus_lines(bench))
+        assert (log_lines, label_lines, list(binlog_lines(bench))) == \
+            bench_lines_oracle(bench)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=DOCUMENTS)
+    def test_json_text_is_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value)
+
+    def test_a_failed_encode_leaves_the_encoder_usable(self):
+        # a markers dict kept across calls would still hold the dict's id
+        # and call the second encode circular
+        document = {"a": [object()]}
+        with pytest.raises(TypeError):
+            json_text(document)
+        document["a"] = [1]
+        assert json_text(document) == '{"a": [1]}'
+
+    def test_without_the_c_encoder_json_text_is_json_dumps(self):
+        code = ("import json, json.encoder; json.encoder.c_make_encoder = None; "
+                "from apivet import fileio; assert fileio.json_text is json.dumps")
+        env = dict(os.environ, PYTHONPATH=str(Path(apivet.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_write_bench_makes_no_json_dumps_call_per_line(self, tmp_path, monkeypatch):
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        bench = inject_field_tamper(generate_normal(50, seed=8), per_kind=2, seed=9)
+        write_bench(bench, str(tmp_path))
+        assert len(calls) == 1  # the bundle document
+
+
+# sha256 of the files `apivet benchgen --sessions 40 --double-refund 3
+# --cross-user 3 --tamper 2` wrote when each line was one json.dumps call
+GOLDEN = {
+    11: {
+        "logs.jsonl": "733b4604b88add949c5e21b53c9484cf9171a2269e52e6a153248e8aeb6c935f",
+        "labels.jsonl": "bed261916da1c8bfbffc163e1f9d1ab9476f23eebbcdf025bb82b3d03df5fd81",
+        "binlog.jsonl": "e2fdf29dd5e7b4fc1a6a1d96aa3b928e6b8bf8305b56df75578dc9e25fc47cbc",
+        "bundle.json": "3275da7a70d2c2eeb0e375d7ab9e1f575b244a5b172ce8304029348b58993d65",
+    },
+    12: {
+        "logs.jsonl": "ce7d16ee0a355e141e8dc8d0700df2fc0dee594a2cd0b155deed72add62937c0",
+        "labels.jsonl": "5f53c34818c3ec34f2407f589b1353ab444594c1f15b79b4668af2408c9f5af9",
+        "binlog.jsonl": "9e3d3fbfc8aa3ac753d45db27b4213a9519b3727d73c6c3d8e622f9c75d72adb",
+        "bundle.json": "3275da7a70d2c2eeb0e375d7ab9e1f575b244a5b172ce8304029348b58993d65",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_benchgen_files_keep_their_bytes(tmp_path, seed):
+    assert main(["benchgen", "--out", str(tmp_path), "--sessions", "40",
+                 "--seed", str(seed), "--double-refund", "3", "--cross-user", "3",
+                 "--tamper", "2"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN[seed]}
+    assert digests == GOLDEN[seed]

@@ -829,6 +829,34 @@ class TestDeepNesting:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_an_integer_past_the_digit_limit_is_one_malformed_log_line(
+    pipeline, tmp_path, capsys, caplog, strict
+):
+    # int() refuses the literal: lenient mode skips and counts the line,
+    # strict mode exits 2 naming it
+    source = pipeline["train"] / "logs.jsonl"
+    logs = tmp_path / "logs.jsonl"
+    logs.write_text('{"kind": "api", "time": ' + "1" * 5000 + "}\n" + source.read_text())
+    relations = tmp_path / "relations.json"
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING, logger="apivet.logstore"):
+        code = main(["relations", "infer", *_inputs(pipeline, "train")[:2],
+                     "--logs", str(logs), *_inputs(pipeline, "train")[4:],
+                     "--out", str(relations), *(["--strict"] if strict else [])])
+    if strict:
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {logs}: IngestError: line 1: "
+            f"invalid JSON (integer of more than {sys.get_int_max_str_digits()} digits)"
+        ]
+        assert not relations.exists()
+    else:
+        assert code == 0
+        assert "skipped 1 malformed log line(s)" in caplog.messages
+        assert relations.read_bytes() == pipeline["relations"].read_bytes()
+
+
 class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("outcome", ["returns", "fails", "raises"])

@@ -195,3 +195,13 @@ class TestFiles:
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(bad)
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"delta_ms": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+        (b'{"mode": "\xff"}', "can't decode byte 0xff"),
+    ], ids=["integer_past_the_digit_limit", "not_utf8"])
+    def test_a_file_json_cannot_decode_is_a_config_error(self, tmp_path, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"^configuration is not valid JSON: .*{reason}"):
+            load_config(bad)

@@ -20,8 +20,6 @@ from apivet.detector import (
     flagged_ids,
     metrics_to_dict,
     read_report,
-    report_to_dict,
-    violation_to_dict,
     write_report,
 )
 from apivet.dsl import (
@@ -47,6 +45,8 @@ from oracles import (
     explain_oracle,
     failing_conjuncts_oracle,
     metrics_oracle,
+    report_to_dict,
+    violation_to_dict,
 )
 
 

@@ -172,6 +172,9 @@ DECODER_CASES = {
     "non_json_space": ["{r}\x0b\n", "{r}\u2028\n", "{r}\n"],
     "no_final_newline": ["{r}\n", "{r}"],
     "nested_too_deeply": ["[" * 100_000 + "\n", "{r}\n"],
+    # int() refuses the literal with a ValueError that is no JSONDecodeError
+    "integer_past_the_digit_limit": ["{r}\n", "1" * 5000 + "\n", "[" + "9" * 4301 + "]\n",
+                                     "{r}\n"],
 }
 
 
@@ -214,6 +217,35 @@ def test_decoder_edge_lines_match_the_reference(case):
 
     assert labels(lines, "lenient") == labels_oracle(lines, "lenient")
     assert strict_outcome(labels, lines) == strict_outcome(labels_oracle, lines)
+
+
+# a record of each kind with one of its ints past the digit limit
+HUGE = "1" * 5000
+HUGE_LINES = {
+    "logs": API.replace('"time": 1', f'"time": {HUGE}'),
+    "binlog": ROW.replace('"ts": 1', f'"ts": {HUGE}'),
+    "labels": LABEL.replace('"log_id": 0', f'"log_id": {HUGE}'),
+}
+HUGE_PARSERS = {
+    "logs": (lambda lines, mode: ingest_logs(lines, mode=mode).events, "apivet.logstore"),
+    "binlog": (lambda lines, mode: parse_row_events(lines, mode=mode), "apivet.binlog"),
+    "labels": (lambda lines, mode: parse_labels(lines, mode=mode), "apivet.logstore"),
+}
+VALID_LINES = {"logs": API, "binlog": ROW, "labels": LABEL}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_LINES))
+def test_an_integer_past_the_digit_limit_is_one_malformed_line(kind, caplog):
+    parse, logger = HUGE_PARSERS[kind]
+    lines = [VALID_LINES[kind], HUGE_LINES[kind], VALID_LINES[kind]]
+    with caplog.at_level(logging.WARNING, logger=logger):
+        assert len(parse(lines, "lenient")) == 2
+    assert caplog.messages == [f"skipped 1 malformed {kind.rstrip('s')} line(s)"]
+    with pytest.raises(IngestError) as err:
+        parse(lines, "strict")
+    limit = sys.get_int_max_str_digits()
+    assert str(err.value) == f"line 2: invalid JSON (integer of more than {limit} digits)"
+    assert err.value.line_no == 2
 
 
 def test_a_crlf_file_reads_as_its_lf_twin(tmp_path):

@@ -156,6 +156,33 @@ def test_the_decoder_guard_sees_each_way_to_decode(source):
     assert names_in(ast.parse(source)) & {"JSONDecoder", "scan_once"}
 
 
+ENCODER_NAMES = {"c_make_encoder", "encode_basestring_ascii", "JSONEncoder"}
+
+
+def test_only_fileio_encodes_json_lines():
+    # one JSON encoder, fileio.json_text, and one string escaper,
+    # fileio.json_string: a second would need json's encoder class, its C
+    # encoder factory or its escaper
+    encoders = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if names_in(ast.parse(path.read_text(encoding="utf-8"))) & ENCODER_NAMES
+    )
+    assert encoders == ["fileio.py"]
+
+
+@pytest.mark.parametrize("source", [
+    "json.JSONEncoder()",
+    "from json import JSONEncoder",
+    "from json.encoder import c_make_encoder as make",
+    "json.encoder.c_make_encoder(None, default, enc, None, ': ', ', ', False, False, True)",
+    "from json.encoder import encode_basestring_ascii as escape",
+    "escape = json.encoder.encode_basestring_ascii",
+])
+def test_the_encoder_guard_sees_each_way_to_encode(source):
+    assert names_in(ast.parse(source)) & ENCODER_NAMES
+
+
 # calls that open a file for writing whatever their arguments
 WRITERS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile",
            "SpooledTemporaryFile", "fdopen", "write_bytes", "write_text"}

@@ -22,11 +22,13 @@ from apivet.benchgen import (
 )
 from apivet.binlog import ingest_binlog, parse_row_events
 from apivet.config import PipelineConfig
-from apivet.detector import check_corpus, report_to_dict
+from apivet.detector import check_corpus
 from apivet.joins import JoinStores, TableCursor
 from apivet.logstore import ingest_logs
 from apivet.pipeline import run_generation, run_inference
 from apivet.schema import API
+
+from oracles import report_to_dict
 
 SWAP_SHARE = 0.10
 
