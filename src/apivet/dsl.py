@@ -17,13 +17,18 @@ expression into one Python expression of its truth value (Emitter.test),
 with comparisons specialised by literal type and every read that no
 quantified row feeds hoisted to the top of the function, or of its failure
 text (Emitter.why), which names the parts that failed and the values they
-read. It is the one evaluator, with two entry points: `compile_invariant`
-generates, per invariant, one function of (focal row, bindings) for each
-of the verdict, the explanation and the failing conjuncts (refinement,
-detection's explanations and the tests), and `compile_checks` builds
+read. A quantifier at a statement position, an invariant's whole body or a
+NOT of one, is tested by a `for ... else` loop instead (Emitter.branch):
+any() or all() over a generator makes a frame per call, which costs several
+times the loop on the one or two rows a binding mostly holds. Quantifiers
+nested in an expression stay generators. It is the one evaluator, with two
+entry points: `compile_invariant` generates, per invariant, one function
+of (focal row, bindings) for the verdict and one for the explanation with
+the positions of the failing conjuncts (detection's explanations,
+refinement's samples and the tests), and `compile_checks` builds
 detection's one function per focal API, whose binding rows the join engine
-supplies. Invariant text never becomes an identifier: names and literals
-enter the code through repr() or the function's namespace.
+supplies. Invariant text never becomes an identifier: names and
+literals enter the code through repr() or the function's namespace.
 """
 
 from __future__ import annotations
@@ -543,7 +548,7 @@ def _rows_why(failed: str, exists: bool, rows: list, test, why) -> str:
 
 
 # names every generated function may use; the emitter's own start with _v,
-# _k, _r and _t, and its parameters are row and b
+# _k, _r and _t, its parameters are row and b, and its locals bad and why
 _HELPERS = {
     "_comparable": _comparable,
     "_value_key": value_key,
@@ -692,6 +697,29 @@ class Emitter:
             return f"({key} in {keys})"
         raise TypeError(f"not an expression node: {node!r}")
 
+    def branch(self, node: Any, env: dict, when: bool, then: list[str]) -> list[str]:
+        """Statements running `then` where the node's truth value is `when`.
+
+        A quantifier, bare or under NOTs, becomes a loop that stops at the
+        first row deciding it (one whose test holds, for EXISTS; fails, for
+        FORALL) and runs `then` there or, when no row decides, in the
+        loop's else, so it makes no generator frame. Quantifiers inside it
+        stay expressions.
+        """
+        cls = node.__class__
+        if cls is Not:
+            return self.branch(node.expr, env, not when, then)
+        body = node.body if cls is Quant else None
+        if body is None or (node.exists and body.__class__ is BoolConst and body.value):
+            return [f"if {'' if when else 'not '}{self.test(node, env)}:", *_indent(then)]
+        row = self._name("_r")
+        test = self.test(body, {**env, node.name: (row, False)})
+        lines = [f"for {row} in {self._binding(node.name)}:",
+                 f"    if {'' if node.exists else 'not '}{test}:"]
+        if node.exists == when:  # the deciding row gives the value wanted
+            return lines + _indent(then, 2) + ["        break"]
+        return lines + ["        break", "else:", *_indent(then)]
+
     def _compare(self, op: str, left: Any, right: Any, env: dict) -> str:
         # a literal operand lets the type rule be settled here, once
         if left.__class__ is Lit and right.__class__ is not Lit:
@@ -760,18 +788,31 @@ class Emitter:
         return text
 
 
-def _positions(tests: list[str]) -> list[str]:
-    """A function body returning the positions of the false tests, () if
-    none is."""
-    lines = ["bad = ()"]
-    for i, test in enumerate(tests):
-        lines += [f"if not {test}:", f"    bad += ({i},)"]
-    return lines + ["return bad"]
+def _indent(lines: list[str], levels: int = 1) -> list[str]:
+    return [" " * (4 * levels) + line for line in lines]
+
+
+def _positions(em: Emitter, checks: list[tuple], explain: bool = False) -> list[str]:
+    """A function body returning the positions of the false (node, env)
+    checks, () if none is; with `explain`, their failure texts joined by
+    AND, then the positions."""
+    lines = ["bad = ()"] + (["why = []"] if explain else [])
+    for i, (node, env) in enumerate(checks):
+        then = [f"bad += ({i},)"]
+        if explain:
+            then.append(f"why.append({em.why(node, env)})")
+        lines += em.branch(node, env, False, then)
+    return lines + ["return ' AND '.join(why), bad" if explain else "return bad"]
 
 
 def compile_checks(invariants: list[Invariant], bind) -> Any:
     """One generated function checking invariants of one focal entity on a
     focal row: it returns the positions of those that fail, () if none does.
+
+    An invariant whose body is a quantifier, or a NOT of one, is checked by
+    a loop over its rows (Emitter.branch), not by any() or all() over a
+    generator: the check runs once per call, and on a binding of a row or
+    two the generator's frame is most of its cost.
 
     `bind(emitter)` gives each binding's rows as an expression of the
     function (see Emitter.rows); `row` is the focal row it reads them for.
@@ -779,7 +820,7 @@ def compile_checks(invariants: list[Invariant], bind) -> Any:
     em = Emitter()
     em.rows = bind(em)
     return em.function(
-        "row", _positions([em.test(inv.body, {inv.focal: ("row", True)}) for inv in invariants])
+        "row", _positions(em, [(inv.body, {inv.focal: ("row", True)}) for inv in invariants])
     )
 
 
@@ -789,14 +830,14 @@ def _conjuncts(inv: Invariant) -> tuple:
 
 def _answer(inv: Invariant, answer: str):
     """One generated function of (focal row, bindings) giving the verdict
-    ("test"), the failure text ("why") or the positions of the failing
-    top-level conjuncts ("conjuncts")."""
+    ("test"), or the failure text and the positions of the failing
+    top-level conjuncts ("diagnosis")."""
     em = Emitter()
     env = {inv.focal: ("row", True)}
-    if answer == "conjuncts":
-        lines = _positions([em.test(part, env) for part in _conjuncts(inv)])
+    if answer == "test":
+        lines = em.branch(inv.body, env, False, ["return False"]) + ["return True"]
     else:
-        lines = [f"return {getattr(em, answer)(inv.body, env)}"]
+        lines = _positions(em, [(part, env) for part in _conjuncts(inv)], explain=True)
     return em.function("row, b", lines)
 
 
@@ -805,27 +846,32 @@ class CompiledInvariant:
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). The test, the explanation and the per-conjunct test are each
-    one function generated on first use, so detection, which asks only for
-    explanations, generates no test.
+    of rows). The test and the diagnosis are each one function generated
+    on first use, so detection, which asks only for explanations, and
+    refinement, which asks for explanations and failing conjuncts, each
+    generate one function per failing invariant and no test.
     """
 
-    __slots__ = ("invariant", "_test", "_why", "_failing")
+    __slots__ = ("invariant", "_test", "_diagnosis")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
-        self._test = self._why = self._failing = None
+        self._test = self._diagnosis = None
 
     def __call__(self, group: Any) -> bool:
         if self._test is None:
             self._test = _answer(self.invariant, "test")
         return self._test(group.focal, group.bindings)
 
+    def _diagnosed(self, group: Any) -> tuple[str, tuple]:
+        if self._diagnosis is None:
+            self._diagnosis = _answer(self.invariant, "diagnosis")
+        return self._diagnosis(group.focal, group.bindings)
+
     def explain(self, group: Any) -> str:
-        """Explanation of why this invariant fails on the group."""
-        if self._why is None:
-            self._why = _answer(self.invariant, "why")
-        return self._why(group.focal, group.bindings)
+        """Explanation of why this invariant fails on the group; "" where
+        it holds."""
+        return self._diagnosed(group)[0]
 
     def failing_conjuncts(self, group: Any) -> list[str]:
         """Printed top-level conjuncts that fail on the group.
@@ -833,10 +879,13 @@ class CompiledInvariant:
         For a non-conjunctive body the whole printed body is returned when
         it fails.
         """
-        if self._failing is None:
-            self._failing = _answer(self.invariant, "conjuncts")
+        return self.diagnose(group)[1]
+
+    def diagnose(self, group: Any) -> tuple[str, list[str]]:
+        """(explain, failing_conjuncts) of the group from one function."""
+        why, bad = self._diagnosed(group)
         parts = _conjuncts(self.invariant)
-        return [print_expr(parts[i]) for i in self._failing(group.focal, group.bindings)]
+        return why, [print_expr(parts[i]) for i in bad]
 
 
 def compile_invariant(inv: Invariant) -> CompiledInvariant:

@@ -191,7 +191,8 @@ def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) 
     sweep detection runs, counted per invariant. A failing call gets a group
     only while some invariant it fails has fewer than `sample_limit`
     samples, and is explained there, the way detection explains a
-    violation.
+    violation, by one generated function that also gives its failing
+    conjuncts (CompiledInvariant.diagnose).
     """
     compiled = [[compile_invariant(inv) for inv in invs] for _, invs in batches]
     counts = [[0] * len(invs) for _, invs in batches]
@@ -205,10 +206,7 @@ def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) 
                 continue
             if group is None:
                 group = make_group()
-            fn = compiled[k][i]
-            samples[k][i].append(
-                ViolationSample(log_id, fn.explain(group), fn.failing_conjuncts(group))
-            )
+            samples[k][i].append(ViolationSample(log_id, *compiled[k][i].diagnose(group)))
     return [list(zip(ns, found)) for ns, found in zip(counts, samples)]
 
 

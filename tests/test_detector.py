@@ -108,8 +108,12 @@ class TestCompileInvariant:
                 verdict = evaluate(inv, group)
                 assert verdict.passed == passed
                 assert explain(verdict) == explain_oracle(inv, group)
+                assert fn.explain(group) == explain_oracle(inv, group)
                 assert fn.failing_conjuncts(group) == failing_conjuncts_oracle(
                     inv, group
+                )
+                assert fn.diagnose(group) == (
+                    explain_oracle(inv, group), failing_conjuncts_oracle(inv, group)
                 )
         assert failures > 300  # enough failures to exercise the tracer
 

@@ -4,15 +4,36 @@ it is translated into."""
 
 import builtins
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from apivet.binlog import ingest_binlog
+from apivet.benchgen import (
+    binlog_lines,
+    corpus_lines,
+    generate_normal,
+    inject_double_refund,
+    scenario_bundle,
+)
+from apivet.binlog import ingest_binlog, parse_row_events
+from apivet.config import PipelineConfig
 from apivet.detector import check_corpus, compile_invariant
-from apivet.dsl import MAX_NESTING, And, FieldRef, Not, Or, Quant, parse_invariant
+from apivet.dsl import (
+    MAX_NESTING,
+    And,
+    FieldRef,
+    Not,
+    Or,
+    Quant,
+    compile_checks,
+    parse_invariant,
+    quantifiers,
+)
 from apivet.errors import DslSyntaxError, EvaluationError
 from apivet.logstore import ingest_logs
+from apivet.pipeline import run_generation, run_inference
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
 from apivet.schema import (
     flatten_api_signature,
@@ -175,16 +196,14 @@ def write_order(row_events, t):
     return last
 
 
-def reference_report(corpus, row_events, invariants):
-    """Violations as (log id, invariant id, time, session, explanation),
-    from the reference joins and the tree-walking evaluator."""
+def reference_groups(corpus, row_events):
+    """One group per call, in log id order, from the reference joins."""
     calls = project_oracle(corpus.events, "call", dict.fromkeys(CALL_FIELDS))[0]
     prev_calls = [row for _, row in sorted(
         project_oracle(corpus.events, "prev", dict.fromkeys(FIELDS["prev"]))[0],
         key=lambda item: (item[1]["time"], item[0]),
     )]
     self_calls = [row for _, row in sorted(calls, key=lambda item: (item[1]["time"], item[0]))]
-    out = []
     for log_id, focal in calls:
         t, sid, x = focal["time"], focal["sessionId"], focal["arguments.x"]
         order = write_order(row_events, t)
@@ -200,10 +219,18 @@ def reference_report(corpus, row_events, invariants):
             "call": api_join_oracle(self_calls, sid, t, SELF_DELTA),
             "Env": env,
         }
-        group = FakeGroup(log_id, focal, bindings)
+        yield FakeGroup(log_id, focal, bindings)
+
+
+def reference_report(corpus, row_events, invariants):
+    """Violations as (log id, invariant id, time, session, explanation),
+    from the reference joins and the tree-walking evaluator."""
+    out = []
+    for group in reference_groups(corpus, row_events):
+        t, sid = group.focal["time"], group.focal["sessionId"]
         for inv in invariants:
             if not eval_oracle(inv, group):
-                out.append((log_id, inv.id, t, sid, explain_oracle(inv, group)))
+                out.append((group.log_id, inv.id, t, sid, explain_oracle(inv, group)))
     return sorted(out, key=lambda v: (v[0], v[1]))
 
 
@@ -370,7 +397,7 @@ def test_rebound_names_shadow_and_restore(body):
 
 
 @pytest.mark.parametrize(
-    "name", ["row", "b", "s", "bad", "_f", "_v1", "_k2", "_r3", "_t4", "_rows", "_unbound",
+    "name", ["row", "b", "s", "bad", "why", "_f", "_v1", "_k2", "_r3", "_t4", "_rows", "_unbound",
              "_comparable", "_value_key", "_fmt", "_note", "_and_why", "_rows_why", "any",
              "all", "bool", "None", "True", "lambda"],
 )
@@ -444,3 +471,202 @@ def test_quantifier_over_an_unbound_name_raises_when_reached():
         'WHERE call.arguments.x IS NOT NULL OR EXISTS(ghost: ghost.id == "g")'
     )
     assert detect(bundle(), lines, [], [skipped], 1)[1] == []
+
+
+# --- the shapes of generated checks --------------------------------------------
+# compile_checks tests a quantifier at a statement position (an invariant's
+# whole body, or a NOT of one) with a loop; each case, and the equality rule
+# the checks test, is pinned against the reference evaluator
+
+QUANTIFIED = {"items": 'items.state == "paid"', "prev": 'prev.response.status == "ok"',
+              "Env": 'Env.role == "admin"'}
+
+
+def statement_quantifiers(name):
+    """EXISTS, FORALL, NOT EXISTS and NOT FORALL of one binding, as invariants."""
+    over = f"{name}: {QUANTIFIED[name]}"
+    bodies = {"exists": f"EXISTS({over})", "forall": f"FORALL({over})",
+              "not_exists": f"NOT (EXISTS({over}))", "not_forall": f"NOT (FORALL({over}))"}
+    return [parse_invariant(f"INVARIANT {form}_{name} ON call CATEGORY database WHERE {body}")
+            for form, body in bodies.items()]
+
+
+def check_positions(invariants, focal, bindings, shape=list):
+    """compile_checks' positions on a focal row, with each binding's rows in
+    `shape` (a DB bucket's dict view, an API window's list, an env tuple),
+    and the reference evaluator's, per invariant; an EvaluationError from
+    either is returned as its message."""
+    def bind(em):
+        return {name: em.const(shape(rows)) for name, rows in bindings.items()}
+
+    group = FakeGroup(0, focal, bindings)
+    try:
+        expected = tuple(i for i, inv in enumerate(invariants) if not eval_oracle(inv, group))
+    except EvaluationError as exc:
+        expected = str(exc)
+    try:
+        got = compile_checks(invariants, bind)(focal)
+    except EvaluationError as exc:
+        got = str(exc)
+    return got, expected
+
+
+def db_view(rows):
+    return {i: row for i, row in enumerate(rows)}.values()
+
+
+ROW_SETS = {
+    "none": [],
+    "one_holds": ["hold"],
+    "one_fails": ["fail"],
+    "three_hold": ["hold", "hold", "hold"],
+    "three_fail": ["fail", "null", "fail"],
+    "first_fails": ["fail", "hold", "hold"],
+    "last_fails": ["hold", "hold", "null"],
+    "one_of_three_holds": ["fail", "hold", "fail"],
+}
+ROW_VALUES = {
+    "items": {"hold": {"state": "paid"}, "fail": {"state": "unpaid"}, "null": {}},
+    "prev": {"hold": {"response.status": "ok"}, "fail": {"response.status": "no"},
+             "null": {"response.status": None}},
+    "Env": {"hold": {"role": "admin"}, "fail": {"role": 1}, "null": {"role": None}},
+}
+
+
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+@pytest.mark.parametrize("name, shape", [("items", db_view), ("prev", list), ("Env", tuple)])
+def test_statement_quantifiers_match_the_oracle(name, shape, rows):
+    invariants = statement_quantifiers(name)
+    # NOT NOT and the quantifiers of another binding, around them: positions move
+    invariants = [parse_invariant(
+        f"INVARIANT twice ON call CATEGORY database "
+        f"WHERE NOT (NOT (EXISTS({name}: {QUANTIFIED[name]})))"
+    )] + invariants + statement_quantifiers("items" if name != "items" else "prev")
+    bindings = {"items": [], "prev": [], "Env": [],
+                name: [ROW_VALUES[name][kind] for kind in rows]}
+    got, expected = check_positions(invariants, {"arguments.x": "u1"}, bindings, shape)
+    assert got == expected
+
+
+def test_statement_quantifiers_match_the_oracle_through_the_joins():
+    """DB, API and env bindings of 0, 1 and 3 rows, as the sweep builds them."""
+    items = [("i1", "u1", "paid"), ("i2", "u3", "paid"), ("i3", "u3", "paid"),
+             ("i4", "u3", "paid"), ("i5", "u4", "paid"), ("i6", "u4", "unpaid"),
+             ("i7", "u4", "paid"), ("i8", "u5", "unpaid")]
+    row_events = [
+        row_event("items", "insert", 1 + i, ordinal=i,
+                  after={"id": key, "owner": owner, "qty": 1, "state": state})
+        for i, (key, owner, state) in enumerate(items)
+    ]
+    lines = [env_line("s1", {"sessionId": "s1", "userId": "u1", "role": "admin"}, 5),
+             env_line("s2", {"sessionId": "s2", "userId": "u1", "role": "guest"}, 5)]
+    for sid, statuses in (("s1", ["ok"]), ("s2", ["ok", "ok", "ok"]),
+                          ("s3", ["ok", "no", "ok"]), ("s4", [])):
+        lines += [api_line("prev", 100 + i, sid, {"x": "u1"}, {"status": status})
+                  for i, status in enumerate(statuses)]
+        lines += [api_line("call", 110, sid, {"x": x}) for x in ("u0", "u1", "u3", "u4", "u5")]
+    invariants = [inv for name in QUANTIFIED for inv in statement_quantifiers(name)]
+    corpus, got = detect(bundle(), lines, row_events, invariants, 1)
+    assert got == reference_report(corpus, row_events, invariants)
+    sizes = {name: {len(group.bindings[name]) for group in reference_groups(corpus, row_events)}
+             for name in QUANTIFIED}
+    assert sizes == {"items": {0, 1, 3}, "prev": {0, 1, 3}, "Env": {0, 1}}
+
+
+UNBOUND = [
+    'EXISTS(ghost: ghost.v == "a")',
+    "EXISTS(ghost: TRUE)",
+    'FORALL(ghost: ghost.v == "a")',
+    'NOT EXISTS(ghost: ghost.v == "a")',
+    'NOT (FORALL(ghost: ghost.v == "a"))',
+    'call.arguments.x IS NOT NULL OR EXISTS(ghost: ghost.v == "a")',
+    'EXISTS(items: EXISTS(ghost: ghost.v == items.state))',
+    'FORALL(items: NOT EXISTS(ghost: TRUE))',
+]
+
+
+@pytest.mark.parametrize("body", UNBOUND)
+@pytest.mark.parametrize("x", ["u1", None])
+@pytest.mark.parametrize("items", [[], [{"state": "paid"}]], ids=["no_items", "one_item"])
+def test_an_unbound_name_raises_where_the_oracle_does(body, x, items):
+    invariants = [
+        parse_invariant('INVARIANT before ON call CATEGORY database WHERE '
+                        'FORALL(items: items.state == "paid")'),
+        parse_invariant(f"INVARIANT ghost ON call CATEGORY database WHERE {body}"),
+    ]
+    got, expected = check_positions(invariants, {"arguments.x": x}, {"items": items})
+    assert got == expected
+
+
+EQUALITY_VALUES = [("1", 1), (True, 1), (1, True), (1, 1.0), (None, None), ("1", "1"),
+                   (False, False), (0, False), (2.5, 2.5), ("1", None)]
+EQUALITY_BODIES = [
+    "call.arguments.x {op} call.arguments.y",
+    "EXISTS(items: items.v {op} call.arguments.x)",
+    "EXISTS(items: call.arguments.x {op} items.w)",
+    "FORALL(items: items.v {op} items.w)",
+    "NOT EXISTS(items: items.w {op} call.arguments.y)",
+    'call.arguments.x {op} "1"',
+    "call.arguments.x {op} 1",
+    "call.arguments.x {op} 1.0",
+    "call.arguments.x {op} TRUE",
+    "call.arguments.x IN [1, \"x\", FALSE]",
+    "call.arguments.y IN [\"1\", 2.5]",
+]
+LITERAL_BODIES = ['237 {op} "cancelled"', '"1" {op} 1', "TRUE {op} 1", "1 {op} 1.0",
+                  '"a" {op} "a"', "-1 {op} -1", '-1.5 {op} "x"', "FALSE {op} 0"]
+
+
+@pytest.mark.parametrize("op", ["==", "!="])
+@pytest.mark.parametrize("x, y", EQUALITY_VALUES)
+def test_equality_matches_the_oracle(op, x, y):
+    invariants = [
+        parse_invariant(f"INVARIANT eq{i} ON call CATEGORY format WHERE {body.format(op=op)}")
+        for i, body in enumerate(EQUALITY_BODIES + LITERAL_BODIES)
+    ]
+    focal = {"arguments.x": x, "arguments.y": y}
+    for items in ([], [{"v": x, "w": y}], [{"v": y, "w": x}, {"v": x}, {"w": y}]):
+        got, expected = check_positions(invariants, focal, {"items": items})
+        assert got == expected, items
+        group = FakeGroup(0, focal, {"items": items})
+        for inv in invariants:
+            fn = compile_invariant(inv)
+            assert fn(group) == eval_oracle(inv, group)
+            if not fn(group):
+                assert fn.explain(group) == explain_oracle(inv, group)
+
+
+def test_statement_quantifiers_make_no_generator_frames():
+    """A check of a benchgen corpus runs the shop's quantifiers as loops:
+    none of its calls makes a generator frame."""
+    shop = scenario_bundle()
+
+    def load(bench):
+        corpus = ingest_logs(corpus_lines(bench)[0], mode="strict")
+        events = parse_row_events(binlog_lines(bench), mode="strict")
+        return corpus, ingest_binlog(events, shop, mode="strict")
+
+    corpus, tables = load(generate_normal(40, seed=5))
+    relationships = run_inference(shop, corpus, tables, PipelineConfig()).relationships
+    invariants = run_generation(shop, corpus, tables, relationships, PipelineConfig()).invariants
+    bodies = [inv.body.expr if inv.body.__class__ is Not else inv.body for inv in invariants]
+    assert sum(body.__class__ is Quant for body in bodies) >= 10
+    assert not [inv for inv in invariants if any(
+        depth > 1 for _, depth in quantifiers(inv.body))]
+
+    eval_corpus, eval_tables = load(inject_double_refund(
+        generate_normal(40, seed=6, first_index=1000), 5, seed=1))
+    frames = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<invariant>":
+            frames[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = check_corpus(shop, eval_corpus, eval_tables, relationships, invariants)
+    finally:
+        sys.setprofile(None)
+    assert result.violations  # explanations ran too
+    assert frames["_f"] >= result.logs_processed
+    assert frames["<genexpr>"] == 0

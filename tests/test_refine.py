@@ -610,6 +610,7 @@ class TestSharedSweep:
         assert checks == [size for batches in rounds for size, _ in batches]
         assert len(checks) < sum(checks)
         # besides those: one group-bindings function per API and round with a
-        # failing call, and an explanation and a conjunct test per failing candidate
+        # failing call, and one diagnosis (explanation and failing conjuncts)
+        # per failing candidate
         with_failures = sum(1 for batches in rounds for _, ns in batches if any(ns))
-        assert len(functions) == len(checks) + with_failures + 2 * failing
+        assert len(functions) == len(checks) + with_failures + failing
