@@ -36,6 +36,8 @@ DEFAULT_BASE_TIME = 1_700_000_000_000
 
 MIN_STEP_MS = 10
 MAX_STEP_MS = 1000
+# sessions start this far apart, before up to 200 ms of jitter each
+SESSION_GAP_MS = 400
 
 # lines per block handed to the file writer: one join per block, and few
 # enough write calls that writing costs no more than joining a whole file
@@ -177,7 +179,6 @@ def generate_normal(
     seed: int,
     base_time: int = DEFAULT_BASE_TIME,
     first_index: int = 0,
-    session_gap_ms: int = 400,
 ) -> Bench:
     """Seeded normal workload; sessions overlap on the shared timeline."""
     if n_sessions < 0:
@@ -189,21 +190,19 @@ def generate_normal(
     rng = random.Random(seed)
     bench = Bench()
     for k in range(first_index, first_index + n_sessions):
-        info = _one_session(bench, rng, k, base_time, session_gap_ms, first_index)
+        info = _one_session(bench, rng, k, base_time, first_index)
         bench.sessions.append(info)
     return bench
 
 
-def _one_session(
-    bench, rng, k, base_time, session_gap_ms, first_index
-) -> SessionInfo:
+def _one_session(bench, rng, k, base_time, first_index) -> SessionInfo:
     step = lambda: rng.randint(MIN_STEP_MS, MAX_STEP_MS)
     sid = f"s{k:05d}"
     uid = f"u{k:05d}"
     uname = f"user {k}"
     oid = f"o{k:05d}"
     price = round(rng.uniform(5.0, 500.0), 2)
-    start = base_time + (k - first_index) * session_gap_ms + rng.randint(0, 200)
+    start = base_time + (k - first_index) * SESSION_GAP_MS + rng.randint(0, 200)
 
     _row(bench, "users", "insert", start - step(), None, {"id": uid, "name": uname})
     _env(

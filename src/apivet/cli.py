@@ -37,7 +37,7 @@ from .errors import (
     ReplayError,
     SchemaError,
 )
-from .fileio import write_json
+from .fileio import write_chunks, write_json
 from .logstore import read_label_file, read_log_file
 from .relations import (
     diagram_to_dict,
@@ -110,8 +110,6 @@ def _config_for(args) -> PipelineConfig:
     overrides = {}
     if getattr(args, "strict", False):
         overrides["mode"] = "strict"
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
     if getattr(args, "proposer", None):
         overrides["proposer"] = args.proposer
     if getattr(args, "seed", None) is not None:
@@ -213,9 +211,7 @@ def _cmd_detect(args) -> int:
     tables = _load_tables(args, bundle, config)
     relationships = _load_document(args.relations, load_relationships)
     invariants = _load_document(args.invariants, read_invariant_file)
-    result = check_corpus(
-        bundle, corpus, tables, relationships, invariants, jobs=config.jobs
-    )
+    result = check_corpus(bundle, corpus, tables, relationships, invariants)
     write_report(result, len(invariants), args.out)
     if args.dump_joined:
         _dump_joined(bundle, corpus, tables, relationships, invariants, args.dump_joined)
@@ -231,12 +227,14 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
     from .joins import JoinStores, iter_joined_groups, joined_schema_for
 
     stores = JoinStores(bundle, corpus, tables)
-    lines = []
-    for focal_name in sorted({inv.focal for inv in invariants}):
-        schema = joined_schema_for(bundle, focal_name, relationships)
-        for group in iter_joined_groups(stores, schema):
-            lines.append(
-                json.dumps(
+
+    def lines():
+        # each group is written before the next is requested: its DB
+        # bindings are views into the sweeping cursor
+        for focal_name in sorted({inv.focal for inv in invariants}):
+            schema = joined_schema_for(bundle, focal_name, relationships)
+            for group in iter_joined_groups(stores, schema):
+                yield json.dumps(
                     {
                         "log_id": group.log_id,
                         "api": focal_name,
@@ -246,11 +244,9 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
                         },
                     },
                     sort_keys=True,
-                )
-            )
-    from .fileio import write_chunks
+                ) + "\n"
 
-    write_chunks([line + "\n" for line in lines], path)
+    write_chunks(lines(), path)
 
 
 def _cmd_eval(args) -> int:
@@ -363,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--relations", required=True, help="relationships JSON path")
     detect.add_argument("--invariants", required=True, help="invariant file path")
     detect.add_argument("--out", required=True, help="report output path")
-    detect.add_argument(
-        "--jobs", type=int, help="accepted for existing scripts; detection runs one sweep"
-    )
     detect.add_argument(
         "--dump-joined", metavar="PATH", help="debug: write joined groups as JSONL"
     )

@@ -70,7 +70,6 @@ class PipelineConfig:
     markov_alpha: float = 1.0
     hmm_states: int | None = None
     hmm_seed: int = 0
-    jobs: int = 1
     mode: str = "lenient"  # lenient | strict
     proposer: str = "stub"  # stub | remote
     synonyms: list = field(default_factory=lambda: [list(p) for p in DEFAULT_SYNONYMS])
@@ -85,7 +84,6 @@ class PipelineConfig:
             ("delta_ms", 1),
             ("max_refine_rounds", 0),
             ("violation_samples", 1),
-            ("jobs", 1),
         ):
             value = getattr(self, name)
             if not _is_int(value) or value < low:

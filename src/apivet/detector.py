@@ -57,13 +57,8 @@ def check_corpus(
     tables: dict[str, TemporalTable],
     relationships: list[Relationship],
     invariants: list[Invariant],
-    jobs: int = 1,
 ) -> DetectionResult:
-    """Evaluate every invariant against every matching call in the corpus.
-
-    `jobs` is accepted so existing callers keep working; every run is the
-    one sweep of `joins.failing_calls`, whatever its value.
-    """
+    """Evaluate every invariant against every matching call in the corpus."""
     started = _time.perf_counter()
     by_focal: dict[str, list[Invariant]] = {}
     for inv in sorted(invariants, key=lambda i: i.id):

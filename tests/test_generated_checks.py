@@ -234,10 +234,10 @@ def reference_report(corpus, row_events, invariants):
     return sorted(out, key=lambda v: (v[0], v[1]))
 
 
-def detect(bundle_, lines, row_events, invariants, jobs):
+def detect(bundle_, lines, row_events, invariants):
     corpus = ingest_logs(lines)
     tables = ingest_binlog(row_events, bundle_, mode="strict")
-    result = check_corpus(bundle_, corpus, tables, RELATIONSHIPS, invariants, jobs=jobs)
+    result = check_corpus(bundle_, corpus, tables, RELATIONSHIPS, invariants)
     got = [(v.log_id, v.invariant_id, v.time, v.session_id, v.explanation)
            for v in result.violations]
     return corpus, got
@@ -251,7 +251,7 @@ def test_reports_match_the_oracles_on_random_corpora():
         lines = random_corpus(rng)
         row_events = random_binlog(rng)
         invariants = [random_corpus_invariant(rng, f"inv_{trial}_{i}") for i in range(6)]
-        corpus, got = detect(bundle_, lines, row_events, invariants, rng.choice([1, 2, 3]))
+        corpus, got = detect(bundle_, lines, row_events, invariants)
         assert got == reference_report(corpus, row_events, invariants), trial
         violations += len(got)
     assert violations > 500  # enough failures to exercise the explanations
@@ -289,7 +289,7 @@ def check_both_paths(lines, text, expected_log_ids):
         row_event("items", "insert", 2, after={"id": "i2", "owner": "u1", "qty": 3,
                                               "state": "unpaid"}, ordinal=1),
     ]
-    corpus, got = detect(bundle_, lines, row_events, [inv], 1)
+    corpus, got = detect(bundle_, lines, row_events, [inv])
     assert got == reference_report(corpus, row_events, [inv])
     assert [v[0] for v in got] == expected_log_ids
     fn = compile_invariant(inv)
@@ -333,7 +333,7 @@ def test_patterns_holding_quotes_stay_data(pattern):
     ]
     text = f"INVARIANT quoted ON call CATEGORY format WHERE call.arguments.x MATCHES {quoted(pattern)}"
     inv = parse_invariant(text)
-    corpus, got = detect(bundle(), lines, [], [inv], 1)
+    corpus, got = detect(bundle(), lines, [], [inv])
     assert got == reference_report(corpus, [], [inv])
     assert 1 in [v[0] for v in got]
 
@@ -356,7 +356,7 @@ def test_patterns_holding_quotes_stay_data(pattern):
 def test_extreme_numbers_compare_exactly(field, literal, value, op, holds):
     lines = [api_line("call", 10, "s1", {field: value}), api_line("call", 20, "s1", {field: None})]
     text = f"INVARIANT big ON call CATEGORY common_sense WHERE call.arguments.{field} {op} {literal}"
-    corpus, got = detect(bundle(), lines, [], [parse_invariant(text)], 1)
+    corpus, got = detect(bundle(), lines, [], [parse_invariant(text)])
     assert got == reference_report(corpus, [], [parse_invariant(text)])
     # null never compares
     assert [v[0] for v in got] == ([1] if holds else [0, 1])
@@ -392,7 +392,7 @@ def test_rebound_names_shadow_and_restore(body):
         row_event("items", "insert", 2, after={"id": "i2", "owner": "u1", "qty": 3,
                                               "state": "unpaid"}, ordinal=1),
     ]
-    corpus, got = detect(bundle(), lines, row_events, [inv], 1)
+    corpus, got = detect(bundle(), lines, row_events, [inv])
     assert got == reference_report(corpus, row_events, [inv])
 
 
@@ -464,13 +464,13 @@ def test_quantifier_over_an_unbound_name_raises_when_reached():
         'INVARIANT ghost ON call CATEGORY database WHERE EXISTS(ghost: ghost.id == "g")'
     )
     with pytest.raises(EvaluationError, match="ghost"):
-        detect(bundle(), lines, [], [reached], 1)
+        detect(bundle(), lines, [], [reached])
     # short-circuited before the quantifier, as the tree-walking evaluator does
     skipped = parse_invariant(
         'INVARIANT ghost ON call CATEGORY database '
         'WHERE call.arguments.x IS NOT NULL OR EXISTS(ghost: ghost.id == "g")'
     )
-    assert detect(bundle(), lines, [], [skipped], 1)[1] == []
+    assert detect(bundle(), lines, [], [skipped])[1] == []
 
 
 # --- the shapes of generated checks --------------------------------------------
@@ -566,7 +566,7 @@ def test_statement_quantifiers_match_the_oracle_through_the_joins():
                   for i, status in enumerate(statuses)]
         lines += [api_line("call", 110, sid, {"x": x}) for x in ("u0", "u1", "u3", "u4", "u5")]
     invariants = [inv for name in QUANTIFIED for inv in statement_quantifiers(name)]
-    corpus, got = detect(bundle(), lines, row_events, invariants, 1)
+    corpus, got = detect(bundle(), lines, row_events, invariants)
     assert got == reference_report(corpus, row_events, invariants)
     sizes = {name: {len(group.bindings[name]) for group in reference_groups(corpus, row_events)}
              for name in QUANTIFIED}

@@ -4,7 +4,8 @@ Reference implementations that only tests call belong in tests/oracles.py.
 A public top-level function or class that nothing in the package names, as
 a call, an attribute or an import, and that the package does not re-export
 (`apivet._EXPORTS`, the library surface), is dead code. A name used only inside its own top-level definition,
-as in a recursive call, counts as named nowhere.
+as in a recursive call, counts as named nowhere. So is a parameter that its
+function's body never reads.
 """
 
 import ast
@@ -50,6 +51,77 @@ def test_every_public_definition_is_referenced():
     assert ("detector.py", "check_corpus") in defined
     unused = sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
     assert unused == [], f"defined in src/apivet but referenced nowhere in it: {unused}"
+
+
+# a signature a caller outside the package fixes: json's parse_constant
+# passes the constant's name, which one count does not need
+FIXED_SIGNATURES = {("fileio.py", "_Constants.__call__", "name")}
+
+
+def only_raises_not_implemented(function):
+    """An interface method: its body, after any docstring, is one
+    `raise NotImplementedError`."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(tree, scope=""):
+    """(qualified name, parameter) for each parameter of a function or
+    lambda in `tree` that its body never reads as a name; `self` and `cls`
+    and the parameters of interface methods excepted."""
+    unread = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = scope + getattr(node, "name", "<lambda>")
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if isinstance(node, ast.Lambda) or not only_raises_not_implemented(node):
+                unread += [(name, param) for param in params
+                           if param not in ("self", "cls") and param not in read]
+            unread += unread_parameters(node, name + ".")
+        elif isinstance(node, ast.ClassDef):
+            unread += unread_parameters(node, scope + node.name + ".")
+        else:
+            unread += unread_parameters(node, scope)
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter no code reads is an option that selects nothing
+    unread = sorted(
+        f"{path.name}:{function}({param})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, param in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.name, function, param) not in FIXED_SIGNATURES
+    )
+    assert unread == [], f"parameters in src/apivet that no code reads: {unread}"
+
+
+@pytest.mark.parametrize("source,unread", [
+    ("def f(a, b):\n    return a", [("f", "b")]),
+    ("def f(*args, key=None, **kw):\n    return args, kw", [("f", "key")]),
+    ("async def f(a, /, b):\n    return b", [("f", "a")]),
+    ("f = lambda x, y: y", [("<lambda>", "x")]),
+    ("def f(a, key=lambda row: 0):\n    return key(a)", [("f.<lambda>", "row")]),
+    ("def f(a):\n    def g():\n        return a\n    return g", []),
+    ("class C:\n    def m(self, x):\n        '''Doc.'''\n        raise NotImplementedError",
+     []),
+    ("class C:\n    def m(self, x):\n        raise NotImplementedError('m')", []),
+    ("class C:\n    def m(self, x):\n        raise ValueError", [("C.m", "x")]),
+])
+def test_the_parameter_guard_sees_each_unread_parameter(source, unread):
+    assert unread_parameters(ast.parse(source)) == unread
 
 
 def unused_imports(tree):

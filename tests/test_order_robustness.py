@@ -92,9 +92,9 @@ def setup():
     )
 
 
-def detect(setup, corpus, jobs):
+def detect(setup, corpus):
     return check_corpus(
-        setup.bundle, corpus, setup.tables, setup.relationships, setup.invariants, jobs=jobs
+        setup.bundle, corpus, setup.tables, setup.relationships, setup.invariants
     )
 
 
@@ -104,10 +104,9 @@ def test_swapped_corpus_is_out_of_time_order(setup):
     assert sorted(setup.order) != setup.order
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_swapped_report_maps_back_to_in_order_report(setup, jobs):
-    want = report_to_dict(detect(setup, setup.in_order, 1), len(setup.invariants))
-    got = report_to_dict(detect(setup, setup.swapped, jobs), len(setup.invariants))
+def test_swapped_report_maps_back_to_in_order_report(setup):
+    want = report_to_dict(detect(setup, setup.in_order), len(setup.invariants))
+    got = report_to_dict(detect(setup, setup.swapped), len(setup.invariants))
     for violation in got["violations"]:
         violation["log_id"] = setup.order[violation["log_id"]]
     got["violations"].sort(key=lambda v: (v["log_id"], v["invariant_id"]))
@@ -122,8 +121,7 @@ def test_instances_are_in_time_then_id_order(setup):
         assert keys == sorted(keys), entity.name
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_join_cursors_never_see_a_backward_time(setup, monkeypatch, jobs):
+def test_join_cursors_never_see_a_backward_time(setup, monkeypatch):
     advance = TableCursor.advance
     last_t = {}  # id(cursor) -> (cursor, last t); holding the cursor pins its id
     probes = rewinds = 0
@@ -138,6 +136,6 @@ def test_join_cursors_never_see_a_backward_time(setup, monkeypatch, jobs):
         return advance(self, t)
 
     monkeypatch.setattr(TableCursor, "advance", counting)
-    detect(setup, setup.swapped, jobs)
+    detect(setup, setup.swapped)
     assert probes > 0
     assert rewinds == 0
