@@ -14,8 +14,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import IngestError, ReplayError
-from .fileio import json_lines
+from .errors import ReplayError
+from .fileio import keep_records, read_json_lines
 from .schema import TABLE, EntityType, SchemaBundle
 
 logger = logging.getLogger(__name__)
@@ -38,33 +38,26 @@ def parse_row_events(lines: Iterable[str], mode: str = "lenient") -> list[RowEve
 
     Blank lines are ignored.
     """
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown ingest mode {mode!r}")
     events: list[RowEvent] = []
-    skipped = 0
-    for line_no, record, problem in json_lines(lines):
+
+    def keep(record) -> str | None:
+        if record.__class__ is not dict:
+            return "row event must be a document"
+        problem = _check_row_event(record)
         if problem is None:
-            if record.__class__ is not dict:
-                problem = "row event must be a document"
-            else:
-                problem = _check_row_event(record)
-            if problem is None:
-                events.append(
-                    RowEvent(
-                        record["table"],
-                        record["op"],
-                        record["ts"],
-                        record.get("before"),
-                        record.get("after"),
-                        len(events),
-                    )
+            events.append(
+                RowEvent(
+                    record["table"],
+                    record["op"],
+                    record["ts"],
+                    record.get("before"),
+                    record.get("after"),
+                    len(events),
                 )
-                continue
-        if mode == "strict":
-            raise IngestError(problem, line_no)
-        skipped += 1
-    if skipped:
-        logger.warning("skipped %d malformed binlog line(s)", skipped)
+            )
+        return problem
+
+    keep_records(lines, keep, mode, "binlog", logger)
     return events
 
 
@@ -91,8 +84,7 @@ def _check_row_event(record: dict) -> str | None:
 
 
 def read_binlog_file(path: str, mode: str = "lenient") -> list[RowEvent]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_row_events(fh, mode=mode)
+    return read_json_lines(path, lambda lines: parse_row_events(lines, mode=mode))
 
 
 # Version = (ts, ordinal, row image or None for a tombstone)

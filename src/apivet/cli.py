@@ -37,7 +37,7 @@ from .errors import (
     ReplayError,
     SchemaError,
 )
-from .fileio import write_chunks, write_json
+from .fileio import read_file, read_json, write_chunks, write_json
 from .logstore import read_label_file, read_log_file
 from .relations import (
     diagram_to_dict,
@@ -60,23 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_document(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _read_ddl(path: str) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return parse_create_table(fh.read())
-
-
 def _read_calls(path: str, depth_limit: int) -> list:
     """One API entity per entry of a {name: {arguments, response}} file."""
     return [
         flatten_api_signature(
             name, sig.get("arguments", {}), sig.get("response", {}), depth_limit
         )
-        for name, sig in sorted(_read_document(path).items())
+        for name, sig in sorted(read_json(path).items())
     ]
 
 
@@ -131,14 +121,14 @@ def _load_tables(args, bundle, config):
 def _cmd_schema_parse(args) -> int:
     entities = []
     if args.ddl:
-        entities.extend(_load_document(args.ddl, _read_ddl))
+        entities.extend(_load_document(args.ddl, lambda p: parse_create_table(read_file(p))))
     if args.calls:
         if args.depth < 1:
             raise ConfigError("--depth must be at least 1")
         entities.extend(_load_document(args.calls, lambda p: _read_calls(p, args.depth)))
     if args.env:
         entities.append(_load_document(
-            args.env, lambda p: load_env_descriptor(_read_document(p), name=args.env_name)
+            args.env, lambda p: load_env_descriptor(read_json(p), name=args.env_name)
         ))
     if not entities:
         raise ConfigError("nothing to parse: pass --ddl, --calls, or --env")
@@ -202,7 +192,7 @@ def _cmd_invariants_generate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from .detector import check_corpus, write_report
+    from .detector import admit_invariants, check_corpus, write_report
     from .dsl import read_invariant_file
 
     config = _config_for(args)
@@ -210,7 +200,11 @@ def _cmd_detect(args) -> int:
     corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
     relationships = _load_document(args.relations, load_relationships)
-    invariants = _load_document(args.invariants, read_invariant_file)
+    # vetted here too, so that a refused invariant names its file
+    invariants = _load_document(
+        args.invariants,
+        lambda p: admit_invariants(bundle, relationships, read_invariant_file(p)),
+    )
     result = check_corpus(bundle, corpus, tables, relationships, invariants)
     write_report(result, len(invariants), args.out)
     if args.dump_joined:

@@ -5,8 +5,9 @@ holds the remote proposer's endpoint, model, credential variable, timeout
 and retry budget. Both validate on construction and raise `ConfigError`,
 and a key that names no field is rejected, so every key a file sets is
 read by some stage.
-This module imports nothing from the rest of the package but `errors`, so
-loading a configuration loads no proposer, model or HTTP code.
+This module imports nothing from the rest of the package but `errors` and
+`fileio`, which reads the file and itself imports only `errors`, so loading
+a configuration loads no proposer, model or HTTP code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .fileio import read_json
 
 DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
 
@@ -153,8 +155,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def load_config(path: str) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}")
     except json.JSONDecodeError as exc:

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .binlog import TemporalTable
-from .dsl import Invariant, compile_invariant
-from .errors import MetricsError
-from .fileio import json_string, write_chunks, write_json
-from .joins import JoinStores, failing_calls, joined_schema_for
+from .dsl import Invariant, admission_problem, compile_invariant
+from .errors import MetricsError, SchemaError
+from .fileio import json_string, read_json, write_chunks, write_json
+from .joins import JoinStores, binding_names, failing_calls, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
 from .relations import Relationship
-from .schema import SchemaBundle
+from .schema import API, SchemaBundle
 
 
 @dataclass(slots=True)
@@ -51,6 +51,24 @@ class DetectionResult:
 # --- corpus checking ---------------------------------------------------------
 
 
+def admit_invariants(
+    bundle: SchemaBundle, relationships: list[Relationship], invariants: list[Invariant]
+) -> list[Invariant]:
+    """`invariants`, once each is known to run on any corpus: its focal API
+    is in the bundle and it passes `dsl.admission_problem` against the
+    names that API binds. The first that does not is a SchemaError naming
+    it, whatever calls the corpus holds."""
+    apis = {entity.name for entity in bundle.of_kind(API)}
+    for inv in invariants:
+        if inv.focal not in apis:
+            raise SchemaError(f"invariant {inv.id!r}: unknown API {inv.focal!r}")
+        bound = binding_names([r for r in relationships if r.focal_entity == inv.focal])
+        problem = admission_problem(inv, inv.focal, set(bound))
+        if problem is not None:
+            raise SchemaError(f"invariant {inv.id!r}: {problem}")
+    return invariants
+
+
 def check_corpus(
     bundle: SchemaBundle,
     corpus: LogCorpus,
@@ -58,8 +76,10 @@ def check_corpus(
     relationships: list[Relationship],
     invariants: list[Invariant],
 ) -> DetectionResult:
-    """Evaluate every invariant against every matching call in the corpus."""
+    """Evaluate every invariant against every matching call in the corpus,
+    once admit_invariants has vetted them all."""
     started = _time.perf_counter()
+    admit_invariants(bundle, relationships, invariants)
     by_focal: dict[str, list[Invariant]] = {}
     for inv in sorted(invariants, key=lambda i: i.id):
         by_focal.setdefault(inv.focal, []).append(inv)
@@ -222,8 +242,7 @@ def write_report(result: DetectionResult, invariants_checked: int, path) -> None
 
 
 def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if "violations" not in data or "summary" not in data:
         raise MetricsError(f"not a detection report: {path}")
     return data
@@ -234,16 +253,7 @@ def flagged_ids(report: dict) -> set[int]:
 
 
 def metrics_to_dict(metrics: MetricsResult) -> dict:
-    return {
-        "tp": metrics.tp,
-        "fp": metrics.fp,
-        "tn": metrics.tn,
-        "fn": metrics.fn,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "windows": metrics.windows,
-        "traces": metrics.traces,
-    }
+    return asdict(metrics)
 
 
 def write_metrics(metrics: MetricsResult, path) -> None:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .errors import DslScopeError, DslSyntaxError, EvaluationError
+from .fileio import read_file, write_chunks
 from .lexer import Cursor, Token
 from .values import value_key
 
@@ -368,6 +369,25 @@ def quantifiers(node: Any, depth: int = 1) -> Iterator[tuple[str, int]]:
         yield from quantifiers(node.expr, depth)
 
 
+def admission_problem(inv: Invariant, focal_name: str, bound: set[str] | None) -> str | None:
+    """Why `inv` cannot run as an invariant of `focal_name`, or None: it is
+    about another API, nests its quantifiers deeper than
+    MAX_QUANTIFIER_DEPTH or quantifies over a name not in `bound`, the names
+    the API binds (None admits any name). Refinement vets each candidate by
+    this rule, and detection each invariant before any check runs.
+    """
+    if inv.focal != focal_name:
+        return f"wrong focal entity {inv.focal!r}"
+    found = list(quantifiers(inv.body))
+    depth = max((d for _, d in found), default=0)
+    if depth > MAX_QUANTIFIER_DEPTH:
+        return f"quantifiers nested {depth} deep, more than {MAX_QUANTIFIER_DEPTH}"
+    for name, _ in found:
+        if bound is not None and name not in bound:
+            return f"unknown binding: entity {name!r} is not bound in this group"
+    return None
+
+
 def quantified_names(node: Any) -> set[str]:
     """Every binding name an expression quantifies over, at any depth."""
     return {name for name, _ in quantifiers(node)}
@@ -469,15 +489,12 @@ def print_invariant(inv: Invariant) -> str:
 
 
 def write_invariant_file(invariants: Iterable[Invariant], path: str) -> None:
-    from .fileio import write_chunks
-
     blocks = [print_invariant(inv) for inv in invariants]
     write_chunks(("\n\n".join(blocks), "\n" if blocks else ""), path)
 
 
 def read_invariant_file(path: str) -> list[Invariant]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_invariants(fh.read())
+    return parse_invariants(read_file(path))
 
 
 # --- generated evaluation and explanation -----------------------------------

@@ -1,4 +1,5 @@
-"""File helpers: the one JSON Lines decoder, the one encoder, the one
+"""File helpers: the one reader of input files, the one JSON Lines decoder
+and the one rule that keeps or refuses its lines, the one encoder, the one
 atomic writer (write chunks to a temp file, then rename into place).
 
 `json_lines` decodes a batch of up to BATCH_LINES lines in one call into
@@ -13,6 +14,11 @@ are the same.
 `json_text` is json.dumps with its defaults, run through one C encoder made
 at import rather than one made per call, and `json_string` is json's C
 string escaper: writers build each line from a template around them.
+
+A JSON Lines file is read with each byte that is not UTF-8 decoded as a
+lone surrogate, so such a line is one malformed line, "invalid UTF-8",
+and not a refused file. A batch that is all ASCII, as every line benchgen
+writes is, holds no surrogate, which str.isascii() answers without a scan.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import sys
 from itertools import islice
 from json.encoder import JSONEncoder, c_make_encoder
 from json.encoder import encode_basestring_ascii as json_string
-from typing import Any, Iterable, Iterator
+from logging import Logger
+from typing import Any, Callable, Iterable, Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, IngestError
 
 # lines decoded in one C call. It bounds the batch text and its values, and
 # keeps those values in cache until the caller reads them: with 4096 lines,
@@ -69,6 +76,8 @@ def _decode_batch(batch: list[str]) -> list | None:
     """
     constants = _Constants()
     text = "[" + _SEPARATOR.join(batch) + "]"
+    if not (text.isascii() or _is_utf8(text)):
+        return None
     try:
         values = json.JSONDecoder(parse_constant=constants).decode(text)
     except (ValueError, RecursionError):
@@ -82,11 +91,23 @@ def _decode_batch(batch: list[str]) -> list | None:
     return values[::2]
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether `text` has no surrogate, so that it encodes as UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _decode_lines(
     batch: list[str], first_line_no: int
 ) -> Iterator[tuple[int, Any, str | None]]:
     """The batch decoded line by line: the rule that reports problems."""
     for line_no, line in enumerate(batch, start=first_line_no):
+        if not (line.isascii() or _is_utf8(line)):
+            yield line_no, None, "invalid UTF-8"
+            continue
         try:
             value, end = _scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -115,10 +136,12 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any, str | None]]:
     """Decode JSON Lines: (line number, value, None) per line that is one
     JSON value, (line number, None, problem) per line that is not.
 
-    Blank lines are skipped. A line nested too deeply to decode, or holding
-    an integer longer than int() takes, is invalid JSON. Every other value
-    and problem text is json.loads' for that line alone. Lines are read a
-    batch ahead of what is yielded.
+    Blank lines are skipped. A line with a surrogate, which is how
+    read_json_lines passes a byte that is not UTF-8, is invalid UTF-8. A
+    line nested too deeply to decode, or holding an integer longer than
+    int() takes, is invalid JSON. Every other value and problem text is
+    json.loads' for that line alone. Lines are read a batch ahead of what
+    is yielded.
     """
     lines = iter(lines)
     line_no = 1
@@ -130,6 +153,43 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, Any, str | None]]:
             for value_line_no, value in enumerate(values, start=line_no):
                 yield value_line_no, value, None
         line_no += len(batch)
+
+
+def keep_records(
+    lines: Iterable[str], keep: Callable[[Any], str | None], mode: str, kind: str, log: Logger
+) -> int:
+    """The one line rule: `keep` keeps a line's value and returns None, or
+    says what is wrong with it. A line that is not one JSON value or that
+    `keep` refuses is an IngestError in strict mode; in lenient mode it is
+    skipped, counted in one warning to `log`, and the count returned."""
+    if mode not in ("strict", "lenient"):
+        raise ValueError(f"unknown ingest mode {mode!r}")
+    skipped = 0
+    for line_no, value, problem in json_lines(lines):
+        if problem is None and (problem := keep(value)) is None:
+            continue
+        if mode == "strict":
+            raise IngestError(problem, line_no)
+        skipped += 1
+        log.debug("skipping %s line %d: %s", kind, line_no, problem)
+    if skipped:
+        log.warning("skipped %d malformed %s line(s)", skipped, kind)
+    return skipped
+
+
+def read_file(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_json(path: str) -> Any:
+    return json.loads(read_file(path))
+
+
+def read_json_lines(path: str, parse: Callable[[Iterable[str]], Any]) -> Any:
+    """`parse` of the file's lines, a byte that is not UTF-8 a lone surrogate."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse(fh)
 
 
 # json.dumps(value) with its defaults, encoded by one encoder made here, not

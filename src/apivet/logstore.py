@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
-from .errors import IngestError
-from .fileio import json_lines
+from .fileio import keep_records, read_json_lines
 from .schema import EntityType
 from .values import SCALAR_CLASSES, coerce_scalar, get_path
 
@@ -100,51 +99,42 @@ def ingest_logs(lines: Iterable[str], mode: str = "lenient") -> LogCorpus:
 
     Blank lines are ignored.
     """
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown ingest mode {mode!r}")
     events: list[LogEvent] = []
     env_records: list[EnvRecord] = []
-    skipped = 0
-    for line_no, record, problem in json_lines(lines):
-        if problem is None:
-            kind = record.get("kind") if record.__class__ is dict else None
-            if kind == "api":
-                problem = _check_api_line(record)
-                if problem is None:
-                    events.append(
-                        LogEvent(
-                            len(events),
-                            record["api"],
-                            record["arguments"],
-                            record["response"],
-                            record["time"],
-                            record["sessionId"],
-                        )
+
+    def keep(record) -> str | None:
+        kind = record.get("kind") if record.__class__ is dict else None
+        if kind == "api":
+            problem = _check_api_line(record)
+            if problem is None:
+                events.append(
+                    LogEvent(
+                        len(events),
+                        record["api"],
+                        record["arguments"],
+                        record["response"],
+                        record["time"],
+                        record["sessionId"],
                     )
-                    continue
-            elif kind == "env":
-                problem = _check_env_line(record)
-                if problem is None:
-                    env_records.append(
-                        EnvRecord(record["sessionId"], record["fields"], record.get("time"))
-                    )
-                    continue
-            elif record is None:
-                problem = "malformed record"
-            else:
-                problem = f"unknown record kind {kind!r}"
-        if mode == "strict":
-            raise IngestError(problem, line_no)
-        skipped += 1
-        logger.debug("skipping log line %d: %s", line_no, problem)
-    if skipped:
-        logger.warning("skipped %d malformed log line(s)", skipped)
+                )
+            return problem
+        if kind == "env":
+            problem = _check_env_line(record)
+            if problem is None:
+                env_records.append(
+                    EnvRecord(record["sessionId"], record["fields"], record.get("time"))
+                )
+            return problem
+        if record is None:
+            return "malformed record"
+        return f"unknown record kind {kind!r}"
+
+    skipped = keep_records(lines, keep, mode, "log", logger)
     return LogCorpus(events=events, env_records=env_records, skipped=skipped)
 
 
 def read_log_file(path: str, mode: str = "lenient") -> LogCorpus:
-    with open(path, encoding="utf-8") as fh:
-        return ingest_logs(fh, mode=mode)
+    return read_json_lines(path, lambda lines: ingest_logs(lines, mode=mode))
 
 
 def env_history(records: Iterable[EnvRecord]) -> tuple[dict, dict]:
@@ -257,34 +247,27 @@ def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecor
     """Parse the label sidecar (one record per log id). Lenient mode drops a
     malformed line and logs one warning with the count; strict mode raises
     on the first."""
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown ingest mode {mode!r}")
     out: list[LabelRecord] = []
-    skipped = 0
-    for line_no, record, problem in json_lines(lines):
-        if problem is None:
-            if not isinstance(record, dict):
-                record = {}  # valid JSON, but not a label record
-            log_id = record.get("log_id")
-            label = record.get("label")
-            trace = record.get("trace")
-            if (
-                isinstance(log_id, int)
-                and not isinstance(log_id, bool)
-                and label in ("normal", "attack")
-                and (trace is None or isinstance(trace, str))
-            ):
-                out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
-                continue
-            problem = "malformed label record"
-        if mode == "strict":
-            raise IngestError(problem, line_no)
-        skipped += 1
-    if skipped:
-        logger.warning("skipped %d malformed label line(s)", skipped)
+
+    def keep(record) -> str | None:
+        if not isinstance(record, dict):
+            record = {}  # valid JSON, but not a label record
+        log_id = record.get("log_id")
+        label = record.get("label")
+        trace = record.get("trace")
+        if (
+            isinstance(log_id, int)
+            and not isinstance(log_id, bool)
+            and label in ("normal", "attack")
+            and (trace is None or isinstance(trace, str))
+        ):
+            out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
+            return None
+        return "malformed label record"
+
+    keep_records(lines, keep, mode, "label", logger)
     return out
 
 
 def read_label_file(path: str, mode: str = "lenient") -> list[LabelRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_labels(fh, mode=mode)
+    return read_json_lines(path, lambda lines: parse_labels(lines, mode=mode))

@@ -1,8 +1,10 @@
 """Candidate refinement: keep an invariant only once training traffic is clean.
 
-A candidate is vetted before it runs: it must parse, be about its focal API,
-nest its quantifiers at most MAX_QUANTIFIER_DEPTH deep and quantify only over
-names its API binds, so no check fails on an unbound name or runs for ever.
+A candidate is vetted before it runs: it must parse and pass
+`dsl.admission_problem`, the rule detection also vets its invariants by:
+be about its focal API, nest its quantifiers at most
+`dsl.MAX_QUANTIFIER_DEPTH` deep and quantify only over names its API binds,
+so no check fails on an unbound name or runs for ever.
 Candidates are then checked in rounds. A round checks the open candidates of
 every API at once, counts each one's violations and explains only the first
 few; a violated candidate goes back to the proposer with those samples, on
@@ -29,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .dsl import (
-    MAX_QUANTIFIER_DEPTH,
     Invariant,
+    admission_problem,
     compile_invariant,
     evaluate,
     explain,
     parse_invariant,
     print_invariant,
-    quantifiers,
 )
 from .errors import ExtractionError, ParseError, ProposalError
 from .joins import failing_calls
@@ -82,19 +83,9 @@ def _admit(cand: _Candidate, text: str, focal_name: str, bound: set[str] | None)
     except ParseError as exc:
         cand.reason = f"unparseable: {exc}"
         return
-    if inv.focal != focal_name:
-        cand.reason = f"wrong focal entity {inv.focal!r}"
-        return
-    found = list(quantifiers(inv.body))
-    depth = max((d for _, d in found), default=0)
-    if depth > MAX_QUANTIFIER_DEPTH:
-        cand.reason = f"quantifiers nested {depth} deep, more than {MAX_QUANTIFIER_DEPTH}"
-        return
-    for name, _ in found:
-        if bound is not None and name not in bound:
-            cand.reason = f"unknown binding: entity {name!r} is not bound in this group"
-            return
-    cand.inv = inv
+    cand.reason = admission_problem(inv, focal_name, bound)
+    if cand.reason is None:
+        cand.inv = inv
 
 
 def refine_rounds(

@@ -18,6 +18,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 from .errors import InferenceError
+from .fileio import read_json, write_json
 from .logstore import InstanceTable, env_before
 from .schema import API, ENV, TABLE, SchemaBundle
 from .values import value_key
@@ -272,14 +273,8 @@ def diagram_to_dict(bundle: SchemaBundle, relationships: list[Relationship]) -> 
 
 
 def save_relationships(relationships: list[Relationship], path) -> None:
-    from .fileio import write_json
-
     write_json([relationship_to_dict(rel) for rel in relationships], path)
 
 
 def load_relationships(path) -> list[Relationship]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return [relationship_from_dict(item) for item in data]
+    return [relationship_from_dict(item) for item in read_json(path)]

@@ -7,11 +7,11 @@ statements, and the per-session environment descriptor.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .errors import DdlParseError, SchemaError
+from .fileio import read_json, write_json
 from .lexer import Cursor, Token
 
 TYPE_TAGS = (
@@ -436,11 +436,8 @@ def bundle_from_dict(data: dict) -> SchemaBundle:
 
 
 def save_bundle(bundle: SchemaBundle, path: str) -> None:
-    from .fileio import write_json
-
     write_json(bundle_to_dict(bundle), path)
 
 
 def load_bundle(path: str) -> SchemaBundle:
-    with open(path, encoding="utf-8") as fh:
-        return bundle_from_dict(json.load(fh))
+    return bundle_from_dict(read_json(path))

@@ -525,6 +525,73 @@ class TestExitCodes:
         assert line.endswith("invariant 'too_deep' nests quantifiers 50 deep, more than 3")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("without_focal_calls", [False, True])
+    @pytest.mark.parametrize("line, problem", [
+        pytest.param('INVARIANT ghost_check ON payOrder CATEGORY database '
+                     'WHERE EXISTS(ghost: ghost.id == "x")',
+                     "invariant 'ghost_check': unknown binding: "
+                     "entity 'ghost' is not bound in this group", id="unbound"),
+        pytest.param('INVARIANT stray ON noSuchApi CATEGORY format WHERE TRUE',
+                     "invariant 'stray': unknown API 'noSuchApi'", id="unknown_api"),
+    ])
+    def test_an_invariant_detection_cannot_run_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys, line, problem, without_focal_calls
+    ):
+        # refused before any check runs, whether or not the corpus calls its API
+        logs = pipeline["eval"] / "logs.jsonl"
+        if without_focal_calls:
+            kept = [l for l in logs.read_text().splitlines(keepends=True)
+                    if json.loads(l).get("api") != "payOrder"]
+            logs = tmp_path / "logs.jsonl"
+            logs.write_text("".join(kept))
+        bad = tmp_path / "invariants.txt"
+        bad.write_text(pipeline["invariants"].read_text() + f"\n{line}\n")
+        capsys.readouterr()
+        assert main(["detect", "--bundle", str(pipeline["bundle"]),
+                     "--logs", str(logs),
+                     "--binlog", str(pipeline["eval"] / "binlog.jsonl"),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(bad),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"error: malformed {bad}: SchemaError: {problem}"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("name", ["logs", "binlog", "labels"])
+    def test_a_line_that_is_not_utf8_is_skipped_or_names_its_line(
+        self, pipeline, tmp_path, capsys, name
+    ):
+        original = pipeline["eval"] / f"{name}.jsonl"
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_bytes(original.read_bytes() + b"\xff\xfe\n")
+        bad_line_no = len(original.read_bytes().splitlines()) + 1
+        inputs = {"logs": str(pipeline["eval"] / "logs.jsonl"),
+                  "binlog": str(pipeline["eval"] / "binlog.jsonl"),
+                  "labels": str(pipeline["eval"] / "labels.jsonl"), name: str(bad)}
+        if name == "labels":  # eval reads labels strictly
+            runs = [(["eval", "--report", str(pipeline["report"]),
+                      "--labels", inputs["labels"]], None)]
+        else:
+            detect = ["detect", "--bundle", str(pipeline["bundle"]),
+                      "--logs", inputs["logs"], "--binlog", inputs["binlog"],
+                      "--relations", str(pipeline["relations"]),
+                      "--invariants", str(pipeline["invariants"])]
+            runs = [(detect, pipeline["report"]), ([*detect, "--strict"], None)]
+        for argv, same_as in runs:
+            out = tmp_path / "out.json"
+            capsys.readouterr()
+            code = main([*argv, "--out", str(out)])
+            if same_as is None:
+                assert code == 2
+                (err,) = capsys.readouterr().err.splitlines()
+                assert err == (f"error: malformed {bad}: IngestError: "
+                               f"line {bad_line_no}: invalid UTF-8")
+                assert not out.exists()
+            else:  # the line is skipped: the report is the one without it
+                assert code == 0
+                assert out.read_bytes() == same_as.read_bytes()
+                out.unlink()
+
     def test_missing_input_file_exits_one(self, pipeline, tmp_path):
         assert main(["detect",
                      "--bundle", str(pipeline["bundle"]),

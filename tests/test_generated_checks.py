@@ -31,7 +31,7 @@ from apivet.dsl import (
     parse_invariant,
     quantifiers,
 )
-from apivet.errors import DslSyntaxError, EvaluationError
+from apivet.errors import DslSyntaxError, EvaluationError, SchemaError
 from apivet.logstore import ingest_logs
 from apivet.pipeline import run_generation, run_inference
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
@@ -458,19 +458,25 @@ def test_literal_operands_compile_cleanly(body, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
 
 
-def test_quantifier_over_an_unbound_name_raises_when_reached():
-    lines = [api_line("call", 10, "s1", {"x": "u1"}), api_line("call", 20, "s1", {"x": "u2"})]
+@pytest.mark.parametrize("lines", [
+    pytest.param([api_line("call", 10, "s1", {"x": "u1"})], id="calls"),
+    pytest.param([], id="no_calls"),
+])
+def test_a_quantifier_over_an_unbound_name_is_refused_before_any_check(lines):
+    # whether a call reaches the quantifier or short-circuits before it, and
+    # whether the corpus holds a call at all: detection refuses the invariant
     reached = parse_invariant(
         'INVARIANT ghost ON call CATEGORY database WHERE EXISTS(ghost: ghost.id == "g")'
     )
-    with pytest.raises(EvaluationError, match="ghost"):
-        detect(bundle(), lines, [], [reached])
-    # short-circuited before the quantifier, as the tree-walking evaluator does
     skipped = parse_invariant(
         'INVARIANT ghost ON call CATEGORY database '
         'WHERE call.arguments.x IS NOT NULL OR EXISTS(ghost: ghost.id == "g")'
     )
-    assert detect(bundle(), lines, [], [skipped])[1] == []
+    unbound = "invariant 'ghost': unknown binding: entity 'ghost' is not bound in this group"
+    for inv in (reached, skipped):
+        with pytest.raises(SchemaError) as err:
+            detect(bundle(), lines, [], [inv])
+        assert str(err.value) == unbound
 
 
 # --- the shapes of generated checks --------------------------------------------

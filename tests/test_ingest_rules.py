@@ -16,9 +16,9 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from apivet import fileio
-from apivet.binlog import parse_row_events
+from apivet.binlog import parse_row_events, read_binlog_file
 from apivet.errors import IngestError
-from apivet.logstore import ingest_logs, parse_labels, read_log_file
+from apivet.logstore import ingest_logs, parse_labels, read_label_file, read_log_file
 
 from oracles import (
     OracleReject,
@@ -256,6 +256,44 @@ def test_a_crlf_file_reads_as_its_lf_twin(tmp_path):
     got, want = read_log_file(str(crlf)), read_log_file(str(lf))
     assert [(e.id, e.api) for e in got.events] == [(e.id, e.api) for e in want.events]
     assert len(got.events) == 3 and got.skipped == want.skipped == 0
+
+
+FILE_READERS = {
+    "logs": (lambda path, mode: read_log_file(path, mode=mode).events, "apivet.logstore"),
+    "binlog": (lambda path, mode: read_binlog_file(path, mode=mode), "apivet.binlog"),
+    "labels": (lambda path, mode: read_label_file(path, mode=mode), "apivet.logstore"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_READERS))
+@pytest.mark.parametrize("bad_line_no", [2, 300])
+def test_a_line_that_is_not_utf8_is_one_malformed_line(kind, bad_line_no, tmp_path, caplog):
+    # 300 lines: a bad line 2 spoils the first batch, a bad last line the
+    # second; its neighbours hold raw UTF-8 that is not ASCII
+    read, logger = FILE_READERS[kind]
+    good = [VALID_LINES[kind].encode() + b"\n"] * 299
+    good[0] = good[2] = good[0].replace(b"}\n", b', "note": "caf\xc3\xa9"}\n')
+    lines = good[: bad_line_no - 1] + [b"\xff\xfe\n"] + good[bad_line_no - 1 :]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_bytes(b"".join(lines).rstrip(b"\n"))
+    with caplog.at_level(logging.WARNING, logger=logger):
+        assert len(read(str(path), "lenient")) == 299
+    assert caplog.messages == [f"skipped 1 malformed {kind.rstrip('s')} line(s)"]
+    with pytest.raises(IngestError) as err:
+        read(str(path), "strict")
+    assert str(err.value) == f"line {bad_line_no}: invalid UTF-8"
+    assert err.value.line_no == bad_line_no
+
+
+def test_json_lines_refuses_a_surrogate_and_keeps_other_text():
+    # read_json_lines passes each byte that is not UTF-8 as a lone surrogate
+    lines = ['"caf\u00e9"', '"\udcff"', '"\\udcff"', '"a\ud800"']
+    assert decoded(fileio.json_lines, lines) == [
+        (1, repr("caf\u00e9"), None),
+        (2, "None", "invalid UTF-8"),
+        (3, repr("\udcff"), None),  # an escape in the text is JSON's to decode
+        (4, "None", "invalid UTF-8"),
+    ]
 
 
 # --- the decoder against the json.loads loop --------------------------------

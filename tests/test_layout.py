@@ -255,63 +255,51 @@ def test_the_encoder_guard_sees_each_way_to_encode(source):
     assert names_in(ast.parse(source)) & ENCODER_NAMES
 
 
-# calls that open a file for writing whatever their arguments
-WRITERS = {"mkstemp", "NamedTemporaryFile", "TemporaryFile",
-           "SpooledTemporaryFile", "fdopen", "write_bytes", "write_text"}
+# calls that open a file, to read or to write, whatever their arguments:
+# open (builtin, os., io., Path.), Path's readers and writers, os.fdopen
+# and tempfile's files
+OPENERS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "fdopen",
+           "mkstemp", "NamedTemporaryFile", "TemporaryFile", "SpooledTemporaryFile"}
 
 
-def opens_for_writing(call):
-    """Whether an ast.Call may open a file for writing: an `open` whose mode
-    is not a constant without "w", "a", "x" or "+", or one of WRITERS."""
+def opens_a_file(call):
+    """Whether an ast.Call is one of OPENERS, called by name or as a method."""
     func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in WRITERS:
-        return True
-    if name != "open":
-        return False
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-            and func.value.id == "os":
-        return True  # os.open takes flags, not a mode
-    # open(file, mode) or Path.open(mode)
-    position = 1 if isinstance(func, ast.Name) else 0
-    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
-    if len(call.args) > position:
-        modes.append(call.args[position])
-    return any(
-        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-             and not set(mode.value) & set("wax+"))
-        for mode in modes
-    )
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in OPENERS
 
 
-def test_only_fileio_opens_files_for_writing():
-    # every output goes through fileio.write_chunks: atomic, and an OS error
-    # is a ConfigError naming the path
-    writers = sorted(
+def test_only_fileio_opens_files():
+    # every input is read through fileio, where a JSON Lines line is kept or
+    # refused by one rule and a byte that is not UTF-8 spoils one line, not
+    # the file; every output is written through fileio.write_chunks, atomic,
+    # with an OS error a ConfigError naming the path
+    openers = sorted(
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
-        if any(isinstance(node, ast.Call) and opens_for_writing(node)
+        if any(isinstance(node, ast.Call) and opens_a_file(node)
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     )
-    assert writers == ["fileio.py"]
+    assert openers == ["fileio.py"], f"modules that open a file: {openers}"
 
 
-@pytest.mark.parametrize("source,writes", [
-    ("open(path)", False),
-    ("open(path, encoding='utf-8')", False),
-    ("open(path, 'r', encoding='utf-8')", False),
-    ("path.open()", False),
-    ("urllib.request.urlopen(request)", False),
-    ("open(path, 'w')", True),
+@pytest.mark.parametrize("source,opens", [
+    ("open(path)", True),
+    ("open(path, encoding='utf-8')", True),
+    ("open(path, 'r', encoding='utf-8')", True),
     ("open(path, mode='a')", True),
-    ("open(path, 'r+')", True),
-    ("open(path, 'xb')", True),
-    ("open(path, mode)", True),
-    ("path.open('w')", True),
+    ("io.open(path, 'rb')", True),
     ("os.open(path, os.O_RDONLY)", True),
+    ("path.open()", True),
+    ("Path(path).read_text(encoding='utf-8')", True),
+    ("path.read_bytes()", True),
     ("Path(path).write_text(text)", True),
     ("tempfile.mkstemp(dir=d)", True),
     ("os.fdopen(fd, 'w')", True),
+    ("urllib.request.urlopen(request)", False),
+    ("json.load(handle)", False),
+    ("handle.read()", False),
+    ("fileio.read_json(path)", False),
+    ("read_json_lines(path, parse)", False),
 ])
-def test_the_writer_guard_sees_each_way_to_write(source, writes):
-    assert opens_for_writing(ast.parse(source).body[0].value) is writes
+def test_the_opener_guard_sees_each_way_to_open(source, opens):
+    assert opens_a_file(ast.parse(source).body[0].value) is opens

@@ -298,7 +298,7 @@ class TestVettedBeforeChecking:
         # over two rows a 50-deep nest would evaluate its predicate 2**50 times
         import time
 
-        from apivet import refine
+        from apivet import dsl, refine
 
         def never(*args):
             raise AssertionError("a candidate over the depth limit was compiled")
@@ -310,10 +310,10 @@ class TestVettedBeforeChecking:
         assert time.perf_counter() - started < 1.0
         (outcome,) = report.outcomes
         assert (outcome.status, outcome.reason) == (
-            "discarded", f"quantifiers nested 50 deep, more than {refine.MAX_QUANTIFIER_DEPTH}")
+            "discarded", f"quantifiers nested 50 deep, more than {dsl.MAX_QUANTIFIER_DEPTH}")
 
     def test_the_depth_limit_itself_is_checked(self):
-        from apivet.refine import MAX_QUANTIFIER_DEPTH
+        from apivet.dsl import MAX_QUANTIFIER_DEPTH
 
         groups = [FakeGroup(0, {"a": 1}, {"orders": [{"a": 1}, {"a": 1}]})]
         report = refine_candidates(
@@ -326,7 +326,7 @@ class TestVettedBeforeChecking:
         ]
 
     def test_generation_vets_against_the_bindings_of_the_focal_api(self, train, monkeypatch):
-        from apivet import dsl, refine
+        from apivet import dsl
 
         def never(*args, **kwargs):
             raise AssertionError("nothing should be left to check")
@@ -342,7 +342,7 @@ class TestVettedBeforeChecking:
         result = generate(train, Scripted({"payOrder": texts}))
         assert [o.reason for _, o in result.outcomes] == [
             self.UNBOUND, self.UNBOUND,
-            f"quantifiers nested 50 deep, more than {refine.MAX_QUANTIFIER_DEPTH}",
+            f"quantifiers nested 50 deep, more than {dsl.MAX_QUANTIFIER_DEPTH}",
         ]
 
 
