@@ -18,7 +18,6 @@ log and label lines share one sort of the events.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator
 
@@ -31,6 +30,7 @@ from .schema import (
     merge_bundle,
     parse_create_table,
 )
+from .values import Record
 
 DEFAULT_BASE_TIME = 1_700_000_000_000
 
@@ -94,19 +94,25 @@ def scenario_bundle() -> SchemaBundle:
     return merge_bundle(entities)
 
 
-@dataclass
-class SessionInfo:
-    index: int
-    session_id: str
-    user_id: str
-    user_name: str
-    order_id: str
-    price: float
-    refunded: bool
+class SessionInfo(Record):
+    __slots__ = (
+        "index", "session_id", "user_id", "user_name", "order_id", "price", "refunded",
+    )
+
+    def __init__(
+        self, index: int, session_id: str, user_id: str, user_name: str, order_id: str,
+        price: float, refunded: bool,
+    ):
+        self.index = index
+        self.session_id = session_id
+        self.user_id = user_id
+        self.user_name = user_name
+        self.order_id = order_id
+        self.price = price
+        self.refunded = refunded
 
 
-@dataclass
-class Bench:
+class Bench(Record):
     """Events of a generated workload, in generation order.
 
     A bench shares its event dicts and sessions with every bench injected
@@ -114,11 +120,21 @@ class Bench:
     callers should treat events as read-only too.
     """
 
-    api_events: list[dict] = field(default_factory=list)
-    env_events: list[dict] = field(default_factory=list)
-    row_events: list[dict] = field(default_factory=list)
-    sessions: list[SessionInfo] = field(default_factory=list)
-    next_seq: int = 0
+    __slots__ = ("api_events", "env_events", "row_events", "sessions", "next_seq")
+
+    def __init__(
+        self,
+        api_events: list[dict] | None = None,
+        env_events: list[dict] | None = None,
+        row_events: list[dict] | None = None,
+        sessions: list[SessionInfo] | None = None,
+        next_seq: int = 0,
+    ):
+        self.api_events = [] if api_events is None else api_events
+        self.env_events = [] if env_events is None else env_events
+        self.row_events = [] if row_events is None else row_events
+        self.sessions = [] if sessions is None else sessions
+        self.next_seq = next_seq
 
     def clone(self) -> "Bench":
         """A bench with its own lists holding the same events."""

@@ -11,26 +11,31 @@ own database effect never leaks into its own evaluation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ReplayError
 from .fileio import keep_records, read_json_lines
 from .schema import TABLE, EntityType, SchemaBundle
+from .values import Record
 
 logger = logging.getLogger(__name__)
 
 OPS = ("insert", "update", "delete")
 
 
-@dataclass(slots=True)
-class RowEvent:
-    table: str
-    op: str
-    ts: int
-    before: dict | None
-    after: dict | None
-    ordinal: int = 0
+class RowEvent(Record):
+    __slots__ = ("table", "op", "ts", "before", "after", "ordinal")
+
+    def __init__(
+        self, table: str, op: str, ts: int, before: dict | None, after: dict | None,
+        ordinal: int = 0,
+    ):
+        self.table = table
+        self.op = op
+        self.ts = ts
+        self.before = before
+        self.after = after
+        self.ordinal = ordinal
 
 
 def parse_row_events(lines: Iterable[str], mode: str = "lenient") -> list[RowEvent]:
@@ -91,10 +96,12 @@ def read_binlog_file(path: str, mode: str = "lenient") -> list[RowEvent]:
 Version = tuple[int, int, "dict | None"]
 
 
-@dataclass
-class TemporalTable:
-    entity: EntityType
-    chains: dict[tuple, list[Version]] = field(default_factory=dict)
+class TemporalTable(Record):
+    __slots__ = ("entity", "chains")
+
+    def __init__(self, entity: EntityType, chains: dict[tuple, list[Version]] | None = None):
+        self.entity = entity
+        self.chains = {} if chains is None else chains
 
     def append(self, key: tuple, ts: int, ordinal: int, row: dict | None) -> None:
         chain = self.chains.setdefault(key, [])

@@ -11,7 +11,11 @@ commands, the invariant language in the commands that read or write
 invariants (`relations infer` loads neither it nor refinement), numpy only
 in the opt-in HMM sequence model (`relations infer` at its defaults loads
 none), and `urllib.request` only when the remote proposer sends a request.
-`detect` and `eval` load no training module.
+`detect` and `eval` load no training module. For the same reason the
+package's records are plain `__slots__` classes on `values.Record`, not
+dataclasses, whose decorator execs each class's generated methods at
+import; only `PipelineConfig`, `ProviderConfig` and `dsl.Invariant`, which
+callers copy or dump with `dataclasses`, stay dataclasses.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .binlog import ingest_binlog, read_binlog_file
@@ -40,6 +43,7 @@ from .errors import (
 from .fileio import read_file, read_json, write_chunks, write_json
 from .logstore import read_label_file, read_log_file
 from .relations import (
+    admit_relationships,
     diagram_to_dict,
     load_relationships,
     save_relationships,
@@ -104,7 +108,13 @@ def _config_for(args) -> PipelineConfig:
         overrides["proposer"] = args.proposer
     if getattr(args, "seed", None) is not None:
         overrides["hmm_seed"] = args.seed
-    return replace(config, **overrides) if overrides else config
+    return PipelineConfig(**{**vars(config), **overrides}) if overrides else config
+
+
+def _load_relationships(args, bundle):
+    return _load_document(
+        args.relations, lambda p: admit_relationships(bundle, load_relationships(p))
+    )
 
 
 def _load_tables(args, bundle, config):
@@ -164,7 +174,7 @@ def _cmd_invariants_generate(args) -> int:
     bundle = _load_document(args.bundle, load_bundle)
     corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
-    relationships = _load_document(args.relations, load_relationships)
+    relationships = _load_relationships(args, bundle)
     result = run_generation(bundle, corpus, tables, relationships, config)
     write_invariant_file(result.invariants, args.out)
     if args.outcomes:
@@ -199,7 +209,7 @@ def _cmd_detect(args) -> int:
     bundle = _load_document(args.bundle, load_bundle)
     corpus = _load_document(args.logs, lambda p: read_log_file(p, mode=config.mode))
     tables = _load_tables(args, bundle, config)
-    relationships = _load_document(args.relations, load_relationships)
+    relationships = _load_relationships(args, bundle)
     # vetted here too, so that a refused invariant names its file
     invariants = _load_document(
         args.invariants,

@@ -4,7 +4,9 @@
 holds the remote proposer's endpoint, model, credential variable, timeout
 and retry budget. Both validate on construction and raise `ConfigError`,
 and a key that names no field is rejected, so every key a file sets is
-read by some stage.
+read by some stage. Unlike the package's other records (`values.Record`),
+both stay dataclasses: callers dump and copy them with `dataclasses.asdict`
+and `replace`.
 This module imports nothing from the rest of the package but `errors` and
 `fileio`, which reads the file and itself imports only `errors`, so loading
 a configuration loads no proposer, model or HTTP code.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import asdict, dataclass
 
 from .binlog import TemporalTable
 from .dsl import Invariant, admission_problem, compile_invariant
@@ -22,30 +21,42 @@ from .errors import MetricsError, SchemaError
 from .fileio import json_string, read_json, write_chunks, write_json
 from .joins import JoinStores, binding_names, failing_calls, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
-from .relations import Relationship
+from .relations import Relationship, admit_relationships
 from .schema import API, SchemaBundle
+from .values import Record
 
 
-@dataclass(slots=True)
-class ViolationRecord:
-    invariant_id: str
-    category: str
-    log_id: int
-    api: str
-    time: int
-    session_id: str
-    explanation: str
+class ViolationRecord(Record):
+    __slots__ = ("invariant_id", "category", "log_id", "api", "time", "session_id", "explanation")
+
+    def __init__(
+        self, invariant_id: str, category: str, log_id: int, api: str, time: int,
+        session_id: str, explanation: str,
+    ):
+        self.invariant_id = invariant_id
+        self.category = category
+        self.log_id = log_id
+        self.api = api
+        self.time = time
+        self.session_id = session_id
+        self.explanation = explanation
 
 
-@dataclass
-class DetectionResult:
-    violations: list[ViolationRecord]
-    logs_processed: int = 0
-    # calls checked, each against its joined group (the report's name: a
-    # call that passes has its joins probed, and no group is built for it)
-    groups_built: int = 0
-    evaluations: int = 0
-    elapsed_s: float = 0.0
+class DetectionResult(Record):
+    __slots__ = ("violations", "logs_processed", "groups_built", "evaluations", "elapsed_s")
+
+    # groups_built: calls checked, each against its joined group (the
+    # report's name: a call that passes has its joins probed, and no group
+    # is built for it)
+    def __init__(
+        self, violations: list[ViolationRecord], logs_processed: int = 0,
+        groups_built: int = 0, evaluations: int = 0, elapsed_s: float = 0.0,
+    ):
+        self.violations = violations
+        self.logs_processed = logs_processed
+        self.groups_built = groups_built
+        self.evaluations = evaluations
+        self.elapsed_s = elapsed_s
 
 
 # --- corpus checking ---------------------------------------------------------
@@ -77,8 +88,10 @@ def check_corpus(
     invariants: list[Invariant],
 ) -> DetectionResult:
     """Evaluate every invariant against every matching call in the corpus,
-    once admit_invariants has vetted them all."""
+    once `relations.admit_relationships` and admit_invariants have vetted
+    the relationships and the invariants."""
     started = _time.perf_counter()
+    admit_relationships(bundle, relationships)
     admit_invariants(bundle, relationships, invariants)
     by_focal: dict[str, list[Invariant]] = {}
     for inv in sorted(invariants, key=lambda i: i.id):
@@ -120,16 +133,21 @@ def check_corpus(
 # --- scoring -----------------------------------------------------------------
 
 
-@dataclass
-class MetricsResult:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    precision: float | None
-    recall: float | None
-    windows: int = 0
-    traces: int = 0
+class MetricsResult(Record):
+    __slots__ = ("tp", "fp", "tn", "fn", "precision", "recall", "windows", "traces")
+
+    def __init__(
+        self, tp: int, fp: int, tn: int, fn: int, precision: float | None,
+        recall: float | None, windows: int = 0, traces: int = 0,
+    ):
+        self.tp = tp
+        self.fp = fp
+        self.tn = tn
+        self.fn = fn
+        self.precision = precision
+        self.recall = recall
+        self.windows = windows
+        self.traces = traces
 
 
 def evaluate_metrics(
@@ -253,7 +271,7 @@ def flagged_ids(report: dict) -> set[int]:
 
 
 def metrics_to_dict(metrics: MetricsResult) -> dict:
-    return asdict(metrics)
+    return {name: getattr(metrics, name) for name in MetricsResult.__slots__}
 
 
 def write_metrics(metrics: MetricsResult, path) -> None:

@@ -43,7 +43,7 @@ from typing import Any, Iterable, Iterator
 from .errors import DslScopeError, DslSyntaxError, EvaluationError
 from .fileio import read_file, write_chunks
 from .lexer import Cursor, Token
-from .values import value_key
+from .values import Record, value_key
 
 CATEGORIES = ("common_sense", "format", "database", "environment", "related_api")
 
@@ -77,69 +77,93 @@ MAX_QUANTIFIER_DEPTH = 3
 # --- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    value: Any  # str | int | float | bool
+class Lit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):  # str | int | float | bool
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class FieldRef:
-    root: str
-    path: str
+class FieldRef(Record):
+    __slots__ = ("root", "path")
+
+    def __init__(self, root: str, path: str):
+        self.root = root
+        self.path = path
 
 
-@dataclass(frozen=True, slots=True)
-class BoolConst:
-    value: bool
+class BoolConst(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    expr: Any
+class Not(Record):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Any):
+        self.expr = expr
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    parts: tuple
+class And(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    parts: tuple
+class Or(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True, slots=True)
-class Quant:
-    exists: bool
-    name: str
-    body: Any
+class Quant(Record):
+    __slots__ = ("exists", "name", "body")
+
+    def __init__(self, exists: bool, name: str, body: Any):
+        self.exists = exists
+        self.name = name
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class Cmp:
-    op: str
-    left: Any
-    right: Any
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Any, right: Any):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True, slots=True)
-class InSet:
-    operand: Any
-    items: tuple
+class InSet(Record):
+    __slots__ = ("operand", "items")
+
+    def __init__(self, operand: Any, items: tuple):
+        self.operand = operand
+        self.items = items
 
 
-@dataclass(frozen=True, slots=True)
-class Match:
-    operand: Any
-    pattern: str
+class Match(Record):
+    __slots__ = ("operand", "pattern")
+
+    def __init__(self, operand: Any, pattern: str):
+        self.operand = operand
+        self.pattern = pattern
 
 
-@dataclass(frozen=True, slots=True)
-class NullCheck:
-    operand: Any
-    negated: bool
+class NullCheck(Record):
+    __slots__ = ("operand", "negated")
+
+    def __init__(self, operand: Any, negated: bool):
+        self.operand = operand
+        self.negated = negated
 
 
+# a dataclass, unlike the other records: library callers copy it with
+# dataclasses.replace
 @dataclass(frozen=True)
 class Invariant:
     id: str
@@ -500,10 +524,12 @@ def read_invariant_file(path: str) -> list[Invariant]:
 # --- generated evaluation and explanation -----------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    explanation: str = ""
+class Verdict(Record):
+    __slots__ = ("passed", "explanation")
+
+    def __init__(self, passed: bool, explanation: str = ""):
+        self.passed = passed
+        self.explanation = explanation
 
 
 # the same comparison with its operands swapped

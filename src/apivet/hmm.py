@@ -7,27 +7,28 @@ import it only when an HMM is trained or scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import TrainingError
+from .values import Record
 
 
-@dataclass
-class HmmModel:
-    alphabet: list[str]
-    pi: np.ndarray  # (S,)
-    trans: np.ndarray  # (S, S)
-    emit: np.ndarray  # (S, K)
-    log_likelihoods: list[float] = field(default_factory=list)
-    _index: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+class HmmModel(Record):
+    __slots__ = ("alphabet", "pi", "trans", "emit", "log_likelihoods", "_index")
 
-    def __post_init__(self):
-        self._index = {sym: i for i, sym in enumerate(self.alphabet)}
+    # pi (S,), trans (S, S), emit (S, K)
+    def __init__(
+        self, alphabet: list[str], pi: np.ndarray, trans: np.ndarray, emit: np.ndarray,
+        log_likelihoods: list[float],
+    ):
+        self.alphabet = alphabet
+        self.pi = pi
+        self.trans = trans
+        self.emit = emit
+        self.log_likelihoods = log_likelihoods
+        self._index = {sym: i for i, sym in enumerate(alphabet)}
 
     @property
     def n_states(self) -> int:

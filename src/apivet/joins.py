@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -37,29 +36,35 @@ from .logstore import (
 )
 from .relations import API_API, API_DB, API_ENV, Relationship
 from .schema import API, ENV, EntityType, SchemaBundle
-from .values import SCALAR_CLASSES, coerce_scalar, value_key
+from .values import SCALAR_CLASSES, Record, coerce_scalar, value_key
 
 DEFAULT_DELTA_MS = 60000
 
 
-@dataclass(frozen=True)
-class Binding:
-    name: str
-    relationship: Relationship
-    entity: EntityType
+class Binding(Record):
+    __slots__ = ("name", "relationship", "entity")
+
+    def __init__(self, name: str, relationship: Relationship, entity: EntityType):
+        self.name = name
+        self.relationship = relationship
+        self.entity = entity
 
 
-@dataclass
-class JoinedSchema:
-    focal: EntityType
-    bindings: list[Binding]
+class JoinedSchema(Record):
+    __slots__ = ("focal", "bindings")
+
+    def __init__(self, focal: EntityType, bindings: list[Binding]):
+        self.focal = focal
+        self.bindings = bindings
 
 
-@dataclass(slots=True)
-class JoinedGroup:
-    log_id: int
-    focal: dict
-    bindings: dict
+class JoinedGroup(Record):
+    __slots__ = ("log_id", "focal", "bindings")
+
+    def __init__(self, log_id: int, focal: dict, bindings: dict):
+        self.log_id = log_id
+        self.focal = focal
+        self.bindings = bindings
 
 
 def binding_names(relationships: list[Relationship]) -> list[str]:

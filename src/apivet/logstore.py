@@ -10,55 +10,69 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
 from .fileio import keep_records, read_json_lines
 from .schema import EntityType
-from .values import SCALAR_CLASSES, coerce_scalar, get_path
+from .values import SCALAR_CLASSES, Record, coerce_scalar, get_path
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
-class LogEvent:
-    id: int
-    api: str
-    arguments: dict
-    response: dict
-    time: int
-    sessionId: str
+class LogEvent(Record):
+    __slots__ = ("id", "api", "arguments", "response", "time", "sessionId")
+
+    def __init__(
+        self, id: int, api: str, arguments: dict, response: dict, time: int, sessionId: str
+    ):
+        self.id = id
+        self.api = api
+        self.arguments = arguments
+        self.response = response
+        self.time = time
+        self.sessionId = sessionId
 
 
-@dataclass(slots=True)
-class EnvRecord:
-    sessionId: str
-    fields: dict
-    time: int | None = None  # None: in force from before any call
+class EnvRecord(Record):
+    __slots__ = ("sessionId", "fields", "time")
+
+    # time None: in force from before any call
+    def __init__(self, sessionId: str, fields: dict, time: int | None = None):
+        self.sessionId = sessionId
+        self.fields = fields
+        self.time = time
 
 
-@dataclass
-class LogCorpus:
-    events: list[LogEvent]
-    env_records: list[EnvRecord]
-    skipped: int = 0
+class LogCorpus(Record):
+    __slots__ = ("events", "env_records", "skipped")
+
+    def __init__(self, events: list[LogEvent], env_records: list[EnvRecord], skipped: int = 0):
+        self.events = events
+        self.env_records = env_records
+        self.skipped = skipped
 
 
-@dataclass(slots=True)
-class LabelRecord:
-    log_id: int
-    label: str
-    trace: str | None = None
+class LabelRecord(Record):
+    __slots__ = ("log_id", "label", "trace")
+
+    def __init__(self, log_id: int, label: str, trace: str | None = None):
+        self.log_id = log_id
+        self.label = label
+        self.trace = trace
 
 
-@dataclass
-class InstanceTable:
+class InstanceTable(Record):
     """Projected rows of one API entity: (log id, attribute path -> scalar)."""
 
-    entity: EntityType
-    rows: list[tuple[int, dict]] = field(default_factory=list)
-    mismatches: int = 0
+    __slots__ = ("entity", "rows", "mismatches")
+
+    def __init__(
+        self, entity: EntityType, rows: list[tuple[int, dict]] | None = None, mismatches: int = 0
+    ):
+        self.entity = entity
+        self.rows = [] if rows is None else rows
+        self.mismatches = mismatches
 
 
 # The rules below test exact classes: json.loads yields builtin classes

@@ -9,7 +9,6 @@ language nor refinement: they are imported where generation runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -19,8 +18,9 @@ from .errors import ConfigError
 from .joins import JoinStores, joined_schema_for
 from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, RemoteProposer, StubProposer
-from .relations import InferenceReport, Relationship, infer_relationships
+from .relations import InferenceReport, Relationship, admit_relationships, infer_relationships
 from .schema import API, SchemaBundle
+from .values import Record
 
 if TYPE_CHECKING:
     from .dsl import Invariant
@@ -68,12 +68,20 @@ def run_inference(
     )
 
 
-@dataclass
-class GenerationResult:
-    invariants: list[Invariant] = field(default_factory=list)
-    outcomes: list[tuple[str, CandidateOutcome]] = field(default_factory=list)
-    proposals: int = 0
-    refine_calls: int = 0
+class GenerationResult(Record):
+    __slots__ = ("invariants", "outcomes", "proposals", "refine_calls")
+
+    def __init__(
+        self,
+        invariants: list[Invariant] | None = None,
+        outcomes: list[tuple[str, CandidateOutcome]] | None = None,
+        proposals: int = 0,
+        refine_calls: int = 0,
+    ):
+        self.invariants = [] if invariants is None else invariants
+        self.outcomes = [] if outcomes is None else outcomes
+        self.proposals = proposals
+        self.refine_calls = refine_calls
 
 
 def run_generation(
@@ -84,9 +92,11 @@ def run_generation(
     config: PipelineConfig,
     proposer: ProposerContract | None = None,
 ) -> GenerationResult:
-    """Propose and refine invariants for every API entity."""
+    """Propose and refine invariants for every API entity, once
+    `relations.admit_relationships` has vetted the relationships."""
     from .refine import refine_rounds, sweep_check
 
+    admit_relationships(bundle, relationships)
     proposer = proposer or make_proposer(config)
     stores = JoinStores(bundle, corpus, tables)
     result = GenerationResult()

@@ -17,12 +17,12 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_SYNONYMS, ProviderConfig
 from .errors import ExtractionError, ProposalError
 from .schema import API, ENV, TABLE, EntityType
+from .values import Record
 
 if TYPE_CHECKING:
     from .dsl import Invariant
@@ -34,15 +34,19 @@ ID_VALUE_PATTERN = "[A-Za-z0-9_-]+"
 _AMOUNT_WORDS = ("price", "amount", "quantity")
 
 
-@dataclass
-class Message:
-    role: str
-    text: str
+class Message(Record):
+    __slots__ = ("role", "text")
+
+    def __init__(self, role: str, text: str):
+        self.role = role
+        self.text = text
 
 
-@dataclass
-class Conversation:
-    messages: list[Message] = field(default_factory=list)
+class Conversation(Record):
+    __slots__ = ("messages",)
+
+    def __init__(self, messages: list[Message] | None = None):
+        self.messages = [] if messages is None else messages
 
     def append(self, role: str, text: str) -> None:
         self.messages.append(Message(role=role, text=text))
@@ -51,29 +55,37 @@ class Conversation:
         return Conversation(messages=list(self.messages))
 
 
-@dataclass(frozen=True)
-class RelationshipCandidate:
-    from_attr: str
-    to_attr: str | None
+class RelationshipCandidate(Record):
+    __slots__ = ("from_attr", "to_attr")
+
+    def __init__(self, from_attr: str, to_attr: str | None):
+        self.from_attr = from_attr
+        self.to_attr = to_attr
 
 
-@dataclass
-class InvariantProposal:
-    texts: list[str]
-    conversation: Conversation
+class InvariantProposal(Record):
+    __slots__ = ("texts", "conversation")
+
+    def __init__(self, texts: list[str], conversation: Conversation):
+        self.texts = texts
+        self.conversation = conversation
 
 
-@dataclass
-class ViolationSample:
-    log_id: int
-    explanation: str
-    failing_clauses: list[str]
+class ViolationSample(Record):
+    __slots__ = ("log_id", "explanation", "failing_clauses")
+
+    def __init__(self, log_id: int, explanation: str, failing_clauses: list[str]):
+        self.log_id = log_id
+        self.explanation = explanation
+        self.failing_clauses = failing_clauses
 
 
-@dataclass
-class RefineRequest:
-    invariant_text: str
-    samples: list[ViolationSample]
+class RefineRequest(Record):
+    __slots__ = ("invariant_text", "samples")
+
+    def __init__(self, invariant_text: str, samples: list[ViolationSample]):
+        self.invariant_text = invariant_text
+        self.samples = samples
 
 
 class ProposerContract:
@@ -451,7 +463,7 @@ class StubProposer(ProposerContract):
     # refinement
 
     def refine_invariant(self, conversation: Conversation, request: RefineRequest) -> str:
-        from .dsl import And, parse_invariant, print_expr, print_invariant
+        from .dsl import And, Invariant, parse_invariant, print_expr, print_invariant
 
         conversation.append("user", render_refine_message(request))
         inv = parse_invariant(request.invariant_text)
@@ -466,7 +478,7 @@ class StubProposer(ProposerContract):
             conversation.append("assistant", "```invariant\n```")
             return ""
         body = kept[0] if len(kept) == 1 else And(tuple(kept))
-        text = print_invariant(replace(inv, body=body))
+        text = print_invariant(Invariant(inv.id, inv.focal, inv.category, body))
         conversation.append("assistant", f"```invariant\n{text}\n```")
         return text
 

@@ -28,8 +28,6 @@ API's candidates, one at a time, over a list of joined groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .dsl import (
     Invariant,
     admission_problem,
@@ -42,35 +40,62 @@ from .dsl import (
 from .errors import ExtractionError, ParseError, ProposalError
 from .joins import failing_calls
 from .proposer import Conversation, RefineRequest, ViolationSample
+from .values import Record
 
 MAX_ROUNDS = 3
 SAMPLE_LIMIT = 5
 
 
-@dataclass
-class CandidateOutcome:
-    text: str
-    status: str  # accepted | discarded
-    attempts: int
-    invariant: Invariant | None = None
-    reason: str | None = None
+class CandidateOutcome(Record):
+    __slots__ = ("text", "status", "attempts", "invariant", "reason")
+
+    def __init__(
+        self,
+        text: str,
+        status: str,  # accepted | discarded
+        attempts: int,
+        invariant: Invariant | None = None,
+        reason: str | None = None,
+    ):
+        self.text = text
+        self.status = status
+        self.attempts = attempts
+        self.invariant = invariant
+        self.reason = reason
 
 
-@dataclass
-class RefinementReport:
-    accepted: list[Invariant] = field(default_factory=list)
-    outcomes: list[CandidateOutcome] = field(default_factory=list)
-    refine_calls: int = 0
+class RefinementReport(Record):
+    __slots__ = ("accepted", "outcomes", "refine_calls")
+
+    def __init__(
+        self,
+        accepted: list[Invariant] | None = None,
+        outcomes: list[CandidateOutcome] | None = None,
+        refine_calls: int = 0,
+    ):
+        self.accepted = [] if accepted is None else accepted
+        self.outcomes = [] if outcomes is None else outcomes
+        self.refine_calls = refine_calls
 
 
-@dataclass
-class _Candidate:
-    original: str
-    fork: Conversation
-    attempts: int = 0
-    inv: Invariant | None = None  # the version to check
-    reason: str | None = None  # set once discarded
-    clean: bool = False  # no training violation: accepted unless a duplicate
+class _Candidate(Record):
+    __slots__ = ("original", "fork", "attempts", "inv", "reason", "clean")
+
+    def __init__(
+        self,
+        original: str,
+        fork: Conversation,
+        attempts: int = 0,
+        inv: Invariant | None = None,  # the version to check
+        reason: str | None = None,  # set once discarded
+        clean: bool = False,  # no training violation: accepted unless a duplicate
+    ):
+        self.original = original
+        self.fork = fork
+        self.attempts = attempts
+        self.inv = inv
+        self.reason = reason
+        self.clean = clean
 
 
 def _admit(cand: _Candidate, text: str, focal_name: str, bound: set[str] | None) -> None:
@@ -249,4 +274,4 @@ def unique_id(inv: Invariant, used: set[str]) -> Invariant:
     n = 2
     while f"{inv.id}_{n}" in used:
         n += 1
-    return replace(inv, id=f"{inv.id}_{n}")
+    return Invariant(f"{inv.id}_{n}", inv.focal, inv.category, inv.body)

@@ -15,13 +15,12 @@ join over, so every stage projects calls and keys values by one rule.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
 
-from .errors import InferenceError
+from .errors import InferenceError, SchemaError
 from .fileio import read_json, write_json
 from .logstore import InstanceTable, env_before
 from .schema import API, ENV, TABLE, SchemaBundle
-from .values import value_key
+from .values import Record, value_key
 
 logger = logging.getLogger(__name__)
 
@@ -39,27 +38,47 @@ _TARGET_NOUN = {
 }
 
 
-@dataclass(frozen=True)
-class Relationship:
-    kind: str
-    focal_entity: str
-    focal_attr: str | None
-    target_entity: str
-    target_attr: str | None
-    delta_ms: int | None = None
-    score: float | None = None
-    provenance: str = "proposed"
+class Relationship(Record):
+    __slots__ = (
+        "kind", "focal_entity", "focal_attr", "target_entity", "target_attr",
+        "delta_ms", "score", "provenance",
+    )
 
-    def __post_init__(self):
-        if self.kind not in REL_KINDS:
-            raise ValueError(f"unknown relationship kind: {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        focal_entity: str,
+        focal_attr: str | None,
+        target_entity: str,
+        target_attr: str | None,
+        delta_ms: int | None = None,
+        score: float | None = None,
+        provenance: str = "proposed",
+    ):
+        if kind not in REL_KINDS:
+            raise ValueError(f"unknown relationship kind: {kind!r}")
+        self.kind = kind
+        self.focal_entity = focal_entity
+        self.focal_attr = focal_attr
+        self.target_entity = target_entity
+        self.target_attr = target_attr
+        self.delta_ms = delta_ms
+        self.score = score
+        self.provenance = provenance
 
 
-@dataclass
-class InferenceReport:
-    relationships: list[Relationship]
-    proposed: int = 0
-    rejected: list[tuple[Relationship, str]] = field(default_factory=list)
+class InferenceReport(Record):
+    __slots__ = ("relationships", "proposed", "rejected")
+
+    def __init__(
+        self,
+        relationships: list[Relationship],
+        proposed: int = 0,
+        rejected: list[tuple[Relationship, str]] | None = None,
+    ):
+        self.relationships = relationships
+        self.proposed = proposed
+        self.rejected = [] if rejected is None else rejected
 
 
 def candidate_pairs(bundle: SchemaBundle):
@@ -194,9 +213,10 @@ def infer_relationships(
                 if ok:
                     if rel not in seen:
                         seen.add(rel)
-                        report.relationships.append(
-                            replace(rel, score=score, provenance=provenance)
-                        )
+                        report.relationships.append(Relationship(
+                            kind, rel.focal_entity, rel.focal_attr, rel.target_entity,
+                            rel.target_attr, rel.delta_ms, score, provenance,
+                        ))
                     continue
             if mode == "strict":
                 raise InferenceError(
@@ -278,3 +298,36 @@ def save_relationships(relationships: list[Relationship], path) -> None:
 
 def load_relationships(path) -> list[Relationship]:
     return [relationship_from_dict(item) for item in read_json(path)]
+
+
+def admit_relationships(
+    bundle: SchemaBundle, relationships: list[Relationship]
+) -> list[Relationship]:
+    """`relationships`, once each is known to join in `bundle`: its focal
+    entity is an API, its target an entity of the kind its `kind` links to,
+    each attribute it names, where not null, one its entity has, and a
+    table link names both. The first that is not is a SchemaError naming
+    its position in the list."""
+    for i, rel in enumerate(relationships):
+        try:
+            focal = bundle.entity(rel.focal_entity)
+            target = bundle.entity(rel.target_entity)
+        except SchemaError as exc:
+            raise SchemaError(f"relationship {i}: {exc}") from None
+        if focal.kind != API:
+            problem = f"focal entity {focal.name!r} is not an API"
+        elif _KIND_OF_TARGET[target.kind] != rel.kind:
+            problem = f"{rel.kind} link to {target.kind} entity {target.name!r}"
+        elif rel.kind == API_DB and (rel.focal_attr is None or rel.target_attr is None):
+            problem = "an API_DB link needs both a focal attribute and a target column"
+        elif rel.focal_attr is not None and not focal.has_attribute(rel.focal_attr):
+            problem = f"focal attribute {rel.focal_attr!r} does not exist on {focal.name!r}"
+        elif rel.target_attr is not None and not target.has_attribute(rel.target_attr):
+            problem = (
+                f"{_TARGET_NOUN[rel.kind]} {rel.target_attr!r} does not exist "
+                f"on {target.name!r}"
+            )
+        else:
+            continue
+        raise SchemaError(f"relationship {i}: {problem}")
+    return relationships

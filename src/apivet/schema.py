@@ -8,11 +8,11 @@ statements, and the per-session environment descriptor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import DdlParseError, SchemaError
 from .fileio import read_json, write_json
 from .lexer import Cursor, Token
+from .values import Record
 
 TYPE_TAGS = (
     "string",
@@ -50,21 +50,21 @@ _TYPE_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class SemanticType:
-    tag: str
-    enum_domain: tuple[str, ...] | None = None
+class SemanticType(Record):
+    __slots__ = ("tag", "enum_domain")
 
-    def __post_init__(self):
-        if self.tag not in TYPE_TAGS:
-            raise SchemaError(f"unknown type tag {self.tag!r}")
-        if self.tag == "enum":
-            if not self.enum_domain:
+    def __init__(self, tag: str, enum_domain: tuple[str, ...] | None = None):
+        if tag not in TYPE_TAGS:
+            raise SchemaError(f"unknown type tag {tag!r}")
+        if tag == "enum":
+            if not enum_domain:
                 raise SchemaError("enum type requires a non-empty domain")
-            if len(set(self.enum_domain)) != len(self.enum_domain):
+            if len(set(enum_domain)) != len(enum_domain):
                 raise SchemaError("enum domain values must be unique")
-        elif self.enum_domain is not None:
-            raise SchemaError(f"type {self.tag!r} cannot carry an enum domain")
+        elif enum_domain is not None:
+            raise SchemaError(f"type {tag!r} cannot carry an enum domain")
+        self.tag = tag
+        self.enum_domain = enum_domain
 
 
 STRING = SemanticType("string")
@@ -75,16 +75,16 @@ TIMESTAMP = SemanticType("timestamp-millis")
 DOCUMENT = SemanticType("document")
 
 
-@dataclass(frozen=True)
-class Attribute:
-    path: str
-    type: SemanticType
-    nullable: bool = True
+class Attribute(Record):
+    __slots__ = ("path", "type", "nullable")
 
-    def __post_init__(self):
-        for seg in self.path.split("."):
+    def __init__(self, path: str, type: SemanticType, nullable: bool = True):
+        for seg in path.split("."):
             if not _SEGMENT_RE.match(seg):
-                raise SchemaError(f"invalid path segment {seg!r} in {self.path!r}")
+                raise SchemaError(f"invalid path segment {seg!r} in {path!r}")
+        self.path = path
+        self.type = type
+        self.nullable = nullable
 
     @property
     def segments(self) -> tuple[str, ...]:
@@ -95,17 +95,21 @@ class Attribute:
         return self.path.rsplit(".", 1)[-1]
 
 
-@dataclass
-class EntityType:
-    name: str
-    kind: str
-    attributes: list[Attribute]
-    primary_key: tuple[str, ...] | None = None
-    _by_path: dict[str, Attribute] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+class EntityType(Record):
+    __slots__ = ("name", "kind", "attributes", "primary_key", "_by_path")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        attributes: list[Attribute],
+        primary_key: tuple[str, ...] | None = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.attributes = attributes
+        self.primary_key = primary_key
+        self._by_path: dict[str, Attribute] = {}
         if not _SEGMENT_RE.match(self.name):
             raise SchemaError(f"invalid entity name {self.name!r}")
         if self.kind not in ENTITY_KINDS:
@@ -361,15 +365,13 @@ def parse_create_table(ddl_text: str) -> list[EntityType]:
 # --- bundles ---------------------------------------------------------------
 
 
-@dataclass
-class SchemaBundle:
-    entities: list[EntityType]
-    _by_name: dict[str, EntityType] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+class SchemaBundle(Record):
+    __slots__ = ("entities", "_by_name")
 
-    def __post_init__(self):
-        for entity in self.entities:
+    def __init__(self, entities: list[EntityType]):
+        self.entities = entities
+        self._by_name: dict[str, EntityType] = {}
+        for entity in entities:
             if entity.name in self._by_name:
                 raise SchemaError(f"duplicate entity name {entity.name!r}")
             self._by_name[entity.name] = entity

@@ -13,32 +13,30 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import TrainingError
+from .values import Record
 
 START = "<START>"
 
 
-@dataclass
-class MarkovModel:
-    alphabet: list[str]  # START first, then the api names in sorted order
-    alpha: float
-    counts: list[list[float]]  # n x n raw bigram counts, START row = sequence heads
-    transition: list[list[float]] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+class MarkovModel(Record):
+    __slots__ = ("alphabet", "alpha", "counts", "transition", "_index")
 
-    def __post_init__(self):
-        self._index = {sym: i for i, sym in enumerate(self.alphabet)}
-        n = len(self.alphabet)
-        self.transition = []
-        for row in self.counts:
-            denom = sum(row) + self.alpha * n
+    # alphabet: START first, then the api names in sorted order; counts:
+    # n x n raw bigram counts, START row = sequence heads
+    def __init__(self, alphabet: list[str], alpha: float, counts: list[list[float]]):
+        self.alphabet = alphabet
+        self.alpha = alpha
+        self.counts = counts
+        self._index = {sym: i for i, sym in enumerate(alphabet)}
+        n = len(alphabet)
+        self.transition: list[list[float]] = []
+        for row in counts:
+            denom = sum(row) + alpha * n
             if denom > 0:
-                self.transition.append([(count + self.alpha) / denom for count in row])
+                self.transition.append([(count + alpha) / denom for count in row])
             else:
                 # No evidence and no smoothing mass: fall back to uniform so
                 # every row stays a probability distribution.

@@ -3,6 +3,9 @@
 The same rules apply everywhere a log value meets a declared attribute type:
 numeric leaves bound for string attributes are stringified, digit strings
 bound for integer attributes are parsed, and any other mismatch becomes null.
+
+The module also holds `Record`, the base of every record class in the
+package: every command loads this module.
 """
 
 from __future__ import annotations
@@ -87,6 +90,42 @@ def value_key(value: Any) -> tuple[str, Any] | None:
     if isinstance(value, (int, float)):
         return ("n", value)
     return ("o", canonical_json(value))
+
+
+class Record:
+    """Base of the package's records: ==, hash and repr from their fields.
+
+    A record declares its `__slots__` and writes its own `__init__`, whose
+    parameters, in order, are its fields; a slot that is not one holds
+    state derived from them, which ==, hash and repr leave out. Records are
+    equal when they are of one class and their fields are. A dataclass
+    decorator would generate these methods by exec'ing their source as each
+    class is decorated, a cost every command would pay at start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # a subclass that adds no slot (one that only wraps __init__) keeps its base's fields
+        if cls.__dict__.get("__slots__"):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def get_path(doc: Any, segments: tuple[str, ...]) -> tuple[bool, Any]:

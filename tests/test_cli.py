@@ -188,6 +188,23 @@ def _modules_after(argv):
     return set(result["modules"])
 
 
+# Runs one command through main() and prints the dataclasses that the
+# package modules loaded by then define.
+_SHOW_DATACLASSES = """\
+import dataclasses, json, sys
+from apivet.cli import main
+code = main(sys.argv[1:])
+found = sorted(
+    f"{name}.{value.__qualname__}"
+    for name, module in list(sys.modules.items()) if name.startswith("apivet")
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == name
+    and dataclasses.is_dataclass(value)
+)
+print(json.dumps({"code": code, "dataclasses": found}))
+"""
+
+
 def _inputs(pipeline, corpus):
     return ["--bundle", str(pipeline["bundle"]),
             "--logs", str(pipeline[corpus] / "logs.jsonl"),
@@ -247,6 +264,31 @@ class TestImportClosure:
              "--config", str(config), "--out", str(out)])
         assert "numpy" in loaded
         assert load_relationships(out)
+
+    @pytest.mark.parametrize("command", ["detect", "relations infer", "invariants generate"])
+    def test_only_the_pinned_records_are_dataclasses(self, pipeline, tmp_path, command):
+        # decorating a dataclass execs its generated methods at start-up;
+        # only the records callers copy or dump with dataclasses stay one
+        argv = {
+            "detect": ["detect", *_inputs(pipeline, "eval"),
+                       "--relations", str(pipeline["relations"]),
+                       "--invariants", str(pipeline["invariants"])],
+            "relations infer": ["relations", "infer", *_inputs(pipeline, "train")],
+            "invariants generate": ["invariants", "generate", *_inputs(pipeline, "train"),
+                                    "--relations", str(pipeline["relations"])],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(apivet.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHOW_DATACLASSES, *argv, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0
+        pinned = ["apivet.config.PipelineConfig", "apivet.config.ProviderConfig"]
+        if command != "relations infer":  # the one that loads no invariant language
+            pinned.append("apivet.dsl.Invariant")
+        assert result["dataclasses"] == pinned
 
     @pytest.mark.parametrize("command", ["schema", "benchgen"])
     def test_schema_parse_and_benchgen_load_no_detection(self, tmp_path, command):
@@ -556,6 +598,49 @@ class TestExitCodes:
         (err,) = capsys.readouterr().err.splitlines()
         assert err == f"error: malformed {bad}: SchemaError: {problem}"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "invariants generate"])
+    @pytest.mark.parametrize("change, problem", [
+        pytest.param({"target_entity": "nope"}, "unknown entity 'nope'", id="unknown_target"),
+        pytest.param({"focal_entity": "nope"}, "unknown entity 'nope'", id="unknown_focal"),
+        pytest.param({"focal_entity": "users"}, "focal entity 'users' is not an API",
+                     id="table_focal"),
+        pytest.param({"kind": "API_API"}, "API_API link to TABLE entity 'orders'",
+                     id="wrong_kind"),
+        pytest.param({"target_attr": "nosuch"},
+                     "target column 'nosuch' does not exist on 'orders'", id="unknown_column"),
+        pytest.param({"focal_attr": "arguments.nosuch"},
+                     "focal attribute 'arguments.nosuch' does not exist on 'payOrder'",
+                     id="unknown_focal_attr"),
+        pytest.param({"target_attr": None},
+                     "an API_DB link needs both a focal attribute and a target column",
+                     id="null_column"),
+    ])
+    def test_a_relationship_the_bundle_cannot_join_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys, command, change, problem
+    ):
+        # refused when read, not when (or whether) a join or check meets it:
+        # an unknown column would otherwise join nothing and flag every call
+        links = json.loads(pipeline["relations"].read_text())
+        (i,) = [k for k, link in enumerate(links)
+                if (link["kind"], link["focal_entity"], link["focal_attr"],
+                    link["target_entity"], link["target_attr"])
+                == ("API_DB", "payOrder", "arguments.orderId", "orders", "id")]
+        links[i].update(change)
+        bad = tmp_path / "relations.json"
+        bad.write_text(json.dumps(links))
+        out, outcomes = tmp_path / "out", tmp_path / "outcomes.json"
+        if command == "detect":
+            argv = ["detect", *_inputs(pipeline, "eval"),
+                    "--invariants", str(pipeline["invariants"])]
+        else:
+            argv = ["invariants", "generate", *_inputs(pipeline, "train"),
+                    "--outcomes", str(outcomes)]
+        capsys.readouterr()
+        assert main([*argv, "--relations", str(bad), "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"error: malformed {bad}: SchemaError: relationship {i}: {problem}"
+        assert not out.exists() and not outcomes.exists()
 
     @pytest.mark.parametrize("name", ["logs", "binlog", "labels"])
     def test_a_line_that_is_not_utf8_is_skipped_or_names_its_line(

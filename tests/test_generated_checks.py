@@ -23,8 +23,12 @@ from apivet.detector import check_corpus, compile_invariant
 from apivet.dsl import (
     MAX_NESTING,
     And,
+    Cmp,
     FieldRef,
+    InSet,
+    Match,
     Not,
+    NullCheck,
     Or,
     Quant,
     compile_checks,
@@ -163,16 +167,19 @@ def _remap(node, rng, names):
         root = names.get(node.root, node.root)
         return FieldRef(root=root, path=rng.choice(FIELDS[root]))
     if cls is Quant:
-        return replace(node, name=names[node.name], body=_remap(node.body, rng, names))
+        return Quant(node.exists, names[node.name], _remap(node.body, rng, names))
     if cls is Not:
         return Not(_remap(node.expr, rng, names))
     if cls in (And, Or):
         return cls(tuple(_remap(part, rng, names) for part in node.parts))
-    if hasattr(node, "left"):
-        return replace(node, left=_remap(node.left, rng, names),
-                       right=_remap(node.right, rng, names))
-    if hasattr(node, "operand"):
-        return replace(node, operand=_remap(node.operand, rng, names))
+    if cls is Cmp:
+        return Cmp(node.op, _remap(node.left, rng, names), _remap(node.right, rng, names))
+    if cls is InSet:
+        return InSet(_remap(node.operand, rng, names), node.items)
+    if cls is Match:
+        return Match(_remap(node.operand, rng, names), node.pattern)
+    if cls is NullCheck:
+        return NullCheck(_remap(node.operand, rng, names), node.negated)
     return node
 
 

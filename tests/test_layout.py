@@ -181,6 +181,20 @@ def test_only_the_hmm_loads_numpy():
     assert importers == ["hmm.py"]
 
 
+def test_only_config_and_dsl_import_dataclasses():
+    # decorating a dataclass execs the methods it generates, a start-up cost
+    # every command pays: the package's records derive from values.Record.
+    # Three stay dataclasses because callers outside the package pin them:
+    # config's PipelineConfig and ProviderConfig, dumped with asdict and
+    # copied with replace, and dsl.Invariant, copied with replace
+    importers = sorted(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["config.py", "dsl.py"]
+
+
 def test_only_one_thread_runs_no_module_imports_a_thread_api():
     # detection and refinement run one check sweep in the caller's thread: a
     # thread pool under the GIL lost to it at every setting measured

@@ -3,15 +3,19 @@
 import pytest
 
 from apivet.binlog import RowEvent, ingest_binlog
-from apivet.errors import InferenceError
+from apivet.config import PipelineConfig
+from apivet.detector import check_corpus
+from apivet.errors import InferenceError, SchemaError
 from apivet.joins import JoinStores
 from apivet.logstore import ingest_logs
+from apivet.pipeline import run_generation
 from apivet.proposer import RelationshipCandidate, StubProposer
 from apivet.relations import (
     API_API,
     API_DB,
     API_ENV,
     Relationship,
+    admit_relationships,
     candidate_pairs,
     diagram_to_dict,
     env_coverage,
@@ -425,3 +429,25 @@ class TestSerialization:
         diagram = diagram_to_dict(bundle, rels)
         assert {"login", "payOrder", "orders", "Env"} <= set(diagram["entities"])
         assert len(diagram["relationships"]) == 1
+
+
+class TestAdmission:
+    GOOD = [
+        Relationship(API_DB, "payOrder", "arguments.orderId", "orders", "id"),
+        Relationship(API_API, "payOrder", None, "login", None, delta_ms=60000),
+        Relationship(API_ENV, "payOrder", "arguments.loginId", "Env", "userId"),
+    ]
+
+    def test_links_the_bundle_can_join_are_admitted(self):
+        assert admit_relationships(small_bundle(), self.GOOD) == self.GOOD
+
+    def test_the_library_entry_points_refuse_a_link_they_cannot_join(self):
+        # a column the table lacks would join nothing and fail every check
+        bad = [*self.GOOD, Relationship(API_DB, "payOrder", "arguments.orderId", "orders", "x")]
+        problem = "relationship 3: target column 'x' does not exist on 'orders'"
+        corpus = small_corpus()
+        tables = ingest_binlog([], small_bundle())
+        with pytest.raises(SchemaError, match=f"^{problem}$"):
+            check_corpus(small_bundle(), corpus, tables, bad, [])
+        with pytest.raises(SchemaError, match=f"^{problem}$"):
+            run_generation(small_bundle(), corpus, tables, bad, PipelineConfig())

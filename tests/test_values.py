@@ -1,9 +1,19 @@
-"""Scalar coercion, equality, value keys, and path navigation."""
+"""Scalar coercion, equality, value keys, path navigation, and records."""
 
+import importlib
+import inspect
+import pkgutil
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import apivet
+from apivet import dsl, hmm, joins, relations, schema, seqmodel
+from apivet.dsl import And, BoolConst, Cmp, FieldRef, Lit, Or
+from apivet.schema import STRING, Attribute, EntityType, SemanticType
 from apivet.values import (
+    Record,
     canonical_json,
     coerce_scalar,
     get_path,
@@ -112,3 +122,122 @@ class TestPaths:
 
     def test_canonical_json_is_deterministic(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+# every record class of the package, once each of its modules is loaded
+for module in pkgutil.iter_modules(apivet.__path__):
+    importlib.import_module(f"apivet.{module.name}")
+RECORDS = sorted(
+    (cls for cls in Record.__subclasses__() if cls.__module__.startswith("apivet.")),
+    key=lambda cls: (cls.__module__, cls.__name__),
+)
+
+
+def users_table(attributes=None):
+    return EntityType("users", "TABLE", attributes or [Attribute("id", STRING)], ("id",))
+
+
+def a_link(**changes):
+    fields = {"kind": "API_DB", "focal_entity": "payOrder", "focal_attr": "arguments.orderId",
+              "target_entity": "orders", "target_attr": "id", "delta_ms": None,
+              "score": 1.0, "provenance": "value_overlap"}
+    return relations.Relationship(**{**fields, **changes})
+
+
+# constructors that check or derive from their fields need real values
+VALID_FIELDS = {
+    schema.SemanticType: lambda: {"tag": "enum", "enum_domain": ("a", "b")},
+    schema.Attribute: lambda: {"path": "arguments.id", "type": STRING, "nullable": False},
+    schema.EntityType: lambda: {"name": "users", "kind": "TABLE",
+                                "attributes": [Attribute("id", STRING)], "primary_key": ("id",)},
+    schema.SchemaBundle: lambda: {"entities": [users_table()]},
+    relations.Relationship: lambda: {"kind": "API_ENV", "focal_entity": "login",
+                                     "focal_attr": None, "target_entity": "Env",
+                                     "target_attr": None, "delta_ms": 5, "score": 0.5,
+                                     "provenance": "env_coverage"},
+    seqmodel.MarkovModel: lambda: {"alphabet": ["<START>", "a"], "alpha": 1.0,
+                                   "counts": [[0.0, 1.0], [0.0, 0.0]]},
+    hmm.HmmModel: lambda: {"alphabet": ["a"], "pi": [1.0], "trans": [[1.0]], "emit": [[1.0]],
+                           "log_likelihoods": [-1.0]},
+}
+
+
+class TestRecords:
+    """Records behave as the dataclasses they replace: keyword construction,
+    == by class and fields, and hash and repr from the fields alone."""
+
+    def test_every_record_class_is_covered(self):
+        assert {cls.__name__ for cls in RECORDS} >= {
+            "LogEvent", "EnvRecord", "RowEvent", "ViolationRecord", "JoinedGroup", "Lit",
+        }
+        assert set(VALID_FIELDS) <= set(RECORDS)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_keyword_construction_and_equality_by_fields(self, cls):
+        make = VALID_FIELDS.get(cls)
+        fields = make() if make else {
+            name: f"{cls.__name__}.{name}" for name in inspect.signature(cls).parameters
+        }
+        record = cls(**fields)
+        assert all(getattr(record, name) is value for name, value in fields.items())
+        assert record == cls(**fields) and not record != cls(**fields)
+        if make is None:  # any field that differs makes records differ
+            for name in fields:
+                assert record != cls(**{**fields, name: "other"})
+
+    def test_equality_needs_the_same_class(self):
+        # tuples of the same length would compare equal here
+        assert Lit(True) != BoolConst(True)
+        assert And((Lit(1),)) != Or((Lit(1),))
+        assert Lit(1) != (1,)
+        assert Cmp("==", Lit(1), Lit(2)) == Cmp("==", Lit(1), Lit(2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Lit("x"),
+        lambda: FieldRef("orders", "id"),
+        lambda: BoolConst(False),
+        lambda: dsl.Not(Lit(1)),
+        lambda: And((Lit(1), BoolConst(True))),
+        lambda: Or((Lit(1), BoolConst(True))),
+        lambda: dsl.Quant(True, "orders", Cmp("==", FieldRef("orders", "id"), Lit("o1"))),
+        lambda: Cmp("<", FieldRef("f", "a"), Lit(2.5)),
+        lambda: dsl.InSet(FieldRef("f", "a"), (Lit("a"), Lit("b"))),
+        lambda: dsl.Match(FieldRef("f", "a"), "[a-z]+"),
+        lambda: dsl.NullCheck(FieldRef("f", "a"), True),
+        lambda: a_link(),
+        lambda: SemanticType("enum", ("a", "b")),
+        lambda: Attribute("id", STRING),
+        # an entity is hashable as far as its fields are: here a tuple of attributes
+        lambda: joins.Binding("users", a_link(), users_table((Attribute("id", STRING),))),
+    ], ids=["Lit", "FieldRef", "BoolConst", "Not", "And", "Or", "Quant", "Cmp", "InSet",
+            "Match", "NullCheck", "Relationship", "SemanticType", "Attribute", "Binding"])
+    def test_formerly_frozen_records_hash_by_fields(self, make):
+        a, b = make(), make()
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_derived_state_stays_out_of_equality_and_repr(self):
+        entity, twin = users_table(), users_table()
+        entity._by_path.clear()
+        assert entity == twin and "_by_path" not in repr(entity)
+        bundle, twin = schema.SchemaBundle([users_table()]), schema.SchemaBundle([users_table()])
+        bundle._by_name.clear()
+        assert bundle == twin and "_by_name" not in repr(bundle)
+        fields = VALID_FIELDS[seqmodel.MarkovModel]()
+        model, twin = seqmodel.MarkovModel(**fields), seqmodel.MarkovModel(**fields)
+        model.transition, model._index = [], {}
+        assert model == twin
+        assert repr(model) == ("MarkovModel(alphabet=['<START>', 'a'], alpha=1.0, "
+                               "counts=[[0.0, 1.0], [0.0, 0.0]])")
+        fields = VALID_FIELDS[hmm.HmmModel]()
+        model, twin = hmm.HmmModel(**fields), hmm.HmmModel(**fields)
+        model._index = {}
+        assert model == twin and "_index" not in repr(model)
+
+    def test_relationship_repr_is_the_text_inference_logs(self):
+        # `relations infer -v` logs each rejected link with this text
+        assert repr(a_link(score=None, provenance="proposed")) == (
+            "Relationship(kind='API_DB', focal_entity='payOrder', "
+            "focal_attr='arguments.orderId', target_entity='orders', target_attr='id', "
+            "delta_ms=None, score=None, provenance='proposed')"
+        )
