@@ -21,9 +21,9 @@ _EXPORTS = {
     "evaluate": "dsl",
     "evaluate_metrics": "detector",
     "explain": "dsl",
-    "flatten_api_signature": "schema",
+    "flatten_api_signature": "sources",
     "load_config": "config",
-    "parse_create_table": "schema",
+    "parse_create_table": "sources",
     "parse_invariant": "dsl",
     "print_invariant": "dsl",
     "refine_candidates": "refine",

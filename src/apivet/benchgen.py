@@ -23,13 +23,8 @@ from typing import Iterator
 
 from .errors import ConfigError
 from .fileio import json_string, json_text, write_chunks
-from .schema import (
-    SchemaBundle,
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from .schema import SchemaBundle, merge_bundle
+from .sources import flatten_api_signature, load_env_descriptor, parse_create_table
 from .values import Record
 
 DEFAULT_BASE_TIME = 1_700_000_000_000
@@ -398,6 +393,8 @@ def inject_field_tamper(
     """Duplicate a call 1ms later with one field tampered; no row changes."""
     rng = random.Random(seed)
     out = bench.clone()
+    if not kinds:
+        raise ConfigError("no tamper kind named")
     for kind in kinds:
         if kind not in TAMPER_KINDS:
             raise ConfigError(f"unknown tamper kind {kind!r}")

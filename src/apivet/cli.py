@@ -10,12 +10,15 @@ detector in `detect` and `eval`, the training pipeline in the two training
 commands, the invariant language in the commands that read or write
 invariants (`relations infer` loads neither it nor refinement), numpy only
 in the opt-in HMM sequence model (`relations infer` at its defaults loads
-none), and `urllib.request` only when the remote proposer sends a request.
+none), the bundle builders (`sources`, with the DDL tokenizer) only in
+`schema parse` and `benchgen`, the remote proposer (`remote`) only when the
+configuration selects it, and `urllib.request` only when it sends a request.
 `detect` and `eval` load no training module. For the same reason the
-package's records are plain `__slots__` classes on `values.Record`, not
-dataclasses, whose decorator execs each class's generated methods at
-import; only `PipelineConfig`, `ProviderConfig` and `dsl.Invariant`, which
-callers copy or dump with `dataclasses`, stay dataclasses.
+package's records, the configuration included, are plain `__slots__`
+classes on `values.Record`, not dataclasses, whose decorator execs each
+class's generated methods at import, and `relations infer` loads no
+`dataclasses` at all; only `dsl.Invariant`, which callers copy with
+`dataclasses.replace`, stays one.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 
 from . import __version__
 from .binlog import ingest_binlog, read_binlog_file
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, config_from_dict, config_to_dict, load_config
 from .errors import (
     ApivetError,
     ConfigError,
@@ -48,14 +51,7 @@ from .relations import (
     load_relationships,
     save_relationships,
 )
-from .schema import (
-    flatten_api_signature,
-    load_bundle,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-    save_bundle,
-)
+from .schema import load_bundle, merge_bundle, save_bundle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_calls(path: str, depth_limit: int) -> list:
     """One API entity per entry of a {name: {arguments, response}} file."""
+    from .sources import flatten_api_signature
+
     return [
         flatten_api_signature(
             name, sig.get("arguments", {}), sig.get("response", {}), depth_limit
@@ -108,7 +106,7 @@ def _config_for(args) -> PipelineConfig:
         overrides["proposer"] = args.proposer
     if getattr(args, "seed", None) is not None:
         overrides["hmm_seed"] = args.seed
-    return PipelineConfig(**{**vars(config), **overrides}) if overrides else config
+    return config_from_dict({**config_to_dict(config), **overrides}) if overrides else config
 
 
 def _load_relationships(args, bundle):
@@ -129,6 +127,8 @@ def _load_tables(args, bundle, config):
 
 
 def _cmd_schema_parse(args) -> int:
+    from .sources import load_env_descriptor, parse_create_table
+
     entities = []
     if args.ddl:
         entities.extend(_load_document(args.ddl, lambda p: parse_create_table(read_file(p))))
@@ -266,6 +266,9 @@ def _cmd_eval(args) -> int:
         raise ConfigError("--window must be at least 1")
     flagged = _load_document(args.report, lambda p: flagged_ids(read_report(p)))
     labels = _load_document(args.labels, lambda p: read_label_file(p, mode="strict"))
+    unlabelled = sorted(flagged.difference(record.log_id for record in labels))
+    if unlabelled:  # a flag no label holds cannot be scored
+        raise ApivetError(f"malformed {args.report}: no label holds log_id {unlabelled[0]}")
     metrics = evaluate_metrics(flagged, labels, window_size=args.window)
     write_metrics(metrics, args.out)
     summary = metrics_to_dict(metrics)
@@ -298,9 +301,9 @@ def _cmd_benchgen(args) -> int:
         bench = inject_cross_user(bench, args.cross_user, args.seed + 2)
     if args.tamper:
         kinds = (
-            tuple(k for k in args.tamper_kinds.split(",") if k)
-            if args.tamper_kinds
-            else TAMPER_KINDS
+            TAMPER_KINDS
+            if args.tamper_kinds is None
+            else tuple(k for k in args.tamper_kinds.split(",") if k)
         )
         bench = inject_field_tamper(bench, kinds, per_kind=args.tamper, seed=args.seed + 3)
     paths = write_bench(bench, args.out)

@@ -2,24 +2,23 @@
 
 `PipelineConfig` holds the pipeline's thresholds and modes; `ProviderConfig`
 holds the remote proposer's endpoint, model, credential variable, timeout
-and retry budget. Both validate on construction and raise `ConfigError`,
-and a key that names no field is rejected, so every key a file sets is
-read by some stage. Unlike the package's other records (`values.Record`),
-both stay dataclasses: callers dump and copy them with `dataclasses.asdict`
-and `replace`.
-This module imports nothing from the rest of the package but `errors` and
-`fileio`, which reads the file and itself imports only `errors`, so loading
-a configuration loads no proposer, model or HTTP code.
+and retry budget. Both are `values.Record`s that validate on construction
+and raise `ConfigError`, and a key that names no field is rejected, so
+every key a file sets is read by some stage; `config_to_dict` gives the
+document `config_from_dict` reads back.
+This module imports nothing from the rest of the package but `errors`,
+`fileio`, which reads the file and itself imports only `errors`, and
+`values`, so loading a configuration loads no proposer, model or HTTP code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .fileio import read_json
+from .values import Record
 
 DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
 
@@ -32,15 +31,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
-class ProviderConfig:
-    endpoint_url: str
-    model_name: str
-    api_key_env_var: str | None = None
-    timeout_ms: int = 30000
-    retries: int = 2
+class ProviderConfig(Record):
+    __slots__ = ("endpoint_url", "model_name", "api_key_env_var", "timeout_ms", "retries")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        endpoint_url: str,
+        model_name: str,
+        api_key_env_var: str | None = None,
+        timeout_ms: int = 30000,
+        retries: int = 2,
+    ):
+        self.endpoint_url = endpoint_url
+        self.model_name = model_name
+        self.api_key_env_var = api_key_env_var
+        self.timeout_ms = timeout_ms
+        self.retries = retries
         for name in ("endpoint_url", "model_name"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
@@ -62,24 +68,44 @@ class ProviderConfig:
             )
 
 
-@dataclass
-class PipelineConfig:
-    min_value_overlap: float = 0.9
-    min_sequence_score: float = 0.05
-    min_env_coverage: float = 0.99
-    delta_ms: int = 60000
-    max_refine_rounds: int = 3
-    violation_samples: int = 5
-    sequence_model: str = "markov"  # markov | hmm
-    markov_alpha: float = 1.0
-    hmm_states: int | None = None
-    hmm_seed: int = 0
-    mode: str = "lenient"  # lenient | strict
-    proposer: str = "stub"  # stub | remote
-    synonyms: list = field(default_factory=lambda: [list(p) for p in DEFAULT_SYNONYMS])
-    provider: ProviderConfig | None = None
+class PipelineConfig(Record):
+    __slots__ = (
+        "min_value_overlap", "min_sequence_score", "min_env_coverage", "delta_ms",
+        "max_refine_rounds", "violation_samples", "sequence_model", "markov_alpha",
+        "hmm_states", "hmm_seed", "mode", "proposer", "synonyms", "provider",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        min_value_overlap: float = 0.9,
+        min_sequence_score: float = 0.05,
+        min_env_coverage: float = 0.99,
+        delta_ms: int = 60000,
+        max_refine_rounds: int = 3,
+        violation_samples: int = 5,
+        sequence_model: str = "markov",  # markov | hmm
+        markov_alpha: float = 1.0,
+        hmm_states: int | None = None,
+        hmm_seed: int = 0,
+        mode: str = "lenient",  # lenient | strict
+        proposer: str = "stub",  # stub | remote
+        synonyms: list = DEFAULT_SYNONYMS,  # the default pairs, as a fresh list of lists
+        provider: ProviderConfig | None = None,
+    ):
+        self.min_value_overlap = min_value_overlap
+        self.min_sequence_score = min_sequence_score
+        self.min_env_coverage = min_env_coverage
+        self.delta_ms = delta_ms
+        self.max_refine_rounds = max_refine_rounds
+        self.violation_samples = violation_samples
+        self.sequence_model = sequence_model
+        self.markov_alpha = markov_alpha
+        self.hmm_states = hmm_states
+        self.hmm_seed = hmm_seed
+        self.mode = mode
+        self.proposer = proposer
+        self.synonyms = [list(p) for p in synonyms] if synonyms is DEFAULT_SYNONYMS else synonyms
+        self.provider = provider
         for name in ("min_value_overlap", "min_sequence_score", "min_env_coverage"):
             value = getattr(self, name)
             if not _is_number(value) or not 0.0 <= value <= 1.0:
@@ -127,8 +153,17 @@ class PipelineConfig:
         return tuple((a, b) for a, b in self.synonyms)
 
 
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
-_PROVIDER_FIELDS = {f.name for f in fields(ProviderConfig)}
+_CONFIG_FIELDS = set(PipelineConfig._fields)
+_PROVIDER_FIELDS = set(ProviderConfig._fields)
+
+
+def config_to_dict(config: PipelineConfig) -> dict:
+    """The document `config_from_dict` reads back as an equal configuration."""
+    data = {name: getattr(config, name) for name in config._fields}
+    if config.provider is not None:
+        provider = config.provider
+        data["provider"] = {name: getattr(provider, name) for name in provider._fields}
+    return data
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

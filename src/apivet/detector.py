@@ -67,10 +67,15 @@ def admit_invariants(
 ) -> list[Invariant]:
     """`invariants`, once each is known to run on any corpus: its focal API
     is in the bundle and it passes `dsl.admission_problem` against the
-    names that API binds. The first that does not is a SchemaError naming
-    it, whatever calls the corpus holds."""
+    names that API binds, and no earlier invariant has its id. The first
+    that does not is a SchemaError naming it, whatever calls the corpus
+    holds."""
     apis = {entity.name for entity in bundle.of_kind(API)}
+    ids: set[str] = set()
     for inv in invariants:
+        if inv.id in ids:
+            raise SchemaError(f"invariant {inv.id!r}: its id is listed twice")
+        ids.add(inv.id)
         if inv.focal not in apis:
             raise SchemaError(f"invariant {inv.id!r}: unknown API {inv.focal!r}")
         bound = binding_names([r for r in relationships if r.focal_entity == inv.focal])
@@ -267,7 +272,14 @@ def read_report(path) -> dict:
 
 
 def flagged_ids(report: dict) -> set[int]:
-    return {item["log_id"] for item in report["violations"]}
+    """The log ids a report's violations name; each must be an int."""
+    ids = set()
+    for item in report["violations"]:
+        log_id = item["log_id"]
+        if type(log_id) is not int:  # a bool is no log id either
+            raise ValueError(f"log_id {log_id!r} is not an int")
+        ids.add(log_id)
+    return ids
 
 
 def metrics_to_dict(metrics: MetricsResult) -> dict:

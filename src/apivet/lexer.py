@@ -1,6 +1,6 @@
 """The one tokenizer and token cursor behind both input grammars.
 
-The invariant language (`dsl`) and the CREATE TABLE subset (`schema`) each
+The invariant language (`dsl`) and the CREATE TABLE subset (`sources`) each
 give a compiled pattern whose named groups are the token kinds, and an
 error class taking (message, line, column). Everything else, scanning,
 position tracking and where an error points, is decided here.

@@ -4,7 +4,8 @@ Both training stages read the corpus and tables through one
 joins.JoinStores each. Generation refines every API's candidates together,
 one join sweep over all the APIs' calls per refinement round
 (refine.sweep_check). Relationship inference loads neither the invariant
-language nor refinement: they are imported where generation runs.
+language nor refinement: they are imported where generation runs, as the
+remote proposer (`remote`) is where a configuration selects it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .config import PipelineConfig
 from .errors import ConfigError
 from .joins import JoinStores, joined_schema_for
 from .logstore import LogCorpus, session_sequences
-from .proposer import ProposerContract, RemoteProposer, StubProposer
+from .proposer import ProposerContract, StubProposer
 from .relations import InferenceReport, Relationship, admit_relationships, infer_relationships
 from .schema import API, SchemaBundle
 from .values import Record
@@ -31,6 +32,8 @@ def make_proposer(config: PipelineConfig) -> ProposerContract:
     if config.proposer == "remote":
         if config.provider is None:
             raise ConfigError("remote proposer requires a provider section")
+        from .remote import RemoteProposer
+
         return RemoteProposer(config.provider)
     return StubProposer(synonyms=config.synonym_pairs())
 

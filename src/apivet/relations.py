@@ -305,10 +305,13 @@ def admit_relationships(
 ) -> list[Relationship]:
     """`relationships`, once each is known to join in `bundle`: its focal
     entity is an API, its target an entity of the kind its `kind` links to,
-    each attribute it names, where not null, one its entity has, and a
-    table link names both. The first that is not is a SchemaError naming
-    its position in the list."""
+    each attribute it names, where not null, one its entity has, a table
+    link names both, and no earlier relationship has its kind, entities and
+    attributes. The first that is not is a SchemaError naming its position
+    in the list."""
+    first_at: dict[tuple, int] = {}
     for i, rel in enumerate(relationships):
+        link = (rel.kind, rel.focal_entity, rel.focal_attr, rel.target_entity, rel.target_attr)
         try:
             focal = bundle.entity(rel.focal_entity)
             target = bundle.entity(rel.target_entity)
@@ -327,6 +330,8 @@ def admit_relationships(
                 f"{_TARGET_NOUN[rel.kind]} {rel.target_attr!r} does not exist "
                 f"on {target.name!r}"
             )
+        elif first_at.setdefault(link, i) != i:
+            problem = f"the same link as relationship {first_at[link]}"
         else:
             continue
         raise SchemaError(f"relationship {i}: {problem}")

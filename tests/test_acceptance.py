@@ -36,13 +36,9 @@ from apivet.joins import JoinStores, iter_joined_groups, joined_schema_for
 from apivet.logstore import LabelRecord, ingest_logs, parse_labels
 from apivet.pipeline import run_generation, run_inference
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
-from apivet.schema import (
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from apivet.schema import merge_bundle
 from apivet.seqmodel import sequence_probability, train_markov
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 
 from conftest import api_line, env_line, row_event, state_as_of
 from generators import random_expr, random_group, random_invariant

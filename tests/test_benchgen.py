@@ -202,6 +202,8 @@ class TestInjectors:
             inject_field_tamper(bench, kinds=("negative_price", "bogus"), seed=0)
         with pytest.raises(ConfigError):
             inject_field_tamper(bench, per_kind=2, seed=0)  # needs 8 sessions
+        with pytest.raises(ConfigError, match="^no tamper kind named$"):
+            inject_field_tamper(bench, kinds=(), seed=0)
 
     def test_injectors_do_not_mutate_their_input(self):
         bench = generate_normal(20, seed=8)
@@ -500,3 +502,12 @@ def test_benchgen_files_keep_their_bytes(tmp_path, seed):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[seed]}
     assert digests == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("kinds", [",", "", "bogus", "negative_price,bogus"])
+def test_a_tamper_list_that_names_no_known_kind_exits_one(tmp_path, capsys, kinds):
+    out = tmp_path / "bench"
+    assert main(["benchgen", "--out", str(out), "--sessions", "8",
+                 "--tamper", "1", "--tamper-kinds", kinds]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -13,7 +13,8 @@ from apivet.binlog import (
 from apivet.errors import IngestError, ReplayError
 from apivet.joins import JoinStores
 from apivet.logstore import ingest_logs
-from apivet.schema import merge_bundle, parse_create_table
+from apivet.schema import merge_bundle
+from apivet.sources import parse_create_table
 
 from conftest import binlog_line, row_event, state_as_of, version_before
 from oracles import replay_oracle_rows, universe_oracle

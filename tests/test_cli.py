@@ -285,10 +285,33 @@ class TestImportClosure:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["code"] == 0
-        pinned = ["apivet.config.PipelineConfig", "apivet.config.ProviderConfig"]
-        if command != "relations infer":  # the one that loads no invariant language
-            pinned.append("apivet.dsl.Invariant")
+        # relations infer loads no invariant language
+        pinned = [] if command == "relations infer" else ["apivet.dsl.Invariant"]
         assert result["dataclasses"] == pinned
+
+    def test_relations_infer_loads_no_dataclasses_builders_or_remote(self, pipeline, tmp_path):
+        # importing dataclasses loads inspect, ast and dis; the bundle builders
+        # and their tokenizer serve schema parse and benchgen, the remote
+        # client a configuration that selects it
+        loaded = _modules_after(
+            ["relations", "infer", *_inputs(pipeline, "train"),
+             "--out", str(tmp_path / "relations.json")])
+        assert sorted(loaded & {
+            "dataclasses", "inspect", "apivet.lexer", "apivet.sources", "apivet.remote",
+        }) == []
+
+    @pytest.mark.parametrize("command", ["detect", "invariants generate"])
+    def test_generation_and_detection_load_no_builders_or_remote(
+        self, pipeline, tmp_path, command
+    ):
+        argv = {
+            "detect": ["detect", *_inputs(pipeline, "eval"),
+                       "--invariants", str(pipeline["invariants"])],
+            "invariants generate": ["invariants", "generate", *_inputs(pipeline, "train")],
+        }[command]
+        loaded = _modules_after(
+            [*argv, "--relations", str(pipeline["relations"]), "--out", str(tmp_path / "out")])
+        assert sorted(loaded & {"apivet.sources", "apivet.remote"}) == []
 
     @pytest.mark.parametrize("command", ["schema", "benchgen"])
     def test_schema_parse_and_benchgen_load_no_detection(self, tmp_path, command):
@@ -299,7 +322,7 @@ class TestImportClosure:
         else:
             argv = ["benchgen", "--out", str(tmp_path / "bench"), "--sessions", "2"]
         loaded = _modules_after(argv)
-        assert "apivet.schema" in loaded
+        assert {"apivet.schema", "apivet.sources"} <= loaded
         assert sorted(loaded & {"apivet.detector", "apivet.joins"}) == []
 
 
@@ -433,7 +456,9 @@ class TestExitCodes:
           "provider": {"endpoint_url": "https://example.invalid/v1/chat", "model_name": "m",
                        "api_key_env_var": "APIVET_TEST_KEY", "max_in_flight": 4}},
          "unknown provider keys: ['max_in_flight']"),
-    ], ids=["hmm_states", "hmm_seed", "max_in_flight"])
+        # null is not the default synonym pairs
+        ({"synonyms": None}, "synonyms must be a list of string pairs, got None"),
+    ], ids=["hmm_states", "hmm_seed", "max_in_flight", "synonyms_null"])
     def test_rejected_setting_exits_one(
         self, pipeline, tmp_path, capsys, monkeypatch, settings, message
     ):
@@ -478,6 +503,73 @@ class TestExitCodes:
                      "--binlog", str(pipeline["train"] / "binlog.jsonl"),
                      "--strict",
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("log_id, problem", [
+        (10**9, "no label holds log_id 1000000000"),
+        ("x", "ValueError: log_id 'x' is not an int"),
+        (True, "ValueError: log_id True is not an int"),
+    ], ids=["unlabelled", "string", "bool"])
+    def test_eval_refuses_a_log_id_it_cannot_score(
+        self, pipeline, tmp_path, capsys, log_id, problem
+    ):
+        report = json.loads(pipeline["report"].read_text())
+        report["violations"].append({**report["violations"][0], "log_id": log_id})
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(report))
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert main(["eval", "--report", str(bad),
+                     "--labels", str(pipeline["eval"] / "labels.jsonl"),
+                     "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"error: malformed {bad}: {problem}"
+        assert not out.exists()
+
+    def test_an_invariant_id_listed_twice_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys
+    ):
+        text = pipeline["invariants"].read_text()
+        first = text.split("\n\n")[0]
+        bad = tmp_path / "invariants.txt"
+        bad.write_text(f"{text}\n{first}\n")
+        inv_id = first.split()[1]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["detect", *_inputs(pipeline, "eval"),
+                     "--relations", str(pipeline["relations"]),
+                     "--invariants", str(bad), "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == (f"error: malformed {bad}: SchemaError: "
+                       f"invariant '{inv_id}': its id is listed twice")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "invariants generate"])
+    @pytest.mark.parametrize("link", [
+        ("API_DB", "payOrder", "arguments.orderId", "orders", "id"),
+        ("API_DB", "createOrder", "arguments.loginId", "orders", "userId"),
+    ], ids=["payOrder_orders_id", "createOrder_orders_userId"])
+    def test_a_link_listed_twice_exits_two_naming_both(
+        self, pipeline, tmp_path, capsys, command, link
+    ):
+        links = json.loads(pipeline["relations"].read_text())
+        (i,) = [k for k, rel in enumerate(links)
+                if (rel["kind"], rel["focal_entity"], rel["focal_attr"],
+                    rel["target_entity"], rel["target_attr"]) == link]
+        bad = tmp_path / "relations.json"
+        bad.write_text(json.dumps([*links, {**links[i], "score": 0.5}]))
+        out, outcomes = tmp_path / "out", tmp_path / "outcomes.json"
+        if command == "detect":
+            argv = ["detect", *_inputs(pipeline, "eval"),
+                    "--invariants", str(pipeline["invariants"])]
+        else:
+            argv = ["invariants", "generate", *_inputs(pipeline, "train"),
+                    "--outcomes", str(outcomes)]
+        capsys.readouterr()
+        assert main([*argv, "--relations", str(bad), "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == (f"error: malformed {bad}: SchemaError: "
+                       f"relationship {len(links)}: the same link as relationship {i}")
+        assert not out.exists() and not outcomes.exists()
 
     def test_eval_rejects_non_report_exits_two(self, pipeline, tmp_path):
         not_report = tmp_path / "x.json"

@@ -1,13 +1,17 @@
 """Pipeline configuration: defaults, validation, JSON round-trips."""
 
 import json
-from dataclasses import asdict
 
 import pytest
 
-from apivet.config import PipelineConfig, config_from_dict, load_config
+from apivet.config import (
+    PipelineConfig,
+    ProviderConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+)
 from apivet.errors import ConfigError
-from apivet.proposer import ProviderConfig
 
 
 class TestDefaults:
@@ -48,6 +52,7 @@ class TestValidation:
         {"synonyms": [["a", ""]]},
         {"synonyms": ["ab"]},
         {"synonyms": 5},
+        {"synonyms": None},  # not the default pairs: a null list is refused
         {"hmm_states": 0},
         {"hmm_states": True},
         {"hmm_states": 2.0},
@@ -132,7 +137,7 @@ class TestDictRoundTrip:
     def test_plain_roundtrip(self):
         config = PipelineConfig(delta_ms=10, markov_alpha=0.5)
         assert config_from_dict({"delta_ms": 10, "markov_alpha": 0.5}) == config
-        assert config_from_dict(asdict(config)) == config
+        assert config_from_dict(config_to_dict(config)) == config
 
     def test_provider_roundtrip(self):
         config = PipelineConfig(
@@ -144,7 +149,7 @@ class TestDictRoundTrip:
                 retries=1,
             ),
         )
-        data = asdict(config)
+        data = config_to_dict(config)
         assert data["provider"]["endpoint_url"] == "https://example.invalid/v1/chat"
         assert config_from_dict(data) == config
 
@@ -181,7 +186,7 @@ class TestFiles:
     def test_save_and_load(self, tmp_path):
         config = PipelineConfig(violation_samples=4, mode="strict", hmm_states=3)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(asdict(config)))
+        path.write_text(json.dumps(config_to_dict(config)))
         assert load_config(path) == config
 
     def test_load_errors(self, tmp_path):

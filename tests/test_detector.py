@@ -28,15 +28,11 @@ from apivet.dsl import (
     parse_invariant,
     print_invariant,
 )
-from apivet.errors import MetricsError
+from apivet.errors import MetricsError, SchemaError
 from apivet.logstore import LabelRecord, ingest_logs
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
-from apivet.schema import (
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from apivet.schema import merge_bundle
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 
 from conftest import api_line, env_line, row_event
 from generators import random_group, random_invariant
@@ -168,6 +164,13 @@ class TestCheckCorpus:
             (1, "order_exists"),
             (1, "paid_status"),
         ]
+
+    def test_an_id_listed_twice_is_refused(self):
+        # two rows per flagged call and invariant would follow otherwise
+        bundle, corpus, tables, rels, invs = planted_setup()
+        problem = f"^invariant '{invs[1].id}': its id is listed twice$"
+        with pytest.raises(SchemaError, match=problem):
+            check_corpus(bundle, corpus, tables, rels, [*invs, invs[1]])
 
     def test_env_projection_reads_only_the_attributes_invariants_read(self, monkeypatch):
         import apivet.joins as joins
@@ -353,6 +356,9 @@ class TestReports:
         assert data["summary"]["invariants_checked"] == 2
         assert data["summary"]["logs_processed"] == 3
         assert flagged_ids(data) == {1, 2}
+        for log_id in ("1", 1.0, True, None):  # a log id is an int
+            with pytest.raises(ValueError, match="is not an int"):
+                flagged_ids({"violations": [{"log_id": log_id}]})
         assert "elapsed" not in json.dumps(data)
 
     def test_violation_dict_fields(self):

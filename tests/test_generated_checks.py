@@ -39,12 +39,8 @@ from apivet.errors import DslSyntaxError, EvaluationError, SchemaError
 from apivet.logstore import ingest_logs
 from apivet.pipeline import run_generation, run_inference
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
-from apivet.schema import (
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from apivet.schema import merge_bundle
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 
 from conftest import api_line, env_line, row_event
 from generators import FakeGroup, random_invariant

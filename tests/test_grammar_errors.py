@@ -11,7 +11,7 @@ import pytest
 
 from apivet.dsl import parse_invariant, parse_invariants
 from apivet.errors import DdlParseError, DslScopeError, DslSyntaxError
-from apivet.schema import parse_create_table
+from apivet.sources import parse_create_table
 
 H = "INVARIANT x ON a CATEGORY format WHERE "
 

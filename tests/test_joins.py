@@ -19,12 +19,8 @@ from apivet.joins import (
 )
 from apivet.logstore import ingest_logs
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
-from apivet.schema import (
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from apivet.schema import merge_bundle
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 from apivet.values import value_key
 
 from conftest import api_line, env_line, row_event

@@ -181,18 +181,18 @@ def test_only_the_hmm_loads_numpy():
     assert importers == ["hmm.py"]
 
 
-def test_only_config_and_dsl_import_dataclasses():
-    # decorating a dataclass execs the methods it generates, a start-up cost
-    # every command pays: the package's records derive from values.Record.
-    # Three stay dataclasses because callers outside the package pin them:
-    # config's PipelineConfig and ProviderConfig, dumped with asdict and
-    # copied with replace, and dsl.Invariant, copied with replace
+def test_only_dsl_imports_dataclasses():
+    # decorating a dataclass execs the methods it generates, and importing
+    # dataclasses loads inspect, ast and dis: start-up costs every command
+    # would pay. The package's records, configuration included, derive from
+    # values.Record; dsl.Invariant stays a dataclass because a caller
+    # outside the package copies it with dataclasses.replace
     importers = sorted(
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         if "dataclasses" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     )
-    assert importers == ["config.py", "dsl.py"]
+    assert importers == ["dsl.py"]
 
 
 def test_only_one_thread_runs_no_module_imports_a_thread_api():

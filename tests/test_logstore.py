@@ -23,15 +23,8 @@ from apivet.logstore import (
     read_log_file,
     session_sequences,
 )
-from apivet.schema import (
-    API,
-    ENV,
-    Attribute,
-    EntityType,
-    SchemaBundle,
-    SemanticType,
-    flatten_api_signature,
-)
+from apivet.schema import API, ENV, Attribute, EntityType, SchemaBundle, SemanticType
+from apivet.sources import flatten_api_signature
 
 from conftest import api_line, env_line
 from oracles import coerce_oracle, project_oracle, session_sequence_oracle

@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 
 import apivet
+from apivet.config import ProviderConfig
 from apivet.dsl import CATEGORIES, Cmp, FieldRef, parse_invariant
 from apivet.errors import ExtractionError, ProposalError
 from apivet.proposer import (
     Conversation,
-    ProviderConfig,
     RefineRequest,
     RelationshipCandidate,
-    RemoteProposer,
     StubProposer,
     ViolationSample,
     extract_fenced_blocks,
@@ -27,7 +26,8 @@ from apivet.proposer import (
 )
 from apivet.joins import Binding, JoinedSchema
 from apivet.relations import Relationship
-from apivet.schema import flatten_api_signature, load_env_descriptor, parse_create_table
+from apivet.remote import RemoteProposer
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 
 from oracles import regex_word_split
 
@@ -144,7 +144,8 @@ _PRINT_DOMAIN = """\
 from apivet.joins import Binding, JoinedSchema
 from apivet.proposer import StubProposer
 from apivet.relations import Relationship
-from apivet.schema import flatten_api_signature, parse_create_table
+from apivet.remote import RemoteProposer
+from apivet.sources import flatten_api_signature, parse_create_table
 
 t1, t2 = parse_create_table(
     "CREATE TABLE t1 (id VARCHAR(64) PRIMARY KEY, state ENUM('open','shut'));"

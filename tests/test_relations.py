@@ -27,13 +27,9 @@ from apivet.relations import (
     sequence_plausibility,
     value_overlap,
 )
-from apivet.schema import (
-    flatten_api_signature,
-    load_env_descriptor,
-    merge_bundle,
-    parse_create_table,
-)
+from apivet.schema import merge_bundle
 from apivet.seqmodel import train_markov
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 from apivet.values import value_key
 
 from conftest import api_line, env_line
@@ -451,3 +447,14 @@ class TestAdmission:
             check_corpus(small_bundle(), corpus, tables, bad, [])
         with pytest.raises(SchemaError, match=f"^{problem}$"):
             run_generation(small_bundle(), corpus, tables, bad, PipelineConfig())
+
+    @pytest.mark.parametrize("copy_of", [0, 1, 2])
+    def test_a_link_listed_twice_is_refused_naming_both(self, copy_of):
+        # the same kind, entities and attributes; score and provenance may differ
+        first = self.GOOD[copy_of]
+        again = Relationship(first.kind, first.focal_entity, first.focal_attr,
+                             first.target_entity, first.target_attr, first.delta_ms,
+                             score=0.5, provenance="proposed")
+        with pytest.raises(SchemaError,
+                           match=f"^relationship 3: the same link as relationship {copy_of}$"):
+            admit_relationships(small_bundle(), [*self.GOOD, again])

@@ -20,13 +20,11 @@ from apivet.schema import (
     SemanticType,
     bundle_from_dict,
     bundle_to_dict,
-    flatten_api_signature,
     load_bundle,
-    load_env_descriptor,
     merge_bundle,
-    parse_create_table,
     save_bundle,
 )
+from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
 
 
 def flatten_oracle(arguments, response, depth_limit=3):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apivet
-from apivet import dsl, hmm, joins, relations, schema, seqmodel
+from apivet import config, dsl, hmm, joins, relations, schema, seqmodel
 from apivet.dsl import And, BoolConst, Cmp, FieldRef, Lit, Or
 from apivet.schema import STRING, Attribute, EntityType, SemanticType
 from apivet.values import (
@@ -146,6 +146,16 @@ def a_link(**changes):
 
 # constructors that check or derive from their fields need real values
 VALID_FIELDS = {
+    config.ProviderConfig: lambda: {"endpoint_url": "https://example.invalid/v1/chat",
+                                    "model_name": "m", "api_key_env_var": "KEY",
+                                    "timeout_ms": 1000, "retries": 0},
+    config.PipelineConfig: lambda: {"min_value_overlap": 0.5, "min_sequence_score": 0.1,
+                                    "min_env_coverage": 0.9, "delta_ms": 10,
+                                    "max_refine_rounds": 1, "violation_samples": 2,
+                                    "sequence_model": "hmm", "markov_alpha": 0.5,
+                                    "hmm_states": 2, "hmm_seed": 3, "mode": "strict",
+                                    "proposer": "stub", "synonyms": [["a", "b"]],
+                                    "provider": None},
     schema.SemanticType: lambda: {"tag": "enum", "enum_domain": ("a", "b")},
     schema.Attribute: lambda: {"path": "arguments.id", "type": STRING, "nullable": False},
     schema.EntityType: lambda: {"name": "users", "kind": "TABLE",
