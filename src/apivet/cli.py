@@ -32,12 +32,13 @@ import sys
 
 from . import __version__
 from .binlog import ingest_binlog, read_binlog_file
-from .config import PipelineConfig, config_from_dict, config_to_dict, load_config
+from .config import PipelineConfig, load_config
 from .errors import (
     ApivetError,
     ConfigError,
     ExtractionError,
     IngestError,
+    MetricsError,
     ParseError,
     ProposalError,
     ReplayError,
@@ -92,21 +93,25 @@ def _load_document(path: str, loader):
         SchemaError,
         ParseError,
         IngestError,
+        MetricsError,
         ReplayError,
     ) as exc:
         raise ApivetError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _config_for(args) -> PipelineConfig:
+    """The configuration file's, or the default, with the command's
+    --strict, --proposer and --seed applied: a new record, so its checks
+    run on the overridden fields."""
     config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {}
+    fields = {name: getattr(config, name) for name in config._fields}
     if getattr(args, "strict", False):
-        overrides["mode"] = "strict"
+        fields["mode"] = "strict"
     if getattr(args, "proposer", None):
-        overrides["proposer"] = args.proposer
+        fields["proposer"] = args.proposer
     if getattr(args, "seed", None) is not None:
-        overrides["hmm_seed"] = args.seed
-    return config_from_dict({**config_to_dict(config), **overrides}) if overrides else config
+        fields["hmm_seed"] = args.seed
+    return PipelineConfig(**fields)
 
 
 def _load_relationships(args, bundle):

@@ -4,8 +4,7 @@
 holds the remote proposer's endpoint, model, credential variable, timeout
 and retry budget. Both are `values.Record`s that validate on construction
 and raise `ConfigError`, and a key that names no field is rejected, so
-every key a file sets is read by some stage; `config_to_dict` gives the
-document `config_from_dict` reads back.
+every key a file sets is read by some stage.
 This module imports nothing from the rest of the package but `errors`,
 `fileio`, which reads the file and itself imports only `errors`, and
 `values`, so loading a configuration loads no proposer, model or HTTP code.
@@ -155,15 +154,6 @@ class PipelineConfig(Record):
 
 _CONFIG_FIELDS = set(PipelineConfig._fields)
 _PROVIDER_FIELDS = set(ProviderConfig._fields)
-
-
-def config_to_dict(config: PipelineConfig) -> dict:
-    """The document `config_from_dict` reads back as an equal configuration."""
-    data = {name: getattr(config, name) for name in config._fields}
-    if config.provider is not None:
-        provider = config.provider
-        data["provider"] = {name: getattr(provider, name) for name in provider._fields}
-    return data
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

@@ -267,7 +267,7 @@ def write_report(result: DetectionResult, invariants_checked: int, path) -> None
 def read_report(path) -> dict:
     data = read_json(path)
     if "violations" not in data or "summary" not in data:
-        raise MetricsError(f"not a detection report: {path}")
+        raise MetricsError("not a detection report: it lacks violations or a summary")
     return data
 
 

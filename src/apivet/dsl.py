@@ -17,18 +17,19 @@ expression into one Python expression of its truth value (Emitter.test),
 with comparisons specialised by literal type and every read that no
 quantified row feeds hoisted to the top of the function, or of its failure
 text (Emitter.why), which names the parts that failed and the values they
-read. A quantifier at a statement position, an invariant's whole body or a
-NOT of one, is tested by a `for ... else` loop instead (Emitter.branch):
-any() or all() over a generator makes a frame per call, which costs several
-times the loop on the one or two rows a binding mostly holds. Quantifiers
-nested in an expression stay generators. It is the one evaluator, with two
-entry points: `compile_invariant` generates, per invariant, one function
-of (focal row, bindings) for the verdict and one for the explanation with
-the positions of the failing conjuncts (detection's explanations,
-refinement's samples and the tests), and `compile_checks` builds
-detection's one function per focal API, whose binding rows the join engine
-supplies. Invariant text never becomes an identifier: names and
-literals enter the code through repr() or the function's namespace.
+read. A quantifier at a statement position (a checked body or top-level
+conjunct, or a NOT of one) is tested by a `for ... else` loop instead
+(Emitter.branch): any() or all() over a generator makes a frame per call,
+which costs several times the loop on the one or two rows a binding mostly
+holds. Quantifiers nested in an expression stay generators. It is the one
+evaluator, with two entry points: `compile_invariant` generates, per
+invariant, one diagnosis function of (focal row, bindings) whose failure
+text and failing-conjunct positions give the verdict, the explanation and
+the failing conjuncts (detection's explanations, refinement's samples and
+the tests), and `compile_checks` builds detection's one function per focal
+API, whose binding rows the join engine supplies. Invariant text never
+becomes an identifier: names and literals enter the code through repr() or
+the function's namespace.
 """
 
 from __future__ import annotations
@@ -871,44 +872,34 @@ def _conjuncts(inv: Invariant) -> tuple:
     return inv.body.parts if inv.body.__class__ is And else (inv.body,)
 
 
-def _answer(inv: Invariant, answer: str):
-    """One generated function of (focal row, bindings) giving the verdict
-    ("test"), or the failure text and the positions of the failing
-    top-level conjuncts ("diagnosis")."""
-    em = Emitter()
-    env = {inv.focal: ("row", True)}
-    if answer == "test":
-        lines = em.branch(inv.body, env, False, ["return False"]) + ["return True"]
-    else:
-        lines = _positions(em, [(part, env) for part in _conjuncts(inv)], explain=True)
-    return em.function("row, b", lines)
-
-
 class CompiledInvariant:
     """One invariant as generated code over a group.
 
     Calling it on a group gives the verdict. The group must expose `focal`
     (attribute map of the focal row) and `bindings` (binding name -> list
-    of rows). The test and the diagnosis are each one function generated
-    on first use, so detection, which asks only for explanations, and
-    refinement, which asks for explanations and failing conjuncts, each
-    generate one function per failing invariant and no test.
+    of rows). One function of (focal row, bindings), generated on first
+    use, gives the verdict, the explanation and the failing conjuncts: the
+    failure text and the positions of the failing top-level conjuncts, no
+    position where the invariant holds. It checks every conjunct, so one
+    naming an unbound entity raises EvaluationError even after an earlier
+    one failed.
     """
 
-    __slots__ = ("invariant", "_test", "_diagnosis")
+    __slots__ = ("invariant", "_diagnosis")
 
     def __init__(self, inv: Invariant):
         self.invariant = inv
-        self._test = self._diagnosis = None
+        self._diagnosis = None
 
     def __call__(self, group: Any) -> bool:
-        if self._test is None:
-            self._test = _answer(self.invariant, "test")
-        return self._test(group.focal, group.bindings)
+        return not self._diagnosed(group)[1]
 
     def _diagnosed(self, group: Any) -> tuple[str, tuple]:
         if self._diagnosis is None:
-            self._diagnosis = _answer(self.invariant, "diagnosis")
+            em = Emitter()
+            env = {self.invariant.focal: ("row", True)}
+            checks = [(part, env) for part in _conjuncts(self.invariant)]
+            self._diagnosis = em.function("row, b", _positions(em, checks, explain=True))
         return self._diagnosis(group.focal, group.bindings)
 
     def explain(self, group: Any) -> str:
@@ -938,10 +929,8 @@ def compile_invariant(inv: Invariant) -> CompiledInvariant:
 
 def evaluate(inv: Invariant, group: Any) -> Verdict:
     """Evaluate one invariant against one joined group, explaining a failure."""
-    fn = compile_invariant(inv)
-    if fn(group):
-        return Verdict(passed=True)
-    return Verdict(passed=False, explanation=fn.explain(group))
+    why, bad = compile_invariant(inv)._diagnosed(group)
+    return Verdict(passed=not bad, explanation=why)
 
 
 def explain(verdict: Verdict) -> str:

@@ -296,19 +296,17 @@ class TableCursor:
 
     After advance(t), buckets[column] maps a value key to the {chain key:
     row} of the rows live strictly before t that hold it there. The maps
-    change in place, so a reference to one stays current. Calls with
-    non-decreasing t cost one pass over the table's version stream in
-    total, which is what every sweep in (time, log id) order makes. A
-    backward t, which only a caller with its own row order can make,
-    replays the stream from the start.
+    change in place, so a reference to one stays current. The cursor only
+    moves forward: t must not decrease from one call to the next, which
+    every sweep in (time, log id) order keeps, so a pass costs one walk of
+    the table's version stream.
     """
 
-    __slots__ = ("_events", "_pos", "_t", "_probes", "buckets", "pending")
+    __slots__ = ("_events", "_pos", "_probes", "buckets", "pending")
 
     def __init__(self, events: list, columns):
         self._events = events
         self._pos = 0
-        self._t: int | None = None
         # per column: (column, value key -> {chain key: row}, chain key ->
         # the value key its live row holds there)
         self._probes = tuple((column, {}, {}) for column in columns)
@@ -318,12 +316,6 @@ class TableCursor:
 
     def advance(self, t: int) -> None:
         """Apply every version strictly before t."""
-        if self._t is not None and t < self._t:
-            self._pos = 0
-            for _, index, live in self._probes:
-                index.clear()
-                live.clear()
-        self._t = t
         events = self._events
         pos = self._pos
         n = len(events)
@@ -408,7 +400,6 @@ class Sweep:
             for table, probed in columns.items()
         }
         self._cursors = tuple(self.cursors.values())
-        self._t = -math.inf
 
     @staticmethod
     def apis_read(schemas: list[tuple[JoinedSchema, set[str] | None]]) -> list[str]:
@@ -426,15 +417,12 @@ class Sweep:
         return names
 
     def advance(self, t: int) -> float:
-        """Move every cursor to t; returns the time of the first version
-        still pending, before which a later t that is not smaller needs no
-        call. A t smaller than the last one replays the tables from the
-        start."""
-        back = t < self._t
-        self._t = t
+        """Move every cursor forward to t, which must not be smaller than
+        the last; returns the time of the first version still pending,
+        before which a later t needs no call."""
         pending = math.inf
         for cursor in self._cursors:
-            if back or cursor.pending < t:
+            if cursor.pending < t:
                 cursor.advance(t)
             if cursor.pending < pending:
                 pending = cursor.pending
@@ -541,12 +529,16 @@ def iter_joined_groups(
 ) -> Iterator[JoinedGroup]:
     """Stream one group per focal call with every binding's rows attached.
 
+    The sweep only moves forward, so caller-supplied `rows` are taken in
+    time order, by a stable sort that keeps their order among equal times.
     DB bindings are views into a sweeping cursor: each yielded group must be
     fully consumed before the next one is requested. Copy the binding lists
     (or use build_joined_groups) to keep groups around.
     """
     if rows is None:
         rows = stores.instances(schema.focal.name).rows
+    else:
+        rows = sorted(rows, key=lambda item: item[1]["time"])
     sweep = Sweep(stores, [(schema, only)])
     bindings_of = sweep.group_bindings(schema.focal.name)
     for log_id, row in rows:

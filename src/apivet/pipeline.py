@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from .binlog import TemporalTable
 from .config import PipelineConfig
-from .errors import ConfigError
 from .joins import JoinStores, joined_schema_for
 from .logstore import LogCorpus, session_sequences
 from .proposer import ProposerContract, StubProposer
@@ -29,9 +28,7 @@ if TYPE_CHECKING:
 
 
 def make_proposer(config: PipelineConfig) -> ProposerContract:
-    if config.proposer == "remote":
-        if config.provider is None:
-            raise ConfigError("remote proposer requires a provider section")
+    if config.proposer == "remote":  # PipelineConfig requires its provider section
         from .remote import RemoteProposer
 
         return RemoteProposer(config.provider)

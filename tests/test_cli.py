@@ -92,6 +92,40 @@ class TestPipeline:
         assert "orders" in diagram["entities"]
         assert diagram["relationships"]
 
+    @pytest.mark.parametrize("flags, override", [
+        (["--strict"], {"mode": "strict"}),
+        (["--seed", "9"], {"hmm_seed": 9}),
+        (["--strict", "--proposer", "remote"], {"mode": "strict", "proposer": "remote"}),
+    ], ids=["strict", "seed", "strict_remote"])
+    def test_flags_override_only_their_fields(self, pipeline, tmp_path, monkeypatch,
+                                              flags, override):
+        # every other field of the file, the provider section included, is kept
+        from apivet import pipeline as stages
+        from apivet.config import config_from_dict
+
+        document = {
+            "min_value_overlap": 0.8, "delta_ms": 30000, "markov_alpha": 0.5,
+            "hmm_seed": 4, "synonyms": [["loginId", "userId"], ["buyer", "userId"]],
+            "provider": {"endpoint_url": "https://example.invalid/v1/chat",
+                         "model_name": "m", "timeout_ms": 500, "retries": 0},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        seen = []
+
+        class Stop(Exception):
+            """Ends the command once the configuration, all this test reads, is seen."""
+
+        def run_inference(bundle, corpus, tables, config):
+            seen.append(config)
+            raise Stop
+
+        monkeypatch.setattr(stages, "run_inference", run_inference)
+        with pytest.raises(Stop):
+            main(["relations", "infer", *_inputs(pipeline, "train"), "--config", str(config),
+                  "--out", str(tmp_path / "r.json"), *flags])
+        assert seen == [config_from_dict({**document, **override})]
+
     def test_invariants_and_outcomes(self, pipeline):
         invs = read_invariant_file(pipeline["invariants"])
         assert invs
@@ -571,12 +605,15 @@ class TestExitCodes:
                        f"relationship {len(links)}: the same link as relationship {i}")
         assert not out.exists() and not outcomes.exists()
 
-    def test_eval_rejects_non_report_exits_two(self, pipeline, tmp_path):
+    def test_eval_rejects_non_report_exits_two(self, pipeline, tmp_path, capsys):
         not_report = tmp_path / "x.json"
         not_report.write_text('{"foo": 1}')
         assert main(["eval", "--report", str(not_report),
                      "--labels", str(pipeline["eval"] / "labels.jsonl"),
                      "--out", str(tmp_path / "m.json")]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == (f"error: malformed {not_report}: MetricsError: "
+                       "not a detection report: it lacks violations or a summary")
 
     @pytest.mark.parametrize("flag, text", [
         ("--bundle", "{oops"),

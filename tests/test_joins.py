@@ -323,21 +323,14 @@ class TestTableCursor:
                         value, t, column
                     )
 
-    def test_backward_time_rewinds(self):
-        cursor = TableCursor(self.events, ["userId"])
-        assert self.probe(cursor, "u1", 99) == self.reference("u1", 99)
-        # going back in time replays the stream from scratch
-        assert self.probe(cursor, "u1", 11) == self.reference("u1", 11)
-        assert self.probe(cursor, "u2", 11) == self.reference("u2", 11)
-        assert self.probe(cursor, "u1", 60) == self.reference("u1", 60)
-
     def test_bucket_maps_are_updated_in_place(self):
         cursor = TableCursor(self.events, ["userId"])
         index = cursor.buckets["userId"]
-        cursor.advance(99)
-        cursor.advance(11)  # a rewind keeps the same map
-        assert cursor.buckets["userId"] is index
+        cursor.advance(11)
         assert sorted_rows(index[("s", "u2")].values()) == self.reference("u2", 11)
+        cursor.advance(99)  # moving on keeps the same map
+        assert cursor.buckets["userId"] is index
+        assert sorted_rows(index[("s", "u1")].values()) == self.reference("u1", 99)
 
     def test_an_update_moves_its_row_to_the_bucket_end(self):
         # a bucket lists its rows by last write, which the row[i] indices of
@@ -391,8 +384,8 @@ class TestTableCursor:
     def test_random_probe_schedule_matches_reference(self):
         rng = random.Random(7)
         cursor = TableCursor(self.events, ["userId", "status"])
-        for _ in range(300):
-            t = rng.randrange(0, 70)
+        # the cursor only moves forward: a non-decreasing schedule, with repeats
+        for t in sorted(rng.randrange(0, 70) for _ in range(300)):
             column = rng.choice(["userId", "status"])
             value = rng.choice(["u1", "u2", "u3", "paid", "unpaid", None])
             if value is None:
@@ -566,7 +559,8 @@ class TestJoinedGroups:
 
 
 class TestRandomizedAgreement:
-    def test_streamed_db_binding_matches_oracle(self):
+    def random_stores(self):
+        """60 payOrder calls at random times among 120 random order changes."""
         rng = random.Random(31)
         events = []
         live = {}
@@ -600,9 +594,34 @@ class TestRandomizedAgreement:
             bundle, "payOrder",
             [rel(API_DB, "payOrder", "arguments.orderId", "orders", "id")],
         )
+        return events, stores, schema
+
+    def test_streamed_db_binding_matches_oracle(self):
+        events, stores, schema = self.random_stores()
         for group in iter_joined_groups(stores, schema):
             got = sorted_rows(list(group.bindings["orders"]))
             want = sorted_rows(db_join_oracle(
                 events, "id", group.focal["arguments.orderId"], group.focal["time"]
             ))
             assert got == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_rows_join_as_the_sorted_rows(self, seed):
+        # the cursor only moves forward, so caller rows in any order are
+        # taken in time order: each log id gets the focal row and bindings
+        # it gets from the sorted rows
+        _, stores, schema = self.random_stores()
+
+        def joined(rows):
+            return {
+                group.log_id: (group.focal,
+                               {name: list(bound) for name, bound in group.bindings.items()})
+                for group in iter_joined_groups(stores, schema, rows=rows)
+            }
+
+        rows = stores.instances("payOrder").rows
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        assert shuffled != rows
+        assert joined(shuffled) == joined(rows)
+        assert len(joined(rows)) == 60

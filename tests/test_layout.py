@@ -5,7 +5,8 @@ A public top-level function or class that nothing in the package names, as
 a call, an attribute or an import, and that the package does not re-export
 (`apivet._EXPORTS`, the library surface), is dead code. A name used only inside its own top-level definition,
 as in a recursive call, counts as named nowhere. So is a parameter that its
-function's body never reads.
+function's body never reads, and a parameter of a private function that
+every call passes the same constant: a knob with one value.
 """
 
 import ast
@@ -122,6 +123,83 @@ def test_every_parameter_is_read():
 ])
 def test_the_parameter_guard_sees_each_unread_parameter(source, unread):
     assert unread_parameters(ast.parse(source)) == unread
+
+
+def one_valued_parameters(tree):
+    """(function, parameter, value) for each parameter of a private
+    module-level function that every call in the module passes as the same
+    constant, or leaves at a constant default. A function named other than
+    as a callee, or called with * or ** arguments, may take other values
+    where this cannot see, and is skipped."""
+    functions = {node.name: node.args for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_")}
+    calls = {name: [] for name in functions}
+    callees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+            calls[node.func.id].append(node)
+            callees.add(node.func)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in calls and node not in callees:
+            calls[node.id] = []
+    found = []
+    for name, made in calls.items():
+        if not made or any(isinstance(arg, ast.Starred) for call in made for arg in call.args) \
+                or any(kw.arg is None for call in made for kw in call.keywords):
+            continue
+        args = functions[name]
+        positional = [*args.posonlyargs, *args.args]
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        params = [(arg.arg, i, default)
+                  for i, (arg, default) in enumerate(zip(positional, defaults))]
+        params += [(arg.arg, None, default)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
+        for param, index, default in params:
+            values = set()
+            for call in made:
+                if index is not None and index < len(call.args):
+                    value = call.args[index]
+                else:
+                    value = next((kw.value for kw in call.keywords if kw.arg == param), default)
+                # the class keeps 1 and True apart; any other node is its own value
+                values.add((value.value.__class__, value.value)
+                           if isinstance(value, ast.Constant) else value)
+            (value, *others) = values
+            if not others and isinstance(value, tuple):
+                found.append((name, param, value[1]))
+    return found
+
+
+def test_no_private_parameter_has_one_value():
+    # a mode switch that outlives its second caller selects one code path
+    # and keeps the other alive
+    one_valued = sorted(
+        f"{path.name}:{function}({param}={value!r})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, param, value in one_valued_parameters(
+            ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert one_valued == [], f"parameters every call in src/apivet gives one value: {one_valued}"
+
+
+@pytest.mark.parametrize("source,one_valued", [
+    ("def _f(a, mode='x'):\n    return a, mode\n_f(1)\n_f(2)", [("_f", "mode", "x")]),
+    ("def _f(a, mode):\n    return a, mode\n_f(1, 'test')\n_f(2, mode='test')",
+     [("_f", "mode", "test")]),
+    ("def _f(a, *, n=1):\n    return a, n\n_f(1, n=1)\n_f(2)", [("_f", "n", 1)]),
+    ("def _f(a, mode='x'):\n    return a, mode\n_f(1)\n_f(2, 'y')", []),
+    ("def _f(flag=True):\n    return flag\n_f(1)\n_f()", []),
+    ("def _f(a, key=None):\n    return a, key\n_f(x, key=k)", []),
+    ("def _f(a, mode='x'):\n    return a, mode\nhandler = _f\n_f(1)", []),
+    ("def _f(a, mode='x'):\n    return a, mode\n_f(*xs)", []),
+    ("def _f(a, mode='x'):\n    return a, mode\n_f(**kw)", []),
+    ("def f(a, mode='x'):\n    return a, mode\nf(1)", []),
+    ("def _f(a, mode='x'):\n    return a, mode", []),
+    ("class C:\n    def _m(self, mode='x'):\n        return mode\nC()._m()", []),
+])
+def test_the_one_value_guard_sees_each_knob(source, one_valued):
+    assert one_valued_parameters(ast.parse(source)) == one_valued
 
 
 def unused_imports(tree):
