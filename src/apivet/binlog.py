@@ -1,16 +1,19 @@
-"""Temporal replay of row-change events into per-key version chains.
+"""Temporal replay of row-change events into one version stream per table.
 
-Every table row is kept as a chain of (timestamp, ordinal, image) versions,
-where a None image is a tombstone. Replay only builds the chains; their one
-reader is joins.JoinStores, which walks them per column to give inference
-its value universes and to show the join sweep the versions strictly
-before each call: an event at exactly t is not visible at t, so a call's
-own database effect never leaks into its own evaluation.
+Replay applies the events in (ts, ordinal) order, ordinal being the line's
+position in the file: the lines need not be in time order, and events at
+one ts apply in file order. Each table's stream lists its versions as
+(ts, ordinal, key, image) in that order, a None image being a tombstone.
+Its one reader is joins.JoinStores, which reads it as it is to give
+inference its value universes and to show the join sweep the versions
+strictly before each call: an event at exactly t is not visible at t, so a
+call's own database effect never leaks into its own evaluation.
 """
 
 from __future__ import annotations
 
 import logging
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import ReplayError
@@ -92,28 +95,23 @@ def read_binlog_file(path: str, mode: str = "lenient") -> list[RowEvent]:
     return read_json_lines(path, lambda lines: parse_row_events(lines, mode=mode))
 
 
-# Version = (ts, ordinal, row image or None for a tombstone)
-Version = tuple[int, int, "dict | None"]
-
-
 class TemporalTable(Record):
-    __slots__ = ("entity", "chains")
+    """One table's version stream: (ts, ordinal, key, row image or None for
+    a tombstone), in (ts, ordinal) order."""
 
-    def __init__(self, entity: EntityType, chains: dict[tuple, list[Version]] | None = None):
+    __slots__ = ("entity", "versions")
+
+    def __init__(self, entity: EntityType, versions: list[tuple] | None = None):
         self.entity = entity
-        self.chains = {} if chains is None else chains
+        self.versions = [] if versions is None else versions
 
-    def append(self, key: tuple, ts: int, ordinal: int, row: dict | None) -> None:
-        chain = self.chains.setdefault(key, [])
-        if chain and (ts, ordinal) <= (chain[-1][0], chain[-1][1]):
-            raise ReplayError(
-                f"out-of-order version for key {key!r} in {self.entity.name!r}"
-            )
-        chain.append((ts, ordinal, row))
-
-    def is_live(self, key: tuple) -> bool:
-        chain = self.chains.get(key)
-        return bool(chain) and chain[-1][2] is not None
+    @property
+    def chains(self) -> dict[tuple, list[tuple]]:
+        """The stream split per key into (ts, ordinal, row) chains."""
+        chains: dict[tuple, list[tuple]] = {}
+        for ts, ordinal, key, row in self.versions:
+            chains.setdefault(key, []).append((ts, ordinal, row))
+        return chains
 
 
 def _key_of(entity: EntityType, image: dict, ts: int) -> tuple:
@@ -124,15 +122,15 @@ def _key_of(entity: EntityType, image: dict, ts: int) -> tuple:
                 f"row image for {entity.name!r} at ts {ts} lacks key column {col!r}"
             )
         key.append(image[col])
-    chain_key = tuple(key)
+    row_key = tuple(key)
     try:
-        hash(chain_key)
-    except TypeError:  # a JSON list or object cannot key a chain
+        hash(row_key)
+    except TypeError:  # a JSON list or object cannot key a row
         raise ReplayError(
             f"row image for {entity.name!r} at ts {ts} has a list or object in its "
-            f"key {chain_key!r}"
+            f"key {row_key!r}"
         ) from None
-    return chain_key
+    return row_key
 
 
 def ingest_binlog(
@@ -142,15 +140,15 @@ def ingest_binlog(
 ) -> dict[str, TemporalTable]:
     """Build one TemporalTable per table from a row-event stream.
 
-    Strict mode raises on inconsistent streams; lenient mode repairs them:
-    insert-on-live overwrites, update-on-absent inserts, delete-on-absent
-    and out-of-order events are skipped, all with a warning.
+    Events apply in (ts, ordinal) order, whatever the order they come in.
+    Strict mode raises on a stream that is inconsistent in that order;
+    lenient mode repairs it: insert-on-live overwrites, update-on-absent
+    inserts and delete-on-absent is skipped, all counted in one warning.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown replay mode {mode!r}")
-    tables: dict[str, TemporalTable] = {}
-    for entity in bundle.of_kind(TABLE):
-        tables[entity.name] = TemporalTable(entity=entity)
+    tables = {entity.name: TemporalTable(entity) for entity in bundle.of_kind(TABLE)}
+    live: dict[str, set] = {name: set() for name in tables}  # keys whose last version is a row
     repairs = 0
 
     def complain(message: str) -> None:
@@ -160,7 +158,7 @@ def ingest_binlog(
         repairs += 1
         logger.debug(message)
 
-    for event in events:
+    for event in sorted(events, key=attrgetter("ts", "ordinal")):
         table = tables.get(event.table)
         if table is None:
             complain(f"row event for unknown table {event.table!r}")
@@ -169,38 +167,39 @@ def ingest_binlog(
         if not entity.primary_key:
             complain(f"table {event.table!r} has no primary key")
             continue
+        versions = table.versions
+        keys = live[event.table]
+        ts = event.ts
         try:
             if event.op == "insert":
-                key = _key_of(entity, event.after or {}, event.ts)
-                if table.is_live(key):
-                    complain(
-                        f"insert on live key {key!r} in {event.table!r} at ts {event.ts}"
-                    )
-                table.append(key, event.ts, event.ordinal, dict(event.after or {}))
+                key = _key_of(entity, event.after or {}, ts)
+                if key in keys:
+                    complain(f"insert on live key {key!r} in {event.table!r} at ts {ts}")
+                keys.add(key)
+                versions.append((ts, event.ordinal, key, dict(event.after or {})))
             elif event.op == "update":
-                old_key = _key_of(entity, event.before or {}, event.ts)
-                new_key = _key_of(entity, event.after or {}, event.ts)
+                old_key = _key_of(entity, event.before or {}, ts)
+                new_key = _key_of(entity, event.after or {}, ts)
                 if old_key != new_key:
                     complain(
                         f"update changes key {old_key!r} -> {new_key!r} in {event.table!r}"
                     )
-                    if table.is_live(old_key):
-                        table.append(old_key, event.ts, event.ordinal, None)
-                elif not table.is_live(old_key):
+                    if old_key in keys:
+                        keys.remove(old_key)
+                        versions.append((ts, event.ordinal, old_key, None))
+                elif old_key not in keys:
                     complain(
-                        f"update on absent key {old_key!r} in {event.table!r} "
-                        f"at ts {event.ts}"
+                        f"update on absent key {old_key!r} in {event.table!r} at ts {ts}"
                     )
-                table.append(new_key, event.ts, event.ordinal, dict(event.after or {}))
+                keys.add(new_key)
+                versions.append((ts, event.ordinal, new_key, dict(event.after or {})))
             else:
-                key = _key_of(entity, event.before or {}, event.ts)
-                if not table.is_live(key):
-                    complain(
-                        f"delete on absent key {key!r} in {event.table!r} "
-                        f"at ts {event.ts}"
-                    )
+                key = _key_of(entity, event.before or {}, ts)
+                if key not in keys:
+                    complain(f"delete on absent key {key!r} in {event.table!r} at ts {ts}")
                     continue
-                table.append(key, event.ts, event.ordinal, None)
+                keys.remove(key)
+                versions.append((ts, event.ordinal, key, None))
         except ReplayError:
             if mode == "strict":
                 raise

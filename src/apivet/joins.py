@@ -141,7 +141,6 @@ class JoinStores:
         self._instances: dict[str, InstanceTable] = {}
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
-        self._table_events: dict[str, list] = {}
         self._column_events: dict[tuple[str, str], list] = {}
         self._column_keys: dict[tuple[str, str], set] = {}
         self._env_entities = {entity.name: entity for entity in bundle.of_kind(ENV)}
@@ -181,33 +180,18 @@ class JoinStores:
             self.project([api_name, *self._apis])
         return self._instances[api_name]
 
-    def _versions(self, table_name: str):
-        """table_events' tuples, unsorted."""
+    def table_events(self, table_name: str) -> list:
+        """Version stream of one table, as replay built it: (ts, ordinal,
+        key, row) in (ts, ordinal) order, shared by every cursor on the
+        table; a delete carries a None row."""
         store = self.tables.get(table_name)
         if store is None:
             raise StoreLookupError(f"unknown table {table_name!r}")
-        for chain_key, chain in store.chains.items():
-            for ts, ordinal, row in chain:
-                yield ts, ordinal, chain_key, row
-
-    def table_events(self, table_name: str) -> list:
-        """Version stream of one table: (ts, ordinal, chain key, row).
-
-        Sorted by (ts, ordinal) and shared by every cursor on the table; a
-        delete carries a None row.
-        """
-        if table_name not in self._table_events:
-            events = list(self._versions(table_name))
-            # (ts, ordinal) ties when an update moves a row to a new key, so
-            # whole events are not comparable: sort stably, minor field first
-            events.sort(key=itemgetter(1))
-            events.sort(key=itemgetter(0))
-            self._table_events[table_name] = events
-        return self._table_events[table_name]
+        return store.versions
 
     def column_events(self, table_name: str, column: str) -> list:
         """table_events seen through one column: (ts, ordinal, value key,
-        chain key, row), where deletes and null values carry a None key.
+        row key, row), where deletes and null values carry a None key.
 
         Joins index table_events directly; this per-column view is for
         callers that time or check one column's stream on its own.
@@ -215,19 +199,19 @@ class JoinStores:
         cache_key = (table_name, column)
         if cache_key not in self._column_events:
             self._column_events[cache_key] = [
-                (ts, ordinal, None if row is None else value_key(row.get(column)), chain_key, row)
-                for ts, ordinal, chain_key, row in self.table_events(table_name)
+                (ts, ordinal, None if row is None else value_key(row.get(column)), row_key, row)
+                for ts, ordinal, row_key, row in self.table_events(table_name)
             ]
         return self._column_events[cache_key]
 
     def column_keys(self, table_name: str, column: str) -> set:
-        """Non-null value keys of one column, without building the stream:
-        every value the column held in any version, for relationship inference."""
+        """Non-null value keys of one column: every value the column held
+        in any version, for relationship inference."""
         cache_key = (table_name, column)
         if cache_key not in self._column_keys:
             keys = {
                 value_key(row.get(column))
-                for _, _, _, row in self._versions(table_name)
+                for _, _, _, row in self.table_events(table_name)
                 if row is not None
             }
             keys.discard(None)
@@ -294,7 +278,7 @@ class TableCursor:
     """One table's live rows, grouped by value on each probed column, moved
     along the timeline.
 
-    After advance(t), buckets[column] maps a value key to the {chain key:
+    After advance(t), buckets[column] maps a value key to the {row key:
     row} of the rows live strictly before t that hold it there. The maps
     change in place, so a reference to one stays current. The cursor only
     moves forward: t must not decrease from one call to the next, which
@@ -307,7 +291,7 @@ class TableCursor:
     def __init__(self, events: list, columns):
         self._events = events
         self._pos = 0
-        # per column: (column, value key -> {chain key: row}, chain key ->
+        # per column: (column, value key -> {row key: row}, row key ->
         # the value key its live row holds there)
         self._probes = tuple((column, {}, {}) for column in columns)
         self.buckets = {column: index for column, index, _ in self._probes}
@@ -321,24 +305,24 @@ class TableCursor:
         n = len(events)
         probes = self._probes
         while pos < n:
-            ts, _, chain_key, row = events[pos]
+            ts, _, row_key, row = events[pos]
             if ts >= t:
                 break
             pos += 1
             for column, index, live in probes:
-                old = live.pop(chain_key, None)
+                old = live.pop(row_key, None)
                 if old is not None:
-                    del index[old][chain_key]
+                    del index[old][row_key]
                 if row is None:
                     continue
                 value = row.get(column)
                 vk = ("s", value) if value.__class__ is str else value_key(value)
                 if vk is not None:
-                    live[chain_key] = vk
+                    live[row_key] = vk
                     bucket = index.get(vk)
                     if bucket is None:
                         bucket = index[vk] = {}
-                    bucket[chain_key] = row
+                    bucket[row_key] = row
         self._pos = pos
         self.pending = events[pos][0] if pos < n else math.inf
 

@@ -259,9 +259,10 @@ def session_sequences(events: Iterable[LogEvent]) -> dict[str, list[str]]:
 
 def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecord]:
     """Parse the label sidecar (one record per log id). Lenient mode drops a
-    malformed line and logs one warning with the count; strict mode raises
-    on the first."""
+    malformed line, or one whose log id an earlier line labelled, and logs
+    one warning with the count; strict mode raises on the first."""
     out: list[LabelRecord] = []
+    labelled: set[int] = set()
 
     def keep(record) -> str | None:
         if not isinstance(record, dict):
@@ -269,15 +270,18 @@ def parse_labels(lines: Iterable[str], mode: str = "lenient") -> list[LabelRecor
         log_id = record.get("log_id")
         label = record.get("label")
         trace = record.get("trace")
-        if (
+        if not (
             isinstance(log_id, int)
             and not isinstance(log_id, bool)
             and label in ("normal", "attack")
             and (trace is None or isinstance(trace, str))
         ):
-            out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
-            return None
-        return "malformed label record"
+            return "malformed label record"
+        if log_id in labelled:
+            return f"log_id {log_id} is labelled twice"
+        labelled.add(log_id)
+        out.append(LabelRecord(log_id=log_id, label=label, trace=trace))
+        return None
 
     keep_records(lines, keep, mode, "label", logger)
     return out

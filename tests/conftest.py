@@ -1,4 +1,4 @@
-"""Shared builders for log lines, env lines, and binlog lines, and a reader
+"""Shared builders for log lines, env lines, and binlog lines, and readers
 of replayed tables."""
 
 from __future__ import annotations
@@ -57,9 +57,14 @@ def version_before(chain, t):
 
 
 def state_as_of(tables, table, t):
-    """Rows of one replayed table live strictly before t, in chain order."""
-    rows = (version_before(chain, t) for chain in tables[table].chains.values())
-    return [row for row in rows if row is not None]
+    """Rows of one replayed table live strictly before t, in the order their
+    keys first appear in its version stream."""
+    rows = {}
+    for ts, _, key, row in tables[table].versions:
+        if ts >= t:
+            break
+        rows[key] = row
+    return [row for row in rows.values() if row is not None]
 
 
 @pytest.fixture

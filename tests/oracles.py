@@ -402,19 +402,22 @@ def bench_lines_oracle(bench):
 
 
 def labels_oracle(lines, mode):
-    """The label rules: records as (log_id, label, trace). Strict mode
-    raises OracleReject instead of dropping a line."""
+    """The label rules: records as (log_id, label, trace), one per log id.
+    Strict mode raises OracleReject instead of dropping a line."""
     out = []
     for line_no, record, problem in json_lines_oracle(lines):
         if problem is None:
             record = record if isinstance(record, dict) else {}
             log_id, label, trace = record.get("log_id"), record.get("label"), record.get("trace")
-            if (isinstance(log_id, int) and not isinstance(log_id, bool)
+            if not (isinstance(log_id, int) and not isinstance(log_id, bool)
                     and label in ("normal", "attack")
                     and (trace is None or isinstance(trace, str))):
+                problem = "malformed label record"
+            elif log_id in [kept[0] for kept in out]:
+                problem = f"log_id {log_id} is labelled twice"
+            else:
                 out.append((log_id, label, trace))
                 continue
-            problem = "malformed label record"
         if mode == "strict":
             raise OracleReject(line_no, problem)
     return out

@@ -1,4 +1,4 @@
-"""Temporal replay: parsing, version chains, point-in-time state."""
+"""Temporal replay: parsing, version streams, point-in-time state."""
 
 import random
 
@@ -142,6 +142,40 @@ class TestChains:
         assert ("missing",) not in chains
 
 
+class TestTimeOrder:
+    def test_stream_layout(self, orders_bundle):
+        tables = ingest_binlog(order_chain()[::-1], orders_bundle, mode="strict")
+        assert [(ts, ordinal, key, row["status"])
+                for ts, ordinal, key, row in tables["orders"].versions] == [
+            (10, 0, ("o1",), "unpaid"),
+            (20, 1, ("o1",), "paid"),
+            (30, 2, ("o1",), "cancelled"),
+        ]
+
+    def test_update_before_its_insert_is_refused_whatever_the_line_order(
+        self, orders_bundle
+    ):
+        unpaid = {"id": "o1", "status": "unpaid"}
+        insert = row_event("orders", "insert", 30, None, unpaid)
+        update = row_event("orders", "update", 20, unpaid, dict(unpaid, status="paid"))
+        for lines in ([insert, update], [update, insert]):
+            with pytest.raises(ReplayError, match=r"update on absent key .* at ts 20$"):
+                ingest_binlog(seq(lines), orders_bundle, mode="strict")
+
+    def test_events_of_one_key_at_one_ts_apply_in_file_order(self, orders_bundle):
+        unpaid = {"id": "o1", "status": "unpaid"}
+        paid = dict(unpaid, status="paid")
+        cancelled = dict(unpaid, status="cancelled")
+        insert = row_event("orders", "insert", 10, None, unpaid)
+        pay = row_event("orders", "update", 20, unpaid, paid)
+        cancel = row_event("orders", "update", 20, paid, cancelled)
+        for lines, last in (([insert, pay, cancel], "cancelled"), ([insert, cancel, pay], "paid")):
+            events = seq(lines)
+            for given in (events, events[::-1]):
+                tables = ingest_binlog(given, orders_bundle, mode="strict")
+                assert [row["status"] for row in state_as_of(tables, "orders", 21)] == [last]
+
+
 class TestRepairs:
     def test_strict_rejects_update_on_absent(self, orders_bundle):
         events = seq([row_event("orders", "update", 5, {"id": "x"}, {"id": "x", "status": "paid"})])
@@ -229,9 +263,15 @@ class TestRandomStreams:
             )
         )
         rng = random.Random(1234)
+        shuffler = random.Random(99)
         for _ in range(30):
             events = random_consistent_stream(rng)
             tables = ingest_binlog(events, bundle, mode="strict")
+            # lines out of time order, each keeping its ordinal, replay to
+            # the same stream
+            shuffled = events[:]
+            shuffler.shuffle(shuffled)
+            assert ingest_binlog(shuffled, bundle, mode="strict") == tables
             horizon = max(e.ts for e in events) + 2
             for t in range(0, horizon, 3):
                 expected = replay_oracle_rows(events, t)

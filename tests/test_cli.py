@@ -559,6 +559,24 @@ class TestExitCodes:
         assert err == f"error: malformed {bad}: {problem}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("twice", ["one_line", "whole_file"])
+    def test_eval_refuses_a_log_id_labelled_twice(self, pipeline, tmp_path, capsys, twice):
+        # the label file's first line labels log id 0
+        text = (pipeline["eval"] / "labels.jsonl").read_text()
+        extra = {"one_line": '{"log_id": 0, "label": "attack", "trace": "dup"}\n',
+                 "whole_file": text}[twice]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(text + extra)
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert main(["eval", "--report", str(pipeline["report"]),
+                     "--labels", str(labels), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {labels}: IngestError: line {len(text.splitlines()) + 1}: "
+            "log_id 0 is labelled twice"
+        ]
+        assert not out.exists()
+
     def test_an_invariant_id_listed_twice_exits_two_naming_it(
         self, pipeline, tmp_path, capsys
     ):

@@ -156,7 +156,13 @@ API = json.dumps({"kind": "api", "api": "login", "arguments": {}, "response": {}
                   "time": 1, "sessionId": "s1"})
 ROW = json.dumps({"table": "orders", "op": "insert", "ts": 1, "before": None,
                   "after": {"id": "o1"}})
-LABEL = json.dumps({"log_id": 0, "label": "normal"})
+
+
+def label_line(log_id):
+    return json.dumps({"log_id": log_id, "label": "normal"})
+
+
+LABEL = label_line(0)
 
 # lines the property tests may never draw, each around a valid record {r}:
 # every one must get what json.loads gives it
@@ -210,7 +216,9 @@ def test_decoder_edge_lines_match_the_reference(case):
         lambda lines, mode: [e[5] for e in row_events_oracle(lines, mode)[0]], lines
     )
 
-    lines = case_lines(case, LABEL)
+    # one log id per line: a log id labelled twice is refused however its
+    # line decodes
+    lines = [line.replace("{r}", label_line(i)) for i, line in enumerate(DECODER_CASES[case])]
 
     def labels(lines, mode):
         return [(r.log_id, r.label, r.trace) for r in parse_labels(lines, mode=mode)]
@@ -234,10 +242,18 @@ HUGE_PARSERS = {
 VALID_LINES = {"logs": API, "binlog": ROW, "labels": LABEL}
 
 
+def valid_lines(kind, n):
+    """n valid lines of one kind; label lines label one log id each."""
+    if kind == "labels":
+        return [label_line(i) for i in range(n)]
+    return [VALID_LINES[kind]] * n
+
+
 @pytest.mark.parametrize("kind", sorted(HUGE_LINES))
 def test_an_integer_past_the_digit_limit_is_one_malformed_line(kind, caplog):
     parse, logger = HUGE_PARSERS[kind]
-    lines = [VALID_LINES[kind], HUGE_LINES[kind], VALID_LINES[kind]]
+    first, last = valid_lines(kind, 2)
+    lines = [first, HUGE_LINES[kind], last]
     with caplog.at_level(logging.WARNING, logger=logger):
         assert len(parse(lines, "lenient")) == 2
     assert caplog.messages == [f"skipped 1 malformed {kind.rstrip('s')} line(s)"]
@@ -271,8 +287,9 @@ def test_a_line_that_is_not_utf8_is_one_malformed_line(kind, bad_line_no, tmp_pa
     # 300 lines: a bad line 2 spoils the first batch, a bad last line the
     # second; its neighbours hold raw UTF-8 that is not ASCII
     read, logger = FILE_READERS[kind]
-    good = [VALID_LINES[kind].encode() + b"\n"] * 299
-    good[0] = good[2] = good[0].replace(b"}\n", b', "note": "caf\xc3\xa9"}\n')
+    good = [line.encode() + b"\n" for line in valid_lines(kind, 299)]
+    for i in (0, 2):
+        good[i] = good[i].replace(b"}\n", b', "note": "caf\xc3\xa9"}\n')
     lines = good[: bad_line_no - 1] + [b"\xff\xfe\n"] + good[bad_line_no - 1 :]
     path = tmp_path / f"{kind}.jsonl"
     path.write_bytes(b"".join(lines).rstrip(b"\n"))

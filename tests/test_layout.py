@@ -4,9 +4,12 @@ Reference implementations that only tests call belong in tests/oracles.py.
 A public top-level function or class that nothing in the package names, as
 a call, an attribute or an import, and that the package does not re-export
 (`apivet._EXPORTS`, the library surface), is dead code. A name used only inside its own top-level definition,
-as in a recursive call, counts as named nowhere. So is a parameter that its
-function's body never reads, and a parameter of a private function that
-every call passes the same constant: a knob with one value.
+as in a recursive call, counts as named nowhere. So is a public method or
+property of a package class that no code in the package names as an
+attribute, unless a caller outside the package is pinned for it; so is a
+parameter that its function's body never reads, and a parameter of a
+private function that every call passes the same constant: a knob with one
+value.
 """
 
 import ast
@@ -52,6 +55,65 @@ def test_every_public_definition_is_referenced():
     assert ("detector.py", "check_corpus") in defined
     unused = sorted(f"{module}:{name}" for module, name in defined if name not in referenced)
     assert unused == [], f"defined in src/apivet but referenced nowhere in it: {unused}"
+
+
+# public methods and properties that no code in src/apivet names, each with
+# the caller outside the package that keeps it
+UNCALLED_METHODS = {
+    ("binlog.py", "TemporalTable.chains"):
+        "perfbench/layers.py counts replayed versions through it",
+    ("joins.py", "JoinStores.column_events"):
+        "perfbench/layers.py times one column's version stream through it",
+    ("schema.py", "EntityType.attribute"):
+        "library callers look an attribute of a bundle entity up by its path",
+}
+
+
+def uncalled_methods(sources):
+    """(module, "Class.method") for each public method or property of a
+    top-level class in `sources` ({module: source}) that no source names as
+    an attribute (`x.method`); a plain name, such as a local variable of the
+    same name, does not count."""
+    methods = []
+    attributes = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                methods += [(module, top.name, node.name) for node in top.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not node.name.startswith("_")]
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted((module, f"{cls}.{name}") for module, cls, name in methods
+                  if name not in attributes)
+
+
+def test_every_public_method_is_named():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    uncalled = uncalled_methods(sources)
+    assert uncalled == sorted(UNCALLED_METHODS), (
+        f"public methods that src/apivet names nowhere, against the pinned ones: {uncalled}"
+    )
+
+
+@pytest.mark.parametrize("sources,uncalled", [
+    ({"m.py": "class C:\n    def f(self):\n        pass"}, [("m.py", "C.f")]),
+    ({"m.py": "class C:\n    def f(self):\n        pass\nC().f()"}, []),
+    ({"m.py": "class C:\n    def f(self):\n        pass\nf = 1\nprint(f)"},
+     [("m.py", "C.f")]),
+    ({"m.py": "class C:\n    @property\n    def p(self):\n        return 1"},
+     [("m.py", "C.p")]),
+    ({"m.py": "class C:\n    @property\n    def p(self):\n        return 1\nC().p"}, []),
+    ({"m.py": "class C:\n    def f(self):\n        pass\ngetattr(C(), 'f')()"},
+     [("m.py", "C.f")]),
+    ({"m.py": "class C:\n    def _f(self):\n        pass\n    def __len__(self):\n"
+              "        return 0"}, []),
+    ({"m.py": "def f():\n    def g():\n        pass\n    return g"}, []),
+    ({"a.py": "class C:\n    def f(self):\n        pass", "b.py": "x.f()"}, []),
+])
+def test_the_method_guard_sees_each_uncalled_method(sources, uncalled):
+    assert uncalled_methods(sources) == uncalled
 
 
 # a signature a caller outside the package fixes: json's parse_constant

@@ -395,6 +395,26 @@ class TestLabels:
         with pytest.raises(ValueError, match="unknown ingest mode 'fast'"):
             parse_labels([json.dumps({"log_id": 0, "label": "normal"})], mode="fast")
 
+    def test_a_log_id_labelled_twice_is_refused(self, caplog):
+        # a second label would score one call twice, or count a window of
+        # normal traffic twice
+        lines = [
+            json.dumps({"log_id": 0, "label": "normal"}),
+            json.dumps({"log_id": 1, "label": "normal"}),
+            json.dumps({"log_id": 0, "label": "attack", "trace": "dup"}),
+        ]
+        with caplog.at_level(logging.WARNING, logger="apivet.logstore"):
+            assert parse_labels(lines) == [
+                LabelRecord(log_id=0, label="normal"),
+                LabelRecord(log_id=1, label="normal"),
+            ]
+        assert caplog.messages == ["skipped 1 malformed label line(s)"]
+        with pytest.raises(IngestError, match="line 3: log_id 0 is labelled twice"):
+            parse_labels(lines, mode="strict")
+        # a malformed line labels nothing, so a later good one is not a repeat
+        bad_then_good = [json.dumps({"log_id": 0, "label": "odd"}), lines[0]]
+        assert parse_labels(bad_then_good) == [LabelRecord(log_id=0, label="normal")]
+
     @pytest.mark.parametrize("line", [
         "[1]",
         "3",

@@ -1,11 +1,15 @@
-"""Order robustness: swapping log lines changes neither the report nor the sweep.
+"""Order robustness: swapping log or binlog lines changes neither the report
+nor the sweep.
 
-A copy of a benchgen corpus with a seeded share of adjacent lines swapped
-must give the in-order report once its log ids are mapped back, and its join
-cursors must still only move forward in time.
+A copy of a benchgen corpus with a seeded share of adjacent log lines
+swapped must give the in-order report once its log ids are mapped back, and
+its join cursors must still only move forward in time. A copy of its binlog
+swapped the same way must replay, strictly and without a repair, to tables
+that give the in-order report as it is: binlog lines carry no log ids.
 """
 
 import json
+import logging
 import random
 from types import SimpleNamespace
 
@@ -37,12 +41,12 @@ def swap_adjacent(lines, share, seed):
     """Swap a seeded share of adjacent line pairs.
 
     Returns the new lines and `order`, where order[new log id] is the log id
-    the same API line had in the original file.
+    the same API line had in the original file (empty for binlog lines).
     """
     tagged = []
     api_id = 0
     for line in lines:
-        if json.loads(line)["kind"] == "api":
+        if json.loads(line).get("kind") == "api":
             tagged.append((line, api_id))
             api_id += 1
         else:
@@ -58,8 +62,8 @@ def swap_adjacent(lines, share, seed):
     return [line for line, _ in tagged], [k for _, k in tagged if k is not None]
 
 
-def tables_of(bench, bundle):
-    events = parse_row_events(binlog_lines(bench), mode="strict")
+def tables_of(lines, bundle):
+    events = parse_row_events(lines, mode="strict")
     return ingest_binlog(events, bundle, mode="strict")
 
 
@@ -69,7 +73,7 @@ def setup():
     config = PipelineConfig()
     train = generate_normal(200, seed=41)
     train_corpus = ingest_logs(corpus_lines(train)[0], mode="strict")
-    train_tables = tables_of(train, bundle)
+    train_tables = tables_of(binlog_lines(train), bundle)
     relationships = run_inference(bundle, train_corpus, train_tables, config).relationships
     invariants = run_generation(
         bundle, train_corpus, train_tables, relationships, config
@@ -81,20 +85,23 @@ def setup():
     bench = inject_field_tamper(bench, per_kind=3, seed=46)
     lines = list(corpus_lines(bench)[0])
     swapped_lines, order = swap_adjacent(lines, SWAP_SHARE, seed=47)
+    binlog = list(binlog_lines(bench))
     return SimpleNamespace(
         bundle=bundle,
         relationships=relationships,
         invariants=invariants,
-        tables=tables_of(bench, bundle),
+        tables=tables_of(binlog, bundle),
+        swapped_binlog=swap_adjacent(binlog, SWAP_SHARE, seed=48)[0],
         in_order=ingest_logs(lines, mode="strict"),
         swapped=ingest_logs(swapped_lines, mode="strict"),
         order=order,
     )
 
 
-def detect(setup, corpus):
+def detect(setup, corpus, tables=None):
     return check_corpus(
-        setup.bundle, corpus, setup.tables, setup.relationships, setup.invariants
+        setup.bundle, corpus, setup.tables if tables is None else tables,
+        setup.relationships, setup.invariants,
     )
 
 
@@ -110,6 +117,24 @@ def test_swapped_report_maps_back_to_in_order_report(setup):
     for violation in got["violations"]:
         violation["log_id"] = setup.order[violation["log_id"]]
     got["violations"].sort(key=lambda v: (v["log_id"], v["invariant_id"]))
+    assert want["violations"]  # the comparison is not vacuous
+    assert got == want
+
+
+def test_swapped_binlog_replays_strictly_without_repairs(setup, caplog):
+    events = parse_row_events(setup.swapped_binlog, mode="strict")
+    assert any(b.ts < a.ts for a, b in zip(events, events[1:]))
+    ingest_binlog(events, setup.bundle, mode="strict")
+    caplog.set_level(logging.DEBUG, logger="apivet.binlog")
+    ingest_binlog(events, setup.bundle)
+    assert [r.getMessage() for r in caplog.records if r.name == "apivet.binlog"] == []
+
+
+def test_swapped_binlog_gives_the_in_order_report(setup):
+    want = report_to_dict(detect(setup, setup.in_order), len(setup.invariants))
+    # lenient replay, so a repair would show in the report
+    swapped_tables = ingest_binlog(parse_row_events(setup.swapped_binlog), setup.bundle)
+    got = report_to_dict(detect(setup, setup.in_order, swapped_tables), len(setup.invariants))
     assert want["violations"]  # the comparison is not vacuous
     assert got == want
 
