@@ -90,18 +90,13 @@ def scenario_bundle() -> SchemaBundle:
 
 
 class SessionInfo(Record):
-    __slots__ = (
-        "index", "session_id", "user_id", "user_name", "order_id", "price", "refunded",
-    )
+    __slots__ = ("session_id", "user_id", "order_id", "price", "refunded")
 
     def __init__(
-        self, index: int, session_id: str, user_id: str, user_name: str, order_id: str,
-        price: float, refunded: bool,
+        self, session_id: str, user_id: str, order_id: str, price: float, refunded: bool
     ):
-        self.index = index
         self.session_id = session_id
         self.user_id = user_id
-        self.user_name = user_name
         self.order_id = order_id
         self.price = price
         self.refunded = refunded
@@ -275,10 +270,8 @@ def _one_session(bench, rng, k, base_time, first_index) -> SessionInfo:
         _row(bench, "orders", "update", t, dict(paid), dict(cancelled))
 
     return SessionInfo(
-        index=k,
         session_id=sid,
         user_id=uid,
-        user_name=uname,
         order_id=oid,
         price=price,
         refunded=refunded,

@@ -232,7 +232,10 @@ def _cmd_detect(args) -> int:
 
 
 def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> None:
-    """Debug dump: the joined groups detection evaluated, one JSON line each."""
+    """Debug dump: one JSON line per call of each API some invariant is
+    about, with every binding of that API's relationships. Detection joins
+    only the bindings some invariant quantifies over, so this may hold more
+    than any check read."""
     from .joins import JoinStores, iter_joined_groups, joined_schema_for
 
     stores = JoinStores(bundle, corpus, tables)

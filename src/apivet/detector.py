@@ -4,10 +4,10 @@ Each focal API's invariants are one batch of `joins.failing_calls`, the one
 check sweep: one generated check per API over one (time, log id) sweep of
 every focal API's calls, whatever the order of the log lines, projecting
 only the calls and environment attributes the checks read. A call that
-passes allocates no group; a failing one gets its joined group built and
-each failed invariant explained by `dsl.compile_invariant`'s object. The
-report streams to its file one violation at a time, in json.dumps'
-indented layout.
+passes allocates no group; a failing one's group is the rows its check
+joined, and each failed invariant is explained over it by
+`dsl.compile_invariant`'s object. The report streams to its file one
+violation at a time, in json.dumps' indented layout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .binlog import TemporalTable
 from .dsl import Invariant, admission_problem, compile_invariant
 from .errors import MetricsError, SchemaError
 from .fileio import json_string, read_json, write_chunks, write_json
-from .joins import JoinStores, binding_names, failing_calls, joined_schema_for
+from .joins import JoinedGroup, JoinStores, binding_names, failing_calls, joined_schema_for
 from .logstore import LabelRecord, LogCorpus
 from .relations import Relationship, admit_relationships
 from .schema import API, SchemaBundle
@@ -109,8 +109,8 @@ def check_corpus(
 
     stores = JoinStores(bundle, corpus, tables)
     violations = []
-    for k, log_id, row, failed, make_group in failing_calls(stores, batches):
-        group = make_group()
+    for k, log_id, row, failed, bindings in failing_calls(stores, batches):
+        group = JoinedGroup(log_id, row, bindings)
         api = batches[k][0].focal.name
         for i in failed:
             fn = compiled[k][i]

@@ -27,9 +27,9 @@ invariant, one diagnosis function of (focal row, bindings) whose failure
 text and failing-conjunct positions give the verdict, the explanation and
 the failing conjuncts (detection's explanations, refinement's samples and
 the tests), and `compile_checks` builds detection's one function per focal
-API, whose binding rows the join engine supplies. Invariant text never
-becomes an identifier: names and literals enter the code through repr() or
-the function's namespace.
+API, whose binding rows the join engine supplies and which hands them back
+for a failing call. Invariant text never becomes an identifier: names and
+literals enter the code through repr() or the function's namespace.
 """
 
 from __future__ import annotations
@@ -837,21 +837,22 @@ def _indent(lines: list[str], levels: int = 1) -> list[str]:
 
 
 def _positions(em: Emitter, checks: list[tuple], explain: bool = False) -> list[str]:
-    """A function body returning the positions of the false (node, env)
-    checks, () if none is; with `explain`, their failure texts joined by
-    AND, then the positions."""
+    """Function body statements setting `bad` to the positions of the false
+    (node, env) checks, () if none is; with `explain`, also `why` to their
+    failure texts. The caller writes the return."""
     lines = ["bad = ()"] + (["why = []"] if explain else [])
     for i, (node, env) in enumerate(checks):
         then = [f"bad += ({i},)"]
         if explain:
             then.append(f"why.append({em.why(node, env)})")
         lines += em.branch(node, env, False, then)
-    return lines + ["return ' AND '.join(why), bad" if explain else "return bad"]
+    return lines
 
 
 def compile_checks(invariants: list[Invariant], bind) -> Any:
     """One generated function checking invariants of one focal entity on a
-    focal row: it returns the positions of those that fail, () if none does.
+    focal row: it returns () if every one holds, else (positions of those
+    that fail, {binding name: rows}), the rows it joined for the row.
 
     An invariant whose body is a quantifier, or a NOT of one, is checked by
     a loop over its rows (Emitter.branch), not by any() or all() over a
@@ -863,9 +864,9 @@ def compile_checks(invariants: list[Invariant], bind) -> Any:
     """
     em = Emitter()
     em.rows = bind(em)
-    return em.function(
-        "row", _positions(em, [(inv.body, {inv.focal: ("row", True)}) for inv in invariants])
-    )
+    lines = _positions(em, [(inv.body, {inv.focal: ("row", True)}) for inv in invariants])
+    items = ", ".join(f"{name!r}: {rows}" for name, rows in em.rows.items())
+    return em.function("row", lines + ["if bad:", f"    return bad, {{{items}}}", "return bad"])
 
 
 def _conjuncts(inv: Invariant) -> tuple:
@@ -899,7 +900,8 @@ class CompiledInvariant:
             em = Emitter()
             env = {self.invariant.focal: ("row", True)}
             checks = [(part, env) for part in _conjuncts(self.invariant)]
-            self._diagnosis = em.function("row, b", _positions(em, checks, explain=True))
+            lines = _positions(em, checks, explain=True)
+            self._diagnosis = em.function("row, b", lines + ["return ' AND '.join(why), bad"])
         return self._diagnosis(group.focal, group.bindings)
 
     def explain(self, group: Any) -> str:

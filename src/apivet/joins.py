@@ -9,12 +9,13 @@ Calls are taken in (time, log id) order, whatever the order of the log
 lines. A Sweep gives every table one TableCursor, which indexes each column
 some binding probes and only moves forward along the table's one version
 stream, so a pass replays each table once. Sweep.emit translates each join
-into generated code once: the checks inline it, and the groups of a failed
-check and of iter_joined_groups (--dump-joined) are built by it.
-failing_calls is the one check sweep: detection and each refinement round
-consume the failing calls it yields. The DSL is imported only where code
-is generated, so relationship inference, which reads the stores, does not
-load it. Independent reference joins live with the tests.
+into generated code once: the checks inline it, and iter_joined_groups
+(--dump-joined) builds its groups by it. failing_calls is the one check
+sweep: detection and each refinement round consume the failing calls it
+yields, each with the rows its check joined, so a failing call is joined
+once. The DSL is imported only where code is generated, so relationship
+inference, which reads the stores, does not load it. Independent reference
+joins live with the tests.
 """
 
 from __future__ import annotations
@@ -347,8 +348,9 @@ class Sweep:
     column probed on it, so a pass replays each table once however many
     APIs and columns join it. Each focal API's bindings are resolved here,
     once, to their sources, and `emit` is the one translation of a join:
-    the generated checks of `failing_calls` inline its expressions, and
-    `group_bindings` returns them as a group's bindings.
+    the generated checks of `failing_calls` inline its expressions and
+    hand their rows back for a failing call, and `group_bindings` returns
+    them as the bindings of each group of `iter_joined_groups`.
 
     `schemas` holds (schema, only) pairs, where `only` names the bindings to
     join (None: all). `env_attrs` maps an environment entity to the
@@ -452,15 +454,15 @@ class Sweep:
 def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
     """Check (joined schema, invariants) batches in one (time, log id) sweep
     of every batch's calls, and yield each failing call as (batch index,
-    log id, focal row, positions of the invariants it fails, group).
+    log id, focal row, positions of the invariants it fails, {binding name:
+    rows}).
 
     Each batch's invariants become one generated check
-    (`dsl.compile_checks`), which probes only the bindings they quantify
-    over; only the calls and environment attributes those read are
-    projected. `group()` builds the JoinedGroup of the call yielded last,
-    as the cursors stand, so it must be called before the next call is
-    requested. A batch's group-bindings function is generated at its first
-    group.
+    (`dsl.compile_checks`), which joins only the bindings they quantify
+    over and hands back the rows it joined for a failing call; only the
+    calls and environment attributes those read are projected. DB rows are
+    views into a sweeping cursor: use them before the next call is
+    requested.
     """
     from .dsl import compile_checks, field_refs, quantified_names
 
@@ -484,16 +486,6 @@ def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
     # log ids are unique, so the sort never compares rows
     calls.sort()
 
-    bindings = {}  # per batch, its Sweep.group_bindings
-    at = None  # (batch, log id, row) of the call yielded last
-
-    def group() -> JoinedGroup:
-        k, log_id, row = at
-        bindings_of = bindings.get(k)
-        if bindings_of is None:
-            bindings_of = bindings[k] = sweep.group_bindings(batches[k][0].focal.name)
-        return JoinedGroup(log_id, row, bindings_of(row))
-
     advance = sweep.advance
     pending = -math.inf  # time of the first version no cursor has applied
     for t, log_id, row, k in calls:
@@ -501,8 +493,7 @@ def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
             pending = advance(t)
         failed = checks[k](row)
         if failed:
-            at = k, log_id, row
-            yield k, log_id, row, failed, group
+            yield k, log_id, row, *failed
 
 
 def iter_joined_groups(

@@ -21,9 +21,10 @@ id no earlier acceptance of the run holds, so its outcome names the id that
 is written.
 
 Two checkers back the rounds. `sweep_check` runs each API's open candidates
-as one batch of `joins.failing_calls`, the sweep detection runs, and builds
-a group only for a violation it explains. `refine_candidates` checks one
-API's candidates, one at a time, over a list of joined groups.
+as one batch of `joins.failing_calls`, the sweep detection runs, and wraps
+the rows a check joined into a group only for a violation it explains.
+`refine_candidates` checks one API's candidates, one at a time, over a list
+of joined groups.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dsl import (
     print_invariant,
 )
 from .errors import ExtractionError, ParseError, ProposalError
-from .joins import failing_calls
+from .joins import JoinedGroup, failing_calls
 from .proposer import Conversation, RefineRequest, ViolationSample
 from .values import Record
 
@@ -204,16 +205,16 @@ def refine_rounds(
 def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) -> list:
     """`refine_rounds`' check over a join store, for (joined schema,
     invariants) batches: the failing calls of `joins.failing_calls`, the
-    sweep detection runs, counted per invariant. A failing call gets a group
-    only while some invariant it fails has fewer than `sample_limit`
-    samples, and is explained there, the way detection explains a
-    violation, by one generated function that also gives its failing
-    conjuncts (CompiledInvariant.diagnose).
+    sweep detection runs, counted per invariant. The rows a failing call's
+    check joined become a group only while some invariant it fails has
+    fewer than `sample_limit` samples, and are explained there, the way
+    detection explains a violation, by one generated function that also
+    gives its failing conjuncts (CompiledInvariant.diagnose).
     """
     compiled = [[compile_invariant(inv) for inv in invs] for _, invs in batches]
     counts = [[0] * len(invs) for _, invs in batches]
     samples = [[[] for _ in invs] for _, invs in batches]
-    for k, log_id, _, failed, make_group in failing_calls(stores, batches):
+    for k, log_id, row, failed, bindings in failing_calls(stores, batches):
         group = None
         counted = counts[k]
         for i in failed:
@@ -221,7 +222,7 @@ def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) 
             if counted[i] > sample_limit:
                 continue
             if group is None:
-                group = make_group()
+                group = JoinedGroup(log_id, row, bindings)
             samples[k][i].append(ViolationSample(log_id, *compiled[k][i].diagnose(group)))
     return [list(zip(ns, found)) for ns, found in zip(counts, samples)]
 

@@ -303,7 +303,7 @@ class TestVictimLookup:
         assert_copies_of_the_oracle_pick(once, twice)
 
     def test_a_missing_call_is_a_config_error(self):
-        victim = SessionInfo(0, "s0", "u0", "user 0", "o0", 9.5, refunded=True)
+        victim = SessionInfo("s0", "u0", "o0", 9.5, refunded=True)
         bench = Bench(sessions=[victim])
         # an attack-labelled call is never a victim
         benchgen._api(bench, "refundOrder", {"orderId": "o0", "loginId": "u0"},

@@ -240,8 +240,8 @@ class TestCheckCorpus:
 
     def test_one_sweep_and_code_only_for_what_fails(self, monkeypatch):
         # one sweep checks every call; code is generated once per focal API's
-        # check, once per API with a failing call for its group bindings, and
-        # once per failing invariant for its explanation
+        # check, which also hands back the rows it joined for a failing call,
+        # and once per failing invariant for its explanation
         import apivet.dsl as dsl
         import apivet.joins as joins
 
@@ -274,8 +274,8 @@ class TestCheckCorpus:
         assert [(v.log_id, v.invariant_id) for v in result.violations] == [
             (2, "paid_status"), (3, "order_exists")]
         assert len(sweeps) == 1
-        focal_apis, failing_apis, failing_invariants = 2, 1, 2
-        assert len(functions) == focal_apis + failing_apis + failing_invariants
+        focal_apis, failing_invariants = 2, 2
+        assert len(functions) == focal_apis + failing_invariants
 
 
 class TestMemory:

@@ -504,7 +504,8 @@ def check_positions(invariants, focal, bindings, shape=list):
     """compile_checks' positions on a focal row, with each binding's rows in
     `shape` (a DB bucket's dict view, an API window's list, an env tuple),
     and the reference evaluator's, per invariant; an EvaluationError from
-    either is returned as its message."""
+    either is returned as its message. A failing row's check must hand
+    back the rows it was given."""
     def bind(em):
         return {name: em.const(shape(rows)) for name, rows in bindings.items()}
 
@@ -516,7 +517,10 @@ def check_positions(invariants, focal, bindings, shape=list):
     try:
         got = compile_checks(invariants, bind)(focal)
     except EvaluationError as exc:
-        got = str(exc)
+        return str(exc), expected
+    if got:
+        got, joined = got
+        assert {name: list(rows) for name, rows in joined.items()} == bindings
     return got, expected
 
 

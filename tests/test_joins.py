@@ -14,6 +14,7 @@ from apivet.joins import (
     TableCursor,
     binding_names,
     build_joined_groups,
+    failing_calls,
     iter_joined_groups,
     joined_schema_for,
 )
@@ -559,8 +560,9 @@ class TestJoinedGroups:
 
 
 class TestRandomizedAgreement:
-    def random_stores(self):
-        """60 payOrder calls at random times among 120 random order changes."""
+    def random_stores(self, shuffle=None):
+        """60 payOrder calls at random times among 120 random order changes;
+        with a `shuffle` seed, the log lines are shuffled by it."""
         rng = random.Random(31)
         events = []
         live = {}
@@ -586,6 +588,8 @@ class TestRandomizedAgreement:
             t = rng.randrange(1, ts + 5)
             lines.append(api_line("payOrder", t, f"s{k}", {"orderId": f"o{rng.randrange(8)}"},
                                   {"status": "paid"}))
+        if shuffle is not None:
+            random.Random(shuffle).shuffle(lines)
         bundle = join_bundle()
         corpus = ingest_logs(lines)
         tables = ingest_binlog(events, bundle, mode="strict")
@@ -625,3 +629,71 @@ class TestRandomizedAgreement:
         assert shuffled != rows
         assert joined(shuffled) == joined(rows)
         assert len(joined(rows)) == 60
+
+
+def failing_rows(stores, schema, body):
+    """Each call failing_calls yields for one invariant `body` that always
+    fails, as (focal row, {binding name: rows copied out}), checking that
+    it yields every call once, in (time, log id) order."""
+    inv = parse_invariant(f"INVARIANT every ON {schema.focal.name} CATEGORY database "
+                          f"WHERE {body} AND FALSE")
+    calls = []
+    for k, log_id, row, failed, bindings in failing_calls(stores, [(schema, [inv])]):
+        assert (k, failed) == (0, (0,))
+        # DB rows are cursor views: copy them before the next call
+        calls.append((row["time"], log_id, row,
+                      {name: list(rows) for name, rows in bindings.items()}))
+    assert [(t, log_id) for t, log_id, _, _ in calls] == sorted(
+        (row["time"], log_id) for log_id, row in stores.instances(schema.focal.name).rows)
+    return [(row, bindings) for _, _, row, bindings in calls]
+
+
+class TestFailingCalls:
+    """The rows a failing call's check hands back are its joins: with an
+    invariant that quantifies every binding and always fails, every call's
+    rows against the reference joins in oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_db_rows_match_oracle_on_shuffled_lines(self, seed):
+        events, stores, schema = TestRandomizedAgreement().random_stores(shuffle=seed)
+        calls = failing_rows(stores, schema, "EXISTS(orders: TRUE)")
+        assert len(calls) == 60
+        for row, bindings in calls:
+            assert bindings.keys() == {"orders"}
+            assert sorted_rows(bindings["orders"]) == sorted_rows(db_join_oracle(
+                events, "id", row["arguments.orderId"], row["time"]))
+        assert any(bindings["orders"] for _, bindings in calls)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_api_and_env_rows_match_oracle(self, seed):
+        rng = random.Random(seed)
+        lines = []
+        for _ in range(40):  # timed and untimed environment records
+            sid = f"s{rng.randrange(5)}"
+            t = rng.choice([None, rng.randrange(0, 3000)])
+            lines.append(env_line(sid, {"sessionId": sid, "userId": f"u{rng.randrange(4)}"}, t))
+        for _ in range(60):
+            lines.append(api_line("login", rng.randrange(0, 3000), f"s{rng.randrange(5)}",
+                                  {"loginId": "u1"}, {"userId": "u1"}))
+        for _ in range(60):
+            lines.append(api_line("payOrder", rng.randrange(0, 3100), f"s{rng.randrange(6)}",
+                                  {"orderId": f"o{rng.randrange(1, 4)}"}, {"status": "paid"}))
+        rng.shuffle(lines)
+        bundle, corpus, stores = make_stores(lines)
+        schema = joined_schema_for(bundle, "payOrder", [
+            rel(API_API, "payOrder", None, "login", None, delta_ms=500),
+            rel(API_ENV, "payOrder", "arguments.loginId", "Env", "userId"),
+        ])
+        # the env quantifier reads every attribute, so each is projected
+        calls = failing_rows(stores, schema, "EXISTS(login: TRUE) AND "
+                             "EXISTS(Env: Env.sessionId == Env.userId)")
+        logins = [row for _, row in stores.instances("login").rows]
+        for row, bindings in calls:
+            t, sid = row["time"], row["sessionId"]
+            assert bindings.keys() == {"login", "Env"}
+            assert bindings["login"] == api_join_oracle(logins, sid, t, 500)
+            assert bindings["Env"] == [
+                r.fields for r in env_join_oracle(corpus.env_records, sid, t)]
+        for name in ("login", "Env"):
+            assert any(bindings[name] for _, bindings in calls)
+            assert not all(bindings[name] for _, bindings in calls)

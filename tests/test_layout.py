@@ -10,9 +10,12 @@ attribute, unless a caller outside the package is pinned for it; so is a
 parameter that its function's body never reads, and a parameter of a
 private function that every call passes the same constant: a knob with one
 value.
+
+README's module map names every module of the package once, and no other.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 import apivet
 
 PACKAGE = Path(apivet.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def public_definitions_and_references():
@@ -457,3 +461,45 @@ def test_only_fileio_opens_files():
 ])
 def test_the_opener_guard_sees_each_way_to_open(source, opens):
     assert opens_a_file(ast.parse(source).body[0].value) is opens
+
+
+def module_map_problems(readme, modules):
+    """What README's module map gets wrong about `modules`, sorted. The map
+    runs from its "Module map:" line to the first blank line after its
+    first bullet; each bullet must start with one module's name in
+    backticks, and each module must start exactly one bullet."""
+    lines = readme.splitlines()
+    if "Module map:" not in lines:
+        return ["no module map"]
+    heads = []
+    for line in lines[lines.index("Module map:") + 1:]:
+        if not line and heads:
+            break
+        if line.startswith("- "):
+            head = re.match(r"- `(\w+)`", line)
+            heads.append(head.group(1) if head else line)
+    problems = [f"not a module: {head}" for head in sorted(set(heads) - modules)]
+    problems += [f"missing: {name}" for name in sorted(modules - set(heads))]
+    problems += [f"named {heads.count(name)} times: {name}"
+                 for name in sorted(modules) if heads.count(name) > 1]
+    return problems
+
+
+def test_the_module_map_names_each_module_once():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert "errors" in modules
+    problems = module_map_problems(README.read_text(encoding="utf-8"), modules)
+    assert problems == [], f"README's module map against src/apivet: {problems}"
+
+
+@pytest.mark.parametrize("readme,problems", [
+    ("Module map:\n\n- `a`: one.\n- `b`: two,\n  `c` in passing.\n\n- `z`: after.", []),
+    ("Module map:\n\n- `a`: one.\n\nMore.", ["missing: b"]),
+    ("Module map:\n- `a`: one.\n- `b`: two.\n- `a`: again.", ["named 2 times: a"]),
+    ("Module map:\n- `a`: one.\n- `b`: two.\n- `ghost`: gone.", ["not a module: ghost"]),
+    ("Module map:\n- `a`: one.\n- the `b` module.",
+     ["not a module: - the `b` module.", "missing: b"]),
+    ("Module map: `a` (one), `b` (two).", ["no module map"]),
+])
+def test_the_module_map_guard_sees_each_fault(readme, problems):
+    assert module_map_problems(readme, {"a", "b"}) == problems

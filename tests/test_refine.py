@@ -595,9 +595,10 @@ class TestSharedSweep:
         sweep_check, compile_checks = refine.sweep_check, dsl.compile_checks
         function = dsl.Emitter.function
         monkeypatch.setattr(refine, "sweep_check", counting_sweep)
-        # the names joins.failing_calls, the check sweep, looks up
+        # the name joins.failing_calls, the check sweep, looks up, and the
+        # one sweep_check builds a sample's group by
         monkeypatch.setattr(dsl, "compile_checks", counting_checks)
-        monkeypatch.setattr(joins, "JoinedGroup", CountingGroup)
+        monkeypatch.setattr(refine, "JoinedGroup", CountingGroup)
         monkeypatch.setattr(dsl.Emitter, "function", counting_function)
         config = PipelineConfig()
         generate(train, script(), config)
@@ -609,8 +610,7 @@ class TestSharedSweep:
         # one generated check per API and round, however many candidates it holds
         assert checks == [size for batches in rounds for size, _ in batches]
         assert len(checks) < sum(checks)
-        # besides those: one group-bindings function per API and round with a
-        # failing call, and one diagnosis (explanation and failing conjuncts)
-        # per failing candidate
-        with_failures = sum(1 for batches in rounds for _, ns in batches if any(ns))
-        assert len(functions) == len(checks) + with_failures + failing
+        # besides those, which also hand back the rows they joined for a
+        # failing call: one diagnosis (explanation and failing conjuncts) per
+        # failing candidate
+        assert len(functions) == len(checks) + failing
