@@ -2,11 +2,13 @@
 
 Candidates come from a proposer, and each is vetted once, in order: its focal
 attribute must exist, then its target attribute, and then the observed
-traffic must back it up. That last check depends on the target's kind: table
-links need value overlap, call-to-call links need the sequence model to rate
-the ordering as plausible, and environment links need the session join to
-actually resolve. A rejected candidate is recorded with its reason, or raised
-as an `InferenceError` in strict mode.
+traffic must back it up. That last check depends on the target's kind: a
+table link is a reference, so its target column must be the table's whole
+declared primary key before its value overlap is measured; call-to-call
+links need the sequence model to rate the ordering as plausible, and
+environment links need the session join to actually resolve. A rejected
+candidate is recorded with its reason, or raised as an `InferenceError` in
+strict mode.
 
 The data checks read the `joins.JoinStores` that generation and detection
 join over, so every stage projects calls and keys values by one rule.
@@ -208,6 +210,12 @@ def infer_relationships(
                 cand.to_attr
             ):
                 reason = f"{_TARGET_NOUN[kind]} {cand.to_attr!r} does not exist"
+            # a reference points at the whole key; no other column is one
+            elif kind == API_DB and target.primary_key != (cand.to_attr,):
+                reason = (
+                    f"target column {cand.to_attr!r} is not the primary key "
+                    f"of {target.name!r}"
+                )
             else:
                 ok, score, provenance, reason = data_check(rel)
                 if ok:
@@ -218,12 +226,13 @@ def infer_relationships(
                             rel.target_attr, rel.delta_ms, score, provenance,
                         ))
                     continue
+            text = (
+                f"{kind} {focal.name}.{cand.from_attr} -> "
+                f"{target.name}.{cand.to_attr}: {reason}"
+            )
             if mode == "strict":
-                raise InferenceError(
-                    f"{kind} {focal.name}.{cand.from_attr} -> "
-                    f"{target.name}.{cand.to_attr}: {reason}"
-                )
-            logger.info("rejected %s: %s", rel, reason)
+                raise InferenceError(text)
+            logger.info("rejected %s", text)
             report.rejected.append((rel, reason))
 
     report.relationships.sort(

@@ -598,8 +598,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["detect", "invariants generate"])
     @pytest.mark.parametrize("link", [
         ("API_DB", "payOrder", "arguments.orderId", "orders", "id"),
-        ("API_DB", "createOrder", "arguments.loginId", "orders", "userId"),
-    ], ids=["payOrder_orders_id", "createOrder_orders_userId"])
+        ("API_ENV", "createOrder", "arguments.loginId", "Env", "userId"),
+    ], ids=["payOrder_orders_id", "createOrder_Env_userId"])
     def test_a_link_listed_twice_exits_two_naming_both(
         self, pipeline, tmp_path, capsys, command, link
     ):
@@ -622,6 +622,21 @@ class TestExitCodes:
         assert err == (f"error: malformed {bad}: SchemaError: "
                        f"relationship {len(links)}: the same link as relationship {i}")
         assert not out.exists() and not outcomes.exists()
+
+    def test_a_rejection_logs_the_text_strict_mode_exits_with(
+        self, pipeline, tmp_path, capsys, caplog
+    ):
+        argv = ["relations", "infer", *_inputs(pipeline, "train"),
+                "--out", str(tmp_path / "r.json")]
+        text = ("API_DB login.arguments.loginId -> orders.userId: "
+                "target column 'userId' is not the primary key of 'orders'")
+        with caplog.at_level(logging.INFO, logger="apivet.relations"):
+            assert main(["-v", *argv]) == 0
+        first = next(r for r in caplog.records if r.name == "apivet.relations")
+        assert (first.levelname, first.getMessage()) == ("INFO", f"rejected {text}")
+        capsys.readouterr()
+        assert main([*argv, "--strict"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {text}"]
 
     def test_eval_rejects_non_report_exits_two(self, pipeline, tmp_path, capsys):
         not_report = tmp_path / "x.json"
@@ -696,9 +711,9 @@ class TestExitCodes:
     def test_deep_quantifier_nest_in_invariants_exits_two_naming_it(
         self, pipeline, tmp_path, capsys
     ):
-        body = 'orders__arguments_orderId.status == "paid"'
+        body = 'orders.status == "paid"'
         for _ in range(50):
-            body = f"FORALL(orders__arguments_orderId: {body})"
+            body = f"FORALL(orders: {body})"
         bad = tmp_path / "invariants.txt"
         bad.write_text(pipeline["invariants"].read_text()
                        + f"\nINVARIANT too_deep ON payOrder CATEGORY database WHERE {body}\n")

@@ -11,7 +11,8 @@ parameter that its function's body never reads, and a parameter of a
 private function that every call passes the same constant: a knob with one
 value.
 
-README's module map names every module of the package once, and no other.
+README's module map names every module of the package once, and no other,
+and every invariant README shows is one that training learns.
 """
 
 import ast
@@ -21,6 +22,12 @@ from pathlib import Path
 import pytest
 
 import apivet
+from apivet.benchgen import binlog_lines, corpus_lines, generate_normal, scenario_bundle
+from apivet.binlog import ingest_binlog, parse_row_events
+from apivet.config import PipelineConfig
+from apivet.dsl import print_invariant
+from apivet.logstore import ingest_logs
+from apivet.pipeline import run_generation, run_inference
 
 PACKAGE = Path(apivet.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -503,3 +510,17 @@ def test_the_module_map_names_each_module_once():
 ])
 def test_the_module_map_guard_sees_each_fault(readme, problems):
     assert module_map_problems(readme, {"a", "b"}) == problems
+
+
+def test_every_readme_invariant_is_learned():
+    shown = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("INVARIANT ")]
+    assert shown
+    bundle, config = scenario_bundle(), PipelineConfig()
+    bench = generate_normal(200, seed=11)
+    corpus = ingest_logs(corpus_lines(bench)[0], mode="strict")
+    tables = ingest_binlog(parse_row_events(binlog_lines(bench)), bundle, mode="strict")
+    links = run_inference(bundle, corpus, tables, config).relationships
+    learned = {print_invariant(inv)
+               for inv in run_generation(bundle, corpus, tables, links, config).invariants}
+    assert [line for line in shown if line not in learned] == []

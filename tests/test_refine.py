@@ -336,8 +336,7 @@ class TestVettedBeforeChecking:
         texts = [
             pay("unbound_last", "TRUE OR EXISTS(nope: TRUE)"),
             pay("unbound_first", "EXISTS(nope: TRUE) OR TRUE"),
-            pay("deep", self.nest(50).split(" WHERE ", 1)[1].replace(
-                "orders", "orders__arguments_orderId")),
+            pay("deep", self.nest(50).split(" WHERE ", 1)[1]),
         ]
         result = generate(train, Scripted({"payOrder": texts}))
         assert [o.reason for _, o in result.outcomes] == [

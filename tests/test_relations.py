@@ -2,13 +2,14 @@
 
 import pytest
 
-from apivet.binlog import RowEvent, ingest_binlog
+from apivet.benchgen import binlog_lines, corpus_lines, generate_normal, scenario_bundle
+from apivet.binlog import RowEvent, ingest_binlog, parse_row_events
 from apivet.config import PipelineConfig
 from apivet.detector import check_corpus
 from apivet.errors import InferenceError, SchemaError
-from apivet.joins import JoinStores
+from apivet.joins import JoinStores, iter_joined_groups, joined_schema_for
 from apivet.logstore import ingest_logs
-from apivet.pipeline import run_generation
+from apivet.pipeline import run_generation, run_inference
 from apivet.proposer import RelationshipCandidate, StubProposer
 from apivet.relations import (
     API_API,
@@ -191,9 +192,20 @@ class TestInference:
         assert (API_API, "payOrder", "arguments.loginId", "login", "response.userId") in keys
         assert (API_ENV, "payOrder", "arguments.loginId", "Env", "userId") in keys
         assert (API_ENV, "login", "arguments.loginId", "Env", "userId") in keys
-        # a clean corpus with matching universes rejects nothing
-        assert report.rejected == []
-        assert report.proposed == len(report.relationships)
+        # a clean corpus with matching universes rejects only the links
+        # whose target column is not the key of orders
+        rejected = [
+            (r.kind, r.focal_entity, r.focal_attr, r.target_entity, r.target_attr, reason)
+            for r, reason in report.rejected
+        ]
+        not_key = "target column {!r} is not the primary key of 'orders'".format
+        assert rejected == [
+            (API_DB, "login", "arguments.loginId", "orders", "userId", not_key("userId")),
+            (API_DB, "login", "response.userId", "orders", "userId", not_key("userId")),
+            (API_DB, "payOrder", "arguments.loginId", "orders", "userId", not_key("userId")),
+            (API_DB, "payOrder", "response.status", "orders", "status", not_key("status")),
+        ]
+        assert report.proposed == len(report.relationships) + len(rejected)
         # deterministic presentation order
         assert report.relationships == sorted(
             report.relationships,
@@ -390,6 +402,116 @@ class TestRejectionReasons:
             API_API: {("sequence_model", 777)},
             API_ENV: {("env_coverage", None)},
         }
+
+
+def key_bundle():
+    """payOrder, Env, orders with a non-key numeric column, and a table
+    keyed by two columns."""
+    pay = flatten_api_signature(
+        "payOrder",
+        {"orderId": "string", "loginId": "string", "price": "int"},
+        {"status": "string"},
+    )
+    tables = parse_create_table(
+        "CREATE TABLE orders (id VARCHAR(64) PRIMARY KEY, userId VARCHAR(64), "
+        "status ENUM('unpaid','paid','cancelled'), price INT);"
+        "CREATE TABLE lines (orderId VARCHAR(64), lineNo INT, PRIMARY KEY (orderId, lineNo));"
+    )
+    env = load_env_descriptor({"sessionId": "string", "userId": "string"})
+    return merge_bundle([pay] + tables + [env])
+
+
+class TestKeyRule:
+    """A table link is a reference: it must target its table's whole key."""
+
+    MODEL = train_markov([["login", "payOrder"]] * 5, alpha=0.1)
+
+    def test_a_link_to_a_single_column_key_is_accepted_with_its_overlap(self):
+        most = universes()
+        most["orders"]["id"] = {f"o{i}" for i in range(5)}  # 5 of the 6 orderIds
+        report = infer_relationships(
+            stores_for(small_corpus(), most),
+            Only("payOrder", "orders", ("arguments.orderId", "id")), self.MODEL,
+            min_overlap=0.8,
+        )
+        assert report.rejected == []
+        (rel,) = report.relationships
+        assert (rel.kind, rel.target_entity, rel.target_attr) == (API_DB, "orders", "id")
+        assert rel.provenance == "value_overlap"
+        assert rel.score == pytest.approx(5 / 6)
+
+    @pytest.mark.parametrize("target, cand", [
+        ("orders", ("response.status", "status")),
+        ("orders", ("arguments.price", "price")),
+        ("orders", ("arguments.loginId", "userId")),
+        ("lines", ("arguments.orderId", "orderId")),
+    ], ids=["enum", "non_key_number", "non_key_id", "part_of_composite_key"])
+    def test_a_link_to_any_other_column_is_rejected(self, target, cand):
+        stores = JoinStores(key_bundle(), small_corpus(), ingest_binlog([], key_bundle()))
+        report = infer_relationships(stores, Only("payOrder", target, cand), self.MODEL)
+        assert report.relationships == [] and report.proposed == 1
+        ((rel, reason),) = report.rejected
+        assert (rel.focal_attr, rel.target_entity, rel.target_attr) == (cand[0], target, cand[1])
+        assert reason == f"target column {cand[1]!r} is not the primary key of {target!r}"
+        assert rel.score is None and rel.provenance == "proposed"
+
+    def test_strict_mode_names_the_link_and_the_reason(self):
+        with pytest.raises(InferenceError) as err:
+            infer_relationships(
+                stores_for(small_corpus()),
+                Only("payOrder", "orders", ("response.status", "status")), self.MODEL,
+                mode="strict",
+            )
+        assert str(err.value) == (
+            "API_DB payOrder.response.status -> orders.status: "
+            "target column 'status' is not the primary key of 'orders'"
+        )
+
+    def test_no_universe_is_built_for_a_rejected_column(self, monkeypatch):
+        built = []
+        column_keys = JoinStores.column_keys
+
+        def counting(stores, table, column):
+            built.append((table, column))
+            return column_keys(stores, table, column)
+
+        monkeypatch.setattr(JoinStores, "column_keys", counting)
+        stores = JoinStores(key_bundle(), small_corpus(), ingest_binlog([], key_bundle()))
+        report = infer_relationships(
+            stores,
+            Only("payOrder", "orders",
+                 ("response.status", "status"), ("arguments.price", "price"),
+                 ("arguments.loginId", "userId"), ("arguments.orderId", "id")),
+            self.MODEL,
+        )
+        # the key link reaches value overlap, and fails it on the empty binlog
+        assert len(report.rejected) == 4
+        assert built == [("orders", "id")]
+
+
+def test_a_table_binding_holds_at_most_one_row_per_call():
+    """Training cost grows with the corpus, not its square: every accepted
+    table link is a reference, so it binds at most one live row per call,
+    however many rows the table holds."""
+    bundle = scenario_bundle()
+    bench = generate_normal(300, seed=31)
+    corpus = ingest_logs(corpus_lines(bench)[0], mode="strict")
+    tables = ingest_binlog(parse_row_events(binlog_lines(bench)), bundle, mode="strict")
+    links = run_inference(bundle, corpus, tables, PipelineConfig()).relationships
+    db_links = [rel for rel in links if rel.kind == API_DB]
+    assert db_links
+    for rel in db_links:
+        assert bundle.entity(rel.target_entity).primary_key == (rel.target_attr,), rel
+    stores = JoinStores(bundle, corpus, tables)
+    for focal in sorted({rel.focal_entity for rel in db_links}):
+        schema = joined_schema_for(bundle, focal, links)
+        db_names = [b.name for b in schema.bindings if b.relationship.kind == API_DB]
+        calls = 0
+        for group in iter_joined_groups(stores, schema):
+            calls += 1
+            for name in db_names:
+                assert len(group.bindings[name]) <= 1, (focal, name, group.log_id)
+        assert calls > 0
 
 
 class TestSerialization:
