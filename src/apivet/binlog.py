@@ -2,12 +2,14 @@
 
 Replay applies the events in (ts, ordinal) order, ordinal being the line's
 position in the file: the lines need not be in time order, and events at
-one ts apply in file order. Each table's stream lists its versions as
-(ts, ordinal, key, image) in that order, a None image being a tombstone.
-Its one reader is joins.JoinStores, which reads it as it is to give
-inference its value universes and to show the join sweep the versions
-strictly before each call: an event at exactly t is not visible at t, so a
-call's own database effect never leaks into its own evaluation.
+one ts apply in file order. A row is identified by the value keys of its
+key columns, the equality rule of joins, so a null, list or object key is
+refused and true and 1 key two rows. Each table's stream lists its
+versions as (ts, ordinal, key, image) in that order, a None image being a
+tombstone. Its one reader is joins.JoinStores, which groups it per key
+into the index every table join looks up: the version strictly before a
+call, so an event at exactly t is not visible at t, and a call's own
+database effect never leaks into its own evaluation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 from .errors import ReplayError
 from .fileio import keep_records, read_json_lines
 from .schema import TABLE, EntityType, SchemaBundle
-from .values import Record
+from .values import Record, value_key
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +99,8 @@ def read_binlog_file(path: str, mode: str = "lenient") -> list[RowEvent]:
 
 class TemporalTable(Record):
     """One table's version stream: (ts, ordinal, key, row image or None for
-    a tombstone), in (ts, ordinal) order."""
+    a tombstone), in (ts, ordinal) order. The key is the row's identity:
+    the tuple of its key columns' value keys (values.value_key)."""
 
     __slots__ = ("entity", "versions")
 
@@ -115,22 +118,28 @@ class TemporalTable(Record):
 
 
 def _key_of(entity: EntityType, image: dict, ts: int) -> tuple:
+    """The row identity of an image: the value keys of its key columns, by
+    which true and 1 are two keys and 1 and 1.0 one."""
     key = []
-    for col in entity.primary_key or ():
-        if col not in image:
-            raise ReplayError(
-                f"row image for {entity.name!r} at ts {ts} lacks key column {col!r}"
-            )
-        key.append(image[col])
-    row_key = tuple(key)
-    try:
-        hash(row_key)
-    except TypeError:  # a JSON list or object cannot key a row
-        raise ReplayError(
-            f"row image for {entity.name!r} at ts {ts} has a list or object in its "
-            f"key {row_key!r}"
-        ) from None
-    return row_key
+    for col in entity.primary_key:
+        value = image.get(col)
+        vk = ("s", value) if value.__class__ is str else value_key(value)
+        if vk is not None and vk[0] != "o":
+            key.append(vk)
+            continue
+        if vk is not None:  # a JSON list or object cannot key a row
+            problem = f"has a list or object in its key {_raw_key(entity, image)!r}"
+        elif col in image:
+            problem = f"has a null in key column {col!r}"
+        else:
+            problem = f"lacks key column {col!r}"
+        raise ReplayError(f"row image for {entity.name!r} at ts {ts} {problem}")
+    return tuple(key)
+
+
+def _raw_key(entity: EntityType, image: dict) -> tuple:
+    """The key values of an image as it holds them, for messages."""
+    return tuple(image.get(col) for col in entity.primary_key)
 
 
 def ingest_binlog(
@@ -148,7 +157,9 @@ def ingest_binlog(
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown replay mode {mode!r}")
     tables = {entity.name: TemporalTable(entity) for entity in bundle.of_kind(TABLE)}
-    live: dict[str, set] = {name: set() for name in tables}  # keys whose last version is a row
+    # per table, each key whose last version is a row, mapped to the key
+    # tuple its versions share
+    live: dict[str, dict] = {name: {} for name in tables}
     repairs = 0
 
     def complain(message: str) -> None:
@@ -174,32 +185,38 @@ def ingest_binlog(
             if event.op == "insert":
                 key = _key_of(entity, event.after or {}, ts)
                 if key in keys:
-                    complain(f"insert on live key {key!r} in {event.table!r} at ts {ts}")
-                keys.add(key)
+                    complain(
+                        f"insert on live key {_raw_key(entity, event.after)!r} "
+                        f"in {event.table!r} at ts {ts}"
+                    )
+                key = keys.setdefault(key, key)
                 versions.append((ts, event.ordinal, key, dict(event.after or {})))
             elif event.op == "update":
                 old_key = _key_of(entity, event.before or {}, ts)
                 new_key = _key_of(entity, event.after or {}, ts)
                 if old_key != new_key:
                     complain(
-                        f"update changes key {old_key!r} -> {new_key!r} in {event.table!r}"
+                        f"update changes key {_raw_key(entity, event.before)!r} -> "
+                        f"{_raw_key(entity, event.after)!r} in {event.table!r}"
                     )
                     if old_key in keys:
-                        keys.remove(old_key)
-                        versions.append((ts, event.ordinal, old_key, None))
+                        versions.append((ts, event.ordinal, keys.pop(old_key), None))
                 elif old_key not in keys:
                     complain(
-                        f"update on absent key {old_key!r} in {event.table!r} at ts {ts}"
+                        f"update on absent key {_raw_key(entity, event.before)!r} "
+                        f"in {event.table!r} at ts {ts}"
                     )
-                keys.add(new_key)
+                new_key = keys.setdefault(new_key, new_key)
                 versions.append((ts, event.ordinal, new_key, dict(event.after or {})))
             else:
                 key = _key_of(entity, event.before or {}, ts)
                 if key not in keys:
-                    complain(f"delete on absent key {key!r} in {event.table!r} at ts {ts}")
+                    complain(
+                        f"delete on absent key {_raw_key(entity, event.before)!r} "
+                        f"in {event.table!r} at ts {ts}"
+                    )
                     continue
-                keys.remove(key)
-                versions.append((ts, event.ordinal, key, None))
+                versions.append((ts, event.ordinal, keys.pop(key), None))
         except ReplayError:
             if mode == "strict":
                 raise

@@ -241,8 +241,6 @@ def _dump_joined(bundle, corpus, tables, relationships, invariants, path) -> Non
     stores = JoinStores(bundle, corpus, tables)
 
     def lines():
-        # each group is written before the next is requested: its DB
-        # bindings are views into the sweeping cursor
         for focal_name in sorted({inv.focal for inv in invariants}):
             schema = joined_schema_for(bundle, focal_name, relationships)
             for group in iter_joined_groups(stores, schema):

@@ -20,6 +20,8 @@ from .fileio import read_json
 from .values import Record
 
 DEFAULT_SYNONYMS: tuple[tuple[str, str], ...] = (("loginId", "userId"),)
+# the window of an API_API link, also for one saved without its delta_ms
+DEFAULT_DELTA_MS = 60000
 
 
 def _is_int(value) -> bool:
@@ -79,7 +81,7 @@ class PipelineConfig(Record):
         min_value_overlap: float = 0.9,
         min_sequence_score: float = 0.05,
         min_env_coverage: float = 0.99,
-        delta_ms: int = 60000,
+        delta_ms: int = DEFAULT_DELTA_MS,
         max_refine_rounds: int = 3,
         violation_samples: int = 5,
         sequence_model: str = "markov",  # markov | hmm

@@ -1,12 +1,11 @@
 """Detection and scoring: run accepted invariants over a corpus.
 
-Each focal API's invariants are one batch of `joins.failing_calls`, the one
-check sweep: one generated check per API over one (time, log id) sweep of
-every focal API's calls, whatever the order of the log lines, projecting
-only the calls and environment attributes the checks read. A call that
-passes allocates no group; a failing one's group is the rows its check
-joined, and each failed invariant is explained over it by
-`dsl.compile_invariant`'s object. The report streams to its file one
+Each focal API's invariants are one batch of `joins.failing_calls`: one
+generated check per API, run on each of its calls in (time, log id) order,
+whatever the order of the log lines, projecting only the calls and
+environment attributes the checks read. A call that passes allocates no
+group; a failing one's group is the rows its check joined, and each failed
+invariant is explained over it by `dsl.compile_invariant`'s object. The report streams to its file one
 violation at a time, in json.dumps' indented layout.
 """
 

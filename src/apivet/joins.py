@@ -1,33 +1,30 @@
 """Join engine: attach related rows to each focal call.
 
 For every accepted relationship, a focal call gets one named binding whose
-rows come from the table state strictly before the call, from earlier calls
-in the same session window, or from the session environment record in force
-before the call.
-
-Calls are taken in (time, log id) order, whatever the order of the log
-lines. A Sweep gives every table one TableCursor, which indexes each column
-some binding probes and only moves forward along the table's one version
-stream, so a pass replays each table once. Sweep.emit translates each join
-into generated code once: the checks inline it, and iter_joined_groups
-(--dump-joined) builds its groups by it. failing_calls is the one check
-sweep: detection and each refinement round consume the failing calls it
-yields, each with the rows its check joined, so a failing call is joined
-once. The DSL is imported only where code is generated, so relationship
-inference, which reads the stores, does not load it. Independent reference
-joins live with the tests.
+rows are those in force strictly before the call: the version of the
+referenced table key (a table link names the table's primary key), the
+earlier calls in the same session window, or the session environment
+record. Each is an as-of lookup in an index built once per store, so calls
+join in any order. JoinPlan.emit translates each join into generated code
+once: the checks inline it, and iter_joined_groups (--dump-joined) builds
+its groups by it. failing_calls checks each batch's calls: detection and
+each refinement round consume the failing calls it yields, each with the
+rows its check joined, so a failing call is joined once. The DSL is
+imported only where code is generated, so relationship inference, which
+reads the stores, does not load it. Independent reference joins live with
+the tests.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .binlog import TemporalTable
-from .errors import StoreLookupError
+from .config import DEFAULT_DELTA_MS
+from .errors import SchemaError, StoreLookupError
 from .logstore import (
     InstanceTable,
     LogCorpus,
@@ -35,11 +32,9 @@ from .logstore import (
     env_history,
     project_instances,
 )
-from .relations import API_API, API_DB, API_ENV, Relationship
+from .relations import API_API, API_DB, API_ENV, Relationship, key_problem
 from .schema import API, ENV, EntityType, SchemaBundle
 from .values import SCALAR_CLASSES, Record, coerce_scalar, value_key
-
-DEFAULT_DELTA_MS = 60000
 
 
 class Binding(Record):
@@ -143,19 +138,14 @@ class JoinStores:
         self._corpus = corpus
         self._session_index: dict[str, tuple[list, list, dict]] = {}
         self._column_events: dict[tuple[str, str], list] = {}
-        self._column_keys: dict[tuple[str, str], set] = {}
+        self._key_index: dict[str, dict] = {}
         self._env_entities = {entity.name: entity for entity in bundle.of_kind(ENV)}
         self._env_history: tuple[dict, dict] | None = None
         self._env: dict[tuple[str, frozenset | None], tuple[dict, dict]] = {}
 
     def project(self, api_names: Iterable[str]) -> None:
         """Project the calls of these APIs, in one pass over the corpus,
-        for instances to return. APIs already projected are skipped.
-
-        Every sweep over projected calls moves its join cursors forward
-        only, so a corpus joins in one pass whatever the order of its log
-        lines.
-        """
+        for instances to return. APIs already projected are skipped."""
         entities = {}
         for name in api_names:
             if name not in self._instances:
@@ -183,8 +173,8 @@ class JoinStores:
 
     def table_events(self, table_name: str) -> list:
         """Version stream of one table, as replay built it: (ts, ordinal,
-        key, row) in (ts, ordinal) order, shared by every cursor on the
-        table; a delete carries a None row."""
+        key, row) in (ts, ordinal) order, where the key is the tuple of the
+        key columns' value keys and a delete carries a None row."""
         store = self.tables.get(table_name)
         if store is None:
             raise StoreLookupError(f"unknown table {table_name!r}")
@@ -194,7 +184,7 @@ class JoinStores:
         """table_events seen through one column: (ts, ordinal, value key,
         row key, row), where deletes and null values carry a None key.
 
-        Joins index table_events directly; this per-column view is for
+        Joins read key_index; this per-column view is for
         callers that time or check one column's stream on its own.
         """
         cache_key = (table_name, column)
@@ -205,19 +195,25 @@ class JoinStores:
             ]
         return self._column_events[cache_key]
 
-    def column_keys(self, table_name: str, column: str) -> set:
-        """Non-null value keys of one column: every value the column held
-        in any version, for relationship inference."""
-        cache_key = (table_name, column)
-        if cache_key not in self._column_keys:
-            keys = {
-                value_key(row.get(column))
-                for _, _, _, row in self.table_events(table_name)
-                if row is not None
-            }
-            keys.discard(None)
-            self._column_keys[cache_key] = keys
-        return self._column_keys[cache_key]
+    def key_index(self, table_name: str) -> dict:
+        """A table keyed by one column, per key: the key's value key ->
+        its table_events entries, in stream order.
+
+        A join binds the row of the last entry with ts < t (none for a
+        tombstone), and relationship inference takes the keys as the key
+        column's universe: every value it held in any version.
+        """
+        index = self._key_index.get(table_name)
+        if index is None:
+            index = self._key_index[table_name] = {}
+            for version in self.table_events(table_name):
+                (key,) = version[2]
+                entries = index.get(key)
+                if entries is None:
+                    index[key] = [version]
+                else:
+                    entries.append(version)
+        return index
 
     def session_calls(self, api_name: str) -> tuple[list, list, dict]:
         """Calls sorted by (session, time, id) as parallel times and rows
@@ -275,59 +271,6 @@ class JoinStores:
         return self._env[cache_key]
 
 
-class TableCursor:
-    """One table's live rows, grouped by value on each probed column, moved
-    along the timeline.
-
-    After advance(t), buckets[column] maps a value key to the {row key:
-    row} of the rows live strictly before t that hold it there. The maps
-    change in place, so a reference to one stays current. The cursor only
-    moves forward: t must not decrease from one call to the next, which
-    every sweep in (time, log id) order keeps, so a pass costs one walk of
-    the table's version stream.
-    """
-
-    __slots__ = ("_events", "_pos", "_probes", "buckets", "pending")
-
-    def __init__(self, events: list, columns):
-        self._events = events
-        self._pos = 0
-        # per column: (column, value key -> {row key: row}, row key ->
-        # the value key its live row holds there)
-        self._probes = tuple((column, {}, {}) for column in columns)
-        self.buckets = {column: index for column, index, _ in self._probes}
-        # time of the first version not yet applied (infinity when none is)
-        self.pending = events[0][0] if events else math.inf
-
-    def advance(self, t: int) -> None:
-        """Apply every version strictly before t."""
-        events = self._events
-        pos = self._pos
-        n = len(events)
-        probes = self._probes
-        while pos < n:
-            ts, _, row_key, row = events[pos]
-            if ts >= t:
-                break
-            pos += 1
-            for column, index, live in probes:
-                old = live.pop(row_key, None)
-                if old is not None:
-                    del index[old][row_key]
-                if row is None:
-                    continue
-                value = row.get(column)
-                vk = ("s", value) if value.__class__ is str else value_key(value)
-                if vk is not None:
-                    live[row_key] = vk
-                    bucket = index.get(vk)
-                    if bucket is None:
-                        bucket = index[vk] = {}
-                    bucket[row_key] = row
-        self._pos = pos
-        self.pending = events[pos][0] if pos < n else math.inf
-
-
 def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
     """A session's calls with t - delta < time < t, from session_calls."""
     times, rows, spans = calls
@@ -335,22 +278,25 @@ def _calls_in_window(calls: tuple, session_id: str, t: int, delta: int) -> list:
     return rows[bisect_right(times, t - delta, lo, hi) : bisect_left(times, t, lo, hi)]
 
 
+_TS = itemgetter(0)  # a table_events entry's ts
+
+
 def _joined(schema: JoinedSchema, only: set[str] | None) -> list:
-    """The bindings of `schema` a sweep joins: those `only` names (None:
+    """The bindings of `schema` a plan joins: those `only` names (None:
     all)."""
     return [b for b in schema.bindings if only is None or b.name in only]
 
 
-class Sweep:
-    """The join state of one pass over calls in (time, log id) order.
+class JoinPlan:
+    """The joins of some focal APIs, each binding resolved once to its
+    source: a table's key_index, an API's session_calls or an environment
+    entity's env_index.
 
-    Every table some binding probes gets one TableCursor, indexing every
-    column probed on it, so a pass replays each table once however many
-    APIs and columns join it. Each focal API's bindings are resolved here,
-    once, to their sources, and `emit` is the one translation of a join:
-    the generated checks of `failing_calls` inline its expressions and
-    hand their rows back for a failing call, and `group_bindings` returns
-    them as the bindings of each group of `iter_joined_groups`.
+    Every source is looked up as of the call, so calls join in any order.
+    `emit` is the one translation of a join: the generated checks of
+    `failing_calls` inline its expressions and hand their rows back for a
+    failing call, and `group_bindings` returns them as the bindings of each
+    group of `iter_joined_groups`.
 
     `schemas` holds (schema, only) pairs, where `only` names the bindings to
     join (None: all). `env_attrs` maps an environment entity to the
@@ -363,17 +309,17 @@ class Sweep:
         schemas: list[tuple[JoinedSchema, set[str] | None]],
         env_attrs: dict[str, frozenset] | None = None,
     ):
-        columns: dict[str, list[str]] = {}
         self._sources: dict[str, list] = {}
         for schema, only in schemas:
             sources = self._sources[schema.focal.name] = []
             for binding in _joined(schema, only):
                 rel = binding.relationship
                 if rel.kind == API_DB:
-                    probed = columns.setdefault(rel.target_entity, [])
-                    if rel.target_attr not in probed:
-                        probed.append(rel.target_attr)
-                    source = (rel.target_entity, rel.target_attr, rel.focal_attr)
+                    # a link no admission vetted must not look a key up by another column
+                    problem = key_problem(binding.entity, rel.target_attr)
+                    if problem is not None:
+                        raise SchemaError(problem)
+                    source = (stores.key_index(rel.target_entity), rel.focal_attr)
                 elif rel.kind == API_API:
                     delta = rel.delta_ms if rel.delta_ms is not None else DEFAULT_DELTA_MS
                     source = (stores.session_calls(rel.target_entity), delta)
@@ -381,17 +327,12 @@ class Sweep:
                     attrs = None if env_attrs is None else env_attrs.get(rel.target_entity)
                     source = stores.env_index(rel.target_entity, attrs)
                 sources.append((binding.name, rel.kind, source))
-        self.cursors = {
-            table: TableCursor(stores.table_events(table), probed)
-            for table, probed in columns.items()
-        }
-        self._cursors = tuple(self.cursors.values())
 
     @staticmethod
     def apis_read(schemas: list[tuple[JoinedSchema, set[str] | None]]) -> list[str]:
-        """The APIs whose calls a sweep over these (schema, only) pairs
+        """The APIs whose calls a plan for these (schema, only) pairs
         reads: each focal API, and the earlier-call target of each API_API
-        binding it joins. Projecting only these is enough for the sweep."""
+        binding it joins. Projecting only these is enough for the plan."""
         names = []
         for schema, only in schemas:
             names.append(schema.focal.name)
@@ -402,21 +343,9 @@ class Sweep:
             )
         return names
 
-    def advance(self, t: int) -> float:
-        """Move every cursor forward to t, which must not be smaller than
-        the last; returns the time of the first version still pending,
-        before which a later t needs no call."""
-        pending = math.inf
-        for cursor in self._cursors:
-            if cursor.pending < t:
-                cursor.advance(t)
-            if cursor.pending < pending:
-                pending = cursor.pending
-        return pending
-
     def group_bindings(self, focal_name: str):
-        """A generated function giving a focal row's {binding name: rows}
-        as the cursors stand (see advance): the bindings of its group."""
+        """A generated function giving a focal row's {binding name: rows}:
+        the bindings of its group."""
         from .dsl import Emitter
 
         em = Emitter()
@@ -426,19 +355,24 @@ class Sweep:
 
     def emit(self, em, focal_name: str) -> dict[str, str]:
         """Each binding of one focal API as an expression of its rows in a
-        generated function over `row` (see dsl.Emitter). DB bindings read
-        the cursor buckets directly, so the function must run after
-        advance(row time). A null focal value has a None key, which no
-        bucket holds."""
+        generated function over `row` (see dsl.Emitter). A DB binding holds
+        at most one row: that of the last version of the focal value's key
+        before the call, found by bisection. A null focal value has a None
+        key, which no index holds."""
         rows = {}
         for name, kind, source in self._sources[focal_name]:
+            t = em.read("row", "time")
             if kind == API_DB:
-                table, column, attr = source
-                buckets = em.const(self.cursors[table].buckets[column])
-                bucket = em.local(f"{buckets}.get({em.key('row', attr)})")
-                rows[name] = em.local(f"{bucket}.values() if {bucket} else ()")
+                index, attr = source
+                versions = em.local(f"{em.const(index)}.get({em.key('row', attr)})")
+                found = em.local(
+                    f"{versions}[{em.const(bisect_left)}({versions}, {t}, "
+                    f"key={em.const(_TS)}) - 1][3] if {versions} and {versions}[0][0] < {t} "
+                    f"else None"
+                )
+                rows[name] = em.local(f"({found},) if {found} is not None else ()")
                 continue
-            session, t = em.read("row", "sessionId"), em.read("row", "time")
+            session = em.read("row", "sessionId")
             if kind == API_API:
                 calls, delta = source
                 rows[name] = em.local(
@@ -452,17 +386,15 @@ class Sweep:
 
 
 def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
-    """Check (joined schema, invariants) batches in one (time, log id) sweep
-    of every batch's calls, and yield each failing call as (batch index,
+    """Check (joined schema, invariants) batches, each over its API's calls
+    in (time, log id) order, and yield each failing call as (batch index,
     log id, focal row, positions of the invariants it fails, {binding name:
     rows}).
 
     Each batch's invariants become one generated check
     (`dsl.compile_checks`), which joins only the bindings they quantify
     over and hands back the rows it joined for a failing call; only the
-    calls and environment attributes those read are projected. DB rows are
-    views into a sweeping cursor: use them before the next call is
-    requested.
+    calls and environment attributes those read are projected.
     """
     from .dsl import compile_checks, field_refs, quantified_names
 
@@ -476,24 +408,15 @@ def failing_calls(stores: JoinStores, batches: list[tuple]) -> Iterator[tuple]:
             if binding.relationship.kind == API_ENV:
                 read = env_attrs.setdefault(binding.entity.name, set())
                 read.update(ref.path for ref in refs if ref.root == binding.name)
-    stores.project(Sweep.apis_read(schemas))
-    sweep = Sweep(stores, schemas, {e: frozenset(paths) for e, paths in env_attrs.items()})
-    checks, calls = [], []
+    stores.project(JoinPlan.apis_read(schemas))
+    plan = JoinPlan(stores, schemas, {e: frozenset(paths) for e, paths in env_attrs.items()})
     for k, (schema, invs) in enumerate(batches):
         name = schema.focal.name
-        checks.append(compile_checks(invs, partial(sweep.emit, focal_name=name)))
-        calls.extend((row["time"], log_id, row, k) for log_id, row in stores.instances(name).rows)
-    # log ids are unique, so the sort never compares rows
-    calls.sort()
-
-    advance = sweep.advance
-    pending = -math.inf  # time of the first version no cursor has applied
-    for t, log_id, row, k in calls:
-        if t > pending:
-            pending = advance(t)
-        failed = checks[k](row)
-        if failed:
-            yield k, log_id, row, *failed
+        check = compile_checks(invs, partial(plan.emit, focal_name=name))
+        for log_id, row in stores.instances(name).rows:
+            failed = check(row)
+            if failed:
+                yield k, log_id, row, *failed
 
 
 def iter_joined_groups(
@@ -502,22 +425,13 @@ def iter_joined_groups(
     rows: list[tuple[int, dict]] | None = None,
     only: set[str] | None = None,
 ) -> Iterator[JoinedGroup]:
-    """Stream one group per focal call with every binding's rows attached.
-
-    The sweep only moves forward, so caller-supplied `rows` are taken in
-    time order, by a stable sort that keeps their order among equal times.
-    DB bindings are views into a sweeping cursor: each yielded group must be
-    fully consumed before the next one is requested. Copy the binding lists
-    (or use build_joined_groups) to keep groups around.
-    """
+    """Stream one group per focal call with every binding's rows attached,
+    in the order of `rows` (default: the API's calls in (time, log id)
+    order)."""
     if rows is None:
         rows = stores.instances(schema.focal.name).rows
-    else:
-        rows = sorted(rows, key=lambda item: item[1]["time"])
-    sweep = Sweep(stores, [(schema, only)])
-    bindings_of = sweep.group_bindings(schema.focal.name)
+    bindings_of = JoinPlan(stores, [(schema, only)]).group_bindings(schema.focal.name)
     for log_id, row in rows:
-        sweep.advance(row["time"])
         yield JoinedGroup(log_id=log_id, focal=row, bindings=bindings_of(row))
 
 

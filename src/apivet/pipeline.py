@@ -2,8 +2,7 @@
 
 Both training stages read the corpus and tables through one
 joins.JoinStores each. Generation refines every API's candidates together,
-one join sweep over all the APIs' calls per refinement round
-(refine.sweep_check). Relationship inference loads neither the invariant
+one check of every API's calls per refinement round (refine.sweep_check). Relationship inference loads neither the invariant
 language nor refinement: they are imported where generation runs, as the
 remote proposer (`remote`) is where a configuration selects it.
 """

@@ -21,7 +21,7 @@ id no earlier acceptance of the run holds, so its outcome names the id that
 is written.
 
 Two checkers back the rounds. `sweep_check` runs each API's open candidates
-as one batch of `joins.failing_calls`, the sweep detection runs, and wraps
+as one batch of `joins.failing_calls`, the check detection runs, and wraps
 the rows a check joined into a group only for a violation it explains.
 `refine_candidates` checks one API's candidates, one at a time, over a list
 of joined groups.
@@ -205,7 +205,7 @@ def refine_rounds(
 def sweep_check(stores, batches: list[tuple], sample_limit: int = SAMPLE_LIMIT) -> list:
     """`refine_rounds`' check over a join store, for (joined schema,
     invariants) batches: the failing calls of `joins.failing_calls`, the
-    sweep detection runs, counted per invariant. The rows a failing call's
+    check detection runs, counted per invariant. The rows a failing call's
     check joined become a group only while some invariant it fails has
     fewer than `sample_limit` samples, and are explained there, the way
     detection explains a violation, by one generated function that also

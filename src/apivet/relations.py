@@ -8,7 +8,8 @@ declared primary key before its value overlap is measured; call-to-call
 links need the sequence model to rate the ordering as plausible, and
 environment links need the session join to actually resolve. A rejected
 candidate is recorded with its reason, or raised as an `InferenceError` in
-strict mode.
+strict mode. `admit_relationships` holds a saved relations file to the same
+key rule, with the same text, so every table binding is a key lookup.
 
 The data checks read the `joins.JoinStores` that generation and detection
 join over, so every stage projects calls and keys values by one rule.
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 import logging
 
+from .config import DEFAULT_DELTA_MS
 from .errors import InferenceError, SchemaError
 from .fileio import read_json, write_json
 from .logstore import InstanceTable, env_before
-from .schema import API, ENV, TABLE, SchemaBundle
+from .schema import API, ENV, TABLE, EntityType, SchemaBundle
 from .values import Record, value_key
 
 logger = logging.getLogger(__name__)
@@ -94,6 +96,15 @@ def candidate_pairs(bundle: SchemaBundle):
             yield focal, target
 
 
+def key_problem(target: EntityType, column: str | None) -> str | None:
+    """Why a table link to `column` of `target` is no reference, or None
+    when the column is the table's whole primary key: a reference points at
+    the whole key, and no other column is one."""
+    if target.primary_key == (column,):
+        return None
+    return f"target column {column!r} is not the primary key of {target.name!r}"
+
+
 # --- filters -----------------------------------------------------------------
 
 
@@ -159,14 +170,14 @@ def infer_relationships(
     min_overlap: float = 0.9,
     min_sequence_score: float = 0.05,
     min_env_coverage: float = 0.99,
-    delta_ms: int = 60000,
+    delta_ms: int = DEFAULT_DELTA_MS,
     mode: str = "lenient",
 ) -> InferenceReport:
     """Propose relationships for every candidate pair and filter each.
 
     `stores` is the joins.JoinStores of the training corpus and tables; a
-    table column's universe is its `column_keys`, every value it held in
-    any version.
+    table key's universe is the keys of its `key_index`, every value it
+    held in any version.
     """
     bundle = stores.bundle
     bundle.require_inference_ready()
@@ -183,7 +194,7 @@ def infer_relationships(
             return ok, score, "sequence_model", f"sequence score {score:.4f} below threshold"
         focal_rows = stores.instances(rel.focal_entity)
         if rel.kind == API_DB:
-            universe = stores.column_keys(rel.target_entity, rel.target_attr)
+            universe = stores.key_index(rel.target_entity)
             ok, score = value_overlap(focal_rows, rel.focal_attr, universe, min_overlap)
             return ok, score, "value_overlap", f"value overlap {score:.3f} below threshold"
         env = stores.env_index(rel.target_entity)
@@ -210,12 +221,8 @@ def infer_relationships(
                 cand.to_attr
             ):
                 reason = f"{_TARGET_NOUN[kind]} {cand.to_attr!r} does not exist"
-            # a reference points at the whole key; no other column is one
-            elif kind == API_DB and target.primary_key != (cand.to_attr,):
-                reason = (
-                    f"target column {cand.to_attr!r} is not the primary key "
-                    f"of {target.name!r}"
-                )
+            elif kind == API_DB and key_problem(target, cand.to_attr):
+                reason = key_problem(target, cand.to_attr)
             else:
                 ok, score, provenance, reason = data_check(rel)
                 if ok:
@@ -315,8 +322,8 @@ def admit_relationships(
     """`relationships`, once each is known to join in `bundle`: its focal
     entity is an API, its target an entity of the kind its `kind` links to,
     each attribute it names, where not null, one its entity has, a table
-    link names both, and no earlier relationship has its kind, entities and
-    attributes. The first that is not is a SchemaError naming its position
+    link names both and its target column is the table's primary key, and
+    no earlier relationship has its kind, entities and attributes. The first that is not is a SchemaError naming its position
     in the list."""
     first_at: dict[tuple, int] = {}
     for i, rel in enumerate(relationships):
@@ -339,6 +346,8 @@ def admit_relationships(
                 f"{_TARGET_NOUN[rel.kind]} {rel.target_attr!r} does not exist "
                 f"on {target.name!r}"
             )
+        elif rel.kind == API_DB and key_problem(target, rel.target_attr):
+            problem = key_problem(target, rel.target_attr)
         elif first_at.setdefault(link, i) != i:
             problem = f"the same link as relationship {first_at[link]}"
         else:

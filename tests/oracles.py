@@ -58,10 +58,11 @@ def replay_oracle_rows(events, t, key_cols=("id",)):
     after-image, a delete removes the key, and an update that changes the
     key moves the row to its new key.  Events with ts >= t are invisible.
     Assumes a well-formed stream (insert, then updates, then delete per key).
+    Keys compare by canonical_key: true and 1 are two keys, 1 and 1.0 one.
     """
 
     def key_of(image):
-        return tuple(image[c] for c in key_cols)
+        return tuple(canonical_key(image[c]) for c in key_cols)
 
     state = {}
     ordered = sorted(events, key=lambda ev: (ev.ts, ev.ordinal))

@@ -124,10 +124,13 @@ class TestStateAsOf:
             assert got == expected
 
 
+O1 = (("s", "o1"),)  # o1's row identity: the value keys of its key columns
+
+
 class TestChains:
     def test_chain_layout(self, orders_bundle):
         tables = ingest_binlog(order_chain(), orders_bundle)
-        chain = tables["orders"].chains[("o1",)]
+        chain = tables["orders"].chains[O1]
         assert [(ts, row["status"]) for ts, _, row in chain] == [
             (10, "unpaid"),
             (20, "paid"),
@@ -137,9 +140,9 @@ class TestChains:
     def test_version_before(self, orders_bundle):
         tables = ingest_binlog(order_chain(), orders_bundle)
         chains = tables["orders"].chains
-        assert version_before(chains[("o1",)], 10) is None
-        assert version_before(chains[("o1",)], 21)["status"] == "paid"
-        assert ("missing",) not in chains
+        assert version_before(chains[O1], 10) is None
+        assert version_before(chains[O1], 21)["status"] == "paid"
+        assert (("s", "missing"),) not in chains
 
 
 class TestTimeOrder:
@@ -147,9 +150,9 @@ class TestTimeOrder:
         tables = ingest_binlog(order_chain()[::-1], orders_bundle, mode="strict")
         assert [(ts, ordinal, key, row["status"])
                 for ts, ordinal, key, row in tables["orders"].versions] == [
-            (10, 0, ("o1",), "unpaid"),
-            (20, 1, ("o1",), "paid"),
-            (30, 2, ("o1",), "cancelled"),
+            (10, 0, O1, "unpaid"),
+            (20, 1, O1, "paid"),
+            (30, 2, O1, "cancelled"),
         ]
 
     def test_update_before_its_insert_is_refused_whatever_the_line_order(
@@ -219,20 +222,19 @@ class TestRepairs:
 
 
 class TestUniverse:
-    """A column's universe in relationship inference: JoinStores.column_keys,
-    the non-null value keys of its version stream."""
+    """A key's universe in relationship inference: the keys of
+    JoinStores.key_index, every value the key column held in any version."""
 
-    def test_includes_every_version_and_skips_nulls(self, orders_bundle):
-        events = order_chain() + seq(
-            [row_event("orders", "insert", 50, None, {"id": "o2", "status": None})]
-        )
-        events[-1].ordinal = 3
+    def test_includes_every_version(self, orders_bundle):
+        o2 = {"id": "o2", "status": None}
+        events = seq(order_chain() + [row_event("orders", "insert", 50, None, o2),
+                                      row_event("orders", "delete", 60, o2, None)])
         tables = ingest_binlog(events, orders_bundle)
         stores = JoinStores(orders_bundle, ingest_logs([]), tables)
-        got = stores.column_keys("orders", "status")
-        assert got == universe_oracle(events, "orders", "status")
-        assert got == {event[2] for event in stores.column_events("orders", "status")} - {None}
-        assert got == {("s", "unpaid"), ("s", "paid"), ("s", "cancelled")}
+        got = set(stores.key_index("orders"))
+        assert got == universe_oracle(events, "orders", "id")
+        assert got == {event[2] for event in stores.column_events("orders", "id")} - {None}
+        assert got == {("s", "o1"), ("s", "o2")}
 
 
 def random_consistent_stream(rng, n_keys=6, n_events=40):
@@ -275,7 +277,7 @@ class TestRandomStreams:
             horizon = max(e.ts for e in events) + 2
             for t in range(0, horizon, 3):
                 expected = replay_oracle_rows(events, t)
-                got = {(r["id"],): r for r in state_as_of(tables, "t", t)}
+                got = {(("s", r["id"]),): r for r in state_as_of(tables, "t", t)}
                 assert got == expected
 
 
@@ -287,6 +289,46 @@ def test_a_list_or_object_key_is_a_replay_error(orders_bundle, key):
         row_event("orders", "insert", 7, after={"id": "o2"}),
     ])
     tables = ingest_binlog(events, orders_bundle)
-    assert list(tables["orders"].chains) == [("o2",)]
+    assert list(tables["orders"].chains) == [(("s", "o2"),)]
     with pytest.raises(ReplayError, match="at ts 5 has a list or object in its key"):
         ingest_binlog(events, orders_bundle, mode="strict")
+
+
+@pytest.mark.parametrize("image", [{"id": None}, {"status": "unpaid"}], ids=["null", "missing"])
+def test_a_null_or_missing_key_is_a_replay_error(orders_bundle, image, caplog):
+    events = seq([
+        row_event("orders", "insert", 5, after=image),
+        row_event("orders", "insert", 6, after=image),
+        row_event("orders", "insert", 7, after={"id": "o2"}),
+    ])
+    with caplog.at_level("WARNING", logger="apivet.binlog"):
+        tables = ingest_binlog(events, orders_bundle)
+    assert list(tables["orders"].chains) == [(("s", "o2"),)]
+    # both refused, and counted in the one repair warning
+    assert [r.getMessage() for r in caplog.records] == [
+        "repaired or skipped 2 inconsistent row event(s)"]
+    problem = "has a null in key column 'id'" if "id" in image else "lacks key column 'id'"
+    with pytest.raises(ReplayError) as err:
+        ingest_binlog(events, orders_bundle, mode="strict")
+    assert str(err.value) == f"row image for 'orders' at ts 5 {problem}"
+
+
+def test_true_and_one_are_two_keys(orders_bundle):
+    events = seq([
+        row_event("orders", "insert", 5, after={"id": True, "status": "paid"}),
+        row_event("orders", "insert", 6, after={"id": 1, "status": "unpaid"}),
+        row_event("orders", "update", 7, before={"id": 1.0}, after={"id": 1.0, "status": "paid"}),
+        row_event("orders", "delete", 8, before={"id": True}),
+    ])
+    tables = ingest_binlog(events, orders_bundle, mode="strict")
+    assert [(ts, key, row and row["status"]) for ts, _, key, row in tables["orders"].versions] == [
+        (5, (("b", True),), "paid"),
+        (6, (("n", 1),), "unpaid"),
+        (7, (("n", 1),), "paid"),
+        (8, (("b", True),), None),
+    ]
+    assert state_as_of(tables, "orders", 9) == [{"id": 1.0, "status": "paid"}]
+    # messages show the key values as the image holds them
+    again = events + [RowEvent("orders", "insert", 9, None, {"id": 1.0}, ordinal=4)]
+    with pytest.raises(ReplayError, match=r"^insert on live key \(1\.0,\) in 'orders' at ts 9$"):
+        ingest_binlog(again, orders_bundle, mode="strict")

@@ -623,6 +623,32 @@ class TestExitCodes:
                        f"relationship {len(links)}: the same link as relationship {i}")
         assert not out.exists() and not outcomes.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "invariants generate"])
+    def test_a_link_to_a_non_key_column_exits_two_naming_it(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        # a relations file trained before the key rule may hold such a link
+        links = json.loads(pipeline["relations"].read_text())
+        (i,) = [k for k, rel in enumerate(links)
+                if (rel["focal_entity"], rel["target_entity"], rel["target_attr"])
+                == ("payOrder", "orders", "id")]
+        bad = tmp_path / "relations.json"
+        bad.write_text(json.dumps(
+            [*links[:i], {**links[i], "target_attr": "userId"}, *links[i + 1:]]))
+        out, outcomes = tmp_path / "out", tmp_path / "outcomes.json"
+        if command == "detect":
+            argv = ["detect", *_inputs(pipeline, "eval"),
+                    "--invariants", str(pipeline["invariants"])]
+        else:
+            argv = ["invariants", "generate", *_inputs(pipeline, "train"),
+                    "--outcomes", str(outcomes)]
+        capsys.readouterr()
+        assert main([*argv, "--relations", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {bad}: SchemaError: relationship {i}: "
+            "target column 'userId' is not the primary key of 'orders'"]
+        assert not out.exists() and not outcomes.exists()
+
     def test_a_rejection_logs_the_text_strict_mode_exits_with(
         self, pipeline, tmp_path, capsys, caplog
     ):

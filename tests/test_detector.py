@@ -238,18 +238,18 @@ class TestCheckCorpus:
         assert [v.log_id for v in result.violations] == [4]  # s2 never logged in
         assert result.groups_built == 2
 
-    def test_one_sweep_and_code_only_for_what_fails(self, monkeypatch):
-        # one sweep checks every call; code is generated once per focal API's
-        # check, which also hands back the rows it joined for a failing call,
-        # and once per failing invariant for its explanation
+    def test_one_join_plan_and_code_only_for_what_fails(self, monkeypatch):
+        # one join plan serves every check; code is generated once per focal
+        # API's check, which also hands back the rows it joined for a failing
+        # call, and once per failing invariant for its explanation
         import apivet.dsl as dsl
         import apivet.joins as joins
 
-        sweeps, functions = [], []
+        plans, functions = [], []
 
-        class CountingSweep(joins.Sweep):
+        class CountingPlan(joins.JoinPlan):
             def __init__(self, *args):
-                sweeps.append(args)
+                plans.append(args)
                 super().__init__(*args)
 
         function = dsl.Emitter.function
@@ -258,7 +258,7 @@ class TestCheckCorpus:
             functions.append(params)
             return function(self, params, body)
 
-        monkeypatch.setattr(joins, "Sweep", CountingSweep)
+        monkeypatch.setattr(joins, "JoinPlan", CountingPlan)
         monkeypatch.setattr(dsl.Emitter, "function", counting_function)
         bundle, _, tables, rels, invs = planted_setup()
         corpus = ingest_logs([
@@ -273,21 +273,21 @@ class TestCheckCorpus:
         result = check_corpus(bundle, corpus, tables, rels, [*invs, clean])
         assert [(v.log_id, v.invariant_id) for v in result.violations] == [
             (2, "paid_status"), (3, "order_exists")]
-        assert len(sweeps) == 1
+        assert len(plans) == 1
         focal_apis, failing_invariants = 2, 2
         assert len(functions) == focal_apis + failing_invariants
 
 
 class TestMemory:
     """Nothing detection builds outlives check_corpus: the generated code's
-    namespaces hold the cursors and the store's indexes, and a reference
-    cycle through them would keep all of it until a full collection."""
+    namespaces hold the store's indexes, and a reference cycle through them
+    would keep all of it until a full collection."""
 
-    def test_store_and_cursors_die_on_return(self, monkeypatch):
+    def test_store_and_key_indexes_die_on_return(self, monkeypatch):
         import apivet.detector as detector
         import apivet.joins as joins
 
-        stores, cursors, indexes = [], [], []
+        stores, indexes = [], []
 
         def tracked_stores(*args):
             store = joins.JoinStores(*args)
@@ -297,26 +297,26 @@ class TestMemory:
         class Index(dict):  # a dict that takes weak references
             pass
 
-        class TrackedCursor(joins.TableCursor):
-            def __init__(self, events, columns):
-                super().__init__(events, columns)
-                # the generated checks hold the bucket maps, not the cursor
-                self._probes = tuple((column, Index(), {}) for column in columns)
-                self.buckets = {column: index for column, index, _ in self._probes}
-                cursors.append(weakref.ref(self))
-                indexes.extend(weakref.ref(index) for index in self.buckets.values())
+        key_index = joins.JoinStores.key_index
+
+        def tracked_index(store, table_name):
+            # the generated checks hold the key index, as the store does
+            index = key_index(store, table_name)
+            if index.__class__ is dict:
+                index = store._key_index[table_name] = Index(index)
+                indexes.append(weakref.ref(index))
+            return index
 
         monkeypatch.setattr(detector, "JoinStores", tracked_stores)
-        monkeypatch.setattr(joins, "TableCursor", TrackedCursor)
+        monkeypatch.setattr(joins.JoinStores, "key_index", tracked_index)
         bundle, corpus, tables, rels, invs = planted_setup()
         gc.collect()
         gc.disable()
         try:
             result = check_corpus(bundle, corpus, tables, rels, invs)
             assert result.violations
-            assert len(stores) == 1 and cursors
+            assert len(stores) == 1 and indexes
             assert stores[0]() is None
-            assert all(cursor() is None for cursor in cursors)
             assert all(index() is None for index in indexes)
         finally:
             gc.enable()

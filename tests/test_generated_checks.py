@@ -60,14 +60,15 @@ FIELDS = {
     "prev": ("arguments.x", "response.status"),
     "Env": ("userId", "role"),
 }
-ITEM_KEYS = ("i1", "i2", "i3", "i4")
 WORDS = ("paid", "unpaid", "ok", "u1", "u2", "")
+# item keys are words, so a call's arguments.x may name one, or none
+ITEM_KEYS = ("paid", "ok", "u1", "")
 SESSIONS = ("s1", "s2")
 PREV_DELTA = 50
 SELF_DELTA = 30
 
 RELATIONSHIPS = [
-    Relationship(API_DB, "call", "arguments.x", "items", "owner"),
+    Relationship(API_DB, "call", "arguments.x", "items", "id"),
     Relationship(API_API, "call", "arguments.x", "prev", "arguments.x", delta_ms=PREV_DELTA),
     # a link to the focal API itself: its binding is named like the focal
     Relationship(API_API, "call", "arguments.x", "call", "arguments.x", delta_ms=SELF_DELTA),
@@ -185,20 +186,6 @@ def random_corpus_invariant(rng, ident):
     return replace(inv, body=_remap(inv.body, rng, names))
 
 
-def write_order(row_events, t):
-    """(ts, ordinal) of each live key's last write before t: a bucket lists
-    its rows in this order."""
-    last = {}
-    for event in sorted(row_events, key=lambda e: (e.ts, e.ordinal)):
-        if event.ts >= t:
-            continue
-        if event.op == "delete":
-            last.pop(event.before["id"], None)
-        else:
-            last[event.after["id"]] = (event.ts, event.ordinal)
-    return last
-
-
 def reference_groups(corpus, row_events):
     """One group per call, in log id order, from the reference joins."""
     calls = project_oracle(corpus.events, "call", dict.fromkeys(CALL_FIELDS))[0]
@@ -209,9 +196,7 @@ def reference_groups(corpus, row_events):
     self_calls = [row for _, row in sorted(calls, key=lambda item: (item[1]["time"], item[0]))]
     for log_id, focal in calls:
         t, sid, x = focal["time"], focal["sessionId"], focal["arguments.x"]
-        order = write_order(row_events, t)
-        items = db_join_oracle(row_events, "owner", x, t) if x is not None else []
-        items.sort(key=lambda row: order[row["id"]])
+        items = db_join_oracle(row_events, "id", x, t) if x is not None else []
         env = [
             {path: record.fields.get(path) for path in FIELDS["Env"]}
             for record in env_join_oracle(corpus.env_records, sid, t)
@@ -389,10 +374,11 @@ def test_rebound_names_shadow_and_restore(body):
     ]
     text = f"INVARIANT shadow ON call CATEGORY database WHERE {body}"
     inv = parse_invariant(text)
+    # keyed by the calls' arguments.x, so each call binds an item
     row_events = [
-        row_event("items", "insert", 1, after={"id": "i1", "owner": "u1", "qty": 2,
+        row_event("items", "insert", 1, after={"id": "u1", "owner": "u1", "qty": 2,
                                               "state": "paid"}, ordinal=0),
-        row_event("items", "insert", 2, after={"id": "i2", "owner": "u1", "qty": 3,
+        row_event("items", "insert", 2, after={"id": "u2", "owner": "u1", "qty": 3,
                                               "state": "unpaid"}, ordinal=1),
     ]
     corpus, got = detect(bundle(), lines, row_events, [inv])
@@ -488,7 +474,7 @@ def test_a_quantifier_over_an_unbound_name_is_refused_before_any_check(lines):
 # the checks test, is pinned against the reference evaluator
 
 QUANTIFIED = {"items": 'items.state == "paid"', "prev": 'prev.response.status == "ok"',
-              "Env": 'Env.role == "admin"'}
+              "call": 'call.response.status == "ok"', "Env": 'Env.role == "admin"'}
 
 
 def statement_quantifiers(name):
@@ -502,7 +488,7 @@ def statement_quantifiers(name):
 
 def check_positions(invariants, focal, bindings, shape=list):
     """compile_checks' positions on a focal row, with each binding's rows in
-    `shape` (a DB bucket's dict view, an API window's list, an env tuple),
+    `shape` (a table's or env binding's tuple, an API window's list),
     and the reference evaluator's, per invariant; an EvaluationError from
     either is returned as its message. A failing row's check must hand
     back the rows it was given."""
@@ -524,10 +510,6 @@ def check_positions(invariants, focal, bindings, shape=list):
     return got, expected
 
 
-def db_view(rows):
-    return {i: row for i, row in enumerate(rows)}.values()
-
-
 ROW_SETS = {
     "none": [],
     "one_holds": ["hold"],
@@ -547,7 +529,7 @@ ROW_VALUES = {
 
 
 @pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
-@pytest.mark.parametrize("name, shape", [("items", db_view), ("prev", list), ("Env", tuple)])
+@pytest.mark.parametrize("name, shape", [("items", tuple), ("prev", list), ("Env", tuple)])
 def test_statement_quantifiers_match_the_oracle(name, shape, rows):
     invariants = statement_quantifiers(name)
     # NOT NOT and the quantifiers of another binding, around them: positions move
@@ -562,28 +544,35 @@ def test_statement_quantifiers_match_the_oracle(name, shape, rows):
 
 
 def test_statement_quantifiers_match_the_oracle_through_the_joins():
-    """DB, API and env bindings of 0, 1 and 3 rows, as the sweep builds them."""
-    items = [("i1", "u1", "paid"), ("i2", "u3", "paid"), ("i3", "u3", "paid"),
-             ("i4", "u3", "paid"), ("i5", "u4", "paid"), ("i6", "u4", "unpaid"),
-             ("i7", "u4", "paid"), ("i8", "u5", "unpaid")]
+    """Each binding kind as the joins build it. A table binding holds at
+    most the one row of its key, so quantifiers over many rows are covered
+    through the earlier-call bindings `prev` and `call`."""
+    # i3 is deleted before any call, and u0 is no item's key
+    items = [("i1", "paid"), ("i2", "unpaid"), ("i3", "paid")]
     row_events = [
         row_event("items", "insert", 1 + i, ordinal=i,
-                  after={"id": key, "owner": owner, "qty": 1, "state": state})
-        for i, (key, owner, state) in enumerate(items)
+                  after={"id": key, "owner": "u1", "qty": 1, "state": state})
+        for i, (key, state) in enumerate(items)
     ]
+    row_events.append(row_event("items", "delete", 50, ordinal=len(items),
+                                before=row_events[-1].after))
     lines = [env_line("s1", {"sessionId": "s1", "userId": "u1", "role": "admin"}, 5),
              env_line("s2", {"sessionId": "s2", "userId": "u1", "role": "guest"}, 5)]
+    calls = [("u0", "ok"), ("i1", "ok"), ("i2", "no"), ("i3", "ok"), ("i1", "ok")]
     for sid, statuses in (("s1", ["ok"]), ("s2", ["ok", "ok", "ok"]),
                           ("s3", ["ok", "no", "ok"]), ("s4", [])):
         lines += [api_line("prev", 100 + i, sid, {"x": "u1"}, {"status": status})
                   for i, status in enumerate(statuses)]
-        lines += [api_line("call", 110, sid, {"x": x}) for x in ("u0", "u1", "u3", "u4", "u5")]
+        # the k-th call of a session sees the k before it through `call`
+        lines += [api_line("call", 110 + i, sid, {"x": x}, {"status": status})
+                  for i, (x, status) in enumerate(calls)]
     invariants = [inv for name in QUANTIFIED for inv in statement_quantifiers(name)]
     corpus, got = detect(bundle(), lines, row_events, invariants)
     assert got == reference_report(corpus, row_events, invariants)
     sizes = {name: {len(group.bindings[name]) for group in reference_groups(corpus, row_events)}
              for name in QUANTIFIED}
-    assert sizes == {"items": {0, 1, 3}, "prev": {0, 1, 3}, "Env": {0, 1}}
+    assert sizes == {"items": {0, 1}, "prev": {0, 1, 3}, "call": {0, 1, 2, 3, 4},
+                     "Env": {0, 1}}
 
 
 UNBOUND = [

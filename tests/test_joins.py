@@ -1,17 +1,18 @@
-"""Join engine: the sweeping table cursor and streamed groups, checked
-against the reference joins in oracles.py."""
+"""Join engine: the as-of lookups of every binding kind and streamed
+groups, checked against the reference joins in oracles.py."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apivet.binlog import ingest_binlog
 from apivet.detector import check_corpus
 from apivet.dsl import parse_invariant
-from apivet.errors import StoreLookupError
+from apivet.errors import SchemaError, StoreLookupError
 from apivet.joins import (
     JoinStores,
-    TableCursor,
     binding_names,
     build_joined_groups,
     failing_calls,
@@ -22,16 +23,9 @@ from apivet.logstore import ingest_logs
 from apivet.relations import API_API, API_DB, API_ENV, Relationship
 from apivet.schema import merge_bundle
 from apivet.sources import flatten_api_signature, load_env_descriptor, parse_create_table
-from apivet.values import value_key
 
 from conftest import api_line, env_line, row_event
 from oracles import api_join_oracle, canonical_key, db_join_oracle, env_join_oracle
-
-
-def rows_at(cursor, column, value, t):
-    """The rows a generated join reads for `value` on `column` at time t."""
-    cursor.advance(t)
-    return list(cursor.buckets[column].get(value_key(value), {}).values())
 
 
 def rel(kind, focal, fattr, target, tattr, **kw):
@@ -80,7 +74,7 @@ def sorted_rows(rows):
 
 
 def join_rows(stores, relationship, focal_rows):
-    """Rows the public join path binds to each focal row, in one sweep."""
+    """Rows the public join path binds to each focal row, in their order."""
     schema = joined_schema_for(stores.bundle, relationship.focal_entity, [relationship])
     (binding,) = schema.bindings
     rows = list(enumerate(focal_rows))
@@ -165,14 +159,18 @@ class TestReferenceJoins:
         assert self.db_join("o2", 31) == []
         assert self.db_join(None, 31) == []
 
-    def test_db_join_matches_oracle_on_non_key_column(self):
+    def test_a_link_to_a_non_key_column_is_refused(self):
         by_user = rel(API_DB, "payOrder", "arguments.orderId", "orders", "userId")
-        times = (5, 10, 11, 25, 35, 41, 60)
-        got = join_rows(self.stores, by_user, [self.db_call("u1", t) for t in times])
-        for t, rows in zip(times, got):
-            want = sorted_rows(db_join_oracle(order_events(), "userId", "u1", t))
-            assert sorted_rows(rows) == want
-        assert any(got)
+        inv = parse_invariant(
+            "INVARIANT placed ON payOrder CATEGORY database WHERE EXISTS(orders: TRUE)"
+        )
+        with pytest.raises(SchemaError) as err:
+            check_corpus(self.bundle, self.corpus, self.stores.tables, [by_user], [inv])
+        problem = "target column 'userId' is not the primary key of 'orders'"
+        assert str(err.value) == f"relationship 0: {problem}"
+        # the library's group builders take links no admission vetted
+        with pytest.raises(SchemaError, match=f"^{problem}$"):
+            join_rows(self.stores, by_user, [self.db_call("u1", 60)])
 
     def test_api_join_window_is_open_on_both_ends(self):
         lines = [
@@ -222,7 +220,7 @@ class TestReferenceJoins:
         with pytest.raises(StoreLookupError):
             self.stores.column_events("missing", "id")
         with pytest.raises(StoreLookupError):
-            self.stores.column_keys("missing", "id")
+            self.stores.key_index("missing")
 
 
 class TestEnvAsOf:
@@ -293,105 +291,95 @@ class TestEnvAsOf:
             ]
 
 
-class TestTableCursor:
-    def setup_method(self):
-        _, _, self.stores = make_stores(
-            [api_line("payOrder", 25, "s1", {"orderId": "o1"}, {"status": "paid"})]
-        )
-        self.row_events = order_events()
-        self.events = self.stores.table_events("orders")
+# one table's version stream: per event, a key, whether a live key's event
+# deletes it (else it updates it) and the ts step from the event before; a
+# key that is not live is inserted, also after its delete. 1 and 1.0 are one
+# key, true and "1" two others
+STREAM_KEYS = (1, 2, 2.0, 2**70, True, "1", "a", "")
+STREAMS = st.lists(
+    st.tuples(st.sampled_from(STREAM_KEYS), st.booleans(), st.integers(0, 2)),
+    min_size=1, max_size=30,
+)
+# probed values: every key, one no version holds, and null
+PROBES = st.lists(
+    st.tuples(st.sampled_from(STREAM_KEYS + ("ghost", None)), st.integers(0, 64)),
+    min_size=1, max_size=20,
+)
 
-    def probe(self, cursor, value, t, column="userId"):
-        return sorted_rows(rows_at(cursor, column, value, t))
 
-    def reference(self, value, t, column="userId"):
-        return sorted_rows(db_join_oracle(self.row_events, column, value, t))
+def version_stream(draws):
+    events, live, ts = [], {}, 0
+    for i, (key, deletes, step) in enumerate(draws):
+        ts += step
+        row = {"id": key, "userId": f"u{i}", "status": "unpaid"}
+        live_key = canonical_key(key)
+        if live_key not in live:
+            events.append(row_event("orders", "insert", ts, after=row, ordinal=i))
+            live[live_key] = row
+        elif deletes:
+            events.append(row_event("orders", "delete", ts, before=live.pop(live_key),
+                                    ordinal=i))
+        else:
+            events.append(row_event("orders", "update", ts, before=live[live_key], after=row,
+                                    ordinal=i))
+            live[live_key] = row
+    return events
 
-    def test_forward_sweep_matches_reference(self):
-        cursor = TableCursor(self.events, ["userId"])
-        for t in (5, 10, 11, 20, 21, 30, 31, 40, 41, 50, 51, 99):
-            for value in ("u1", "u2", "u3"):
-                assert self.probe(cursor, value, t) == self.reference(value, t)
 
-    def test_every_indexed_column_matches_reference(self):
-        cursor = TableCursor(self.events, ["userId", "id", "status"])
-        cases = {"userId": ("u1", "u2"), "id": ("o1", "o2", "o3"),
-                 "status": ("paid", "unpaid", "cancelled")}
-        for t in (5, 11, 21, 31, 41, 51, 99):
-            for column, values in cases.items():
-                for value in values:
-                    assert self.probe(cursor, value, t, column) == self.reference(
-                        value, t, column
-                    )
+class TestKeyIndex:
+    """A table binding is the one row of its key's last version strictly
+    before the call, looked up in JoinStores.key_index."""
 
-    def test_bucket_maps_are_updated_in_place(self):
-        cursor = TableCursor(self.events, ["userId"])
-        index = cursor.buckets["userId"]
-        cursor.advance(11)
-        assert sorted_rows(index[("s", "u2")].values()) == self.reference("u2", 11)
-        cursor.advance(99)  # moving on keeps the same map
-        assert cursor.buckets["userId"] is index
-        assert sorted_rows(index[("s", "u1")].values()) == self.reference("u1", 99)
+    @settings(max_examples=200, deadline=None)
+    @given(draws=STREAMS, probes=PROBES)
+    def test_as_of_lookups_match_the_oracle(self, draws, probes):
+        events = version_stream(draws)
+        _, _, stores = make_stores([], events)
+        link = rel(API_DB, "payOrder", "arguments.orderId", "orders", "id")
+        calls = [{"arguments.orderId": value, "time": t, "sessionId": "s1"}
+                 for value, t in probes]
+        for (value, t), rows in zip(probes, join_rows(stores, link, calls)):
+            assert rows == db_join_oracle(events, "id", value, t)
 
-    def test_an_update_moves_its_row_to_the_bucket_end(self):
-        # a bucket lists its rows by last write, which the row[i] indices of
-        # explanations follow: o1's update at 50 comes after o3's insert
-        cursor = TableCursor(self.events, ["userId", "status"])
-        assert [r["id"] for r in rows_at(cursor, "userId", "u1", 45)] == ["o1", "o3"]
-        assert [r["id"] for r in rows_at(cursor, "userId", "u1", 51)] == ["o3", "o1"]
+    def test_index_groups_each_key_in_stream_order(self):
+        _, _, stores = make_stores([])
+        index = stores.key_index("orders")
+        assert index is stores.key_index("orders")
+        assert {key: [(ts, row and row["status"]) for ts, _, _, row in versions]
+                for key, versions in index.items()} == {
+            ("s", "o1"): [(10, "unpaid"), (20, "paid"), (50, "cancelled")],
+            ("s", "o2"): [(10, "unpaid"), (30, None)],
+            ("s", "o3"): [(40, "unpaid")],
+        }
 
-    def test_rekeying_update_ties_on_ts_and_ordinal(self):
-        # lenient ingest keeps an update that changes the key: the old chain
+    def test_a_rekeying_update_moves_the_row_to_its_new_key(self):
+        # lenient replay keeps an update that changes the key: the old key
         # gets a tombstone and the new one a version at the same (ts, ordinal)
         events = order_events() + [
             row_event("orders", "update", 60, ordinal=6,
                       before={"id": "o3", "userId": "u1", "status": "unpaid"},
-                      after={"id": "o4", "userId": "u2", "status": "unpaid"}),
+                      after={"id": "o4", "userId": "u2", "status": "paid"}),
         ]
         bundle = join_bundle()
-        self.row_events = events
         stores = JoinStores(bundle, ingest_logs([]), ingest_binlog(events, bundle))
-        cursor = TableCursor(stores.table_events("orders"), ["userId"])
-        for t in (55, 60, 61, 99):
-            for value in ("u1", "u2"):
-                assert self.probe(cursor, value, t) == self.reference(value, t)
-        assert [r["id"] for r in rows_at(cursor, "userId", "u2", 99)] == ["o4"]
+        link = rel(API_DB, "payOrder", "arguments.orderId", "orders", "id")
+        probes = [(key, t) for key in ("o3", "o4") for t in (60, 61)]
+        calls = [{"arguments.orderId": key, "time": t, "sessionId": "s1"} for key, t in probes]
+        got = join_rows(stores, link, calls)
+        assert got == [db_join_oracle(events, "id", key, t) for key, t in probes]
+        assert [[row["id"] for row in rows] for rows in got] == [["o3"], [], [], ["o4"]]
 
-    def test_values_of_every_class_bucket_as_the_oracle_keys_them(self):
-        # a string is keyed inline, any other value through value_key
-        values = [None, True, False, 0, 1, 1.0, -2.5, 2**70, "", "1", "True",
-                  [], [1], {}, {"a": 1}]
-        rng = random.Random(3)
+    def test_one_and_true_are_two_keys(self):
         events = [
-            (ordinal // 2, ordinal, rng.randrange(8),
-             None if rng.random() < 0.1 else {"v": rng.choice(values)})
-            for ordinal in range(200)
+            row_event("orders", "insert", 10, after={"id": True, "status": "a"}, ordinal=0),
+            row_event("orders", "insert", 10, after={"id": 1, "status": "b"}, ordinal=1),
         ]
-        cursor = TableCursor(events, ["v"])
-        for t in range(0, 102, 7):
-            cursor.advance(t)
-            live = {chain: row for ts, _, chain, row in events if ts < t}
-            for value in values:
-                want = {chain for chain, row in live.items()
-                        if row is not None and value is not None
-                        and canonical_key(row["v"]) == canonical_key(value)}
-                assert set(cursor.buckets["v"].get(value_key(value), {})) == want
-
-    def test_unseen_value_yields_empty(self):
-        cursor = TableCursor(self.events, ["userId"])
-        assert rows_at(cursor, "userId", "ghost", 99) == []
-        assert ("s", "ghost") not in cursor.buckets["userId"]
-
-    def test_random_probe_schedule_matches_reference(self):
-        rng = random.Random(7)
-        cursor = TableCursor(self.events, ["userId", "status"])
-        # the cursor only moves forward: a non-decreasing schedule, with repeats
-        for t in sorted(rng.randrange(0, 70) for _ in range(300)):
-            column = rng.choice(["userId", "status"])
-            value = rng.choice(["u1", "u2", "u3", "paid", "unpaid", None])
-            if value is None:
-                continue
-            assert self.probe(cursor, value, t, column) == self.reference(value, t, column)
+        _, _, stores = make_stores([], events)
+        link = rel(API_DB, "payOrder", "arguments.orderId", "orders", "id")
+        calls = [{"arguments.orderId": value, "time": 11, "sessionId": "s1"}
+                 for value in (True, 1, 1.0, "1")]
+        assert [[row["status"] for row in rows]
+                for rows in join_rows(stores, link, calls)] == [["a"], ["b"], ["b"], []]
 
 
 class TestBigIntegerKeys:
@@ -450,50 +438,6 @@ class TestCallOrder:
         assert [r["arguments.orderId"] for r in rows] == ["o2", "o3", "o5", "o4", "o1"]
         assert times == [10, 30, 10, 20, 30]
         assert spans == {"s1": (0, 2), "s2": (2, 5)}
-
-
-class TestSharedCursor:
-    def test_bindings_on_one_table_share_a_cursor(self, monkeypatch):
-        import apivet.joins as joins
-
-        built = []
-
-        class CountingCursor(TableCursor):
-            __slots__ = ()
-
-            def __init__(self, events, columns):
-                built.append((events, list(columns)))
-                super().__init__(events, columns)
-
-        monkeypatch.setattr(joins, "TableCursor", CountingCursor)
-        lines = [
-            api_line("login", t, "s1", {"loginId": u}, {"userId": v})
-            for t, u, v in ((5, "u1", "u1"), (20, "u1", "u2"), (25, "u1", "u2"),
-                            (45, "u2", "u1"), (99, "u1", "u1"))
-        ]
-        bundle, _, stores = make_stores(lines)
-        rels = [
-            rel(API_DB, "login", "arguments.loginId", "orders", "userId"),
-            rel(API_DB, "login", "response.userId", "orders", "userId"),
-            rel(API_DB, "login", "arguments.loginId", "orders", "id"),
-        ]
-        schema = joined_schema_for(bundle, "login", rels)
-        groups = build_joined_groups(stores, schema)
-        # two bindings on orders.userId and one on orders.id: one cursor
-        # over the table's stream indexes both columns
-        assert len(built) == 1
-        assert built[0][0] is stores.table_events("orders")
-        assert built[0][1] == ["userId", "id"]
-        for group in groups:
-            for binding in schema.bindings:
-                r = binding.relationship
-                assert sorted_rows(group.bindings[binding.name]) == sorted_rows(
-                    db_join_oracle(
-                        order_events(), r.target_attr, group.focal[r.focal_attr],
-                        group.focal["time"],
-                    )
-                )
-        assert any(group.bindings["orders__arguments_loginId__userId"] for group in groups)
 
 
 class TestJoinedGroups:
@@ -611,9 +555,9 @@ class TestRandomizedAgreement:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_rows_join_as_the_sorted_rows(self, seed):
-        # the cursor only moves forward, so caller rows in any order are
-        # taken in time order: each log id gets the focal row and bindings
-        # it gets from the sorted rows
+        # every lookup is as of its call: caller rows in any order give
+        # each log id the focal row and bindings it gets from the sorted
+        # rows, in the caller's order
         _, stores, schema = self.random_stores()
 
         def joined(rows):
@@ -628,6 +572,7 @@ class TestRandomizedAgreement:
         random.Random(seed).shuffle(shuffled)
         assert shuffled != rows
         assert joined(shuffled) == joined(rows)
+        assert list(joined(shuffled)) == [log_id for log_id, _ in shuffled]
         assert len(joined(rows)) == 60
 
 
@@ -640,7 +585,6 @@ def failing_rows(stores, schema, body):
     calls = []
     for k, log_id, row, failed, bindings in failing_calls(stores, [(schema, [inv])]):
         assert (k, failed) == (0, (0,))
-        # DB rows are cursor views: copy them before the next call
         calls.append((row["time"], log_id, row,
                       {name: list(rows) for name, rows in bindings.items()}))
     assert [(t, log_id) for t, log_id, _, _ in calls] == sorted(

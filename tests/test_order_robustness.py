@@ -1,9 +1,10 @@
 """Order robustness: swapping log or binlog lines changes neither the report
-nor the sweep.
+nor the work of the joins.
 
 A copy of a benchgen corpus with a seeded share of adjacent log lines
-swapped must give the in-order report once its log ids are mapped back, and
-its join cursors must still only move forward in time. A copy of its binlog
+swapped must give the in-order report once its log ids are mapped back:
+every join is an as-of lookup, so neither the report nor the work depends
+on the order the calls come in. A copy of its binlog
 swapped the same way must replay, strictly and without a repair, to tables
 that give the in-order report as it is: binlog lines carry no log ids.
 """
@@ -27,7 +28,7 @@ from apivet.benchgen import (
 from apivet.binlog import ingest_binlog, parse_row_events
 from apivet.config import PipelineConfig
 from apivet.detector import check_corpus
-from apivet.joins import JoinStores, TableCursor
+from apivet.joins import JoinStores
 from apivet.logstore import ingest_logs
 from apivet.pipeline import run_generation, run_inference
 from apivet.schema import API
@@ -146,21 +147,23 @@ def test_instances_are_in_time_then_id_order(setup):
         assert keys == sorted(keys), entity.name
 
 
-def test_join_cursors_never_see_a_backward_time(setup, monkeypatch):
-    advance = TableCursor.advance
-    last_t = {}  # id(cursor) -> (cursor, last t); holding the cursor pins its id
-    probes = rewinds = 0
+def test_each_table_index_is_built_once_per_check(setup, monkeypatch):
+    """However many bindings of however many APIs look a table up, one
+    check_corpus reads its version stream once, to build its key index,
+    whatever the order of the calls."""
+    lookups, reads = [], []
+    key_index, table_events = JoinStores.key_index, JoinStores.table_events
 
-    def counting(self, t):
-        nonlocal probes, rewinds
-        probes += 1
-        seen = last_t.get(id(self))
-        if seen is not None and t < seen[1]:
-            rewinds += 1
-        last_t[id(self)] = (self, t)
-        return advance(self, t)
+    def counting_lookup(stores, table_name):
+        lookups.append(table_name)
+        return key_index(stores, table_name)
 
-    monkeypatch.setattr(TableCursor, "advance", counting)
-    detect(setup, setup.swapped)
-    assert probes > 0
-    assert rewinds == 0
+    def counting_read(stores, table_name):
+        reads.append(table_name)
+        return table_events(stores, table_name)
+
+    monkeypatch.setattr(JoinStores, "key_index", counting_lookup)
+    monkeypatch.setattr(JoinStores, "table_events", counting_read)
+    assert detect(setup, setup.swapped).violations
+    assert sorted(reads) == sorted(set(lookups)) == ["orders", "users"]
+    assert len(lookups) > len(reads)  # bindings share each index

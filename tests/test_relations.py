@@ -120,7 +120,7 @@ class TestFilters:
         stores = stores_for(small_corpus())
         table = stores.instances("payOrder")
         universe = universes()["orders"]["id"]
-        keys = stores.column_keys("orders", "id")
+        keys = set(stores.key_index("orders"))
         assert keys == {value_key(v) for v in universe}
         ok, ratio = value_overlap(table, "arguments.orderId", keys, 0.9)
         expected = value_overlap_oracle(
@@ -469,13 +469,13 @@ class TestKeyRule:
 
     def test_no_universe_is_built_for_a_rejected_column(self, monkeypatch):
         built = []
-        column_keys = JoinStores.column_keys
+        table_events = JoinStores.table_events
 
-        def counting(stores, table, column):
-            built.append((table, column))
-            return column_keys(stores, table, column)
+        def counting(stores, table):
+            built.append(table)
+            return table_events(stores, table)
 
-        monkeypatch.setattr(JoinStores, "column_keys", counting)
+        monkeypatch.setattr(JoinStores, "table_events", counting)
         stores = JoinStores(key_bundle(), small_corpus(), ingest_binlog([], key_bundle()))
         report = infer_relationships(
             stores,
@@ -484,9 +484,10 @@ class TestKeyRule:
                  ("arguments.loginId", "userId"), ("arguments.orderId", "id")),
             self.MODEL,
         )
-        # the key link reaches value overlap, and fails it on the empty binlog
+        # the key link reaches value overlap, and fails it on the empty
+        # binlog: the one key index built reads the table's stream once
         assert len(report.rejected) == 4
-        assert built == [("orders", "id")]
+        assert built == ["orders"]
 
 
 def test_a_table_binding_holds_at_most_one_row_per_call():
@@ -569,6 +570,25 @@ class TestAdmission:
             check_corpus(small_bundle(), corpus, tables, bad, [])
         with pytest.raises(SchemaError, match=f"^{problem}$"):
             run_generation(small_bundle(), corpus, tables, bad, PipelineConfig())
+
+    @pytest.mark.parametrize("target, attrs", [
+        ("orders", ("response.status", "status")),
+        ("orders", ("arguments.loginId", "userId")),
+        ("lines", ("arguments.orderId", "orderId")),
+    ], ids=["enum", "non_key_id", "part_of_composite_key"])
+    def test_a_link_to_a_non_key_column_is_refused_as_inference_rejects_it(
+        self, target, attrs
+    ):
+        link = Relationship(API_DB, "payOrder", attrs[0], target, attrs[1])
+        report = infer_relationships(
+            JoinStores(key_bundle(), small_corpus(), ingest_binlog([], key_bundle())),
+            Only("payOrder", target, attrs), TestKeyRule.MODEL,
+        )
+        ((_, reason),) = report.rejected
+        with pytest.raises(SchemaError) as err:
+            admit_relationships(key_bundle(), [link])
+        assert str(err.value) == f"relationship 0: {reason}"
+        assert reason == f"target column {attrs[1]!r} is not the primary key of {target!r}"
 
     @pytest.mark.parametrize("copy_of", [0, 1, 2])
     def test_a_link_listed_twice_is_refused_naming_both(self, copy_of):
